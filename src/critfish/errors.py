@@ -13,6 +13,10 @@ class NotPSD(CritfishError):
     """Matrix has a negative eigenvalue beyond the roundoff clamp."""
 
 
+class DiagonalizationFailed(CritfishError):
+    """The eigensolver did not converge on a (block of a) symmetric matrix."""
+
+
 class DimMismatch(CritfishError):
     """Operands live in Hilbert spaces of different dimension."""
 
@@ -35,6 +39,10 @@ class GapTooSmall(CritfishError):
 
 class DegenerateLevel(CritfishError):
     """Operation requires a non-degenerate eigenvalue."""
+
+
+class NegativeFisherPart(CritfishError):
+    """A sum-of-squares Fisher contribution came out negative beyond roundoff."""
 
 
 class ZeroVariance(CritfishError):

@@ -35,6 +35,7 @@ from .errors import (
     DegenerateLevel,
     DimMismatch,
     InvalidTemperature,
+    NegativeFisherPart,
     NoFDConvergence,
     ZeroVariance,
 )
@@ -142,7 +143,7 @@ def _quantum_pair_sum(energies, probs, elements, gid, by_offset=False):
 def _clamp_part(value):
     # parts are sums of squares; tiny negatives would be a bug, not roundoff
     if value < -1e-12:
-        raise AssertionError(f"negative Fisher contribution {value}")
+        raise NegativeFisherPart(f"negative Fisher contribution {value}")
     return max(value, 0.0)
 
 

@@ -9,13 +9,23 @@ import io
 import math
 
 import numpy as np
+import scipy.linalg
 
 from .analytic import ToyParams, fi_errprop_closed, qfi_eigenstate, qfi_thermal_classical, qfi_thermal_quantum
-from .fisher import cfi_projective, fi_error_propagation, qfi_fidelity_fd, qfi_spectral
-from .linalg import eigh
+from .fisher import (
+    FD_ATOL,
+    FD_DELTA_MIN_FACTOR,
+    FD_RTOL,
+    _fd_ladder,
+    cfi_projective,
+    fi_error_propagation,
+    qfi_fidelity_fd,
+    qfi_spectral,
+)
+from .linalg import Spectrum, eigh
 from .models import build_model, toy_converged_truncation
 from .sweep import make_config, measurement_observable, rows_from_csv, rows_to_csv, run_sweep
-from .thermal import gibbs
+from .thermal import density_matrix, gibbs
 
 
 def _rel_err(value, reference):
@@ -85,6 +95,47 @@ def _check_estimator_ordering():
     return ok, f"errprop={errprop:.6g}, cfi={cfi:.6g}, qfi={qfi:.6g}"
 
 
+def _dense_spectrum(matrix):
+    vals, vecs = scipy.linalg.eigh(matrix)
+    return Spectrum(eigenvalues=vals, eigenvectors=vecs)
+
+
+def _dense_qfi_fidelity(g, size, beta, delta_omega):
+    """qfi_fidelity_fd's ladder with every diagonalization done densely."""
+
+    def density(at_omega):
+        return density_matrix(gibbs(_dense_spectrum(build_model("ising", at_omega, g, size).H), beta))
+
+    def root(rho):
+        spec = _dense_spectrum(rho)
+        return (spec.eigenvectors * np.sqrt(np.clip(spec.eigenvalues, 0.0, None))) @ spec.eigenvectors.T
+
+    def estimate(step):
+        rho, sigma = density(1.0 - step / 2.0), density(1.0 + step / 2.0)
+        root_fidelity = float(np.sum(scipy.linalg.svdvals(root(rho) @ root(sigma))))
+        return 8.0 * (1.0 - root_fidelity) / step ** 2
+
+    value, _ = _fd_ladder(estimate, delta_omega, FD_DELTA_MIN_FACTOR, FD_RTOL, FD_ATOL)
+    return value
+
+
+def _check_blocked_vs_dense():
+    size, beta, delta_omega = 6, 2.0, 1e-3
+    worst = {"qfi_spectral": 0.0, "qfi_fidelity": 0.0}
+    for g in (0.5, 1.3):
+        model = build_model("ising", 1.0, g, size)
+        blocked = qfi_spectral(model, gibbs(eigh(model.H), beta)).total
+        dense = qfi_spectral(model, gibbs(_dense_spectrum(model.H), beta)).total
+        worst["qfi_spectral"] = max(worst["qfi_spectral"], _rel_err(blocked, dense))
+        blocked = qfi_fidelity_fd(
+            lambda w: build_model("ising", w, g, size), 1.0, beta, delta_omega=delta_omega
+        )
+        dense = _dense_qfi_fidelity(g, size, beta, delta_omega)
+        worst["qfi_fidelity"] = max(worst["qfi_fidelity"], _rel_err(blocked, dense))
+    ok = worst["qfi_spectral"] <= 1e-10 and worst["qfi_fidelity"] <= 1e-6
+    return ok, ", ".join(f"{name} relative error {err:.2e}" for name, err in worst.items())
+
+
 def _check_table_roundtrip():
     config = make_config(
         {
@@ -126,6 +177,7 @@ CHECKS = (
     ("commuting case (g = 0)", _check_commuting_case),
     ("spectral vs fidelity cross-method", _check_cross_method),
     ("estimator ordering", _check_estimator_ordering),
+    ("blocked vs dense diagonalization", _check_blocked_vs_dense),
     ("table round-trip and parallel determinism", _check_table_roundtrip),
 )
 

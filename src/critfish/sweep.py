@@ -328,10 +328,15 @@ def _evaluate_cell(task):
 
 
 def _worker_count(config):
-    limit = os.environ.get("CRITFISH_THREADS")
-    cap = int(limit) if limit else None
     count = config.workers if config.workers else (os.cpu_count() or 1)
-    if cap:
+    limit = os.environ.get("CRITFISH_THREADS")
+    if limit:
+        try:
+            cap = int(limit)
+        except ValueError:
+            cap = 0
+        if cap < 1:
+            raise ConfigError(f"must be a positive integer, got {limit!r}", field="CRITFISH_THREADS")
         count = min(count, cap)
     return max(count, 1)
 

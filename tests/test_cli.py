@@ -13,7 +13,17 @@ def test_selftest_green(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
-    assert out.count("PASS") == 6
+    assert out.count("PASS") == 7
+
+
+def test_bad_thread_env_var_exits_one(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("CRITFISH_THREADS", "two")
+    out = tmp_path / "rows.csv"
+    code = main(["fig2", "--model", "ising", "-N", "4", "--g-count", "2", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "CRITFISH_THREADS" in err and "'two'" in err
+    assert not out.exists()
 
 
 def test_point_prints_row_json(capsys):

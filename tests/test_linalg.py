@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from critfish.errors import DimMismatch, InvalidMatrix, NotPSD
-from critfish.linalg import eigh, fidelity, psd_sqrt, symmetrize, validate_density_matrix
+from critfish import linalg
+from critfish.errors import DiagonalizationFailed, DimMismatch, InvalidMatrix, NotPSD
+from critfish.linalg import _component_labels, eigh, fidelity, psd_sqrt, symmetrize, validate_density_matrix
+from critfish.models import build_model
 
 
 def random_symmetric(rng, dim, scale=5.0):
@@ -76,6 +79,105 @@ def test_eigh_invariants_random(dim, seed):
     assert np.abs(v.T @ v - np.eye(dim)).max() <= 1e-12
     rebuilt = (v * spec.eigenvalues) @ v.T
     assert np.abs(rebuilt - m).max() <= 1e-10 * max(1.0, np.abs(m).max())
+
+
+def scrambled_path(rng, dim):
+    """Random tridiagonal matrix with rows and columns shuffled: a path graph in random order."""
+    off = rng.uniform(0.5, 2.0, dim - 1)
+    t = np.diag(rng.normal(size=dim)) + np.diag(off, 1) + np.diag(off, -1)
+    order = rng.permutation(dim)
+    return t[np.ix_(order, order)]
+
+
+def interleaved_blocks(rng, sizes, singleton_values, paths=False):
+    """Symmetric matrix that is block diagonal after a random permutation.
+
+    Blocks of size 1 take their value from ``singleton_values`` (so they
+    repeat exactly); larger blocks are dense random, or scrambled paths
+    with ``paths``, and every second one repeats the block before it, so
+    their spectra coincide too.  The permutation interleaves the blocks
+    but keeps each block's own row order, which keeps repeated blocks
+    bit-identical after extraction.
+    Returns (matrix, list of index arrays, one per block).
+    """
+    owner = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    members = [np.flatnonzero(owner == b) for b in range(len(sizes))]
+    m = np.zeros((len(owner), len(owner)))
+    previous = None
+    for b, idx in enumerate(members):
+        if idx.size == 1:
+            block = np.array([[singleton_values[b % len(singleton_values)]]])
+        elif previous is not None and previous.shape[0] == idx.size and b % 2:
+            block = previous
+        elif paths:
+            block = scrambled_path(rng, idx.size)
+        else:
+            block = random_symmetric(rng, idx.size)
+        m[np.ix_(idx, idx)] = block
+        previous = block
+    return m, members
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(st.sampled_from([1, 1, 2, 3, 5, 8]), min_size=1, max_size=8),
+    singleton_values=st.lists(st.sampled_from([-2.5, 0.0, 1.0]), min_size=1, max_size=3),
+    paths=st.booleans(),
+    seed=st.integers(0, 2 ** 31),
+)
+def test_eigh_blocked_matches_dense(sizes, singleton_values, paths, seed):
+    rng = np.random.default_rng(seed)
+    m, members = interleaved_blocks(rng, sizes, singleton_values, paths)
+    dim = m.shape[0]
+    spec = eigh(m)
+    vals, v = spec.eigenvalues, spec.eigenvectors
+    scale = max(1.0, np.abs(m).max())
+    assert np.abs(vals - scipy.linalg.eigvalsh(m)).max() <= 1e-12 * scale
+    assert np.all(np.diff(vals) >= 0)
+    assert np.abs(m @ v - v * vals).max() <= 1e-12 * scale
+    assert np.abs(v.T @ v - np.eye(dim)).max() <= 1e-12
+    owner = np.empty(dim, dtype=int)
+    for b, idx in enumerate(members):
+        owner[idx] = b
+    for k in range(dim):
+        support = np.flatnonzero(v[:, k])
+        assert np.unique(owner[support]).size == 1
+        assert v[np.argmax(np.abs(v[:, k])), k] > 0
+    assert not vals.flags.writeable and not v.flags.writeable
+    again = eigh(m)
+    assert np.array_equal(again.eigenvalues, vals)
+    assert np.array_equal(again.eigenvectors, v)
+
+
+def components(labels):
+    return sorted(np.flatnonzero(labels == root).tolist() for root in np.unique(labels))
+
+
+@pytest.mark.parametrize("paths", [False, True])
+def test_component_labels_of_interleaved_blocks(paths):
+    # the 150-row block spans several reads of _LABEL_ROWS rows
+    rng = np.random.default_rng(2)
+    m, members = interleaved_blocks(rng, [3, 1, 5, 1, 2, 150], [0.0, 1.0], paths)
+    labels = _component_labels(m)
+    assert components(labels) == sorted(idx.tolist() for idx in members)
+    for idx in members:
+        assert np.all(labels[idx] == idx.min())
+
+
+def test_ising_hamiltonian_splits_into_parity_sectors():
+    found = components(_component_labels(build_model("ising", 1.0, 0.7, 6).H))
+    assert [len(c) for c in found] == [32, 32]
+    parity = [np.unique([bin(i).count("1") % 2 for i in c]) for c in found]
+    assert [p.tolist() for p in parity] == [[0], [1]]
+
+
+def test_eigh_wraps_solver_failure(monkeypatch):
+    def fail(a, overwrite_a=0):
+        return np.zeros(a.shape[0]), a, 3
+
+    monkeypatch.setattr(linalg, "_DSYEVD", fail)
+    with pytest.raises(DiagonalizationFailed, match="info=3"):
+        eigh(np.ones((3, 3)))
 
 
 def test_psd_sqrt_basics():

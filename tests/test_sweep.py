@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from critfish import fisher, linalg
 from critfish.errors import ConfigError
 from critfish.sweep import (
     COLUMNS,
@@ -164,6 +165,56 @@ def test_thread_env_var_caps_workers(monkeypatch):
     assert _worker_count(config(workers=3)) == 3
     monkeypatch.delenv("CRITFISH_THREADS")
     assert _worker_count(config(workers=5)) == 5
+
+
+@pytest.mark.parametrize("value", ["two", "2.5", "0", "-1"])
+def test_thread_env_var_rejects_non_positive_integers(monkeypatch, value):
+    from critfish.sweep import _worker_count
+
+    monkeypatch.setenv("CRITFISH_THREADS", value)
+    with pytest.raises(ConfigError, match="CRITFISH_THREADS") as info:
+        _worker_count(config(workers=2))
+    assert repr(value) in str(info.value)
+    assert info.value.field == "CRITFISH_THREADS"
+
+
+def test_failed_diagonalization_becomes_a_cell_status(monkeypatch):
+    solve = linalg._DSYEVD
+    calls = []
+
+    def fail_first(a, overwrite_a=0):
+        calls.append(1)
+        if len(calls) == 1:
+            return np.zeros(a.shape[0]), a, 1
+        return solve(a, overwrite_a=overwrite_a)
+
+    monkeypatch.setattr(linalg, "_DSYEVD", fail_first)
+    rows = run_sweep(config(workers=1))
+    assert rows[0].status == "cell:DiagonalizationFailed"
+    assert rows[0].qfi_fidelity is None
+    assert [row.status for row in rows[1:]] == [
+        "qfi_spectral:InvalidTemperature", "ok", "qfi_spectral:InvalidTemperature"
+    ]
+    assert all(row.qfi_fidelity is not None for row in rows[1:])
+
+
+def test_negative_fisher_part_becomes_an_estimator_status(monkeypatch):
+    pair_sum = fisher._quantum_pair_sum
+    calls = []
+
+    def negative_first(*args, **kwargs):
+        calls.append(1)
+        total, offsets = pair_sum(*args, **kwargs)
+        return (-1.0 if len(calls) == 1 else total), offsets
+
+    monkeypatch.setattr(fisher, "_quantum_pair_sum", negative_first)
+    rows = run_sweep(config(workers=1))
+    first = rows[0]
+    assert first.status == "qfi_spectral:NegativeFisherPart"
+    assert first.qfi_spectral_total is None
+    assert first.qfi_fidelity is not None and first.analytic_total is not None
+    assert len(rows) == 4
+    assert rows[2].status == "ok" and rows[2].qfi_spectral_total is not None
 
 
 def test_determinism():
