@@ -29,10 +29,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateLevel,
+    DiagonalizationFailed,
     DimMismatch,
     InvalidTemperature,
     NegativeFisherPart,
@@ -102,7 +102,10 @@ def _rotated_generator(spectrum, generator, tol):
         if len(group) > 1:
             sl = slice(group.start, group.stop)
             block = (m[sl, sl] + m[sl, sl].T) / 2.0
-            _, u = scipy.linalg.eigh(block)
+            try:
+                _, u = np.linalg.eigh(block)
+            except np.linalg.LinAlgError as exc:
+                raise DiagonalizationFailed(f"rotating a degenerate group of {len(group)} levels: {exc}") from exc
             m[:, sl] = m[:, sl] @ u
             m[sl, :] = u.T @ m[sl, :]
     return (m + m.T) / 2.0, gid
@@ -334,12 +337,11 @@ def cfi_projective(
         return 0.0  # one outcome: the distribution cannot move
 
     def outcome_probs(at_omega):
-        model = model_factory(at_omega)
-        if model.H.shape != obs.shape:
-            raise DimMismatch(
-                f"observable shape {obs.shape} does not match model dimension {model.H.shape}"
-            )
         rho = _thermal_density(model_factory, at_omega, beta)
+        if rho.shape != obs.shape:
+            raise DimMismatch(
+                f"observable shape {obs.shape} does not match model dimension {rho.shape}"
+            )
         overlap = np.einsum("ik,ik->k", basis, rho @ basis)
         return np.array([float(np.sum(overlap[g.start:g.stop])) for g in groups])
 

@@ -7,7 +7,8 @@ Functions are pure and outputs never alias inputs, which makes all of
 this safe to call from parallel sweep workers.
 
 ``eigh`` splits a matrix into the connected components of its exact
-nonzero pattern and diagonalizes each block on its own.  Every model
+nonzero pattern and diagonalizes each block on its own with LAPACK's
+divide-and-conquer ``?syevd`` through ``numpy.linalg.eigh``.  Every model
 Hamiltonian conserves a Z2 parity, and so do its Gibbs states and the
 measured squares, so their matrices fall apart into two parity sectors
 with exactly zero couplings between them, and the two half-size solves
@@ -15,21 +16,31 @@ cost about a quarter of one dense solve.  A row with no off-diagonal
 entry (as in a pure or underflowed Gibbs state) is an eigenvector as it
 stands and needs no solve.  A matrix without such structure is one
 block.
+
+All BLAS and LAPACK work here goes through numpy.  scipy ships its own
+OpenBLAS with its own thread pool, and switching between the two pools
+(numpy matmuls, scipy solves) left their spinning threads contending
+for the same cores.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DiagonalizationFailed, DimMismatch, InvalidMatrix, NotPSD
 
 # negative eigenvalues above -PSD_CLAMP_RTOL * ||M|| count as roundoff
 PSD_CLAMP_RTOL = 1e-10
 _LABEL_ROWS = 64  # rows per read in the component search
-# LAPACK's divide-and-conquer solver, called without scipy.linalg.eigh's
-# checks and workspace query, which cost more than solving a 10 x 10 block
-_DSYEVD = scipy.linalg.get_lapack_funcs("syevd", (np.zeros(1),))
+
+
+def _DSYEVD(a):
+    """LAPACK's ?syevd on a symmetric block: (eigenvalues, eigenvectors, info)."""
+    try:
+        vals, vecs = np.linalg.eigh(a)
+    except np.linalg.LinAlgError:
+        return None, None, 1
+    return vals, vecs, 0
 
 
 def symmetrize(entries):
@@ -93,7 +104,7 @@ def eigh(matrix):
     """Full eigendecomposition of a symmetric matrix with fixed signs.
 
     Each connected block of the nonzero pattern is diagonalized on its
-    own by LAPACK's divide-and-conquer dsyevd and its vectors are
+    own by LAPACK's divide-and-conquer ?syevd and its vectors are
     sign-fixed; rows with no off-diagonal entry are their own
     eigenvectors and need no solve.  The blocks' eigenvalues are merged
     by a stable sort, so every eigenvector is supported in exactly one
@@ -109,12 +120,9 @@ def eigh(matrix):
     blocks = []
     for root in (sizes > 1).nonzero()[0]:
         idx = (labels == root).nonzero()[0]
-        block = m if idx.size == n else m[idx[:, None], idx]
-        # block.T is block (it is symmetric) in Fortran order, so LAPACK
-        # needs no copy and overwrites it with the eigenvectors
-        vals, vecs, info = _DSYEVD(block.T, overwrite_a=1)
+        vals, vecs, info = _DSYEVD(m if idx.size == n else m[idx[:, None], idx])
         if info != 0:
-            raise DiagonalizationFailed(f"dsyevd failed with info={info} on a block of size {idx.size}")
+            raise DiagonalizationFailed(f"syevd failed with info={info} on a block of size {idx.size}")
         vecs *= np.copysign(1.0, vecs[np.abs(vecs).argmax(axis=0), np.arange(idx.size)])
         blocks.append((idx, vals, vecs))
     del m
@@ -167,7 +175,10 @@ def fidelity(rho, sigma):
         tr = float(np.trace(m))
         if abs(tr - 1.0) > 1e-9:
             raise InvalidMatrix(f"density matrix trace {tr!r} is not 1")
-    singulars = scipy.linalg.svdvals(psd_sqrt(r) @ psd_sqrt(s))
+    try:
+        singulars = np.linalg.svd(psd_sqrt(r) @ psd_sqrt(s), compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise DiagonalizationFailed(f"fidelity: {exc}") from exc
     value = float(np.sum(singulars)) ** 2
     return min(max(value, 0.0), 1.0)
 
@@ -181,6 +192,6 @@ def validate_density_matrix(rho, trace_tol=1e-12, eig_floor=1e-12):
         raise InvalidMatrix("density matrix has non-finite entries")
     if abs(float(np.trace(r)) - 1.0) > trace_tol:
         raise InvalidMatrix(f"trace {float(np.trace(r))!r} not within {trace_tol} of 1")
-    lowest = float(scipy.linalg.eigvalsh(symmetrize(r))[0])
+    lowest = float(np.linalg.eigvalsh(symmetrize(r))[0])
     if lowest < -eig_floor:
         raise NotPSD(f"minimum eigenvalue {lowest:.6e} below -{eig_floor}")

@@ -168,3 +168,21 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "ok"
+
+
+def test_package_never_imports_scipy():
+    # numpy and scipy each bundle an OpenBLAS with its own thread pool;
+    # the package keeps to numpy's so the two never contend for cores
+    code = (
+        "import sys\n"
+        "import critfish, critfish.cli\n"
+        "from critfish.sweep import make_config, run_sweep\n"
+        "rows = run_sweep(make_config({'model': 'lmg', 'size': 4, 'g_grid': [0.5],\n"
+        "    'temp_grid': [2.0], 'temp_mode': 'beta', 'workers': 1,\n"
+        "    'estimators': ['qfi_spectral', 'qfi_fidelity', 'cfi_sx2', 'fi_errprop']}))\n"
+        "assert [row.status for row in rows] == ['ok'], rows\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -187,6 +187,12 @@ def test_energy_measurement_extracts_probability_information():
     assert got == pytest.approx(breakdown.classical_part, rel=1e-4)
 
 
+def test_measurement_rejects_mismatched_observable():
+    observable = measurement_observable("lmg", 6)
+    with pytest.raises(DimMismatch, match="observable shape"):
+        cfi_projective(factory("lmg", 0.5, 8), 1.0, 2.0, observable)
+
+
 def test_identity_measurement_carries_nothing():
     got = cfi_projective(factory("lmg", 0.7, 6), 1.0, 2.0, np.eye(7))
     assert got == 0.0

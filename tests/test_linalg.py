@@ -172,11 +172,20 @@ def test_ising_hamiltonian_splits_into_parity_sectors():
 
 
 def test_eigh_wraps_solver_failure(monkeypatch):
-    def fail(a, overwrite_a=0):
+    def fail(a):
         return np.zeros(a.shape[0]), a, 3
 
     monkeypatch.setattr(linalg, "_DSYEVD", fail)
     with pytest.raises(DiagonalizationFailed, match="info=3"):
+        eigh(np.ones((3, 3)))
+
+
+def test_eigh_turns_a_lapack_error_into_diagonalization_failed(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(DiagonalizationFailed, match="block of size 3"):
         eigh(np.ones((3, 3)))
 
 

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -182,11 +183,11 @@ def test_failed_diagonalization_becomes_a_cell_status(monkeypatch):
     solve = linalg._DSYEVD
     calls = []
 
-    def fail_first(a, overwrite_a=0):
+    def fail_first(a):
         calls.append(1)
         if len(calls) == 1:
             return np.zeros(a.shape[0]), a, 1
-        return solve(a, overwrite_a=overwrite_a)
+        return solve(a)
 
     monkeypatch.setattr(linalg, "_DSYEVD", fail_first)
     rows = run_sweep(config(workers=1))
@@ -195,6 +196,47 @@ def test_failed_diagonalization_becomes_a_cell_status(monkeypatch):
     assert [row.status for row in rows[1:]] == [
         "qfi_spectral:InvalidTemperature", "ok", "qfi_spectral:InvalidTemperature"
     ]
+    assert all(row.qfi_fidelity is not None for row in rows[1:])
+
+
+def test_failed_group_rotation_becomes_an_estimator_status(monkeypatch):
+    solve = np.linalg.eigh
+    calls = []
+
+    def fail_first_rotation(a):
+        # only the degenerate-group rotation in fisher is made to fail
+        if sys._getframe(1).f_code.co_name == "_rotated_generator":
+            calls.append(1)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return solve(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", fail_first_rotation)
+    rows = run_sweep(config(model="ising", size=4, g_grid=[0.5, 1.3], temp_grid=[1.0],
+                            estimators=["qfi_spectral", "qfi_fidelity"], workers=1))
+    assert len(calls) > 1  # the second cell rotated its degenerate groups as well
+    assert rows[0].status == "qfi_spectral:DiagonalizationFailed"
+    assert rows[0].qfi_spectral_total is None and rows[0].qfi_fidelity is not None
+    assert rows[1].status == "ok" and rows[1].qfi_spectral_total is not None
+
+
+def test_failed_fidelity_svd_becomes_an_estimator_status(monkeypatch):
+    svd = np.linalg.svd
+    calls = []
+
+    def fail_first(a, compute_uv=True):
+        calls.append(1)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, compute_uv=compute_uv)
+
+    monkeypatch.setattr(np.linalg, "svd", fail_first)
+    rows = run_sweep(config(workers=1))
+    first = rows[0]
+    assert first.status == "qfi_fidelity:DiagonalizationFailed"
+    assert first.qfi_fidelity is None
+    assert first.qfi_spectral_total is not None and first.analytic_total is not None
+    assert len(rows) == 4
     assert all(row.qfi_fidelity is not None for row in rows[1:])
 
 
