@@ -21,6 +21,11 @@ degenerate subspaces the eigenbasis is first rotated to diagonalize dH,
 which makes level derivatives well-defined and removes intra-subspace
 couplings by construction.
 
+Every estimator takes the built model.  The finite-difference routes
+move it along omega with ``ModelInstance.at``, which re-forms
+H = omega * dH - g * W from the parts the model already holds, so no
+operator is rebuilt on a ladder rung.
+
 All estimators are pure functions of their arguments; grid points of a
 parameter sweep can run in parallel without coordination.
 """
@@ -229,19 +234,22 @@ def qfi_pure(model, spectrum, level=0, degeneracy_rtol=DEGENERACY_RTOL):
     return 4.0 * float(np.sum(column[mask] ** 2 / diffs[mask] ** 2))
 
 
-def _fd_ladder(estimate, delta0, delta_min, rtol, atol):
+def _fd_ladder(estimate, omega, delta_omega, rtol, atol):
     """Halve the step until two consecutive estimates agree.
 
-    Near criticality no single step is safe, so convergence is judged by
-    agreement of neighbouring rungs; failure to settle by delta_min
-    raises NoFDConvergence carrying the last two estimates.  All
+    The first step is ``delta_omega``, or FD_DELTA_FACTOR * omega when
+    None.  Near criticality no single step is safe, so convergence is
+    judged by agreement of neighbouring rungs; failure to settle by
+    FD_DELTA_MIN_FACTOR * omega raises NoFDConvergence carrying the last
+    two estimates.  All
     estimates here are even-order in the step, so the accepted pair is
     returned step-doubling extrapolated, (4 fine - coarse) / 3, which
     squares the relative accuracy without extra rungs.
     """
+    delta0 = FD_DELTA_FACTOR * omega if delta_omega is None else delta_omega
     history = [(delta0, estimate(delta0))]
     delta = delta0 / 2.0
-    while delta >= delta_min:
+    while delta >= FD_DELTA_MIN_FACTOR * omega:
         value = estimate(delta)
         previous = history[-1][1]
         if abs(value - previous) <= rtol * max(abs(value), abs(previous)) + atol:
@@ -254,19 +262,20 @@ def _fd_ladder(estimate, delta0, delta_min, rtol, atol):
     )
 
 
-def _thermal_density(model_factory, omega, beta):
-    model = model_factory(omega)
-    return density_matrix(gibbs(eigh(model.H), beta))
+def _thermal_state(model, omega, beta):
+    return gibbs(eigh(model.at(omega).H), beta)
 
 
-def qfi_fidelity_fd(
-    model_factory,
-    omega,
-    beta,
-    delta_omega=None,
-    fd_rtol=FD_RTOL,
-    fd_atol=FD_ATOL,
-):
+def _checked_observable(model, observable):
+    obs = np.asarray(observable, dtype=float)
+    if obs.shape != model.H.shape:
+        raise DimMismatch(
+            f"observable shape {obs.shape} does not match model dimension {model.H.shape}"
+        )
+    return obs
+
+
+def qfi_fidelity_fd(model, beta, delta_omega=None, fd_rtol=FD_RTOL, fd_atol=FD_ATOL):
     """Quantum Fisher information from the fidelity between neighbours:
 
         8 * (1 - sqrt(F[rho(omega - d/2), rho(omega + d/2)])) / d^2
@@ -279,22 +288,21 @@ def qfi_fidelity_fd(
     ``beta`` is held fixed across the two evaluations; resolve any
     gap-ratio parametrization before calling.  Root infidelities below
     the roundoff scale of the fidelity count as exact zero, so identical
-    states give 0 instead of amplified noise.
+    states give 0 instead of amplified noise.  The derivative is taken at
+    ``model.omega``.
     """
-    if delta_omega is None:
-        delta_omega = FD_DELTA_FACTOR * omega
-    delta_min = FD_DELTA_MIN_FACTOR * omega
+    omega = model.omega
 
     def estimate(step):
-        rho = _thermal_density(model_factory, omega - step / 2.0, beta)
-        sigma = _thermal_density(model_factory, omega + step / 2.0, beta)
+        rho = density_matrix(_thermal_state(model, omega - step / 2.0, beta))
+        sigma = density_matrix(_thermal_state(model, omega + step / 2.0, beta))
         infidelity = 1.0 - math.sqrt(fidelity(rho, sigma))
         floor = 8.0 * rho.shape[0] * np.finfo(float).eps
         if infidelity < floor:
             infidelity = 0.0
         return 8.0 * infidelity / step ** 2
 
-    value, _ = _fd_ladder(estimate, delta_omega, delta_min, fd_rtol, fd_atol)
+    value, _ = _fd_ladder(estimate, omega, delta_omega, fd_rtol, fd_atol)
     return max(value, 0.0)
 
 
@@ -311,15 +319,7 @@ def _outcome_projectors(observable):
     return spec.eigenvectors, groups
 
 
-def cfi_projective(
-    model_factory,
-    omega,
-    beta,
-    observable,
-    delta_omega=None,
-    fd_rtol=FD_RTOL,
-    fd_atol=FD_ATOL,
-):
+def cfi_projective(model, beta, observable, delta_omega=None, fd_rtol=FD_RTOL, fd_atol=FD_ATOL):
     """Classical Fisher information of projectively measuring an observable.
 
     Outcome probabilities p_k(omega) = tr(rho(omega) Pi_k) are formed
@@ -328,20 +328,14 @@ def cfi_projective(
     difference ladder as qfi_fidelity_fd.  Outcomes with probability
     below 1e-12 at the centre are skipped.
     """
-    obs = np.asarray(observable, dtype=float)
-    if delta_omega is None:
-        delta_omega = FD_DELTA_FACTOR * omega
-    delta_min = FD_DELTA_MIN_FACTOR * omega
+    obs = _checked_observable(model, observable)
+    omega = model.omega
     basis, groups = _outcome_projectors(obs)
     if len(groups) == 1:
         return 0.0  # one outcome: the distribution cannot move
 
     def outcome_probs(at_omega):
-        rho = _thermal_density(model_factory, at_omega, beta)
-        if rho.shape != obs.shape:
-            raise DimMismatch(
-                f"observable shape {obs.shape} does not match model dimension {rho.shape}"
-            )
+        rho = density_matrix(_thermal_state(model, at_omega, beta))
         overlap = np.einsum("ik,ik->k", basis, rho @ basis)
         return np.array([float(np.sum(overlap[g.start:g.stop])) for g in groups])
 
@@ -354,39 +348,20 @@ def cfi_projective(
         slopes = (plus - minus) / step
         return float(np.sum(slopes[keep] ** 2 / center[keep]))
 
-    value, _ = _fd_ladder(estimate, delta_omega, delta_min, fd_rtol, fd_atol)
+    value, _ = _fd_ladder(estimate, omega, delta_omega, fd_rtol, fd_atol)
     return max(value, 0.0)
 
 
-def fi_error_propagation(
-    model_factory,
-    omega,
-    beta,
-    observable,
-    delta_omega=None,
-    fd_rtol=FD_RTOL,
-    fd_atol=1e-12,
-):
+def fi_error_propagation(model, beta, observable, delta_omega=None, fd_rtol=FD_RTOL, fd_atol=1e-12):
     """Two-moment Fisher information (d<A>/domega)^2 / Var(A).
 
     The weakest of the three estimators but the cheapest experimentally:
     only the mean and variance of one observable enter.  Raises
     ZeroVariance when the observable does not fluctuate in the state.
     """
-    obs = np.asarray(observable, dtype=float)
-    if delta_omega is None:
-        delta_omega = FD_DELTA_FACTOR * omega
-    delta_min = FD_DELTA_MIN_FACTOR * omega
-
-    def state_at(at_omega):
-        model = model_factory(at_omega)
-        if model.H.shape != obs.shape:
-            raise DimMismatch(
-                f"observable shape {obs.shape} does not match model dimension {model.H.shape}"
-            )
-        return gibbs(eigh(model.H), beta)
-
-    center = state_at(omega)
+    obs = _checked_observable(model, observable)
+    omega = model.omega
+    center = _thermal_state(model, omega, beta)
     mean = thermal_expectation(center, obs)
     second = thermal_expectation(center, obs @ obs)
     variance = second - mean ** 2
@@ -395,9 +370,9 @@ def fi_error_propagation(
         raise ZeroVariance(f"Var(A) = {variance:.3e} is numerically zero")
 
     def estimate(step):
-        plus = thermal_expectation(state_at(omega + step / 2.0), obs)
-        minus = thermal_expectation(state_at(omega - step / 2.0), obs)
+        plus = thermal_expectation(_thermal_state(model, omega + step / 2.0, beta), obs)
+        minus = thermal_expectation(_thermal_state(model, omega - step / 2.0, beta), obs)
         return (plus - minus) / step
 
-    slope, _ = _fd_ladder(estimate, delta_omega, delta_min, fd_rtol, fd_atol)
+    slope, _ = _fd_ladder(estimate, omega, delta_omega, fd_rtol, fd_atol)
     return slope ** 2 / variance

@@ -46,14 +46,18 @@ def _DSYEVD(a):
 def symmetrize(entries):
     """Return the exactly symmetric part (A + A.T) / 2 of a square matrix.
 
-    Raises InvalidMatrix for non-square shapes or non-finite entries.
+    Raises InvalidMatrix for non-square shapes and for entries that are
+    non-finite or whose sum overflows.  Every input entry reaches the
+    result, so checking the result alone catches non-finite input too.
     """
     a = np.array(entries, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise InvalidMatrix(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InvalidMatrix("matrix has non-finite entries")
-    return (a + a.T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        sym = (a + a.T) / 2.0
+    if not np.all(np.isfinite(sym)):
+        raise InvalidMatrix("matrix has non-finite entries or overflows when symmetrized")
+    return sym
 
 
 @dataclass(frozen=True)

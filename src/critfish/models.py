@@ -16,7 +16,7 @@ offset-invariant.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -56,18 +56,27 @@ class ModelInstance:
     def dim(self):
         return self.H.shape[0]
 
+    def at(self, omega):
+        """The same model at another omega, with H formed exactly as build_model forms it."""
+        _check_parameters(self.kind, omega, self.g)
+        return replace(self, omega=float(omega), H=omega * self.dH - self.g * self.coupling_term)
 
-def build_model(kind, omega, g, size):
-    kind = ModelKind(kind)
+
+def _check_parameters(kind, omega, g):
     if not omega > 0:
         raise ValueError(f"omega must be positive, got {omega}")
     if g < 0:
         raise ValueError(f"coupling must be non-negative, got {g}")
+    if kind is ModelKind.TOY and g >= omega:
+        raise BeyondCriticality(
+            f"oscillator model needs g < omega (critical coupling), got g={g}, omega={omega}"
+        )
+
+
+def build_model(kind, omega, g, size):
+    kind = ModelKind(kind)
+    _check_parameters(kind, omega, g)
     if kind is ModelKind.TOY:
-        if g >= omega:
-            raise BeyondCriticality(
-                f"oscillator model needs g < omega (critical coupling), got g={g}, omega={omega}"
-            )
         ops = make_fock_ops(size)
         generator = ops.num
         coupling = ops.x2 / 4.0
@@ -105,10 +114,7 @@ def toy_converged_truncation(omega, g, beta, rtol=TRUNCATION_RTOL):
     from .linalg import eigh
     from .thermal import gibbs
 
-    if g >= omega:
-        raise BeyondCriticality(
-            f"oscillator model needs g < omega, got g={g}, omega={omega}"
-        )
+    _check_parameters(ModelKind.TOY, omega, g)
     history = []
     for n_max in TRUNCATION_SIZES:
         model = build_model(ModelKind.TOY, omega, g, n_max)

@@ -13,7 +13,6 @@ import numpy as np
 from .analytic import ToyParams, fi_errprop_closed, qfi_eigenstate, qfi_thermal_classical, qfi_thermal_quantum
 from .fisher import (
     FD_ATOL,
-    FD_DELTA_MIN_FACTOR,
     FD_RTOL,
     _fd_ladder,
     cfi_projective,
@@ -50,9 +49,7 @@ def _check_zero_temperature_limits():
     if err_closed > 1e-12:
         return False, f"error-propagation closed form off by {err_closed:.2e} at T=0"
     n_max = toy_converged_truncation(1.0, 0.5, math.inf)
-    numeric = qfi_fidelity_fd(
-        lambda w: build_model("toy", w, 0.5, n_max), 1.0, math.inf, delta_omega=1e-2
-    )
+    numeric = qfi_fidelity_fd(build_model("toy", 1.0, 0.5, n_max), math.inf, delta_omega=1e-2)
     err_fd = _rel_err(numeric, ground)
     return err_fd <= 1e-4, f"fidelity route off by {err_fd:.2e} from {ground}"
 
@@ -75,20 +72,18 @@ def _check_cross_method():
     model_kind, size, g, beta = "lmg", 8, 0.7, 3.0
     model = build_model(model_kind, 1.0, g, size)
     spectral = qfi_spectral(model, gibbs(eigh(model.H), beta)).total
-    fd = qfi_fidelity_fd(
-        lambda w: build_model(model_kind, w, g, size), 1.0, beta, delta_omega=1e-3
-    )
+    fd = qfi_fidelity_fd(model, beta, delta_omega=1e-3)
     err = _rel_err(fd, spectral)
     return err <= 1e-4, f"spectral vs fidelity relative error {err:.2e}"
 
 
 def _check_estimator_ordering():
     model_kind, size, g, beta = "lmg", 8, 0.9, 3.0
-    factory = lambda w: build_model(model_kind, w, g, size)
+    model = build_model(model_kind, 1.0, g, size)
     observable = measurement_observable(model_kind, size)
-    qfi = qfi_spectral(build_model(model_kind, 1.0, g, size), gibbs(eigh(factory(1.0).H), beta)).total
-    cfi = cfi_projective(factory, 1.0, beta, observable, delta_omega=1e-3)
-    errprop = fi_error_propagation(factory, 1.0, beta, observable, delta_omega=1e-3)
+    qfi = qfi_spectral(model, gibbs(eigh(model.H), beta)).total
+    cfi = cfi_projective(model, beta, observable, delta_omega=1e-3)
+    errprop = fi_error_propagation(model, beta, observable, delta_omega=1e-3)
     slack = 1e-6
     ok = errprop <= cfi + slack and cfi <= qfi + slack
     return ok, f"errprop={errprop:.6g}, cfi={cfi:.6g}, qfi={qfi:.6g}"
@@ -116,7 +111,7 @@ def _dense_qfi_fidelity(g, size, beta, delta_omega):
         root_fidelity = float(np.sum(np.linalg.svd(root(rho) @ root(sigma), compute_uv=False)))
         return 8.0 * (1.0 - root_fidelity) / step ** 2
 
-    value, _ = _fd_ladder(estimate, delta_omega, FD_DELTA_MIN_FACTOR, FD_RTOL, FD_ATOL)
+    value, _ = _fd_ladder(estimate, 1.0, delta_omega, FD_RTOL, FD_ATOL)
     return value
 
 
@@ -128,9 +123,7 @@ def _check_blocked_vs_dense():
         blocked = qfi_spectral(model, gibbs(eigh(model.H), beta)).total
         dense = qfi_spectral(model, gibbs(_dense_spectrum(model.H), beta)).total
         worst["qfi_spectral"] = max(worst["qfi_spectral"], _rel_err(blocked, dense))
-        blocked = qfi_fidelity_fd(
-            lambda w: build_model("ising", w, g, size), 1.0, beta, delta_omega=delta_omega
-        )
+        blocked = qfi_fidelity_fd(model, beta, delta_omega=delta_omega)
         dense = _dense_qfi_fidelity(g, size, beta, delta_omega)
         worst["qfi_fidelity"] = max(worst["qfi_fidelity"], _rel_err(blocked, dense))
     ok = worst["qfi_spectral"] <= 1e-10 and worst["qfi_fidelity"] <= 1e-6

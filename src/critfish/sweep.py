@@ -28,6 +28,8 @@ TEMP_MODES = ("beta_gap_ratio", "beta")
 SPACINGS = ("linear", "log-approach-to-critical")
 ADAPTIVE = "adaptive"
 ADAPTIVE_PROBE_SIZE = 64  # gap of the oscillator model is converged long before this
+# config fields that must be positive numbers; a None default also admits null
+_POSITIVE_NUMBERS = ("omega", "delta_omega", "fd_rtol", "measurement_fd_rtol", "truncation_rtol")
 
 
 @dataclass(frozen=True)
@@ -171,9 +173,14 @@ def make_config(raw, enforce_critical=True):
             f"must be one of {[k.value for k in ModelKind]}, got {raw.get('model')!r}",
             field="model",
         )
-    omega = raw.get("omega", 1.0)
-    if not isinstance(omega, (int, float)) or not omega > 0:
-        raise ConfigError(f"must be a positive number, got {omega!r}", field="omega")
+    numbers = {}
+    for f in fields(SweepConfig):
+        value = raw.get(f.name, f.default)
+        if f.name not in _POSITIVE_NUMBERS or (value is None and f.default is None):
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
+            raise ConfigError(f"must be a positive number, got {value!r}", field=f.name)
+        numbers[f.name] = float(value)
     size = raw.get("size")
     if size == ADAPTIVE:
         if model != "toy":
@@ -194,36 +201,18 @@ def make_config(raw, enforce_critical=True):
             )
     if "toy_analytic" in estimators and model != "toy":
         raise ConfigError("toy_analytic applies to the toy model only", field="estimators")
-    delta_omega = raw.get("delta_omega")
-    if delta_omega is not None and not (isinstance(delta_omega, (int, float)) and delta_omega > 0):
-        raise ConfigError(f"must be a positive number, got {delta_omega!r}", field="delta_omega")
-    fd_rtol = raw.get("fd_rtol", 1e-3)
-    if not (isinstance(fd_rtol, (int, float)) and fd_rtol > 0):
-        raise ConfigError(f"must be a positive number, got {fd_rtol!r}", field="fd_rtol")
-    measurement_fd_rtol = raw.get("measurement_fd_rtol", 1e-5)
-    if not (isinstance(measurement_fd_rtol, (int, float)) and measurement_fd_rtol > 0):
-        raise ConfigError(
-            f"must be a positive number, got {measurement_fd_rtol!r}", field="measurement_fd_rtol"
-        )
-    truncation_rtol = raw.get("truncation_rtol", 1e-8)
-    if not (isinstance(truncation_rtol, (int, float)) and truncation_rtol > 0):
-        raise ConfigError(f"must be a positive number, got {truncation_rtol!r}", field="truncation_rtol")
     workers = raw.get("workers")
-    if workers is not None and (not isinstance(workers, int) or workers < 1):
+    if workers is not None and (not isinstance(workers, int) or isinstance(workers, bool) or workers < 1):
         raise ConfigError(f"must be a positive integer or null, got {workers!r}", field="workers")
     return SweepConfig(
         model=model,
         size=size,
-        g_grid=_expand_g_grid(raw.get("g_grid"), float(omega), model, enforce_critical),
+        g_grid=_expand_g_grid(raw.get("g_grid"), numbers["omega"], model, enforce_critical),
         temp_grid=_expand_temp_grid(raw.get("temp_grid")),
         temp_mode=temp_mode,
-        omega=float(omega),
         estimators=estimators,
-        delta_omega=None if delta_omega is None else float(delta_omega),
-        fd_rtol=float(fd_rtol),
-        measurement_fd_rtol=float(measurement_fd_rtol),
-        truncation_rtol=float(truncation_rtol),
         workers=workers,
+        **numbers,
     )
 
 
@@ -272,9 +261,6 @@ def _evaluate_cell(task):
     row.gap = gap_value
     row.beta = beta
 
-    def factory(at_omega):
-        return build_model(config.model, at_omega, g, size)
-
     fd_kwargs = dict(delta_omega=config.delta_omega, fd_rtol=config.fd_rtol)
     # p_k and <A> slopes are far less noise-limited than the fidelity, so
     # the measurement estimators can afford a much tighter ladder
@@ -293,19 +279,19 @@ def _evaluate_cell(task):
             failures.append(f"qfi_spectral:{type(exc).__name__}")
     if "qfi_fidelity" in wanted:
         try:
-            row.qfi_fidelity = qfi_fidelity_fd(factory, config.omega, beta, **fd_kwargs)
+            row.qfi_fidelity = qfi_fidelity_fd(model, beta, **fd_kwargs)
         except CritfishError as exc:
             failures.append(f"qfi_fidelity:{type(exc).__name__}")
     if "cfi_sx2" in wanted or "fi_errprop" in wanted:
         observable = measurement_observable(config.model, size)
         if "cfi_sx2" in wanted:
             try:
-                row.cfi_sx2 = cfi_projective(factory, config.omega, beta, observable, **measure_kwargs)
+                row.cfi_sx2 = cfi_projective(model, beta, observable, **measure_kwargs)
             except CritfishError as exc:
                 failures.append(f"cfi_sx2:{type(exc).__name__}")
         if "fi_errprop" in wanted:
             try:
-                row.fi_errprop = fi_error_propagation(factory, config.omega, beta, observable, **measure_kwargs)
+                row.fi_errprop = fi_error_propagation(model, beta, observable, **measure_kwargs)
             except CritfishError as exc:
                 failures.append(f"fi_errprop:{type(exc).__name__}")
     if "toy_analytic" in wanted:

@@ -23,15 +23,12 @@ class ThermalState:
     """Gibbs weights over an eigendecomposition at inverse temperature beta.
 
     probs[n] = exp(-beta (E_n - E_0)) / sum_m exp(-beta (E_m - E_0));
-    non-increasing because the eigenvalues ascend.  logZ is the log
-    partition function of the unshifted energies (+-inf at beta = inf
-    when E_0 != 0).
+    non-increasing because the eigenvalues ascend.
     """
 
     spectrum: Spectrum
     beta: float
     probs: np.ndarray
-    logZ: float
 
     @property
     def dim(self):
@@ -45,20 +42,10 @@ def gibbs(spectrum, beta):
     if math.isinf(beta):
         scale = max(1.0, float(np.max(np.abs(energies))))
         ground = energies <= energies[0] + GROUND_DEGENERACY_RTOL * scale
-        count = int(np.count_nonzero(ground))
-        probs = np.where(ground, 1.0 / count, 0.0)
-        e0 = float(energies[0])
-        if e0 < 0:
-            logz = math.inf
-        elif e0 > 0:
-            logz = -math.inf
-        else:
-            logz = math.log(count)
-        return ThermalState(spectrum=spectrum, beta=beta, probs=probs, logZ=logz)
+        probs = np.where(ground, 1.0 / int(np.count_nonzero(ground)), 0.0)
+        return ThermalState(spectrum=spectrum, beta=beta, probs=probs)
     weights = np.exp(-beta * (energies - energies[0]))
-    z = float(np.sum(weights))
-    logz = math.log(z) - beta * float(energies[0])
-    return ThermalState(spectrum=spectrum, beta=float(beta), probs=weights / z, logZ=logz)
+    return ThermalState(spectrum=spectrum, beta=float(beta), probs=weights / float(np.sum(weights)))
 
 
 def density_matrix(state):

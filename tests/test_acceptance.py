@@ -93,9 +93,7 @@ def test_criterion_2_zero_temperature_limits():
     exact_identity = qfi_thermal_quantum(cold) == ground
     errprop_err = relerr(fi_errprop_closed(cold), ground)
     n_max = toy_converged_truncation(1.0, 0.5, math.inf)
-    fd = qfi_fidelity_fd(
-        lambda w: build_model("toy", w, 0.5, n_max), 1.0, math.inf, delta_omega=1e-2
-    )
+    fd = qfi_fidelity_fd(build_model("toy", 1.0, 0.5, n_max), math.inf, delta_omega=1e-2)
     fd_err = relerr(fd, 0.125)
     report(
         2,
@@ -115,9 +113,7 @@ def test_criterion_3_cross_method_agreement():
             spectrum = eigh(model.H)
             for beta in CROSS_METHOD_BETA:
                 spectral = qfi_spectral(model, gibbs(spectrum, beta)).total
-                fd = qfi_fidelity_fd(
-                    lambda w: build_model(kind, w, g, size), 1.0, beta, delta_omega=1e-3
-                )
+                fd = qfi_fidelity_fd(model, beta, delta_omega=1e-3)
                 err = relerr(fd, spectral)
                 if err > worst[0]:
                     worst = (err, (kind, size, g, beta))
@@ -162,15 +158,10 @@ def test_criterion_5_estimator_ordering():
         for g in CROSS_METHOD_G:
             model = build_model(kind, 1.0, g, size)
             spectrum = eigh(model.H)
-            factory = lambda w: build_model(kind, w, g, size)
             for beta in CROSS_METHOD_BETA:
                 qfi = qfi_spectral(model, gibbs(spectrum, beta)).total
-                cfi = cfi_projective(
-                    factory, 1.0, beta, observable, delta_omega=1e-3, fd_rtol=1e-6
-                )
-                errprop = fi_error_propagation(
-                    factory, 1.0, beta, observable, delta_omega=1e-3, fd_rtol=1e-6
-                )
+                cfi = cfi_projective(model, beta, observable, delta_omega=1e-3, fd_rtol=1e-6)
+                errprop = fi_error_propagation(model, beta, observable, delta_omega=1e-3, fd_rtol=1e-6)
                 worst_pair = max(worst_pair, errprop - cfi)
                 worst_bound = max(worst_bound, cfi - qfi)
     report(

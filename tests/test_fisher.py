@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,17 +21,13 @@ from critfish.fisher import (
     quantum_term_by_offset,
 )
 from critfish.linalg import eigh
-from critfish.models import ModelInstance, ModelKind, build_model, toy_converged_truncation
+from critfish.models import build_model, toy_converged_truncation
 from critfish.sweep import measurement_observable
 from critfish.thermal import gap, gibbs
 
 
 def thermal(model, beta):
     return gibbs(eigh(model.H), beta)
-
-
-def factory(kind, g, size):
-    return lambda w: build_model(kind, w, g, size)
 
 
 # ------------------------------------------------------------- spectral route
@@ -98,7 +95,7 @@ def test_spectral_handles_exact_degeneracies():
     # must keep the result consistent with the basis-free fidelity route
     model = build_model("ising", 1.0, 0.6, 4)
     breakdown = qfi_spectral(model, thermal(model, 2.0))
-    fd = qfi_fidelity_fd(factory("ising", 0.6, 4), 1.0, 2.0, delta_omega=1e-3)
+    fd = qfi_fidelity_fd(model, 2.0, delta_omega=1e-3)
     assert fd == pytest.approx(breakdown.total, rel=1e-6)
 
 
@@ -144,20 +141,20 @@ def test_pure_state_rejects_degenerate_level():
 def test_fidelity_route_matches_spectral():
     model = build_model("lmg", 1.0, 0.5, 8)
     breakdown = qfi_spectral(model, thermal(model, 5.0))
-    fd = qfi_fidelity_fd(factory("lmg", 0.5, 8), 1.0, 5.0, delta_omega=1e-3)
+    fd = qfi_fidelity_fd(model, 5.0, delta_omega=1e-3)
     assert fd == pytest.approx(breakdown.total, rel=1e-4)
 
 
 def test_fidelity_route_zero_temperature_toy():
     n_max = toy_converged_truncation(1.0, 0.5, math.inf)
-    fd = qfi_fidelity_fd(factory("toy", 0.5, n_max), 1.0, math.inf, delta_omega=1e-2)
+    fd = qfi_fidelity_fd(build_model("toy", 1.0, 0.5, n_max), math.inf, delta_omega=1e-2)
     assert fd == pytest.approx(0.125, rel=1e-4)
 
 
 def test_fidelity_route_identical_states_is_zero():
-    # a factory that ignores omega: both evaluations see the same state
-    frozen = factory("lmg", 0.4, 6)(1.0)
-    fd = qfi_fidelity_fd(lambda w: frozen, 1.0, 2.0)
+    # with dH = 0, H does not depend on omega: both evaluations see the same state
+    model = build_model("lmg", 1.0, 0.4, 6)
+    fd = qfi_fidelity_fd(replace(model, dH=np.zeros_like(model.dH)), 2.0)
     assert fd == 0.0
 
 
@@ -165,16 +162,16 @@ def test_fidelity_route_reports_no_convergence():
     rng = np.random.default_rng(0)
     base = build_model("lmg", 1.0, 0.5, 6)
 
-    def noisy(w):
-        jitter = rng.normal(scale=1e-4, size=base.H.shape)
-        return ModelInstance(
-            kind=ModelKind.LMG, omega=w, g=0.5, size=6,
-            H=base.H + (jitter + jitter.T) / 2.0, dH=base.dH,
-            coupling_term=base.coupling_term,
-        )
+    class Noisy:
+        # every move along omega lands on a freshly jittered Hamiltonian
+        omega = 1.0
+
+        def at(self, w):
+            jitter = rng.normal(scale=1e-4, size=base.H.shape)
+            return replace(base.at(w), H=base.H + (jitter + jitter.T) / 2.0)
 
     with pytest.raises(NoFDConvergence) as info:
-        qfi_fidelity_fd(noisy, 1.0, 2.0, delta_omega=1e-4)
+        qfi_fidelity_fd(Noisy(), 2.0, delta_omega=1e-4)
     assert len(info.value.estimates) == 2
 
 
@@ -183,19 +180,25 @@ def test_fidelity_route_reports_no_convergence():
 def test_energy_measurement_extracts_probability_information():
     model = build_model("lmg", 1.0, 0.7, 6)
     breakdown = qfi_spectral(model, thermal(model, 2.0))
-    got = cfi_projective(factory("lmg", 0.7, 6), 1.0, 2.0, model.H, delta_omega=1e-3)
+    got = cfi_projective(model, 2.0, model.H, delta_omega=1e-3)
     assert got == pytest.approx(breakdown.classical_part, rel=1e-4)
 
 
 def test_measurement_rejects_mismatched_observable():
     observable = measurement_observable("lmg", 6)
     with pytest.raises(DimMismatch, match="observable shape"):
-        cfi_projective(factory("lmg", 0.5, 8), 1.0, 2.0, observable)
+        cfi_projective(build_model("lmg", 1.0, 0.5, 8), 2.0, observable)
 
 
 def test_identity_measurement_carries_nothing():
-    got = cfi_projective(factory("lmg", 0.7, 6), 1.0, 2.0, np.eye(7))
+    got = cfi_projective(build_model("lmg", 1.0, 0.7, 6), 2.0, np.eye(7))
     assert got == 0.0
+
+
+def test_single_outcome_measurement_still_checks_the_shape():
+    # the identity has one outcome; a wrong size must not pass as "carries nothing"
+    with pytest.raises(DimMismatch, match="observable shape"):
+        cfi_projective(build_model("lmg", 1.0, 0.7, 6), 2.0, np.eye(5))
 
 
 def test_squared_spin_outcomes_are_merged():
@@ -212,7 +215,7 @@ def test_error_propagation_matches_closed_form():
     g, beta = 0.6, 2.0
     n_max = toy_converged_truncation(1.0, g, beta)
     obs = measurement_observable("toy", n_max)
-    got = fi_error_propagation(factory("toy", g, n_max), 1.0, beta, obs, delta_omega=1e-3)
+    got = fi_error_propagation(build_model("toy", 1.0, g, n_max), beta, obs, delta_omega=1e-3)
     want = fi_errprop_closed(ToyParams(omega=1.0, g=g, beta=beta))
     assert got == pytest.approx(want, rel=1e-5)
 
@@ -221,24 +224,24 @@ def test_error_propagation_free_oscillator():
     # g = 0 limit of the closed form: beta^2 csch^2(beta omega) / 2
     beta, n_max = 1.5, 96
     obs = measurement_observable("toy", n_max)
-    got = fi_error_propagation(factory("toy", 0.0, n_max), 1.0, beta, obs, delta_omega=1e-3)
+    got = fi_error_propagation(build_model("toy", 1.0, 0.0, n_max), beta, obs, delta_omega=1e-3)
     want = beta ** 2 / (2.0 * math.sinh(beta) ** 2)
     assert got == pytest.approx(want, rel=1e-5)
 
 
 def test_error_propagation_rejects_zero_variance():
     with pytest.raises(ZeroVariance):
-        fi_error_propagation(factory("lmg", 0.5, 6), 1.0, 2.0, np.eye(7))
+        fi_error_propagation(build_model("lmg", 1.0, 0.5, 6), 2.0, np.eye(7))
 
 
 @pytest.mark.parametrize("kind,size", [("lmg", 8), ("ising", 4)])
 @pytest.mark.parametrize("g,beta", [(0.5, 1.0), (0.9, 3.0), (1.1, 5.0)])
 def test_estimator_ordering(kind, size, g, beta):
-    fac = factory(kind, g, size)
+    model = build_model(kind, 1.0, g, size)
     obs = measurement_observable(kind, size)
-    qfi = qfi_spectral(fac(1.0), thermal(fac(1.0), beta)).total
-    cfi = cfi_projective(fac, 1.0, beta, obs, delta_omega=1e-3, fd_rtol=1e-6)
-    errprop = fi_error_propagation(fac, 1.0, beta, obs, delta_omega=1e-3, fd_rtol=1e-6)
+    qfi = qfi_spectral(model, thermal(model, beta)).total
+    cfi = cfi_projective(model, beta, obs, delta_omega=1e-3, fd_rtol=1e-6)
+    errprop = fi_error_propagation(model, beta, obs, delta_omega=1e-3, fd_rtol=1e-6)
     slack = 1e-6
     assert errprop <= cfi + slack
     assert cfi <= qfi + slack

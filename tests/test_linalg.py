@@ -35,6 +35,19 @@ def test_symmetrize_rejects_bad_input():
         symmetrize([[np.inf, 0.0], [0.0, 1.0]])
 
 
+@pytest.mark.filterwarnings("error")
+def test_symmetrize_rejects_overflow_without_a_warning():
+    # finite entries whose sum overflows, and infinities whose sum is nan
+    with pytest.raises(InvalidMatrix):
+        eigh(np.full((3, 3), 1.5e308))
+    with pytest.raises(InvalidMatrix):
+        symmetrize([[1.0, 1.5e308], [1.5e308, 1.0]])
+    with pytest.raises(InvalidMatrix):
+        symmetrize([[1.0, np.inf], [-np.inf, 1.0]])
+    big = np.full((2, 2), 8e307)
+    assert np.array_equal(symmetrize(big), big)
+
+
 def test_eigh_already_diagonal():
     spec = eigh(np.diag([3.0, 1.0]))
     assert np.allclose(spec.eigenvalues, [1.0, 3.0])

@@ -39,6 +39,25 @@ def test_linear_structure_exact():
         assert np.array_equal(model.H, rebuilt)
 
 
+@pytest.mark.parametrize("kind,size", [("toy", 16), ("lmg", 8), ("ising", 4)])
+def test_at_forms_the_hamiltonian_build_model_forms(kind, size):
+    model = build_model(kind, 1.0, 0.4, size)
+    for w in (0.7, 1.0 - 5e-5, 1.0, 2.5):
+        moved = model.at(w)
+        assert moved.omega == w and moved.g == model.g and moved.size == model.size
+        assert np.array_equal(moved.H, build_model(kind, w, 0.4, size).H)
+
+
+def test_at_keeps_the_parameter_checks():
+    toy = build_model("toy", 1.0, 0.9, 16)
+    with pytest.raises(BeyondCriticality):
+        toy.at(0.9)
+    with pytest.raises(BeyondCriticality):
+        toy.at(0.5)
+    with pytest.raises(ValueError):
+        build_model("lmg", 1.0, 0.5, 8).at(0.0)
+
+
 def test_toy_rejects_critical_coupling():
     with pytest.raises(BeyondCriticality):
         build_model("toy", 1.0, 1.0, 64)

@@ -82,12 +82,26 @@ def test_config_grid_log_approach_to_critical():
         ({"fd_rtol": -1.0}, "fd_rtol"),
         ({"workers": 0}, "workers"),
         ({"surprise": 1}, ""),
+        ({"fd_rtol": True}, "fd_rtol"),
+        ({"measurement_fd_rtol": 0.0}, "measurement_fd_rtol"),
+        ({"truncation_rtol": "tight"}, "truncation_rtol"),
+        ({"workers": True}, "workers"),
     ],
 )
 def test_config_rejections_carry_field_paths(overrides, field):
     with pytest.raises(ConfigError) as info:
         config(**overrides)
     assert info.value.field == field
+
+
+def test_ladder_rungs_past_the_critical_coupling_keep_their_statuses():
+    # at g = 0.9999 the ladder's lower point omega - delta/2 crosses g for the oscillator
+    rows = run_sweep(config(size=64, g_grid=[0.9999], temp_grid=[5.0], workers=1,
+                            estimators=["qfi_spectral", "qfi_fidelity", "cfi_sx2", "fi_errprop"]))
+    assert rows[0].status == (
+        "qfi_fidelity:BeyondCriticality;cfi_sx2:BeyondCriticality;fi_errprop:BeyondCriticality"
+    )
+    assert rows[0].qfi_spectral_total is not None
 
 
 def test_config_beyond_critical_escape_hatch():

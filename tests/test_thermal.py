@@ -61,13 +61,6 @@ def test_extreme_beta_does_not_overflow():
     assert abs(state.probs.sum() - 1.0) <= 1e-12
 
 
-def test_logz_two_level_closed_form():
-    delta, beta = 1.7, 0.81
-    state = gibbs(spectrum_from_energies([-0.3, -0.3 + delta]), beta)
-    want = math.log(1.0 + math.exp(-beta * delta)) + beta * 0.3
-    assert state.logZ == pytest.approx(want, rel=1e-12)
-
-
 def test_rejects_bad_temperature():
     spec = spectrum_from_energies([0.0, 1.0])
     with pytest.raises(InvalidTemperature):
