@@ -17,7 +17,6 @@ from . import selftest as selftest_module
 from .errors import ConfigError, CritfishError
 from .sweep import (
     ESTIMATOR_NAMES,
-    _evaluate_cell,
     make_config,
     rows_to_csv,
     rows_to_json_objects,
@@ -116,7 +115,7 @@ def _build_parser():
     point = sub.add_parser("point", parents=[], help="evaluate one grid cell, print it as JSON")
     point.add_argument("--model", required=True, choices=["toy", "lmg", "ising"])
     point.add_argument("-N", "--size", required=True, type=_size_value,
-                       help="spin count / Fock truncation, or 'adaptive' (toy)")
+                       help="spin count / Fock truncation, or 'adaptive' (toy, with --beta)")
     point.add_argument("--omega", type=float, default=1.0)
     point.add_argument("-g", "--coupling", required=True, type=float)
     group = point.add_mutually_exclusive_group(required=True)
@@ -173,7 +172,7 @@ def _run_point(args):
         # failure for a single point, not a config error
         enforce_critical=False,
     )
-    row = _evaluate_cell((config, config.g_grid[0], config.temp_grid[0]))
+    row = run_sweep(config)[0]
     json.dump(rows_to_json_objects([row])[0], sys.stdout, indent=1)
     sys.stdout.write("\n")
     if row.status != "ok":

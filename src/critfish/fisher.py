@@ -155,14 +155,8 @@ def _clamp_part(value):
     return max(value, 0.0)
 
 
-def qfi_spectral(model, state, degeneracy_rtol=DEGENERACY_RTOL):
-    """Quantum Fisher information of a finite-temperature Gibbs state.
-
-    classical_part = sum_n (dp_n/domega)^2 / p_n with Hellmann-Feynman
-    level derivatives; quantum_part couples eigenpairs through
-    <n|dH|m> / (E_m - E_n).  Requires finite beta (use qfi_pure or
-    qfi_fidelity_fd for the T = 0 curve).
-    """
+def _spectral_terms(model, state, degeneracy_rtol):
+    """Checked inputs of the spectral sums: (energies, probs, tol, elements, gid)."""
     if state.dim != model.H.shape[0]:
         raise DimMismatch(
             f"state dimension {state.dim} does not match model dimension {model.H.shape[0]}"
@@ -172,9 +166,20 @@ def qfi_spectral(model, state, degeneracy_rtol=DEGENERACY_RTOL):
             "spectral decomposition needs finite beta; at T = 0 use qfi_pure or qfi_fidelity_fd"
         )
     energies = state.spectrum.eigenvalues
-    probs = state.probs
     tol = degeneracy_rtol * max(1.0, float(np.max(np.abs(energies))))
     elements, gid = _rotated_generator(state.spectrum, model.dH, tol)
+    return energies, state.probs, tol, elements, gid
+
+
+def qfi_spectral(model, state, degeneracy_rtol=DEGENERACY_RTOL):
+    """Quantum Fisher information of a finite-temperature Gibbs state.
+
+    classical_part = sum_n (dp_n/domega)^2 / p_n with Hellmann-Feynman
+    level derivatives; quantum_part couples eigenpairs through
+    <n|dH|m> / (E_m - E_n).  Requires finite beta (use qfi_pure or
+    qfi_fidelity_fd for the T = 0 curve).
+    """
+    energies, probs, tol, elements, gid = _spectral_terms(model, state, degeneracy_rtol)
 
     level_slopes = np.diag(elements).copy()
     mean_slope = float(np.dot(probs, level_slopes))
@@ -208,12 +213,8 @@ def quantum_term_by_offset(model, state, degeneracy_rtol=DEGENERACY_RTOL):
     always zero).  For the oscillator model essentially all mass sits at
     distance 2.
     """
-    if math.isinf(state.beta):
-        raise InvalidTemperature("needs finite beta")
-    energies = state.spectrum.eigenvalues
-    tol = degeneracy_rtol * max(1.0, float(np.max(np.abs(energies))))
-    elements, gid = _rotated_generator(state.spectrum, model.dH, tol)
-    _, offsets = _quantum_pair_sum(energies, state.probs, elements, gid, by_offset=True)
+    energies, probs, _, elements, gid = _spectral_terms(model, state, degeneracy_rtol)
+    _, offsets = _quantum_pair_sum(energies, probs, elements, gid, by_offset=True)
     return offsets
 
 
@@ -241,10 +242,10 @@ def _fd_ladder(estimate, omega, delta_omega, rtol, atol):
     None.  Near criticality no single step is safe, so convergence is
     judged by agreement of neighbouring rungs; failure to settle by
     FD_DELTA_MIN_FACTOR * omega raises NoFDConvergence carrying the last
-    two estimates.  All
-    estimates here are even-order in the step, so the accepted pair is
-    returned step-doubling extrapolated, (4 fine - coarse) / 3, which
-    squares the relative accuracy without extra rungs.
+    two estimates.  All estimates here are even-order in the step, so the
+    accepted pair is returned step-doubling extrapolated,
+    (4 fine - coarse) / 3, which squares the relative accuracy without
+    extra rungs.
     """
     delta0 = FD_DELTA_FACTOR * omega if delta_omega is None else delta_omega
     history = [(delta0, estimate(delta0))]

@@ -186,16 +186,3 @@ def fidelity(rho, sigma):
     value = float(np.sum(singulars)) ** 2
     return min(max(value, 0.0), 1.0)
 
-
-def validate_density_matrix(rho, trace_tol=1e-12, eig_floor=1e-12):
-    """Check symmetry, unit trace and numerical positivity; raise if not."""
-    r = np.asarray(rho, dtype=float)
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise InvalidMatrix(f"expected a square matrix, got shape {r.shape}")
-    if not np.all(np.isfinite(r)):
-        raise InvalidMatrix("density matrix has non-finite entries")
-    if abs(float(np.trace(r)) - 1.0) > trace_tol:
-        raise InvalidMatrix(f"trace {float(np.trace(r))!r} not within {trace_tol} of 1")
-    lowest = float(np.linalg.eigvalsh(symmetrize(r))[0])
-    if lowest < -eig_floor:
-        raise NotPSD(f"minimum eigenvalue {lowest:.6e} below -{eig_floor}")

@@ -52,10 +52,6 @@ class ModelInstance:
     dH: np.ndarray
     coupling_term: np.ndarray
 
-    @property
-    def dim(self):
-        return self.H.shape[0]
-
     def at(self, omega):
         """The same model at another omega, with H formed exactly as build_model forms it."""
         _check_parameters(self.kind, omega, self.g)
@@ -108,6 +104,10 @@ def toy_converged_truncation(omega, g, beta, rtol=TRUNCATION_RTOL):
     ``rtol`` relative.  At beta = inf the ground-state Fisher information
     is the convergence functional instead.  Raises TruncationNotConverged
     (carrying the last two values) if the 4096 cap is hit.
+
+    Only the size is returned; each rung's model and spectrum are dropped
+    before the next rung is built, so a sweep cell resolves its size here
+    first and then builds and diagonalizes the chosen size once more.
     """
     # local imports: fisher/thermal import this module for ModelInstance
     from .fisher import qfi_pure, qfi_spectral

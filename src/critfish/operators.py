@@ -26,17 +26,17 @@ CHAIN_MAX_SITES = 14  # dense 2^N storage budget
 class FockOps:
     """Ladder-derived operators on the truncated space |0> .. |n_max-1>.
 
-    ``a`` is the annihilation matrix <n-1|a|n> = sqrt(n) (general real,
-    not symmetric).  ``x2`` holds the exact matrix elements of
-    (a + a^dag)^2 restricted to the truncation: diagonal 2n+1, plus
-    (n, n+2) couplings sqrt((n+1)(n+2)).  Squaring the truncated
-    (a + a.T) instead would zero out the ladder traffic through the cut
-    and corrupt the top diagonal entry; with the exact elements the
-    truncation error enters only through the missing levels themselves.
+    ``num`` is the number operator diag(n).  ``x2`` holds the exact
+    matrix elements of (a + a^dag)^2 restricted to the truncation:
+    diagonal 2n+1, plus (n, n+2) couplings sqrt((n+1)(n+2)).  Squaring
+    the truncated (a + a^dag) instead would zero out the ladder traffic
+    through the cut and corrupt the top diagonal entry; with the exact
+    elements the truncation error enters only through the missing levels
+    themselves.  No annihilation matrix is kept: the model needs only
+    these two, and at n_max = 2048 a dense one is 32 MB per build.
     """
 
     n_max: int
-    a: np.ndarray
     num: np.ndarray
     x2: np.ndarray
 
@@ -45,13 +45,12 @@ def make_fock_ops(n_max):
     if n_max < 2:
         raise InvalidDimension(f"need n_max >= 2, got {n_max}")
     n = np.arange(n_max, dtype=float)
-    a = np.diag(np.sqrt(n[1:]), k=1)
     num = np.diag(n)
     x2 = np.diag(2.0 * n + 1.0)
     if n_max > 2:
         off = np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0))
         x2 += np.diag(off, k=2) + np.diag(off, k=-2)
-    return FockOps(n_max=int(n_max), a=a, num=num, x2=x2)
+    return FockOps(n_max=int(n_max), num=num, x2=x2)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ check; returns 0 when everything is green.
 
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -140,21 +141,11 @@ def _check_table_roundtrip():
             "temp_mode": "beta",
             "estimators": ["qfi_spectral", "qfi_fidelity", "toy_analytic"],
             "delta_omega": 1e-3,
+            "workers": 1,
         }
     )
     serial = run_sweep(config)
-    parallel = run_sweep(make_config(
-        {
-            "model": "toy",
-            "size": 96,
-            "g_grid": [0.3, 0.5],
-            "temp_grid": [1.0, "inf"],
-            "temp_mode": "beta",
-            "estimators": ["qfi_spectral", "qfi_fidelity", "toy_analytic"],
-            "delta_omega": 1e-3,
-            "workers": 2,
-        }
-    ))
+    parallel = run_sweep(replace(config, workers=2))
     if serial != parallel:
         return False, "parallel run differs from serial run"
     buffer = io.StringIO()

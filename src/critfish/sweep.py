@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .analytic import Prep, ToyParams, fi_errprop_closed, qfi_thermal_classical, qfi_thermal_quantum
-from .errors import ConfigError, CritfishError, InvalidTemperature
+from .errors import ConfigError, CritfishError
 from .fisher import cfi_projective, fi_error_propagation, qfi_fidelity_fd, qfi_spectral
 from .linalg import eigh
 from .models import ModelKind, build_model, toy_converged_truncation
@@ -27,7 +27,6 @@ ESTIMATOR_NAMES = ("qfi_spectral", "qfi_fidelity", "cfi_sx2", "fi_errprop", "toy
 TEMP_MODES = ("beta_gap_ratio", "beta")
 SPACINGS = ("linear", "log-approach-to-critical")
 ADAPTIVE = "adaptive"
-ADAPTIVE_PROBE_SIZE = 64  # gap of the oscillator model is converged long before this
 # config fields that must be positive numbers; a None default also admits null
 _POSITIVE_NUMBERS = ("omega", "delta_omega", "fd_rtol", "measurement_fd_rtol", "truncation_rtol")
 
@@ -37,7 +36,8 @@ class SweepConfig:
     """Fully resolved sweep description; every field is concrete and picklable.
 
     ``size`` is a spin count / Fock truncation, or "adaptive" (oscillator
-    only) to let each cell pick its own converged truncation.
+    only, explicit betas only) to let each cell pick its own converged
+    truncation.
     ``temp_grid`` entries are beta-gap ratios or explicit betas depending
     on ``temp_mode``; math.inf marks the T = 0 row.
     """
@@ -190,6 +190,9 @@ def make_config(raw, enforce_critical=True):
     temp_mode = raw.get("temp_mode", "beta_gap_ratio")
     if temp_mode not in TEMP_MODES:
         raise ConfigError(f"must be one of {TEMP_MODES}", field="temp_mode")
+    if size == ADAPTIVE and temp_mode != "beta":
+        # the truncation depends on beta, and a gap ratio needs the truncated gap
+        raise ConfigError("adaptive truncation needs explicit betas (temp_mode 'beta')", field="temp_mode")
     estimators = tuple(raw.get("estimators", ("qfi_spectral", "qfi_fidelity")))
     if not estimators:
         raise ConfigError("need at least one estimator", field="estimators")
@@ -236,9 +239,11 @@ def _evaluate_cell(task):
     row = SweepRow(model=config.model, N=0, omega=config.omega, g=g)
     failures = []
 
-    probe_size = config.size if isinstance(config.size, int) else ADAPTIVE_PROBE_SIZE
     try:
-        model = build_model(config.model, config.omega, g, probe_size)
+        size = config.size
+        if size == ADAPTIVE:
+            size = toy_converged_truncation(config.omega, g, temp, rtol=config.truncation_rtol)
+        model = build_model(config.model, config.omega, g, size)
         spectrum = eigh(model.H)
         gap_value = gap(spectrum)
         if config.temp_mode == "beta_gap_ratio":
@@ -247,13 +252,6 @@ def _evaluate_cell(task):
         else:
             beta = temp
             row.beta_gap_ratio = beta / gap_value
-        size = probe_size
-        if config.size == ADAPTIVE:
-            size = toy_converged_truncation(config.omega, g, beta, rtol=config.truncation_rtol)
-            if size != probe_size:
-                model = build_model(config.model, config.omega, g, size)
-                spectrum = eigh(model.H)
-                gap_value = gap(spectrum)
     except CritfishError as exc:
         row.status = f"cell:{type(exc).__name__}"
         return row
@@ -269,8 +267,6 @@ def _evaluate_cell(task):
 
     if "qfi_spectral" in wanted:
         try:
-            if math.isinf(beta):
-                raise InvalidTemperature("spectral estimator needs finite beta")
             breakdown = qfi_spectral(model, gibbs(spectrum, beta))
             row.qfi_spectral_total = breakdown.total
             row.qfi_classical_part = breakdown.classical_part

@@ -1,12 +1,18 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import critfish
 from critfish.cli import fig1_config, fig2_config, main
 from critfish.sweep import rows_from_csv
+
+# child interpreters import the same critfish as this one, installed or not
+CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(critfish.__file__).resolve().parent.parent))
 
 
 def test_selftest_green(capsys):
@@ -164,7 +170,7 @@ def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "critfish", "point", "--model", "lmg", "-N", "4",
          "-g", "0.3", "--beta", "2", "--estimators", "qfi_spectral"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "ok"
@@ -183,6 +189,7 @@ def test_package_never_imports_scipy():
         "assert [row.status for row in rows] == ['ok'], rows\n"
         "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                          env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

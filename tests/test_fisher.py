@@ -69,6 +69,15 @@ def test_spectral_needs_finite_beta_and_matching_dims():
         qfi_spectral(model, thermal(other, 1.0))
 
 
+def test_offset_diagnostic_needs_finite_beta_and_matching_dims():
+    model = build_model("lmg", 1.0, 0.5, 6)
+    with pytest.raises(InvalidTemperature):
+        quantum_term_by_offset(model, thermal(model, math.inf))
+    other = build_model("lmg", 1.0, 0.5, 8)
+    with pytest.raises(DimMismatch, match="state dimension"):
+        quantum_term_by_offset(model, thermal(other, 1.0))
+
+
 @pytest.mark.parametrize("g", [0.3, 0.6, 0.9])
 @pytest.mark.parametrize("beta_eff", [0.1, 1.0, 10.0])
 def test_toy_thermal_qfi_matches_closed_forms(g, beta_eff):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from critfish import linalg
 from critfish.errors import DiagonalizationFailed, DimMismatch, InvalidMatrix, NotPSD
-from critfish.linalg import _component_labels, eigh, fidelity, psd_sqrt, symmetrize, validate_density_matrix
+from critfish.linalg import _component_labels, eigh, fidelity, psd_sqrt, symmetrize
 from critfish.models import build_model
 
 
@@ -291,11 +291,3 @@ def test_fidelity_pure_states_overlap(dim, seed):
     want = float(psi @ phi) ** 2
     got = fidelity(np.outer(psi, psi), np.outer(phi, phi))
     assert got == pytest.approx(want, abs=1e-10)
-
-
-def test_validate_density_matrix():
-    validate_density_matrix(np.eye(4) / 4.0)
-    with pytest.raises(InvalidMatrix):
-        validate_density_matrix(np.eye(4))
-    with pytest.raises(NotPSD):
-        validate_density_matrix(np.diag([1.5, -0.5]))

@@ -86,6 +86,7 @@ def test_config_grid_log_approach_to_critical():
         ({"measurement_fd_rtol": 0.0}, "measurement_fd_rtol"),
         ({"truncation_rtol": "tight"}, "truncation_rtol"),
         ({"workers": True}, "workers"),
+        ({"size": "adaptive", "temp_mode": "beta_gap_ratio"}, "temp_mode"),
     ],
 )
 def test_config_rejections_carry_field_paths(overrides, field):
@@ -109,6 +110,19 @@ def test_config_beyond_critical_escape_hatch():
     rows = run_sweep(cfg)
     assert rows[0].status == "cell:BeyondCriticality"
     assert rows[0].qfi_fidelity is None
+
+
+def test_failed_truncation_ladder_leaves_the_row_empty(monkeypatch):
+    from critfish import sweep
+    from critfish.errors import TruncationNotConverged
+
+    def no_convergence(omega, g, beta, rtol):
+        raise TruncationNotConverged("cap hit", last_two=(1.0, 2.0))
+
+    monkeypatch.setattr(sweep, "toy_converged_truncation", no_convergence)
+    rows = run_sweep(config(size="adaptive", g_grid=[0.5], temp_grid=[50.0], workers=1))
+    assert rows[0].status == "cell:TruncationNotConverged"
+    assert (rows[0].N, rows[0].beta, rows[0].gap, rows[0].beta_gap_ratio) == (0, None, None, None)
 
 
 # ------------------------------------------------------------------- running
@@ -158,10 +172,14 @@ def test_beta_gap_ratio_mode():
     assert cold.beta == math.inf
 
 
-def test_gap_ratio_recorded_in_explicit_beta_mode():
-    rows = run_sweep(config(g_grid=[0.5], temp_grid=[2.0]))
+@pytest.mark.parametrize("size", [96, "adaptive"])
+def test_gap_ratio_recorded_in_explicit_beta_mode(size):
+    # the ratio is beta over the gap of the row's own truncation
+    rows = run_sweep(config(size=size, g_grid=[0.999], temp_grid=[50.0],
+                            estimators=["qfi_spectral"], workers=1))
     row = rows[0]
-    assert row.beta_gap_ratio == pytest.approx(row.beta / row.gap)
+    assert row.status == "ok"
+    assert row.beta_gap_ratio == row.beta / row.gap
 
 
 def test_parallel_matches_serial():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from critfish.errors import DimMismatch, GapTooSmall, InvalidDimension, InvalidTemperature
-from critfish.linalg import Spectrum, eigh, validate_density_matrix
+from critfish.linalg import Spectrum, eigh
 from critfish.models import build_model, toy_converged_truncation
 from critfish.analytic import ToyParams, quadrature_moments
 from critfish.thermal import (
@@ -75,7 +75,9 @@ def test_density_matrix_ground_projector():
     rho = density_matrix(gibbs(spec, math.inf))
     ground = spec.eigenvectors[:, 0]
     assert np.allclose(rho, np.outer(ground, ground), atol=1e-12)
-    validate_density_matrix(rho)
+    assert np.array_equal(rho, rho.T)
+    assert float(np.trace(rho)) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.eigvalsh(rho)[0] >= -1e-12
 
 
 def test_density_matrix_hot_limit_is_maximally_mixed():
@@ -102,7 +104,10 @@ def test_density_matrix_always_valid(beta, seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(6, 6))
     state = gibbs(eigh((a + a.T) / 2.0), beta)
-    validate_density_matrix(density_matrix(state))
+    rho = density_matrix(state)
+    assert np.array_equal(rho, rho.T)
+    assert float(np.trace(rho)) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.eigvalsh(rho)[0] >= -1e-12
 
 
 def test_gap_values():
