@@ -75,6 +75,10 @@ class NoFDConvergence(CritfishError):
         self.estimates = estimates
 
 
+class WorkerDied(CritfishError):
+    """A sweep's worker process ended abruptly, so the sweep has no table."""
+
+
 class ConfigError(CritfishError):
     """Sweep configuration rejected; ``field`` points at the offender."""
 

@@ -91,15 +91,15 @@ def _degenerate_groups(values, tol):
 def _rotated_generator(spectrum, generator, tol):
     """Matrix elements <n|dH|m> in a degeneracy-adapted eigenbasis.
 
-    Within each group of numerically equal eigenvalues the basis is
-    rotated to diagonalize dH restricted to the group, so the diagonal
-    becomes the proper Hellmann-Feynman derivative and intra-group
-    couplings vanish by construction.
+    ``generator`` is dH's diagonal.  Within each group of numerically
+    equal eigenvalues the basis is rotated to diagonalize dH restricted
+    to the group, so the diagonal becomes the proper Hellmann-Feynman
+    derivative and intra-group couplings vanish by construction.
 
     Returns (elements, group id per level).
     """
     v = spectrum.eigenvectors
-    m = v.T @ (np.asarray(generator, dtype=float) @ v)
+    m = v.T @ (generator[:, None] * v)
     groups = _degenerate_groups(spectrum.eigenvalues, tol)
     gid = np.empty(spectrum.dim, dtype=np.intp)
     for k, group in enumerate(groups):
@@ -229,7 +229,7 @@ def qfi_pure(model, spectrum, level=0, degeneracy_rtol=DEGENERACY_RTOL):
         level < d - 1 and energies[level + 1] - energies[level] <= tol
     ):
         raise DegenerateLevel(f"level {level} is degenerate within tolerance {tol:.3e}")
-    column = spectrum.eigenvectors.T @ (np.asarray(model.dH, dtype=float) @ spectrum.eigenvectors[:, level])
+    column = spectrum.eigenvectors.T @ (model.dH * spectrum.eigenvectors[:, level])
     diffs = energies[level] - energies
     mask = np.arange(d) != level
     return 4.0 * float(np.sum(column[mask] ** 2 / diffs[mask] ** 2))

@@ -8,9 +8,10 @@ Three families share the linear structure H = omega * dH - g * W:
 * ``lmg``   -- collective spin, H = omega Sz - (g/N) Sx^2,
 * ``ising`` -- Pauli ring, H = omega sum sigma_z - g sum sigma_x sigma_x.
 
-dH = dH/domega is exact and analytic (the number operator, Sz, or the
-total sigma_z); finite differences are reserved for cross-checks and
-for derivatives of the thermal state itself.  Energy offsets are never
+dH = dH/domega is exact, analytic and diagonal (the number operator,
+Sz, or the total sigma_z), so it is held as its diagonal; finite
+differences are reserved for cross-checks and for derivatives of the
+thermal state itself.  Energy offsets are never
 normalized away: Gibbs weights and every Fisher quantity here are
 offset-invariant.
 """
@@ -40,8 +41,9 @@ class ModelInstance:
     """A built Hamiltonian with its parameter-derivative generator.
 
     ``size`` is the truncation n_max for the oscillator and the spin
-    count N otherwise.  ``coupling_term`` is the normalized interaction
-    W, so H == omega * dH - g * coupling_term holds exactly.
+    count N otherwise.  ``dH`` holds the generator's diagonal and
+    ``coupling_term`` the normalized interaction W, so
+    H == np.diag(omega * dH) - g * coupling_term holds exactly.
     """
 
     kind: ModelKind
@@ -55,7 +57,7 @@ class ModelInstance:
     def at(self, omega):
         """The same model at another omega, with H formed exactly as build_model forms it."""
         _check_parameters(self.kind, omega, self.g)
-        return replace(self, omega=float(omega), H=omega * self.dH - self.g * self.coupling_term)
+        return replace(self, omega=float(omega), H=np.diag(omega * self.dH) - self.g * self.coupling_term)
 
 
 def _check_parameters(kind, omega, g):
@@ -84,7 +86,7 @@ def build_model(kind, omega, g, size):
         ops = make_chain_ops(size)
         generator = ops.sz_total
         coupling = ops.xx_pbc
-    h = omega * generator - g * coupling
+    h = np.diag(omega * generator) - g * coupling
     return ModelInstance(
         kind=kind,
         omega=float(omega),
@@ -97,17 +99,14 @@ def build_model(kind, omega, g, size):
 
 
 def toy_converged_truncation(omega, g, beta, rtol=TRUNCATION_RTOL):
-    """Smallest doubling-ladder n_max at which the thermal Fisher total settles.
+    """Smallest doubling-ladder model at which the thermal Fisher total settles.
 
     Runs the spectral estimator at consecutive sizes 64, 128, ... and
-    returns the first size whose value agrees with the next one to
-    ``rtol`` relative.  At beta = inf the ground-state Fisher information
-    is the convergence functional instead.  Raises TruncationNotConverged
-    (carrying the last two values) if the 4096 cap is hit.
-
-    Only the size is returned; each rung's model and spectrum are dropped
-    before the next rung is built, so a sweep cell resolves its size here
-    first and then builds and diagonalizes the chosen size once more.
+    returns ``(model, spectrum)`` of the first size whose value agrees
+    with the next one to ``rtol`` relative; only that previous rung is
+    kept while the next is solved.  At beta = inf the ground-state Fisher
+    information is the convergence functional instead.  Raises
+    TruncationNotConverged (carrying the last two values) at the 4096 cap.
     """
     # local imports: fisher/thermal import this module for ModelInstance
     from .fisher import qfi_pure, qfi_spectral
@@ -115,7 +114,8 @@ def toy_converged_truncation(omega, g, beta, rtol=TRUNCATION_RTOL):
     from .thermal import gibbs
 
     _check_parameters(ModelKind.TOY, omega, g)
-    history = []
+    values = []
+    previous = None
     for n_max in TRUNCATION_SIZES:
         model = build_model(ModelKind.TOY, omega, g, n_max)
         spectrum = eigh(model.H)
@@ -123,13 +123,12 @@ def toy_converged_truncation(omega, g, beta, rtol=TRUNCATION_RTOL):
             value = qfi_pure(model, spectrum, level=0)
         else:
             value = qfi_spectral(model, gibbs(spectrum, beta)).total
-        if history:
-            prev_size, prev_value = history[-1]
-            if abs(value - prev_value) <= rtol * max(abs(value), 1e-300):
-                return prev_size
-        history.append((n_max, value))
+        if values and abs(value - values[-1]) <= rtol * max(abs(value), 1e-300):
+            return previous
+        values.append(value)
+        previous = model, spectrum
     raise TruncationNotConverged(
         f"no convergence up to n_max={TRUNCATION_SIZES[-1]} "
         f"(omega={omega}, g={g}, beta={beta})",
-        last_two=tuple(v for _, v in history[-2:]),
+        last_two=tuple(values[-2:]),
     )

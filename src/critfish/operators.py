@@ -26,7 +26,7 @@ CHAIN_MAX_SITES = 14  # dense 2^N storage budget
 class FockOps:
     """Ladder-derived operators on the truncated space |0> .. |n_max-1>.
 
-    ``num`` is the number operator diag(n).  ``x2`` holds the exact
+    ``num`` is the number operator's diagonal n.  ``x2`` holds the exact
     matrix elements of (a + a^dag)^2 restricted to the truncation:
     diagonal 2n+1, plus (n, n+2) couplings sqrt((n+1)(n+2)).  Squaring
     the truncated (a + a^dag) instead would zero out the ladder traffic
@@ -45,20 +45,19 @@ def make_fock_ops(n_max):
     if n_max < 2:
         raise InvalidDimension(f"need n_max >= 2, got {n_max}")
     n = np.arange(n_max, dtype=float)
-    num = np.diag(n)
     x2 = np.diag(2.0 * n + 1.0)
     if n_max > 2:
         off = np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0))
         x2 += np.diag(off, k=2) + np.diag(off, k=-2)
-    return FockOps(n_max=int(n_max), num=num, x2=x2)
+    return FockOps(n_max=int(n_max), num=n, x2=x2)
 
 
 @dataclass(frozen=True)
 class DickeOps:
     """Collective spin operators in the j = N/2 sector, dimension N + 1.
 
-    Basis ordered by magnetization m = -N/2 .. +N/2, so sz is diagonal
-    ascending and sx is tridiagonal with
+    Basis ordered by magnetization m = -N/2 .. +N/2, so ``sz`` is the
+    ascending diagonal m of Sz and sx is tridiagonal with
     <m+1|Sx|m> = sqrt(j(j+1) - m(m+1)) / 2.
     """
 
@@ -77,17 +76,17 @@ def make_dicke_ops(N):
         raise InvalidDimension(f"need N >= 1, got {N}")
     j = N / 2.0
     m = np.arange(N + 1, dtype=float) - j
-    sz = np.diag(m)
     raising = np.sqrt(j * (j + 1.0) - m[:-1] * (m[:-1] + 1.0))
     sx = (np.diag(raising, k=-1) + np.diag(raising, k=1)) / 2.0
-    return DickeOps(N=int(N), sz=sz, sx=sx, sx2=sx @ sx)
+    return DickeOps(N=int(N), sz=m, sx=sx, sx2=sx @ sx)
 
 
 @dataclass(frozen=True)
 class ChainOps:
     """Pauli sums over a ring of N spin-1/2 sites, dimension 2^N.
 
-    Site 1 is the leftmost Kronecker factor.  ``xx_pbc`` contains N bond
+    Site 1 is the leftmost Kronecker factor.  ``sz_total`` is the diagonal
+    N - 2 popcount(state).  ``xx_pbc`` contains N bond
     terms sigma_x^n sigma_x^(n+1) with site N+1 identified with site 1.
     """
 
@@ -120,7 +119,7 @@ def make_chain_ops(N):
     states = np.arange(dim)
     popcount = np.array([bin(s).count("1") for s in range(dim)])
 
-    sz_total = np.diag((N - 2 * popcount).astype(float))
+    sz_total = (N - 2 * popcount).astype(float)
 
     sx_total = np.zeros((dim, dim))
     for site in range(1, N + 1):

@@ -33,12 +33,11 @@ def _rel_err(value, reference):
 
 def _check_toy_oracle():
     params = ToyParams(omega=1.0, g=0.6, beta=1.0 / ToyParams(1.0, 0.6, 1.0).effective_frequency)
-    n_max = toy_converged_truncation(params.omega, params.g, params.beta)
-    model = build_model("toy", params.omega, params.g, n_max)
-    numeric = qfi_spectral(model, gibbs(eigh(model.H), params.beta)).total
+    model, spectrum = toy_converged_truncation(params.omega, params.g, params.beta)
+    numeric = qfi_spectral(model, gibbs(spectrum, params.beta)).total
     exact = qfi_thermal_quantum(params) + qfi_thermal_classical(params)
     err = _rel_err(numeric, exact)
-    return err <= 1e-6, f"relative error {err:.2e} (n_max={n_max})"
+    return err <= 1e-6, f"relative error {err:.2e} (n_max={model.size})"
 
 
 def _check_zero_temperature_limits():
@@ -49,8 +48,8 @@ def _check_zero_temperature_limits():
     err_closed = _rel_err(fi_errprop_closed(params), ground)
     if err_closed > 1e-12:
         return False, f"error-propagation closed form off by {err_closed:.2e} at T=0"
-    n_max = toy_converged_truncation(1.0, 0.5, math.inf)
-    numeric = qfi_fidelity_fd(build_model("toy", 1.0, 0.5, n_max), math.inf, delta_omega=1e-2)
+    model, _ = toy_converged_truncation(1.0, 0.5, math.inf)
+    numeric = qfi_fidelity_fd(model, math.inf, delta_omega=1e-2)
     err_fd = _rel_err(numeric, ground)
     return err_fd <= 1e-4, f"fidelity route off by {err_fd:.2e} from {ground}"
 

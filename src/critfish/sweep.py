@@ -11,12 +11,13 @@ string instead of aborting the sweep; numeric columns are either finite
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .analytic import Prep, ToyParams, fi_errprop_closed, qfi_thermal_classical, qfi_thermal_quantum
-from .errors import ConfigError, CritfishError
+from .errors import ConfigError, CritfishError, WorkerDied
 from .fisher import cfi_projective, fi_error_propagation, qfi_fidelity_fd, qfi_spectral
 from .linalg import eigh
 from .models import ModelKind, build_model, toy_converged_truncation
@@ -89,10 +90,15 @@ def _expand_g_grid(raw, omega, model, enforce_critical=True):
         unknown = set(raw) - {"min", "max", "count", "spacing"}
         if unknown:
             raise ConfigError(f"unknown keys {sorted(unknown)}", field="g_grid")
+        count = raw.get("count")
+        if isinstance(count, bool) or not isinstance(count, int):
+            raise ConfigError(f"count must be an integer, got {count!r}", field="g_grid")
+        if isinstance(raw.get("min"), bool) or isinstance(raw.get("max"), bool):
+            raise ConfigError("min and max must be numbers, not booleans", field="g_grid")
         try:
-            lo, hi, count = float(raw["min"]), float(raw["max"]), int(raw["count"])
+            lo, hi = float(raw["min"]), float(raw["max"])
         except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"need numeric min/max/count ({exc})", field="g_grid")
+            raise ConfigError(f"need numeric min/max ({exc})", field="g_grid")
         spacing = raw.get("spacing", "linear")
         if spacing not in SPACINGS:
             raise ConfigError(f"spacing must be one of {SPACINGS}", field="g_grid.spacing")
@@ -113,9 +119,13 @@ def _expand_g_grid(raw, omega, model, enforce_critical=True):
         grid = tuple(float(v) for v in values)
     else:
         try:
+            raw = list(raw)
             grid = tuple(float(v) for v in raw)
         except (TypeError, ValueError):
             raise ConfigError("must be a list of numbers or a {min,max,count} mapping", field="g_grid")
+        for i, value in enumerate(raw):
+            if isinstance(value, bool):
+                raise ConfigError(f"must be a number, got {value!r}", field=f"g_grid[{i}]")
     if not grid:
         raise ConfigError("must not be empty", field="g_grid")
     for i, value in enumerate(grid):
@@ -138,6 +148,8 @@ def _expand_temp_grid(raw):
         raise ConfigError("must not be empty", field="temp_grid")
     grid = []
     for i, value in enumerate(items):
+        if isinstance(value, bool):
+            raise ConfigError(f"must be a number, got {value!r}", field=f"temp_grid[{i}]")
         if isinstance(value, str):
             if value.lower() in ("inf", "infinity"):
                 grid.append(math.inf)
@@ -240,11 +252,11 @@ def _evaluate_cell(task):
     failures = []
 
     try:
-        size = config.size
-        if size == ADAPTIVE:
-            size = toy_converged_truncation(config.omega, g, temp, rtol=config.truncation_rtol)
-        model = build_model(config.model, config.omega, g, size)
-        spectrum = eigh(model.H)
+        if config.size == ADAPTIVE:
+            model, spectrum = toy_converged_truncation(config.omega, g, temp, rtol=config.truncation_rtol)
+        else:
+            model = build_model(config.model, config.omega, g, config.size)
+            spectrum = eigh(model.H)
         gap_value = gap(spectrum)
         if config.temp_mode == "beta_gap_ratio":
             row.beta_gap_ratio = temp
@@ -255,7 +267,7 @@ def _evaluate_cell(task):
     except CritfishError as exc:
         row.status = f"cell:{type(exc).__name__}"
         return row
-    row.N = size
+    row.N = model.size
     row.gap = gap_value
     row.beta = beta
 
@@ -279,7 +291,7 @@ def _evaluate_cell(task):
         except CritfishError as exc:
             failures.append(f"qfi_fidelity:{type(exc).__name__}")
     if "cfi_sx2" in wanted or "fi_errprop" in wanted:
-        observable = measurement_observable(config.model, size)
+        observable = measurement_observable(config.model, model.size)
         if "cfi_sx2" in wanted:
             try:
                 row.cfi_sx2 = cfi_projective(model, beta, observable, **measure_kwargs)
@@ -329,9 +341,12 @@ def run_sweep(config):
     workers = _worker_count(config)
     if workers == 1 or len(tasks) == 1:
         return [_evaluate_cell(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(tasks) // (4 * workers))
-        return list(pool.map(_evaluate_cell, tasks, chunksize=chunk))
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, len(tasks) // (4 * workers))
+            return list(pool.map(_evaluate_cell, tasks, chunksize=chunk))
+    except BrokenProcessPool as exc:
+        raise WorkerDied(f"a sweep worker process died before its cells finished ({exc})") from exc
 
 
 def _format_value(name, value):

@@ -3,13 +3,14 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
 
 import critfish
 from critfish.cli import fig1_config, fig2_config, main
-from critfish.sweep import rows_from_csv
+from critfish.sweep import _evaluate_cell as EVALUATE_CELL, rows_from_csv
 
 # child interpreters import the same critfish as this one, installed or not
 CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(critfish.__file__).resolve().parent.parent))
@@ -174,6 +175,34 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "ok"
+
+
+def _dies_at_g_one(task):
+    # module level, so the pool pickles it by name and a worker can import it
+    _, g, _ = task
+    if g == 1.0:
+        os._exit(3)
+    return EVALUATE_CELL(task)
+
+
+def test_dead_worker_is_one_clear_error(monkeypatch, tmp_path, capsys):
+    from critfish import sweep
+    from critfish.errors import WorkerDied
+
+    monkeypatch.delenv("CRITFISH_THREADS", raising=False)
+    monkeypatch.setattr(sweep, "_evaluate_cell", _dies_at_g_one)
+    raw = {"model": "lmg", "size": 4, "g_grid": [0.5, 1.0], "temp_grid": [1.0],
+           "temp_mode": "beta", "estimators": ["qfi_spectral"], "workers": 2}
+    with pytest.raises(WorkerDied) as info:
+        sweep.run_sweep(sweep.make_config(raw))
+    assert isinstance(info.value.__cause__, BrokenProcessPool)
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "worker process died" in err
+    assert not out.exists()
 
 
 def test_package_never_imports_scipy():

@@ -45,7 +45,7 @@ def test_commuting_case_is_pure_probability_information(kind, size, beta):
     assert breakdown.quantum_part == 0.0
     spec = eigh(model.H)
     v = spec.eigenvectors
-    slopes = np.einsum("in,in->n", v, model.dH @ v)
+    slopes = np.einsum("in,in->n", v, np.diag(model.dH) @ v)
     mean = float(np.dot(state.probs, slopes))
     variance = float(np.dot(state.probs, (slopes - mean) ** 2))
     assert breakdown.total == pytest.approx(beta ** 2 * variance, rel=1e-10)
@@ -84,9 +84,8 @@ def test_toy_thermal_qfi_matches_closed_forms(g, beta_eff):
     scales = ToyParams(omega=1.0, g=g, beta=1.0)
     beta = beta_eff / scales.effective_frequency
     params = ToyParams(omega=1.0, g=g, beta=beta)
-    n_max = toy_converged_truncation(1.0, g, beta)
-    model = build_model("toy", 1.0, g, n_max)
-    breakdown = qfi_spectral(model, thermal(model, beta))
+    model, spectrum = toy_converged_truncation(1.0, g, beta)
+    breakdown = qfi_spectral(model, gibbs(spectrum, beta))
     assert breakdown.quantum_part == pytest.approx(qfi_thermal_quantum(params), rel=1e-6)
     assert breakdown.classical_part == pytest.approx(qfi_thermal_classical(params), rel=1e-6)
 
@@ -110,9 +109,8 @@ def test_spectral_handles_exact_degeneracies():
 
 def test_quantum_mass_sits_two_levels_apart():
     g, beta = 0.6, 2.0
-    n_max = toy_converged_truncation(1.0, g, beta)
-    model = build_model("toy", 1.0, g, n_max)
-    state = thermal(model, beta)
+    model, spectrum = toy_converged_truncation(1.0, g, beta)
+    state = gibbs(spectrum, beta)
     offsets = quantum_term_by_offset(model, state)
     total = offsets.sum()
     outside = total - offsets[2]
@@ -155,8 +153,8 @@ def test_fidelity_route_matches_spectral():
 
 
 def test_fidelity_route_zero_temperature_toy():
-    n_max = toy_converged_truncation(1.0, 0.5, math.inf)
-    fd = qfi_fidelity_fd(build_model("toy", 1.0, 0.5, n_max), math.inf, delta_omega=1e-2)
+    model, _ = toy_converged_truncation(1.0, 0.5, math.inf)
+    fd = qfi_fidelity_fd(model, math.inf, delta_omega=1e-2)
     assert fd == pytest.approx(0.125, rel=1e-4)
 
 
@@ -222,9 +220,9 @@ def test_squared_spin_outcomes_are_merged():
 
 def test_error_propagation_matches_closed_form():
     g, beta = 0.6, 2.0
-    n_max = toy_converged_truncation(1.0, g, beta)
-    obs = measurement_observable("toy", n_max)
-    got = fi_error_propagation(build_model("toy", 1.0, g, n_max), beta, obs, delta_omega=1e-3)
+    model, _ = toy_converged_truncation(1.0, g, beta)
+    obs = measurement_observable("toy", model.size)
+    got = fi_error_propagation(model, beta, obs, delta_omega=1e-3)
     want = fi_errprop_closed(ToyParams(omega=1.0, g=g, beta=beta))
     assert got == pytest.approx(want, rel=1e-5)
 
@@ -261,9 +259,7 @@ def test_quantum_part_grows_with_temperature_toward_twice_ground():
     params = ToyParams(omega=1.0, g=g, beta=1.0)
     w_eff = params.effective_frequency
     betas = [b / w_eff for b in (10.0, 3.0, 1.0, 0.3, 0.1)]
-    n_max = toy_converged_truncation(1.0, g, betas[-1])
-    model = build_model("toy", 1.0, g, n_max)
-    spec = eigh(model.H)
+    model, spec = toy_converged_truncation(1.0, g, betas[-1])
     values = [qfi_spectral(model, gibbs(spec, b)).quantum_part for b in betas]
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
     ground = qfi_pure(model, spec, 0)

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from critfish.errors import BeyondCriticality, InvalidDimension
+from critfish import linalg, models, sweep
+from critfish.errors import BeyondCriticality, InvalidDimension, TruncationNotConverged
+from critfish.fisher import qfi_spectral
 from critfish.linalg import eigh
-from critfish.models import ModelKind, build_model, toy_converged_truncation
+from critfish.models import TRUNCATION_SIZES, ModelKind, build_model, toy_converged_truncation
 from critfish.thermal import gap, gibbs
 
 
@@ -14,7 +16,7 @@ def test_toy_free_oscillator():
     model = build_model("toy", 1.0, 0.0, 32)
     spec = eigh(model.H)
     assert np.allclose(spec.eigenvalues, np.arange(32.0), atol=1e-12)
-    assert np.array_equal(model.dH, np.diag(np.arange(32.0)))
+    assert np.array_equal(model.dH, np.arange(32.0))
 
 
 def test_lmg_free_spins():
@@ -35,7 +37,7 @@ def test_ising_free_spins():
 def test_linear_structure_exact():
     for kind, size in (("toy", 16), ("lmg", 8), ("ising", 4)):
         model = build_model(kind, 1.3, 0.4, size)
-        rebuilt = 1.3 * model.dH - 0.4 * model.coupling_term
+        rebuilt = np.diag(1.3 * model.dH) - 0.4 * model.coupling_term
         assert np.array_equal(model.H, rebuilt)
 
 
@@ -95,7 +97,7 @@ def test_hellmann_feynman_matches_finite_differences(kind, size, levels):
     minus = eigh(build_model(kind, omega - step / 2, g, size).H).eigenvalues
     fd = (plus - minus) / step
     v = spec.eigenvectors
-    hf = np.einsum("in,in->n", v, model.dH @ v)
+    hf = np.einsum("in,in->n", v, np.diag(model.dH) @ v)
     gaps = np.diff(spec.eigenvalues)
     for n in levels:
         # only isolated levels: degenerate ones need the rotated basis
@@ -141,24 +143,72 @@ def test_gibbs_offset_invariance(shift):
 
 
 def test_truncation_free_oscillator_converges_immediately():
-    assert toy_converged_truncation(1.0, 0.0, 2.0) == 64
+    model, _ = toy_converged_truncation(1.0, 0.0, 2.0)
+    assert model.size == 64
 
 
 def test_truncation_mild_coupling_cold():
-    assert toy_converged_truncation(1.0, 0.1, 10.0) <= 128
+    model, _ = toy_converged_truncation(1.0, 0.1, 10.0)
+    assert model.size <= 128
 
 
 def test_truncation_grows_when_hot_and_squeezed():
-    params_hot = toy_converged_truncation(1.0, 0.9, 0.3)
-    params_cold = toy_converged_truncation(1.0, 0.9, 30.0)
-    assert params_hot >= params_cold
-    assert params_hot >= 128
+    hot, _ = toy_converged_truncation(1.0, 0.9, 0.3)
+    cold, _ = toy_converged_truncation(1.0, 0.9, 30.0)
+    assert hot.size >= cold.size
+    assert hot.size >= 128
 
 
 def test_truncation_zero_temperature():
-    assert toy_converged_truncation(1.0, 0.5, math.inf) <= 128
+    model, _ = toy_converged_truncation(1.0, 0.5, math.inf)
+    assert model.size <= 128
 
 
 def test_truncation_rejects_critical():
     with pytest.raises(BeyondCriticality):
         toy_converged_truncation(1.0, 1.0, 1.0)
+
+
+def test_truncation_hands_over_the_converged_rung():
+    model, spectrum = toy_converged_truncation(1.0, 0.9, 5.0)
+    fresh = build_model("toy", 1.0, 0.9, model.size)
+    assert np.array_equal(model.H, fresh.H) and np.array_equal(model.dH, fresh.dH)
+    again = eigh(fresh.H)
+    assert np.array_equal(spectrum.eigenvalues, again.eigenvalues)
+    assert np.array_equal(spectrum.eigenvectors, again.eigenvectors)
+
+
+def test_adaptive_cell_diagonalizes_each_rung_once(monkeypatch):
+    rungs, solved = [], []
+    real_build, real_eigh = models.build_model, linalg.eigh
+
+    def counting_build(kind, omega, g, size):
+        rungs.append(size)
+        return real_build(kind, omega, g, size)
+
+    def counting_eigh(matrix):
+        solved.append(len(matrix))
+        return real_eigh(matrix)
+
+    # the ladder imports eigh from linalg at call time; the cell holds its own name
+    monkeypatch.setattr(models, "build_model", counting_build)
+    monkeypatch.setattr(linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(sweep, "eigh", counting_eigh)
+    config = sweep.make_config({"model": "toy", "size": "adaptive", "g_grid": [0.9], "temp_grid": [5.0],
+                          "temp_mode": "beta", "estimators": ["qfi_spectral"], "workers": 1})
+    row, = sweep.run_sweep(config)
+    assert row.status == "ok"
+    assert rungs == list(TRUNCATION_SIZES[:TRUNCATION_SIZES.index(row.N) + 2])
+    assert solved == rungs
+
+
+def test_truncation_cap_carries_both_rung_values(monkeypatch):
+    monkeypatch.setattr(models, "TRUNCATION_SIZES", (64, 128))
+    g, beta = 0.999, 50.0
+    with pytest.raises(TruncationNotConverged) as info:
+        toy_converged_truncation(1.0, g, beta)
+    want = []
+    for size in (64, 128):
+        model = build_model("toy", 1.0, g, size)
+        want.append(qfi_spectral(model, gibbs(eigh(model.H), beta)).total)
+    assert info.value.last_two == tuple(want)

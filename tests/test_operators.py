@@ -20,8 +20,8 @@ def kron_chain(N, ops_by_site):
 
 def test_fock_number_operator():
     ops = make_fock_ops(12)
-    assert np.array_equal(ops.num, np.diag(np.arange(12.0)))
-    assert ops.num[5, 5] == 5.0
+    assert np.array_equal(ops.num, np.arange(12.0))
+    assert ops.num[5] == 5.0
 
 
 def test_fock_x2_matrix_elements():
@@ -61,7 +61,7 @@ def test_fock_rejects_tiny_truncation():
 
 def test_dicke_single_spin():
     ops = make_dicke_ops(1)
-    assert np.allclose(ops.sz, np.diag([-0.5, 0.5]))
+    assert np.allclose(ops.sz, [-0.5, 0.5])
     assert np.allclose(ops.sx, [[0.0, 0.5], [0.5, 0.0]])
 
 
@@ -74,7 +74,7 @@ def test_dicke_two_spins_off_diagonal():
 def test_dicke_twenty_spins():
     ops = make_dicke_ops(20)
     assert ops.dim == 21
-    assert ops.sz.shape == (21, 21)
+    assert ops.sz.shape == (21,)
     assert ops.sz.max() == pytest.approx(10.0)
 
 
@@ -83,7 +83,7 @@ def test_dicke_casimir_positive(N):
     # j(j+1) I - Sx^2 - Sz^2 equals Sy^2, so it must be PSD
     ops = make_dicke_ops(N)
     j = N / 2.0
-    sy2 = j * (j + 1.0) * np.eye(N + 1) - ops.sx2 - ops.sz @ ops.sz
+    sy2 = j * (j + 1.0) * np.eye(N + 1) - ops.sx2 - np.diag(ops.sz ** 2)
     low = scipy.linalg.eigvalsh((sy2 + sy2.T) / 2.0)[0]
     assert low >= -1e-10 * max(1.0, j * (j + 1.0))
 
@@ -107,7 +107,7 @@ def test_chain_matches_kron_construction():
                 xx += kron_chain(N, {n: SX @ SX})
             else:
                 xx += kron_chain(N, {n: SX, m: SX})
-        assert np.array_equal(ops.sz_total, sz)
+        assert np.array_equal(np.diag(ops.sz_total), sz)
         assert np.array_equal(ops.sx_total, sx)
         assert np.array_equal(ops.xx_pbc, xx)
 
@@ -120,7 +120,7 @@ def test_chain_two_sites_double_bond():
 
 def test_chain_sz_eigenvalues_by_bit_count():
     ops = make_chain_ops(3)
-    got = sorted(np.diag(ops.sz_total))
+    got = sorted(ops.sz_total)
     # 3 - 2 * popcount over all 3-bit patterns
     want = sorted(3 - 2 * bin(s).count("1") for s in range(8))
     assert got == want
@@ -140,8 +140,8 @@ def test_chain_dicke_g0_consistency():
     N = 5
     chain = make_chain_ops(N)
     dicke = make_dicke_ops(N)
-    chain_vals = np.unique(np.diag(chain.sz_total))
-    assert np.allclose(chain_vals, 2.0 * np.diag(dicke.sz))
+    chain_vals = np.unique(chain.sz_total)
+    assert np.allclose(chain_vals, 2.0 * dicke.sz)
 
 
 def test_chain_rejects_out_of_range():
@@ -155,6 +155,5 @@ def test_all_operator_matrices_exactly_symmetric():
     fock = make_fock_ops(8)
     dicke = make_dicke_ops(6)
     chain = make_chain_ops(4)
-    for m in (fock.num, fock.x2, dicke.sz, dicke.sx, dicke.sx2,
-              chain.sz_total, chain.sx_total, chain.xx_pbc):
+    for m in (fock.x2, dicke.sx, dicke.sx2, chain.sx_total, chain.xx_pbc):
         assert np.array_equal(m, m.T)

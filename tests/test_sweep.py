@@ -87,6 +87,10 @@ def test_config_grid_log_approach_to_critical():
         ({"truncation_rtol": "tight"}, "truncation_rtol"),
         ({"workers": True}, "workers"),
         ({"size": "adaptive", "temp_mode": "beta_gap_ratio"}, "temp_mode"),
+        ({"g_grid": {"min": 0.1, "max": 0.5, "count": 2.7}}, "g_grid"),
+        ({"g_grid": {"min": 0.1, "max": 0.5, "count": True}}, "g_grid"),
+        ({"g_grid": [True], "model": "lmg", "size": 8, "estimators": ["qfi_spectral"]}, "g_grid[0]"),
+        ({"temp_grid": [True]}, "temp_grid[0]"),
     ],
 )
 def test_config_rejections_carry_field_paths(overrides, field):

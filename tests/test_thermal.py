@@ -158,9 +158,8 @@ def test_toy_second_moment_matches_closed_form(g, beta_eff):
     params = ToyParams(omega=1.0, g=g, beta=1.0)  # placeholder beta for scales
     beta = beta_eff / params.effective_frequency
     params = ToyParams(omega=1.0, g=g, beta=beta)
-    n_max = toy_converged_truncation(1.0, g, beta)
-    model = build_model("toy", 1.0, g, n_max)
-    state = gibbs(eigh(model.H), beta)
+    model, spectrum = toy_converged_truncation(1.0, g, beta)
+    state = gibbs(spectrum, beta)
     ops_x2 = model.coupling_term * 4.0
     mean2, var2 = quadrature_moments(params)
     got_mean = thermal_expectation(state, ops_x2)
