@@ -21,6 +21,14 @@ degenerate subspaces the eigenbasis is first rotated to diagonalize dH,
 which makes level derivatives well-defined and removes intra-subspace
 couplings by construction.
 
+The spectral sums rotate only the rows of the weighted levels, those
+with p_n >= PAIR_WEIGHT_FLOOR / 2 extended to whole degenerate groups.
+That is exact: a pair with both levels below the cut has p_n + p_m
+under the pair-weight floor and is skipped anyway, and the classical
+part needs only each level's slope.  A cold state near criticality
+weights a few dozen of thousands of levels, so the rotation costs
+|K| n^2 instead of n^3.
+
 Every estimator takes the built model.  The finite-difference routes
 move it along omega with ``ModelInstance.at``, which re-forms
 H = omega * dH - g * W from the parts the model already holds, so no
@@ -88,32 +96,47 @@ def _degenerate_groups(values, tol):
     return groups
 
 
-def _rotated_generator(spectrum, generator, tol):
-    """Matrix elements <n|dH|m> in a degeneracy-adapted eigenbasis.
+def _rotated_generator(spectrum, generator, tol, probs):
+    """Weighted rows of <n|dH|m> in a degeneracy-adapted eigenbasis.
 
     ``generator`` is dH's diagonal.  Within each group of numerically
     equal eigenvalues the basis is rotated to diagonalize dH restricted
-    to the group, so the diagonal becomes the proper Hellmann-Feynman
-    derivative and intra-group couplings vanish by construction.
+    to the group, so the level slopes become the proper Hellmann-Feynman
+    derivatives and intra-group couplings vanish by construction.
 
-    Returns (elements, group id per level).
+    Only the rows of the weighted levels K are formed: the shortest
+    prefix of the spectrum that holds every level with
+    p_n >= PAIR_WEIGHT_FLOOR / 2 and ends on a group boundary.  Every
+    pair that passes the pair-weight floor has a level in K, so these
+    rows hold every element the quantum sum reads.  The classical part
+    needs only the slopes: sum_i dH_i V_in^2 for a lone level, and the
+    eigenvalues of its group's own block of dH for a degenerate one.
+
+    Returns (rows K of the elements, slope per level, group id per level).
     """
     v = spectrum.eigenvectors
-    m = v.T @ (generator[:, None] * v)
     groups = _degenerate_groups(spectrum.eigenvalues, tol)
     gid = np.empty(spectrum.dim, dtype=np.intp)
     for k, group in enumerate(groups):
         gid[group.start:group.stop] = k
+    heavy = np.flatnonzero(probs >= PAIR_WEIGHT_FLOOR / 2.0)
+    weighted = groups[gid[heavy[-1]]].stop if len(heavy) else 0
+    m = (generator[:, None] * v[:, :weighted]).T @ v
+    slopes = np.einsum("in,in,i->n", v, v, generator)
+    for group in groups:
         if len(group) > 1:
             sl = slice(group.start, group.stop)
-            block = (m[sl, sl] + m[sl, sl].T) / 2.0
+            inside = group.start < weighted
+            block = m[sl, sl] if inside else (generator[:, None] * v[:, sl]).T @ v[:, sl]
             try:
-                _, u = np.linalg.eigh(block)
+                slopes[sl], u = np.linalg.eigh((block + block.T) / 2.0)
             except np.linalg.LinAlgError as exc:
                 raise DiagonalizationFailed(f"rotating a degenerate group of {len(group)} levels: {exc}") from exc
             m[:, sl] = m[:, sl] @ u
-            m[sl, :] = u.T @ m[sl, :]
-    return (m + m.T) / 2.0, gid
+            if inside:
+                m[sl, :] = u.T @ m[sl, :]
+    m[:, :weighted] = (m[:, :weighted] + m[:, :weighted].T) / 2.0
+    return m, slopes, gid
 
 
 def _quantum_pair_sum(energies, probs, elements, gid, by_offset=False):
@@ -121,14 +144,17 @@ def _quantum_pair_sum(energies, probs, elements, gid, by_offset=False):
 
     Ordered pairs inside one degenerate group are skipped (their
     couplings are zero after the basis rotation anyway), as are pairs
-    whose combined weight is negligible.  With ``by_offset`` the mass is
-    also histogrammed by the level-index distance |n - m|.
+    whose combined weight is negligible.  ``elements`` holds the rows of
+    the weighted prefix K (see _rotated_generator); every pair that
+    passes the floor has a level in K, so the sum is the K x K block
+    plus twice the K x light block.  With ``by_offset`` the mass is also
+    histogrammed by the level-index distance |n - m|.
     """
-    d = len(energies)
+    weighted, d = elements.shape
     total = 0.0
     offsets = np.zeros(d) if by_offset else None
-    for lo in range(0, d, _CHUNK):
-        hi = min(lo + _CHUNK, d)
+    for lo in range(0, weighted, _CHUNK):
+        hi = min(lo + _CHUNK, weighted)
         p_rows = probs[lo:hi, None]
         weight_sum = p_rows + probs[None, :]
         e_diff = energies[None, :] - energies[lo:hi, None]
@@ -139,10 +165,11 @@ def _quantum_pair_sum(energies, probs, elements, gid, by_offset=False):
             (p_rows - probs[None, :]) ** 2 * elements[lo:hi, :] ** 2 / denom,
             0.0,
         )
+        contrib[:, weighted:] *= 2.0  # each light pair stands for (n, m) and (m, n)
         total += float(contrib.sum())
         if by_offset:
             idx = np.abs(np.arange(lo, hi)[:, None] - np.arange(d)[None, :])
-            np.add.at(offsets, idx.ravel(), contrib.ravel())
+            offsets += np.bincount(idx.ravel(), weights=contrib.ravel(), minlength=d)
     if by_offset:
         return 2.0 * total, 2.0 * offsets
     return 2.0 * total, None
@@ -156,7 +183,7 @@ def _clamp_part(value):
 
 
 def _spectral_terms(model, state, degeneracy_rtol):
-    """Checked inputs of the spectral sums: (energies, probs, tol, elements, gid)."""
+    """Checked inputs of the spectral sums: (energies, probs, tol, elements, slopes, gid)."""
     if state.dim != model.H.shape[0]:
         raise DimMismatch(
             f"state dimension {state.dim} does not match model dimension {model.H.shape[0]}"
@@ -167,8 +194,8 @@ def _spectral_terms(model, state, degeneracy_rtol):
         )
     energies = state.spectrum.eigenvalues
     tol = degeneracy_rtol * max(1.0, float(np.max(np.abs(energies))))
-    elements, gid = _rotated_generator(state.spectrum, model.dH, tol)
-    return energies, state.probs, tol, elements, gid
+    elements, slopes, gid = _rotated_generator(state.spectrum, model.dH, tol, state.probs)
+    return energies, state.probs, tol, elements, slopes, gid
 
 
 def qfi_spectral(model, state, degeneracy_rtol=DEGENERACY_RTOL):
@@ -179,9 +206,8 @@ def qfi_spectral(model, state, degeneracy_rtol=DEGENERACY_RTOL):
     <n|dH|m> / (E_m - E_n).  Requires finite beta (use qfi_pure or
     qfi_fidelity_fd for the T = 0 curve).
     """
-    energies, probs, tol, elements, gid = _spectral_terms(model, state, degeneracy_rtol)
+    energies, probs, tol, elements, level_slopes, gid = _spectral_terms(model, state, degeneracy_rtol)
 
-    level_slopes = np.diag(elements).copy()
     mean_slope = float(np.dot(probs, level_slopes))
     dprobs = -state.beta * probs * (level_slopes - mean_slope)
     keep = probs > PROB_FLOOR
@@ -201,6 +227,7 @@ def qfi_spectral(model, state, degeneracy_rtol=DEGENERACY_RTOL):
             "pair_weight_floor": PAIR_WEIGHT_FLOOR,
             "prob_floor": PROB_FLOOR,
             "size": model.size,
+            "weighted_levels": len(elements),
         },
     )
 
@@ -213,7 +240,7 @@ def quantum_term_by_offset(model, state, degeneracy_rtol=DEGENERACY_RTOL):
     always zero).  For the oscillator model essentially all mass sits at
     distance 2.
     """
-    energies, probs, _, elements, gid = _spectral_terms(model, state, degeneracy_rtol)
+    energies, probs, _, elements, _, gid = _spectral_terms(model, state, degeneracy_rtol)
     _, offsets = _quantum_pair_sum(energies, probs, elements, gid, by_offset=True)
     return offsets
 

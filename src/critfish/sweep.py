@@ -118,6 +118,8 @@ def _expand_g_grid(raw, omega, model, enforce_critical=True):
             values = g_c * (1.0 - 10.0 ** -np.linspace(k_lo, k_hi, count))
         grid = tuple(float(v) for v in values)
     else:
+        if isinstance(raw, str):
+            raise ConfigError(f"must be a list of numbers, got the string {raw!r}", field="g_grid")
         try:
             raw = list(raw)
             grid = tuple(float(v) for v in raw)
@@ -140,6 +142,8 @@ def _expand_g_grid(raw, omega, model, enforce_critical=True):
 
 
 def _expand_temp_grid(raw):
+    if isinstance(raw, str):
+        raise ConfigError(f"must be a list, got the string {raw!r}", field="temp_grid")
     try:
         items = list(raw)
     except TypeError:

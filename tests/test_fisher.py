@@ -13,6 +13,9 @@ from critfish.errors import (
     ZeroVariance,
 )
 from critfish.fisher import (
+    DEGENERACY_RTOL,
+    PAIR_WEIGHT_FLOOR,
+    PROB_FLOOR,
     cfi_projective,
     fi_error_propagation,
     qfi_fidelity_fd,
@@ -20,10 +23,10 @@ from critfish.fisher import (
     qfi_spectral,
     quantum_term_by_offset,
 )
-from critfish.linalg import eigh
+from critfish.linalg import eigh, symmetrize
 from critfish.models import build_model, toy_converged_truncation
 from critfish.sweep import measurement_observable
-from critfish.thermal import gap, gibbs
+from critfish.thermal import ThermalState, gap, gibbs
 
 
 def thermal(model, beta):
@@ -116,6 +119,98 @@ def test_quantum_mass_sits_two_levels_apart():
     outside = total - offsets[2]
     assert outside <= 1e-12 * total
     assert total == pytest.approx(qfi_spectral(model, state).quantum_part, rel=1e-12)
+
+
+def cell(kind, size, g, beta):
+    model = build_model(kind, 1.0, g, size)
+    return model, thermal(model, beta)
+
+
+def dense_spectral_reference(model, state):
+    """(classical, quantum, offsets) from the full n x n rotation of dH and every ordered pair."""
+    energies, v, probs = state.spectrum.eigenvalues, state.spectrum.eigenvectors, state.probs
+    n = len(energies)
+    tol = DEGENERACY_RTOL * max(1.0, float(np.max(np.abs(energies))))
+    gid = np.concatenate([[0], np.cumsum(np.diff(energies) > tol)])
+    m = v.T @ (model.dH[:, None] * v)
+    for k in range(gid[-1] + 1):
+        members = np.flatnonzero(gid == k)
+        if len(members) > 1:
+            sl = slice(members[0], members[-1] + 1)
+            _, u = np.linalg.eigh((m[sl, sl] + m[sl, sl].T) / 2.0)
+            m[:, sl] = m[:, sl] @ u
+            m[sl, :] = u.T @ m[sl, :]
+    m = (m + m.T) / 2.0
+    slopes = np.diag(m)
+    dprobs = -state.beta * probs * (slopes - np.dot(probs, slopes))
+    keep = probs > PROB_FLOOR
+    classical = float(np.sum(dprobs[keep] ** 2 / probs[keep]))
+    weight_sum = probs[:, None] + probs[None, :]
+    mask = (weight_sum >= PAIR_WEIGHT_FLOOR) & (gid[:, None] != gid[None, :])
+    denom = np.where(mask, weight_sum * (energies[None, :] - energies[:, None]) ** 2, 1.0)
+    contrib = np.where(mask, (probs[:, None] - probs[None, :]) ** 2 * m ** 2 / denom, 0.0)
+    distance = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
+    offsets = np.bincount(distance.ravel(), weights=contrib.ravel(), minlength=n)
+    return classical, 2.0 * float(contrib.sum()), 2.0 * offsets
+
+
+def assert_matches_dense_reference(model, state):
+    classical, quantum, offsets = dense_spectral_reference(model, state)
+    breakdown = qfi_spectral(model, state)
+    assert breakdown.classical_part == pytest.approx(classical, rel=1e-12, abs=0.0)
+    assert breakdown.quantum_part == pytest.approx(quantum, rel=1e-12, abs=0.0)
+    assert breakdown.total == pytest.approx(classical + quantum, rel=1e-12, abs=0.0)
+    np.testing.assert_allclose(quantum_term_by_offset(model, state), offsets, rtol=1e-12, atol=1e-12 * quantum)
+
+
+@pytest.mark.parametrize(
+    "kind,size,g,beta",
+    [
+        ("toy", 2048, 0.999, 50.0),
+        ("toy", 256, 0.6, 0.5),
+        ("lmg", 40, 1.3, 5.0),     # ordered phase: parity doublets
+        ("lmg", 40, 1.3, 200.0),
+        ("ising", 6, 0.0, 5.0),    # binomially degenerate groups on both sides of the cut
+        ("ising", 6, 0.0, 40.0),
+        ("ising", 8, 0.6, 2.0),
+    ],
+)
+def test_weighted_rows_match_the_dense_spectral_sums(kind, size, g, beta):
+    assert_matches_dense_reference(*cell(kind, size, g, beta))
+
+
+def test_group_straddling_the_weight_cut_is_rotated_whole():
+    # weights with the cut p >= PAIR_WEIGHT_FLOOR / 2 inside a degenerate
+    # group: its light members must still be rotated with the heavy one
+    model, state = cell("ising", 6, 0.6, 2.0)
+    starts = np.flatnonzero(np.diff(state.spectrum.eigenvalues) > 1e-6) + 1
+    j, stop = next((a, b) for a, b in zip(starts, starts[1:]) if a > 4 and b - a > 1)
+    probs = state.probs.copy()
+    probs[j] = 0.6 * PAIR_WEIGHT_FLOOR
+    probs[j + 1:stop] = 0.4 * PAIR_WEIGHT_FLOOR
+    probs[stop:] = 1e-3 * PAIR_WEIGHT_FLOOR
+    straddling = ThermalState(spectrum=state.spectrum, beta=state.beta, probs=probs)
+    assert qfi_spectral(model, straddling).meta["weighted_levels"] == stop
+    assert_matches_dense_reference(model, straddling)
+
+
+def test_crossing_levels_take_their_slopes_from_the_group_block():
+    # exactly repeated levels in a random basis: eigh returns an arbitrary
+    # basis of each group, in which dH's block is not diagonal
+    rng = np.random.default_rng(7)
+    q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+    energies = np.concatenate([[0.0, 0.3, 0.3, 0.3], np.linspace(1.0, 39.0, 33), [40.0, 40.0, 40.0]])
+    model = replace(build_model("lmg", 1.0, 0.5, 39), H=symmetrize((q * energies) @ q.T),
+                    dH=rng.standard_normal(40))
+    state = thermal(model, 1.0)
+    assert qfi_spectral(model, state).meta["weighted_levels"] < 37  # the top group is light
+    assert_matches_dense_reference(model, state)
+
+
+def test_weighted_levels_count_only_levels_with_gibbs_weight():
+    cold = qfi_spectral(*cell("toy", 2048, 0.999, 50.0))
+    hot = qfi_spectral(*cell("toy", 256, 0.6, 0.5))
+    assert cold.meta["weighted_levels"] <= 64 < hot.meta["weighted_levels"]
 
 
 # ------------------------------------------------------------ pure eigenstates

@@ -91,6 +91,8 @@ def test_config_grid_log_approach_to_critical():
         ({"g_grid": {"min": 0.1, "max": 0.5, "count": True}}, "g_grid"),
         ({"g_grid": [True], "model": "lmg", "size": 8, "estimators": ["qfi_spectral"]}, "g_grid[0]"),
         ({"temp_grid": [True]}, "temp_grid[0]"),
+        ({"g_grid": "123", "model": "lmg", "size": 8, "estimators": ["qfi_spectral"]}, "g_grid"),
+        ({"temp_grid": "55"}, "temp_grid"),
     ],
 )
 def test_config_rejections_carry_field_paths(overrides, field):
