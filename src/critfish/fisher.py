@@ -119,8 +119,8 @@ def _rotated_generator(spectrum, generator, tol, probs):
     gid = np.empty(spectrum.dim, dtype=np.intp)
     for k, group in enumerate(groups):
         gid[group.start:group.stop] = k
-    heavy = np.flatnonzero(probs >= PAIR_WEIGHT_FLOOR / 2.0)
-    weighted = groups[gid[heavy[-1]]].stop if len(heavy) else 0
+    last_heavy = np.flatnonzero(probs >= PAIR_WEIGHT_FLOOR / 2.0)[-1]  # the weights sum to 1
+    weighted = groups[gid[last_heavy]].stop
     m = (generator[:, None] * v[:, :weighted]).T @ v
     slopes = np.einsum("in,in,i->n", v, v, generator)
     for group in groups:
