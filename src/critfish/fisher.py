@@ -21,12 +21,12 @@ degenerate subspaces the eigenbasis is first rotated to diagonalize dH,
 which makes level derivatives well-defined and removes intra-subspace
 couplings by construction.
 
-The spectral sums rotate only the rows of the weighted levels, those
+The spectral sums rotate only the rows of the weighted levels K, those
 with p_n >= PAIR_WEIGHT_FLOOR / 2 extended to whole degenerate groups.
 That is exact: a pair with both levels below the cut has p_n + p_m
 under the pair-weight floor and is skipped anyway, and the classical
-part needs only each level's slope.  A cold state near criticality
-weights a few dozen of thousands of levels, so the rotation costs
+part needs only each level's slope.  In a cold state near criticality
+a few dozen of thousands of levels carry weight, so the rotation costs
 |K| n^2 instead of n^3.
 
 Every estimator takes the built model.  The finite-difference routes
