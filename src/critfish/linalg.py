@@ -17,13 +17,33 @@ entry (as in a pure or underflowed Gibbs state) is an eigenvector as it
 stands and needs no solve.  A matrix without such structure is one
 block.
 
-All BLAS and LAPACK work here goes through numpy.  scipy ships its own
-OpenBLAS with its own thread pool, and switching between the two pools
-(numpy matmuls, scipy solves) left their spinning threads contending
-for the same cores.
+The oscillator and collective-spin parity blocks are more than sparse:
+each is an unreduced symmetric tridiagonal matrix in its own row order.
+A block like that with at least _STEVD_MIN_ROWS rows goes to LAPACK's
+tridiagonal divide and conquer ``?stevd``, which is handed only the
+diagonal and the first off-diagonal.  For such a block ``?syevd``'s
+Householder reduction meets nothing to eliminate: every reflector has
+tau = 0, so it hands the same diagonals to the same ``?stedc`` call and
+then back-transforms through identity reflectors.  Both routes return
+the same bits; ``?stevd`` skips the O(n^3) reduction and needs a
+smaller workspace.  Every other block keeps ``?syevd``.
+
+All BLAS and LAPACK work here goes through numpy's own OpenBLAS.  scipy
+ships a second OpenBLAS with its own thread pool, and switching between
+the two pools (numpy matmuls, scipy solves) left their spinning threads
+contending for the same cores.  ``?stevd``, which numpy does not wrap,
+is called through ``ctypes`` in the OpenBLAS that numpy bundles and has
+already loaded.  The library is looked up at the first block that needs
+it; where it cannot be found (another numpy build, another platform)
+every block goes through ``?syevd`` and the results are the same.  The
+same handle lets a sweep worker cap its BLAS threads
+(``limit_blas_threads``).
 """
 
+import ctypes
+import functools
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -32,6 +52,46 @@ from .errors import DiagonalizationFailed, DimMismatch, InvalidMatrix, NotPSD
 # negative eigenvalues above -PSD_CLAMP_RTOL * ||M|| count as roundoff
 PSD_CLAMP_RTOL = 1e-10
 _LABEL_ROWS = 64  # rows per read in the component search
+# smallest block sent to ?stevd, measured on toy parity blocks (2 vCPUs):
+# at 32 rows the check and ctypes call took 0.12-0.14 ms against numpy's
+# 0.09-0.10 ms, near 48 rows the two were level, and at 64 rows they took
+# 0.27-0.32 ms against 0.40-0.52 ms
+_STEVD_MIN_ROWS = 64
+_c_int = ctypes.c_int64  # the library's LAPACK integer (ILP64)
+_int_p = ctypes.POINTER(_c_int)
+_float_p = ctypes.POINTER(ctypes.c_double)
+
+
+@functools.cache
+def _openblas():
+    """ctypes handle on the OpenBLAS numpy has loaded, or None when it is not found."""
+    package = Path(np.__file__).parent
+    # the wheels keep it next to the package (Linux, Windows) or inside it (macOS)
+    for folder in (package.parent / "numpy.libs", package / ".dylibs"):
+        for path in sorted(folder.glob("libscipy_openblas64_*")):
+            try:
+                lib = ctypes.CDLL(str(path))
+                stevd, set_threads = lib.scipy_dstevd_64_, lib.scipy_openblas_set_num_threads64_
+            except (OSError, AttributeError):
+                continue
+            # JOBZ, N, D, E, Z, LDZ, WORK, LWORK, IWORK, LIWORK, INFO, len(JOBZ)
+            stevd.argtypes = [ctypes.c_char_p, _int_p, _float_p, _float_p, _float_p, _int_p,
+                              _float_p, _int_p, _int_p, _int_p, _int_p, ctypes.c_size_t]
+            stevd.restype = None
+            set_threads.argtypes = [ctypes.c_int]
+            set_threads.restype = None
+            return lib
+    return None
+
+
+def limit_blas_threads(count):
+    """Cap this process's BLAS thread pool at ``count`` threads.
+
+    Does nothing where numpy's OpenBLAS cannot be found.
+    """
+    lib = _openblas()
+    if lib is not None:
+        lib.scipy_openblas_set_num_threads64_(count)
 
 
 def _DSYEVD(a):
@@ -43,6 +103,36 @@ def _DSYEVD(a):
     return vals, vecs, 0
 
 
+def _DSTEVD(diagonal, offdiagonal):
+    """LAPACK's ?stevd on a symmetric tridiagonal block: (eigenvalues, eigenvectors, info).
+
+    Returns None where numpy's OpenBLAS cannot be found.
+    """
+    lib = _openblas()
+    if lib is None:
+        return None
+    n = diagonal.size
+    # every buffer is a fresh float64 (or LAPACK-integer) array in the
+    # layout LAPACK expects, and stays referenced here until the call returns
+    vals = np.array(diagonal, dtype=np.float64)  # overwritten with the eigenvalues
+    work_e = np.zeros(n)  # E holds n - 1 entries and is overwritten
+    work_e[:-1] = offdiagonal
+    vecs = np.empty((n, n), order="F")
+    work = np.empty(1 + 4 * n + n * n)
+    iwork = np.empty(3 + 5 * n, dtype=_c_int)
+    info = _c_int()
+
+    def ref(value):
+        return ctypes.byref(_c_int(value))
+
+    def ptr(array, kind=_float_p):
+        return array.ctypes.data_as(kind)
+
+    lib.scipy_dstevd_64_(b"V", ref(n), ptr(vals), ptr(work_e), ptr(vecs), ref(n), ptr(work),
+                         ref(work.size), ptr(iwork, _int_p), ref(iwork.size), ctypes.byref(info), 1)
+    return vals, vecs, info.value
+
+
 def symmetrize(entries):
     """Return the exactly symmetric part (A + A.T) / 2 of a square matrix.
 
@@ -50,11 +140,12 @@ def symmetrize(entries):
     non-finite or whose sum overflows.  Every input entry reaches the
     result, so checking the result alone catches non-finite input too.
     """
-    a = np.array(entries, dtype=float)
+    a = np.asarray(entries, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise InvalidMatrix(f"expected a square matrix, got shape {a.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        sym = (a + a.T) / 2.0
+        sym = a + a.T  # a new array, so the result never aliases the input
+        sym /= 2.0
     if not np.all(np.isfinite(sym)):
         raise InvalidMatrix("matrix has non-finite entries or overflows when symmetrized")
     return sym
@@ -104,16 +195,56 @@ def _component_labels(m):
         labels = low
 
 
+def _tridiagonal(block):
+    """(diagonal, first off-diagonal) of a block that is tridiagonal in its row order, else None.
+
+    A connected block is tridiagonal exactly when its first off-diagonal
+    has no zero and nothing lies outside the three central diagonals.
+    The two O(n) diagonal reads turn away a dense block before the full
+    count is made.
+    """
+    off = np.diagonal(block, 1)
+    if np.diagonal(block, 2).any() or not off.all():
+        return None
+    diagonal = np.diagonal(block)
+    if np.count_nonzero(block) != np.count_nonzero(diagonal) + 2 * off.size:
+        return None
+    return diagonal, off
+
+
+def _solve_block(m, idx):
+    """(eigenvalues, eigenvectors, info) of the block of m on the ascending rows and columns idx.
+
+    A block of at least _STEVD_MIN_ROWS rows goes to ?stevd if it is
+    tridiagonal; every other block goes to ?syevd.  A block that large
+    is read as a view when its rows are evenly spaced, as the parity
+    sectors of the oscillator and the collective spin are, and copied
+    otherwise.
+    """
+    if idx.size < _STEVD_MIN_ROWS:
+        return _DSYEVD(m if idx.size == m.shape[0] else m[idx[:, None], idx])
+    step = idx[1] - idx[0]
+    if (np.diff(idx) == step).all():
+        rows = slice(idx[0], idx[-1] + 1, step)
+        block = m[rows, rows]
+    else:
+        block = m[idx[:, None], idx]
+    band = _tridiagonal(block)
+    solved = None if band is None else _DSTEVD(*band)
+    return _DSYEVD(block) if solved is None else solved
+
+
 def eigh(matrix):
     """Full eigendecomposition of a symmetric matrix with fixed signs.
 
     Each connected block of the nonzero pattern is diagonalized on its
-    own by LAPACK's divide-and-conquer ?syevd and its vectors are
-    sign-fixed; rows with no off-diagonal entry are their own
-    eigenvectors and need no solve.  The blocks' eigenvalues are merged
-    by a stable sort, so every eigenvector is supported in exactly one
-    block.  Raises DiagonalizationFailed when the solver does not
-    converge.
+    own, by LAPACK's tridiagonal divide-and-conquer ?stevd where the
+    block is tridiagonal and large enough (see the module docstring)
+    and by ?syevd otherwise, and its vectors are sign-fixed; rows with
+    no off-diagonal entry are their own eigenvectors and need no solve.
+    The blocks' eigenvalues are merged by a stable sort, so every
+    eigenvector is supported in exactly one block.  Raises
+    DiagonalizationFailed when the solver does not converge.
     """
     m = symmetrize(matrix)
     n = m.shape[0]
@@ -124,11 +255,12 @@ def eigh(matrix):
     blocks = []
     for root in (sizes > 1).nonzero()[0]:
         idx = (labels == root).nonzero()[0]
-        vals, vecs, info = _DSYEVD(m if idx.size == n else m[idx[:, None], idx])
+        vals, vecs, info = _solve_block(m, idx)
         if info != 0:
-            raise DiagonalizationFailed(f"syevd failed with info={info} on a block of size {idx.size}")
+            raise DiagonalizationFailed(f"LAPACK failed with info={info} on a block of size {idx.size}")
         vecs *= np.copysign(1.0, vecs[np.abs(vecs).argmax(axis=0), np.arange(idx.size)])
-        blocks.append((idx, vals, vecs))
+        # ?stevd's vectors are column-major; the scatter below reads rows far faster
+        blocks.append((idx, vals, np.ascontiguousarray(vecs)))
     del m
     merged = np.concatenate([diagonal] + [vals for _, vals, _ in blocks])
     order = np.argsort(merged, kind="stable")

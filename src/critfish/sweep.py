@@ -3,11 +3,13 @@
 A sweep is a flat list of independent cells, one per (g, temperature)
 pair.  Every cell is a pure function of the configuration, so the
 worker pool may evaluate them in any order and the assembled table is
-identical for serial and parallel runs.  Failed cells carry a status
-string instead of aborting the sweep; numeric columns are either finite
-(inf allowed for the T = 0 rows) or None.
+identical for serial and parallel runs (within the limit run_sweep
+states for BLAS threads).  Failed cells carry a status string instead
+of aborting the sweep; numeric columns are either finite (inf allowed
+for the T = 0 rows) or None.
 """
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -19,7 +21,7 @@ import numpy as np
 from .analytic import Prep, ToyParams, fi_errprop_closed, qfi_thermal_classical, qfi_thermal_quantum
 from .errors import ConfigError, CritfishError, WorkerDied
 from .fisher import cfi_projective, fi_error_propagation, qfi_fidelity_fd, qfi_spectral
-from .linalg import eigh
+from .linalg import eigh, limit_blas_threads
 from .models import ModelKind, build_model, toy_converged_truncation
 from .operators import make_chain_ops, make_dicke_ops, make_fock_ops
 from .thermal import beta_from_gap_ratio, gap, gibbs
@@ -236,18 +238,27 @@ def make_config(raw, enforce_critical=True):
 
 
 def measurement_observable(model_kind, size):
-    """The second-moment observable each model is measured with.
+    """The second-moment observable each model is measured with (read-only).
 
     Oscillator: the squared quadrature (a + a^dag)^2.  Spins: the square
     of the collective x spin (Pauli sums carry the factor 1/2 per site).
+    It does not depend on the coupling, so the last one built is kept
+    and every cell of a fixed-size sweep shares it.
     """
-    kind = ModelKind(model_kind)
+    return _observable(ModelKind(model_kind), size)
+
+
+@functools.lru_cache(maxsize=1)
+def _observable(kind, size):
     if kind is ModelKind.TOY:
-        return make_fock_ops(size).x2
-    if kind is ModelKind.LMG:
-        return make_dicke_ops(size).sx2
-    half_sx = make_chain_ops(size).sx_total / 2.0
-    return half_sx @ half_sx
+        observable = make_fock_ops(size).x2
+    elif kind is ModelKind.LMG:
+        observable = make_dicke_ops(size).sx2
+    else:
+        half_sx = make_chain_ops(size).sx_total / 2.0
+        observable = half_sx @ half_sx
+    observable.flags.writeable = False
+    return observable
 
 
 def _evaluate_cell(task):
@@ -340,13 +351,25 @@ def _worker_count(config):
 
 
 def run_sweep(config):
-    """Evaluate every (g, temperature) cell; rows come back in grid order."""
+    """Evaluate every (g, temperature) cell; rows come back in grid order.
+
+    Each pool worker caps its BLAS threads at its share of the cores, so
+    processes times BLAS threads never exceed them: otherwise every
+    worker's OpenBLAS starts one spinning thread per core and they
+    contend for the same cores.  Pooled rows equal serial ones bit for
+    bit where BLAS rounds alike with fewer threads.  OpenBLAS 0.3.31 on
+    2 cores does so at the benchmark's and the tests' sizes, but not at
+    every size: its products of 300- and 401-row matrices round
+    differently on one thread and on two.
+    """
     tasks = [(config, g, temp) for g in config.g_grid for temp in config.temp_grid]
     workers = _worker_count(config)
     if workers == 1 or len(tasks) == 1:
         return [_evaluate_cell(task) for task in tasks]
+    blas_threads = max(1, (os.cpu_count() or 1) // workers)
     try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=limit_blas_threads,
+                                 initargs=(blas_threads,)) as pool:
             chunk = max(1, len(tasks) // (4 * workers))
             return list(pool.map(_evaluate_cell, tasks, chunksize=chunk))
     except BrokenProcessPool as exc:

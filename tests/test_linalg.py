@@ -1,3 +1,5 @@
+import ctypes
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,6 +9,7 @@ from critfish import linalg
 from critfish.errors import DiagonalizationFailed, DimMismatch, InvalidMatrix, NotPSD
 from critfish.linalg import _component_labels, eigh, fidelity, psd_sqrt, symmetrize
 from critfish.models import build_model
+from critfish.thermal import density_matrix, gibbs
 
 
 def random_symmetric(rng, dim, scale=5.0):
@@ -24,6 +27,8 @@ def test_symmetrize_is_exact():
     a = np.array([[1.0, 2.0], [0.0, 3.0]])
     s = symmetrize(a)
     assert np.array_equal(s, s.T)
+    assert not np.shares_memory(s, a)
+    assert not np.shares_memory(symmetrize(s), s)  # an already symmetric input is copied too
 
 
 def test_symmetrize_rejects_bad_input():
@@ -200,6 +205,96 @@ def test_eigh_turns_a_lapack_error_into_diagonalization_failed(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(DiagonalizationFailed, match="block of size 3"):
         eigh(np.ones((3, 3)))
+
+
+def random_tridiagonal(rng, dim):
+    off = rng.uniform(0.5, 2.0, dim - 1) * rng.choice([-1.0, 1.0], dim - 1)
+    return np.diag(rng.normal(size=dim)) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def no_stevd(diagonal, offdiagonal):
+    return None  # what the hook returns where numpy's OpenBLAS is not found
+
+
+TRIDIAGONAL_CASES = {
+    "toy-128": lambda: build_model("toy", 1.0, 0.9, 128).H,
+    "toy-1024": lambda: build_model("toy", 1.0, 0.999, 1024).H,
+    "lmg-400-normal": lambda: build_model("lmg", 1.0, 0.6, 400).H,
+    "lmg-400-ordered": lambda: build_model("lmg", 1.0, 1.3, 400).H,
+    "random-tridiagonal": lambda: random_tridiagonal(np.random.default_rng(8), 200),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRIDIAGONAL_CASES))
+def test_tridiagonal_route_returns_the_bits_of_syevd(monkeypatch, case):
+    m = TRIDIAGONAL_CASES[case]()
+    solved = []
+    stevd = linalg._DSTEVD
+    monkeypatch.setattr(linalg, "_DSTEVD", lambda d, e: solved.append(d.size) or stevd(d, e))
+    routed = eigh(m)
+    assert solved and min(solved) >= linalg._STEVD_MIN_ROWS
+    monkeypatch.setattr(linalg, "_DSTEVD", no_stevd)
+    dense = eigh(m)
+    assert np.array_equal(routed.eigenvalues, dense.eigenvalues)
+    assert np.array_equal(routed.eigenvectors, dense.eigenvectors)
+    assert not routed.eigenvalues.flags.writeable and not routed.eigenvectors.flags.writeable
+
+
+def test_tridiagonal_route_is_taken_on_this_platform(monkeypatch):
+    # numpy's bundled OpenBLAS is found: no block of a toy Hamiltonian reaches ?syevd
+    def fail(a):
+        return None, None, 1
+
+    m = build_model("toy", 1.0, 0.9, 512).H
+    want = eigh(m)
+    monkeypatch.setattr(linalg, "_DSYEVD", fail)
+    got = eigh(m)
+    assert np.array_equal(got.eigenvalues, want.eigenvalues)
+    assert np.array_equal(got.eigenvectors, want.eigenvectors)
+
+
+def test_failing_stevd_raises_diagonalization_failed(monkeypatch):
+    monkeypatch.setattr(linalg, "_DSTEVD", lambda d, e: (None, None, 2))
+    with pytest.raises(DiagonalizationFailed, match="info=2 on a block of size 64"):
+        eigh(build_model("toy", 1.0, 0.5, 128).H)
+
+
+def beyond_the_band(rng, dim):
+    # tridiagonal but for one pair of entries three rows out: the O(n)
+    # off-diagonal reads pass it, only the full count turns it away
+    m = random_tridiagonal(rng, dim)
+    m[5, 8] = m[8, 5] = 0.75
+    return m
+
+
+NOT_TRIDIAGONAL_CASES = {
+    "dense-gibbs-state": lambda: density_matrix(gibbs(eigh(build_model("toy", 1.0, 0.5, 256).H), 0.5)),
+    "beyond-the-band": lambda: beyond_the_band(np.random.default_rng(9), 200),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_TRIDIAGONAL_CASES))
+def test_blocks_that_are_not_tridiagonal_never_take_the_route(monkeypatch, case):
+    def fail(diagonal, offdiagonal):
+        raise AssertionError("a block that is not tridiagonal reached ?stevd")
+
+    m = NOT_TRIDIAGONAL_CASES[case]()
+    assert min(len(c) for c in components(_component_labels(m))) >= linalg._STEVD_MIN_ROWS
+    monkeypatch.setattr(linalg, "_DSTEVD", fail)
+    spec = eigh(m)
+    scale = max(1.0, np.abs(m).max())
+    assert np.abs(m @ spec.eigenvectors - spec.eigenvectors * spec.eigenvalues).max() <= 1e-12 * scale
+
+
+def test_limit_blas_threads_sets_the_pool_of_numpys_openblas():
+    threads = linalg._openblas().scipy_openblas_get_num_threads64_
+    threads.argtypes, threads.restype = [], ctypes.c_int
+    before = threads()
+    try:
+        linalg.limit_blas_threads(1)
+        assert threads() == 1
+    finally:
+        linalg.limit_blas_threads(before)
 
 
 def test_psd_sqrt_basics():

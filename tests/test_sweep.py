@@ -194,6 +194,19 @@ def test_parallel_matches_serial():
     assert serial == parallel
 
 
+def test_measurement_observable_is_shared_and_read_only():
+    from critfish.operators import make_chain_ops
+    from critfish.sweep import measurement_observable
+
+    first = measurement_observable("ising", 4)
+    assert measurement_observable("ising", 4) is first
+    half_sx = make_chain_ops(4).sx_total / 2.0
+    assert np.array_equal(first, half_sx @ half_sx)
+    with pytest.raises(ValueError, match="read-only"):
+        first[0, 0] = 1.0
+    assert measurement_observable("lmg", 4).shape == (5, 5)
+
+
 def test_thread_env_var_caps_workers(monkeypatch):
     from critfish.sweep import _worker_count
 
@@ -218,16 +231,20 @@ def test_thread_env_var_rejects_non_positive_integers(monkeypatch, value):
 
 
 def test_failed_diagonalization_becomes_a_cell_status(monkeypatch):
-    solve = linalg._DSYEVD
+    # the first block solve fails, whichever of ?syevd and ?stevd it reaches
     calls = []
 
-    def fail_first(a):
-        calls.append(1)
-        if len(calls) == 1:
-            return np.zeros(a.shape[0]), a, 1
-        return solve(a)
+    def fail_first(solve):
+        def solver(*args):
+            calls.append(1)
+            if len(calls) == 1:
+                return None, None, 1
+            return solve(*args)
 
-    monkeypatch.setattr(linalg, "_DSYEVD", fail_first)
+        return solver
+
+    monkeypatch.setattr(linalg, "_DSYEVD", fail_first(linalg._DSYEVD))
+    monkeypatch.setattr(linalg, "_DSTEVD", fail_first(linalg._DSTEVD))
     rows = run_sweep(config(workers=1))
     assert rows[0].status == "cell:DiagonalizationFailed"
     assert rows[0].qfi_fidelity is None
