@@ -287,7 +287,9 @@ def test_blocks_that_are_not_tridiagonal_never_take_the_route(monkeypatch, case)
 
 
 def test_limit_blas_threads_sets_the_pool_of_numpys_openblas():
-    threads = linalg._openblas().scipy_openblas_get_num_threads64_
+    lib = linalg._openblas()
+    assert lib is not None, "numpy's bundled OpenBLAS was not found"
+    threads = lib.scipy_openblas_get_num_threads64_
     threads.argtypes, threads.restype = [], ctypes.c_int
     before = threads()
     try:
