@@ -25,7 +25,7 @@ from .fisher import (
     qfi_spectral,
     quantum_term_by_offset,
 )
-from .linalg import Spectrum, eigh, fidelity, psd_sqrt, symmetrize
+from .linalg import Banded, Spectrum, eigh, fidelity, psd_sqrt, symmetrize
 from .models import ModelInstance, ModelKind, build_model, toy_converged_truncation
 from .operators import make_chain_ops, make_dicke_ops, make_fock_ops
 from .sweep import SweepConfig, SweepRow, make_config, measurement_observable, run_sweep
@@ -34,6 +34,7 @@ from .thermal import ThermalState, beta_from_gap_ratio, density_matrix, gap, gib
 __version__ = "0.1.0"
 
 __all__ = [
+    "Banded",
     "FisherBreakdown",
     "ModelInstance",
     "ModelKind",

@@ -52,7 +52,7 @@ from .errors import (
     NoFDConvergence,
     ZeroVariance,
 )
-from .linalg import eigh, fidelity
+from .linalg import Banded, eigh, fidelity
 from .thermal import density_matrix, gibbs, thermal_expectation
 
 DEGENERACY_RTOL = 1e-10        # |E_i - E_j| below this * ||H|| counts as degenerate
@@ -86,14 +86,10 @@ class FisherBreakdown:
 
 def _degenerate_groups(values, tol):
     """Split ascending values into runs whose consecutive gaps stay <= tol."""
-    groups = []
-    start = 0
-    n = len(values)
-    for i in range(1, n + 1):
-        if i == n or values[i] - values[i - 1] > tol:
-            groups.append(range(start, i))
-            start = i
-    return groups
+    if len(values) == 0:
+        return []
+    edges = [0, *(np.flatnonzero(np.diff(values) > tol) + 1).tolist(), len(values)]
+    return [range(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
 
 
 def _rotated_generator(spectrum, generator, tol, probs):
@@ -116,9 +112,7 @@ def _rotated_generator(spectrum, generator, tol, probs):
     """
     v = spectrum.eigenvectors
     groups = _degenerate_groups(spectrum.eigenvalues, tol)
-    gid = np.empty(spectrum.dim, dtype=np.intp)
-    for k, group in enumerate(groups):
-        gid[group.start:group.stop] = k
+    gid = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
     last_heavy = np.flatnonzero(probs >= PAIR_WEIGHT_FLOOR / 2.0)[-1]  # the weights sum to 1
     weighted = groups[gid[last_heavy]].stop
     m = (generator[:, None] * v[:, :weighted]).T @ v
@@ -295,7 +289,8 @@ def _thermal_state(model, omega, beta):
 
 
 def _checked_observable(model, observable):
-    obs = np.asarray(observable, dtype=float)
+    """The observable as given when it is a band, else as a float array, checked against the model."""
+    obs = observable if isinstance(observable, Banded) else np.asarray(observable, dtype=float)
     if obs.shape != model.H.shape:
         raise DimMismatch(
             f"observable shape {obs.shape} does not match model dimension {model.H.shape}"
@@ -387,7 +382,7 @@ def fi_error_propagation(model, beta, observable, delta_omega=None, fd_rtol=FD_R
     only the mean and variance of one observable enter.  Raises
     ZeroVariance when the observable does not fluctuate in the state.
     """
-    obs = _checked_observable(model, observable)
+    obs = np.asarray(_checked_observable(model, observable))  # moments need the dense matrix
     omega = model.omega
     center = _thermal_state(model, omega, beta)
     mean = thermal_expectation(center, obs)

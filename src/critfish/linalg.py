@@ -1,32 +1,34 @@
-"""Dense real-symmetric linear algebra.
+"""Real-symmetric linear algebra on dense arrays and bands.
 
 Every operator in this package has real matrix elements in its chosen
-basis, so matrices are plain float64 ndarrays, symmetry is enforced
-exactly at construction and no complex arithmetic appears anywhere.
+basis, so matrices are float64 ndarrays or bands, symmetry is exact
+by construction and no complex arithmetic appears anywhere.
 Functions are pure and outputs never alias inputs, which makes all of
 this safe to call from parallel sweep workers.
 
-``eigh`` splits a matrix into the connected components of its exact
-nonzero pattern and diagonalizes each block on its own with LAPACK's
-divide-and-conquer ``?syevd`` through ``numpy.linalg.eigh``.  Every model
-Hamiltonian conserves a Z2 parity, and so do its Gibbs states and the
-measured squares, so their matrices fall apart into two parity sectors
-with exactly zero couplings between them, and the two half-size solves
-cost about a quarter of one dense solve.  A row with no off-diagonal
-entry (as in a pure or underflowed Gibbs state) is an eigenvector as it
-stands and needs no solve.  A matrix without such structure is one
-block.
+``eigh`` diagonalizes each connected block of a matrix on its own.
+Every model Hamiltonian conserves a Z2 parity, and so do its Gibbs
+states and the measured squares, so their matrices fall apart into two
+parity sectors with exactly zero couplings between them, and the two
+half-size solves cost about a quarter of one dense solve.  A row with no
+off-diagonal entry (as in a pure or underflowed Gibbs state) is an
+eigenvector as it stands and needs no solve.
 
-The oscillator and collective-spin parity blocks are more than sparse:
-each is an unreduced symmetric tridiagonal matrix in its own row order.
-A block like that with at least _STEVD_MIN_ROWS rows goes to LAPACK's
-tridiagonal divide and conquer ``?stevd``, which is handed only the
-diagonal and the first off-diagonal.  For such a block ``?syevd``'s
-Householder reduction meets nothing to eliminate: every reflector has
-tau = 0, so it hands the same diagonals to the same ``?stedc`` call and
-then back-transforms through identity reflectors.  Both routes return
-the same bits; ``?stevd`` skips the O(n^3) reduction and needs a
-smaller workspace.  Every other block keeps ``?syevd``.
+The oscillator and collective-spin Hamiltonians and their measured
+squares are held as a ``Banded``: a main diagonal plus one off-diagonal
+at offsets +-2, never an n x n array.  Each of their parity blocks is an
+unreduced symmetric tridiagonal matrix in its own row order, so ``eigh``
+reads a band's blocks off in O(n), as the residue chains mod k cut
+wherever the off-diagonal is zero.  A chain with at least
+_STEVD_MIN_ROWS rows goes to LAPACK's tridiagonal divide and conquer
+``?stevd``, which is handed only its two diagonals; a shorter chain goes
+to ``?syevd`` on its dense block.  A dense matrix is split into the
+connected components of its exact nonzero pattern, and every block goes
+to the divide-and-conquer ``?syevd`` through ``numpy.linalg.eigh``.  On
+a tridiagonal block ``?syevd``'s Householder reduction meets nothing to
+eliminate (every reflector has tau = 0), so it hands the same diagonals
+to the same ``?stedc`` call: a band and its dense matrix get the same
+bits, and ``?stevd`` skips the O(n^3) reduction.
 
 All BLAS and LAPACK work here goes through numpy's own OpenBLAS.  scipy
 ships a second OpenBLAS with its own thread pool, and switching between
@@ -35,13 +37,14 @@ contending for the same cores.  ``?stevd``, which numpy does not wrap,
 is called through ``ctypes`` in the OpenBLAS that numpy bundles and has
 already loaded.  The library is looked up at the first block that needs
 it; where it cannot be found (another numpy build, another platform)
-every block goes through ``?syevd`` and the results are the same.  The
+every chain goes through ``?syevd`` and the results are the same.  The
 same handle lets a sweep worker cap its BLAS threads
 (``limit_blas_threads``).
 """
 
 import ctypes
 import functools
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -168,6 +171,56 @@ class Spectrum:
         return int(self.eigenvalues.shape[0])
 
 
+def _dense(diagonal, off, k):
+    """The n x n matrix with ``diagonal`` on its main diagonal and ``off`` at offsets +-k."""
+    dense = np.diag(diagonal)
+    rows = np.arange(off.size)
+    dense[rows, rows + k] = off
+    dense[rows + k, rows] = off
+    return dense
+
+
+@dataclass(frozen=True, eq=False)
+class Banded:
+    """Symmetric matrix with a main diagonal and one off-diagonal at offsets +-k.
+
+    ``off[i]`` couples rows i and i + k, so it holds n - k entries (none
+    when n <= k).  Both arrays are copied as read-only float64.
+    ``np.asarray`` gives the dense matrix; ``eigh`` solves the band
+    without forming it.
+    """
+
+    diagonal: np.ndarray
+    off: np.ndarray
+    k: int = 1
+
+    def __post_init__(self):
+        object.__setattr__(self, "k", operator.index(self.k))
+        for name in ("diagonal", "off"):
+            array = np.array(getattr(self, name), dtype=np.float64)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        n = self.diagonal.size
+        if self.diagonal.ndim != 1 or n < 1 or self.k < 1 or self.off.shape != (max(n - self.k, 0),):
+            raise InvalidMatrix(
+                f"band needs a non-empty diagonal and n - k off-diagonal entries, got "
+                f"{self.diagonal.shape}, {self.off.shape} at k={self.k}"
+            )
+
+    @property
+    def shape(self):
+        return (self.diagonal.size, self.diagonal.size)
+
+    def __len__(self):
+        return self.diagonal.size
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("a band has no dense storage to share")
+        dense = _dense(self.diagonal, self.off, self.k)
+        return dense if dtype is None else dense.astype(dtype, copy=False)
+
+
 def _component_labels(m):
     """Label every row of m with the smallest row index of its component.
 
@@ -195,73 +248,83 @@ def _component_labels(m):
         labels = low
 
 
-def _tridiagonal(block):
-    """(diagonal, first off-diagonal) of a block that is tridiagonal in its row order, else None.
-
-    A connected block is tridiagonal exactly when its first off-diagonal
-    has no zero and nothing lies outside the three central diagonals.
-    The two O(n) diagonal reads turn away a dense block before the full
-    count is made.
-    """
-    off = np.diagonal(block, 1)
-    if np.diagonal(block, 2).any() or not off.all():
-        return None
-    diagonal = np.diagonal(block)
-    if np.count_nonzero(block) != np.count_nonzero(diagonal) + 2 * off.size:
-        return None
-    return diagonal, off
+def _sign_fixed(idx, solved):
+    """(idx, eigenvalues, eigenvectors) of one solved block, checked and sign-fixed."""
+    vals, vecs, info = solved
+    if info != 0:
+        raise DiagonalizationFailed(f"LAPACK failed with info={info} on a block of size {idx.size}")
+    vecs *= np.copysign(1.0, vecs[np.abs(vecs).argmax(axis=0), np.arange(idx.size)])
+    # ?stevd's vectors are column-major; the scatter in eigh reads rows far faster
+    return idx, vals, np.ascontiguousarray(vecs)
 
 
-def _solve_block(m, idx):
-    """(eigenvalues, eigenvectors, info) of the block of m on the ascending rows and columns idx.
-
-    A block of at least _STEVD_MIN_ROWS rows goes to ?stevd if it is
-    tridiagonal; every other block goes to ?syevd.  A block that large
-    is read as a view when its rows are evenly spaced, as the parity
-    sectors of the oscillator and the collective spin are, and copied
-    otherwise.
-    """
-    if idx.size < _STEVD_MIN_ROWS:
-        return _DSYEVD(m if idx.size == m.shape[0] else m[idx[:, None], idx])
-    step = idx[1] - idx[0]
-    if (np.diff(idx) == step).all():
-        rows = slice(idx[0], idx[-1] + 1, step)
-        block = m[rows, rows]
-    else:
-        block = m[idx[:, None], idx]
-    band = _tridiagonal(block)
-    solved = None if band is None else _DSTEVD(*band)
-    return _DSYEVD(block) if solved is None else solved
-
-
-def eigh(matrix):
-    """Full eigendecomposition of a symmetric matrix with fixed signs.
-
-    Each connected block of the nonzero pattern is diagonalized on its
-    own, by LAPACK's tridiagonal divide-and-conquer ?stevd where the
-    block is tridiagonal and large enough (see the module docstring)
-    and by ?syevd otherwise, and its vectors are sign-fixed; rows with
-    no off-diagonal entry are their own eigenvectors and need no solve.
-    The blocks' eigenvalues are merged by a stable sort, so every
-    eigenvector is supported in exactly one block.  Raises
-    DiagonalizationFailed when the solver does not converge.
-    """
+def _dense_blocks(matrix):
+    """Isolated rows, their diagonal and the solved connected blocks of a dense matrix."""
     m = symmetrize(matrix)
     n = m.shape[0]
     labels = _component_labels(m)
     sizes = np.bincount(labels, minlength=n)
     isolated = (sizes[labels] == 1).nonzero()[0]
-    diagonal = m[isolated, isolated]
     blocks = []
     for root in (sizes > 1).nonzero()[0]:
         idx = (labels == root).nonzero()[0]
-        vals, vecs, info = _solve_block(m, idx)
-        if info != 0:
-            raise DiagonalizationFailed(f"LAPACK failed with info={info} on a block of size {idx.size}")
-        vecs *= np.copysign(1.0, vecs[np.abs(vecs).argmax(axis=0), np.arange(idx.size)])
-        # ?stevd's vectors are column-major; the scatter below reads rows far faster
-        blocks.append((idx, vals, np.ascontiguousarray(vecs)))
-    del m
+        blocks.append(_sign_fixed(idx, _DSYEVD(m if idx.size == n else m[idx[:, None], idx])))
+    return isolated, m[isolated, isolated], blocks
+
+
+def _band_chains(band):
+    """Isolated rows and the row chains of a band's connected blocks, ordered by first row.
+
+    Row i couples only to i - k and i + k, so the blocks are the residue
+    classes mod k, cut wherever the off-diagonal entry is exactly zero.
+    """
+    n, k = len(band), band.k
+    isolated, chains = [], []
+    for start in range(min(k, n)):
+        rows = np.arange(start, n, k)
+        edges = np.concatenate(([0], np.flatnonzero(band.off[start::k] == 0.0) + 1, [rows.size]))
+        lone = np.diff(edges) == 1
+        isolated.append(rows[edges[:-1][lone]])
+        chains.extend(rows[lo:hi] for lo, hi in zip(edges[:-1][~lone], edges[1:][~lone]))
+    chains.sort(key=lambda idx: idx[0])
+    return np.sort(np.concatenate(isolated)), chains
+
+
+def _solve_chain(diagonal, off):
+    """(eigenvalues, eigenvectors, info) of an unreduced tridiagonal block.
+
+    A block of at least _STEVD_MIN_ROWS rows goes to ?stevd; a smaller
+    one, or any block where numpy's OpenBLAS is not found, to ?syevd on
+    the dense block.
+    """
+    solved = _DSTEVD(diagonal, off) if diagonal.size >= _STEVD_MIN_ROWS else None
+    return _DSYEVD(_dense(diagonal, off, 1)) if solved is None else solved
+
+
+def _band_blocks(band):
+    """Isolated rows, their diagonal and the solved blocks of a band, found in O(n)."""
+    if not (np.isfinite(band.diagonal).all() and np.isfinite(band.off).all()):
+        raise InvalidMatrix("band has non-finite entries")
+    isolated, chains = _band_chains(band)
+    blocks = [_sign_fixed(idx, _solve_chain(band.diagonal[idx], band.off[idx[:-1]])) for idx in chains]
+    return isolated, band.diagonal[isolated], blocks
+
+
+def eigh(matrix):
+    """Full eigendecomposition of a symmetric matrix with fixed signs.
+
+    ``matrix`` is a dense array or a Banded.  Each connected block is
+    diagonalized on its own and its vectors are sign-fixed; rows with no
+    off-diagonal entry are their own eigenvectors and need no solve.  A
+    band's blocks are its chains, solved by ?stevd once large enough;
+    a dense matrix's blocks are the components of its exact nonzero
+    pattern, solved by ?syevd (see the module docstring).  The blocks'
+    eigenvalues are merged by a stable sort, so every eigenvector is
+    supported in exactly one block.  Raises InvalidMatrix for non-finite
+    entries and DiagonalizationFailed when the solver does not converge.
+    """
+    isolated, diagonal, blocks = (_band_blocks if isinstance(matrix, Banded) else _dense_blocks)(matrix)
+    n = isolated.size + sum(idx.size for idx, _, _ in blocks)
     merged = np.concatenate([diagonal] + [vals for _, vals, _ in blocks])
     order = np.argsort(merged, kind="stable")
     column = order.argsort()  # output column of each entry of merged

@@ -9,7 +9,11 @@ Three families share the linear structure H = omega * dH - g * W:
 * ``ising`` -- Pauli ring, H = omega sum sigma_z - g sum sigma_x sigma_x.
 
 dH = dH/domega is exact, analytic and diagonal (the number operator,
-Sz, or the total sigma_z), so it is held as its diagonal; finite
+Sz, or the total sigma_z), so it is held as its diagonal.  The
+oscillator's and the collective spin's W has one off-diagonal, at
+offsets +-2, so their W and H are held as a ``linalg.Banded`` and no
+n x n matrix is formed (``np.asarray(model.H)`` gives it on request);
+the ring's are dense.  Finite
 differences are reserved for cross-checks and for derivatives of the
 thermal state itself.  Energy offsets are never
 normalized away: Gibbs weights and every Fisher quantity here are
@@ -23,6 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import BeyondCriticality, TruncationNotConverged
+from .linalg import Banded
 from .operators import make_chain_ops, make_dicke_ops, make_fock_ops
 
 # doubling ladder for the adaptive Fock truncation
@@ -43,21 +48,30 @@ class ModelInstance:
     ``size`` is the truncation n_max for the oscillator and the spin
     count N otherwise.  ``dH`` holds the generator's diagonal and
     ``coupling_term`` the normalized interaction W, so
-    H == np.diag(omega * dH) - g * coupling_term holds exactly.
+    np.asarray(H) == np.diag(omega * dH) - g * np.asarray(coupling_term)
+    holds exactly.  H and W are bands for toy and lmg and dense arrays
+    for ising.
     """
 
     kind: ModelKind
     omega: float
     g: float
     size: int
-    H: np.ndarray
+    H: object
     dH: np.ndarray
-    coupling_term: np.ndarray
+    coupling_term: object
 
     def at(self, omega):
         """The same model at another omega, with H formed exactly as build_model forms it."""
         _check_parameters(self.kind, omega, self.g)
-        return replace(self, omega=float(omega), H=np.diag(omega * self.dH) - self.g * self.coupling_term)
+        return replace(self, omega=float(omega), H=_hamiltonian(omega, self.g, self.dH, self.coupling_term))
+
+
+def _hamiltonian(omega, g, generator, coupling):
+    """H = omega * dH - g * W, a band when W is one."""
+    if isinstance(coupling, Banded):
+        return Banded(omega * generator - g * coupling.diagonal, -g * coupling.off, coupling.k)
+    return np.diag(omega * generator) - g * coupling
 
 
 def _check_parameters(kind, omega, g):
@@ -77,22 +91,21 @@ def build_model(kind, omega, g, size):
     if kind is ModelKind.TOY:
         ops = make_fock_ops(size)
         generator = ops.num
-        coupling = ops.x2 / 4.0
+        coupling = Banded(ops.x2.diagonal / 4.0, ops.x2.off / 4.0, 2)
     elif kind is ModelKind.LMG:
         ops = make_dicke_ops(size)
         generator = ops.sz
-        coupling = ops.sx2 / float(size)
+        coupling = Banded(ops.sx2.diagonal / float(size), ops.sx2.off / float(size), 2)
     else:
         ops = make_chain_ops(size)
         generator = ops.sz_total
         coupling = ops.xx_pbc
-    h = np.diag(omega * generator) - g * coupling
     return ModelInstance(
         kind=kind,
         omega=float(omega),
         g=float(g),
         size=int(size),
-        H=h,
+        H=_hamiltonian(omega, g, generator, coupling),
         dH=generator,
         coupling_term=coupling,
     )

@@ -4,8 +4,9 @@
 * collective spin in the maximal-spin (Dicke) basis j = N/2,
 * rings of spin-1/2 sites built from Pauli matrices (periodic closure).
 
-Constructors are pure; outputs are plain float64 arrays and safe to
-share between workers.  Spin conventions differ deliberately between
+Constructors are pure; outputs are float64 arrays, or read-only bands
+(``linalg.Banded``) for the squares that have one off-diagonal, and are
+safe to share between workers.  Spin conventions differ deliberately between
 the two spin families: collective operators are half-integer spin
 (a single spin gives +-1/2) while the ring uses bare Pauli matrices
 (eigenvalues +-1), matching how each Hamiltonian is written.  The two
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDimension
+from .linalg import Banded
 
 CHAIN_MAX_SITES = 14  # dense 2^N storage budget
 
@@ -26,9 +28,9 @@ CHAIN_MAX_SITES = 14  # dense 2^N storage budget
 class FockOps:
     """Ladder-derived operators on the truncated space |0> .. |n_max-1>.
 
-    ``num`` is the number operator's diagonal n.  ``x2`` holds the exact
-    matrix elements of (a + a^dag)^2 restricted to the truncation:
-    diagonal 2n+1, plus (n, n+2) couplings sqrt((n+1)(n+2)).  Squaring
+    ``num`` is the number operator's diagonal n.  ``x2`` is the band of
+    the exact matrix elements of (a + a^dag)^2 restricted to the
+    truncation: diagonal 2n+1, plus (n, n+2) couplings sqrt((n+1)(n+2)).  Squaring
     the truncated (a + a^dag) instead would zero out the ladder traffic
     through the cut and corrupt the top diagonal entry; with the exact
     elements the truncation error enters only through the missing levels
@@ -38,18 +40,15 @@ class FockOps:
 
     n_max: int
     num: np.ndarray
-    x2: np.ndarray
+    x2: Banded
 
 
 def make_fock_ops(n_max):
     if n_max < 2:
         raise InvalidDimension(f"need n_max >= 2, got {n_max}")
     n = np.arange(n_max, dtype=float)
-    x2 = np.diag(2.0 * n + 1.0)
-    if n_max > 2:
-        off = np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0))
-        x2 += np.diag(off, k=2) + np.diag(off, k=-2)
-    return FockOps(n_max=int(n_max), num=n, x2=x2)
+    off = np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0))
+    return FockOps(n_max=int(n_max), num=n, x2=Banded(2.0 * n + 1.0, off, 2))
 
 
 @dataclass(frozen=True)
@@ -58,13 +57,17 @@ class DickeOps:
 
     Basis ordered by magnetization m = -N/2 .. +N/2, so ``sz`` is the
     ascending diagonal m of Sz and sx is tridiagonal with
-    <m+1|Sx|m> = sqrt(j(j+1) - m(m+1)) / 2.
+    <m+1|Sx|m> = sqrt(j(j+1) - m(m+1)) / 2.  ``sx2`` is the band of
+    sx @ sx, whose only nonzero entries lie on the main diagonal and at
+    offsets +-2.  It takes them from the matrix product itself, since
+    the product's fused accumulation rounds some diagonal entries one
+    ulp away from a closed form.
     """
 
     N: int
     sz: np.ndarray
     sx: np.ndarray
-    sx2: np.ndarray
+    sx2: Banded
 
     @property
     def dim(self):
@@ -78,7 +81,8 @@ def make_dicke_ops(N):
     m = np.arange(N + 1, dtype=float) - j
     raising = np.sqrt(j * (j + 1.0) - m[:-1] * (m[:-1] + 1.0))
     sx = (np.diag(raising, k=-1) + np.diag(raising, k=1)) / 2.0
-    return DickeOps(N=int(N), sz=m, sx=sx, sx2=sx @ sx)
+    sx2 = sx @ sx
+    return DickeOps(N=int(N), sz=m, sx=sx, sx2=Banded(np.diagonal(sx2), np.diagonal(sx2, 2), 2))
 
 
 @dataclass(frozen=True)

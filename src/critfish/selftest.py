@@ -130,6 +130,16 @@ def _check_blocked_vs_dense():
     return ok, ", ".join(f"{name} relative error {err:.2e}" for name, err in worst.items())
 
 
+def _check_band_vs_dense():
+    for kind, size, g, beta in (("toy", 1024, 0.999, 50.0), ("lmg", 40, 1.3, 5.0)):
+        model = build_model(kind, 1.0, g, size)
+        band = qfi_spectral(model, gibbs(eigh(model.H), beta))
+        dense = qfi_spectral(model, gibbs(eigh(np.asarray(model.H)), beta))
+        if band != dense:
+            return False, f"{kind} N={size}: band route {band.total!r} != dense route {dense.total!r}"
+    return True, "toy 1024 and lmg 40: qfi_spectral identical on both routes"
+
+
 def _check_table_roundtrip():
     config = make_config(
         {
@@ -163,6 +173,7 @@ CHECKS = (
     ("estimator ordering", _check_estimator_ordering),
     ("blocked vs dense diagonalization", _check_blocked_vs_dense),
     ("table round-trip and parallel determinism", _check_table_roundtrip),
+    ("banded vs dense Hamiltonian route", _check_band_vs_dense),
 )
 
 

@@ -251,12 +251,11 @@ def measurement_observable(model_kind, size):
 @functools.lru_cache(maxsize=1)
 def _observable(kind, size):
     if kind is ModelKind.TOY:
-        observable = make_fock_ops(size).x2
-    elif kind is ModelKind.LMG:
-        observable = make_dicke_ops(size).sx2
-    else:
-        half_sx = make_chain_ops(size).sx_total / 2.0
-        observable = half_sx @ half_sx
+        return make_fock_ops(size).x2  # bands are read-only
+    if kind is ModelKind.LMG:
+        return make_dicke_ops(size).sx2
+    half_sx = make_chain_ops(size).sx_total / 2.0
+    observable = half_sx @ half_sx
     observable.flags.writeable = False
     return observable
 

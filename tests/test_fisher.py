@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from critfish.analytic import ToyParams, fi_errprop_closed, qfi_thermal_classical, qfi_thermal_quantum
 from critfish.errors import (
@@ -16,6 +17,7 @@ from critfish.fisher import (
     DEGENERACY_RTOL,
     PAIR_WEIGHT_FLOOR,
     PROB_FLOOR,
+    _degenerate_groups,
     cfi_projective,
     fi_error_propagation,
     qfi_fidelity_fd,
@@ -31,6 +33,32 @@ from critfish.thermal import ThermalState, gap, gibbs
 
 def thermal(model, beta):
     return gibbs(eigh(model.H), beta)
+
+
+def looped_groups(values, tol):
+    """The level-by-level loop _degenerate_groups replaced, kept as its reference."""
+    groups = []
+    start = 0
+    n = len(values)
+    for i in range(1, n + 1):
+        if i == n or values[i] - values[i - 1] > tol:
+            groups.append(range(start, i))
+            start = i
+    return groups
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    gaps=st.lists(st.sampled_from([0.0, 0.125, 0.25, 0.5, 1.0]), max_size=30),
+    tol=st.sampled_from([0.0, 0.125, 0.25, 0.5]),
+)
+@example(gaps=[], tol=0.25)  # no levels
+@example(gaps=[0.0], tol=0.25)  # one level
+@example(gaps=[0.0, 0.25, 0.25, 0.5, 0.25], tol=0.25)  # gaps exactly at tol stay in the group
+def test_degenerate_groups_match_the_level_loop(gaps, tol):
+    # dyadic gaps make every difference exact, so a gap can equal tol
+    values = np.cumsum(gaps)
+    assert _degenerate_groups(values, tol) == looped_groups(values, tol)
 
 
 # ------------------------------------------------------------- spectral route
@@ -52,6 +80,30 @@ def test_commuting_case_is_pure_probability_information(kind, size, beta):
     mean = float(np.dot(state.probs, slopes))
     variance = float(np.dot(state.probs, (slopes - mean) ** 2))
     assert breakdown.total == pytest.approx(beta ** 2 * variance, rel=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=st.sampled_from([("toy", 2, 200), ("lmg", 1, 30), ("ising", 3, 6)]),
+    size_at=st.floats(0.0, 1.0),
+    omega=st.floats(0.5, 2.0),
+    beta=st.floats(0.05, 20.0),
+)
+def test_uncoupled_information_is_the_generator_variance(case, size_at, omega, beta):
+    # g = 0 for every model: the quantum part is exactly zero and the total
+    # is beta^2 Var_p(dH), with the Gibbs weights formed here from dH alone.
+    # For toy and lmg every row of the band is isolated.
+    kind, low, high = case
+    size = low + round(size_at * (high - low))
+    model = build_model(kind, omega, 0.0, size)
+    breakdown = qfi_spectral(model, thermal(model, beta))
+    energies = omega * model.dH
+    weights = np.exp(-beta * (energies - energies.min()))
+    weights /= weights.sum()
+    mean = float(np.dot(weights, model.dH))
+    variance = float(np.dot(weights, (model.dH - mean) ** 2))
+    assert breakdown.quantum_part == 0.0
+    assert breakdown.total == pytest.approx(beta ** 2 * variance, rel=1e-12)
 
 
 def test_breakdown_sums_and_metadata():

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from critfish import linalg
 from critfish.errors import DiagonalizationFailed, DimMismatch, InvalidMatrix, NotPSD
-from critfish.linalg import _component_labels, eigh, fidelity, psd_sqrt, symmetrize
+from critfish.linalg import Banded, _band_chains, _component_labels, eigh, fidelity, psd_sqrt, symmetrize
 from critfish.models import build_model
+from critfish.operators import make_dicke_ops, make_fock_ops
 from critfish.thermal import density_matrix, gibbs
 
 
@@ -207,9 +208,13 @@ def test_eigh_turns_a_lapack_error_into_diagonalization_failed(monkeypatch):
         eigh(np.ones((3, 3)))
 
 
+def random_band(rng, dim, k=1):
+    off = rng.uniform(0.5, 2.0, dim - k) * rng.choice([-1.0, 1.0], dim - k)
+    return Banded(rng.normal(size=dim), off, k)
+
+
 def random_tridiagonal(rng, dim):
-    off = rng.uniform(0.5, 2.0, dim - 1) * rng.choice([-1.0, 1.0], dim - 1)
-    return np.diag(rng.normal(size=dim)) + np.diag(off, 1) + np.diag(off, -1)
+    return np.asarray(random_band(rng, dim))
 
 
 def no_stevd(diagonal, offdiagonal):
@@ -221,7 +226,7 @@ TRIDIAGONAL_CASES = {
     "toy-1024": lambda: build_model("toy", 1.0, 0.999, 1024).H,
     "lmg-400-normal": lambda: build_model("lmg", 1.0, 0.6, 400).H,
     "lmg-400-ordered": lambda: build_model("lmg", 1.0, 1.3, 400).H,
-    "random-tridiagonal": lambda: random_tridiagonal(np.random.default_rng(8), 200),
+    "random-tridiagonal": lambda: random_band(np.random.default_rng(8), 200),
 }
 
 
@@ -260,8 +265,7 @@ def test_failing_stevd_raises_diagonalization_failed(monkeypatch):
 
 
 def beyond_the_band(rng, dim):
-    # tridiagonal but for one pair of entries three rows out: the O(n)
-    # off-diagonal reads pass it, only the full count turns it away
+    # tridiagonal but for one pair of entries three rows out
     m = random_tridiagonal(rng, dim)
     m[5, 8] = m[8, 5] = 0.75
     return m
@@ -270,13 +274,16 @@ def beyond_the_band(rng, dim):
 NOT_TRIDIAGONAL_CASES = {
     "dense-gibbs-state": lambda: density_matrix(gibbs(eigh(build_model("toy", 1.0, 0.5, 256).H), 0.5)),
     "beyond-the-band": lambda: beyond_the_band(np.random.default_rng(9), 200),
+    "dense-toy-hamiltonian": lambda: np.asarray(build_model("toy", 1.0, 0.9, 256).H),
 }
 
 
 @pytest.mark.parametrize("case", sorted(NOT_TRIDIAGONAL_CASES))
 def test_blocks_that_are_not_tridiagonal_never_take_the_route(monkeypatch, case):
+    # only a band reaches ?stevd: every block of a dense matrix, a
+    # tridiagonal one included, goes to ?syevd
     def fail(diagonal, offdiagonal):
-        raise AssertionError("a block that is not tridiagonal reached ?stevd")
+        raise AssertionError("a block of a dense matrix reached ?stevd")
 
     m = NOT_TRIDIAGONAL_CASES[case]()
     assert min(len(c) for c in components(_component_labels(m))) >= linalg._STEVD_MIN_ROWS
@@ -284,6 +291,87 @@ def test_blocks_that_are_not_tridiagonal_never_take_the_route(monkeypatch, case)
     spec = eigh(m)
     scale = max(1.0, np.abs(m).max())
     assert np.abs(m @ spec.eigenvectors - spec.eigenvectors * spec.eigenvalues).max() <= 1e-12 * scale
+
+
+def cut_band(rng, dim, k, zeros):
+    band = random_band(rng, dim, k)
+    off = band.off.copy()
+    off[zeros] = 0.0
+    return Banded(band.diagonal, off, k)
+
+
+BAND_CASES = {
+    **{f"toy-{n}": (lambda n=n: build_model("toy", 1.0, 0.9, n).H) for n in (2, 3, 64, 65, 128)},
+    "toy-2048": lambda: build_model("toy", 1.0, 0.999, 2048).H,
+    **{f"lmg-{n}": (lambda n=n: build_model("lmg", 1.0, 1.3, n).H) for n in (1, 4, 20, 400)},
+    "toy-g0": lambda: build_model("toy", 1.0, 0.0, 128).H,
+    "lmg-g0": lambda: build_model("lmg", 1.0, 0.0, 20).H,
+    "toy-x2": lambda: make_fock_ops(300).x2,
+    "lmg-sx2": lambda: make_dicke_ops(150).sx2,
+    # interior zeros cut chains into pieces above and below _STEVD_MIN_ROWS,
+    # and into single rows
+    "cut-k2": lambda: cut_band(np.random.default_rng(12), 400, 2, [0, 5, 6, 7, 90, 91, 250]),
+    "cut-k1": lambda: cut_band(np.random.default_rng(13), 300, 1, [0, 1, 40, 41, 150, 298]),
+    "k1": lambda: random_band(np.random.default_rng(14), 150),
+    "k3": lambda: random_band(np.random.default_rng(15), 100, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAND_CASES))
+def test_band_route_returns_the_bits_of_the_dense_route(case):
+    band = BAND_CASES[case]()
+    routed = eigh(band)
+    dense = eigh(np.asarray(band))
+    assert np.array_equal(routed.eigenvalues, dense.eigenvalues)
+    assert np.array_equal(routed.eigenvectors, dense.eigenvectors)
+    assert not routed.eigenvalues.flags.writeable and not routed.eigenvectors.flags.writeable
+
+
+def test_band_chains_are_the_components_of_the_dense_pattern():
+    band = cut_band(np.random.default_rng(16), 40, 2, [0, 3, 5, 20, 21])
+    isolated, chains = _band_chains(band)
+    found = sorted([[int(i)] for i in isolated] + [idx.tolist() for idx in chains])
+    assert found == components(_component_labels(np.asarray(band)))
+    assert [idx[0] for idx in chains] == sorted(idx[0] for idx in chains)
+    assert isolated.tolist() == [0, 5]  # row 5 lost both links: off[3] and off[5]
+
+
+def test_band_of_every_isolated_row_needs_no_solve(monkeypatch):
+    def fail(*args):
+        raise AssertionError("an isolated row reached LAPACK")
+
+    monkeypatch.setattr(linalg, "_DSTEVD", fail)
+    monkeypatch.setattr(linalg, "_DSYEVD", fail)
+    spec = eigh(build_model("toy", 1.0, 0.0, 256).H)
+    assert np.array_equal(spec.eigenvalues, np.arange(256.0))
+    assert np.array_equal(spec.eigenvectors, np.eye(256))
+
+
+def test_band_to_dense_and_shape():
+    band = Banded([1.0, 2.0, 3.0, 4.0], [5.0, 6.0], 2)
+    want = np.array([[1, 0, 5, 0], [0, 2, 0, 6], [5, 0, 3, 0], [0, 6, 0, 4]], dtype=float)
+    assert np.array_equal(np.asarray(band), want)
+    assert band.shape == (4, 4) and len(band) == 4
+    assert np.asarray(band, dtype=np.float32).dtype == np.float32
+    assert not band.diagonal.flags.writeable and not band.off.flags.writeable
+    with pytest.raises(ValueError):
+        np.asarray(band, copy=False)
+    assert np.array_equal(np.asarray(Banded([7.0], [], 2)), [[7.0]])
+
+
+@pytest.mark.parametrize("diagonal,off,k", [([1.0, 2.0], [1.0, 2.0], 1), ([], [], 1), ([1.0, 2.0], [], 0)])
+def test_band_rejects_a_bad_layout(diagonal, off, k):
+    with pytest.raises(InvalidMatrix):
+        Banded(diagonal, off, k)
+
+
+@pytest.mark.parametrize("bad", ["diagonal", "off"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_band_with_non_finite_entries_raises_invalid_matrix(bad, value):
+    diagonal, off = np.ones(5), np.ones(3)
+    {"diagonal": diagonal, "off": off}[bad][1] = value
+    with pytest.raises(InvalidMatrix):
+        eigh(Banded(diagonal, off, 2))
 
 
 def test_limit_blas_threads_sets_the_pool_of_numpys_openblas():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ def test_ising_free_spins():
 def test_linear_structure_exact():
     for kind, size in (("toy", 16), ("lmg", 8), ("ising", 4)):
         model = build_model(kind, 1.3, 0.4, size)
-        rebuilt = np.diag(1.3 * model.dH) - 0.4 * model.coupling_term
+        rebuilt = np.diag(1.3 * model.dH) - 0.4 * np.asarray(model.coupling_term)
         assert np.array_equal(model.H, rebuilt)
 
 
@@ -48,6 +49,24 @@ def test_at_forms_the_hamiltonian_build_model_forms(kind, size):
         moved = model.at(w)
         assert moved.omega == w and moved.g == model.g and moved.size == model.size
         assert np.array_equal(moved.H, build_model(kind, w, 0.4, size).H)
+
+
+def test_toy_band_build_forms_no_dense_matrix():
+    # a dense 2048 x 2048 float64 matrix alone is 32 MB
+    tracemalloc.start()
+    try:
+        model = build_model("toy", 1.0, 0.5, 2048)
+        _, built = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        moved = model.at(1.001)
+        _, moved_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert built < 2 ** 20 and moved_peak < 2 ** 20
+    assert isinstance(model.H, linalg.Banded) and isinstance(moved.H, linalg.Banded)
+    assert isinstance(model.coupling_term, linalg.Banded)
+    assert isinstance(build_model("lmg", 1.0, 0.5, 8).H, linalg.Banded)
+    assert isinstance(build_model("ising", 1.0, 0.5, 3).H, np.ndarray)
 
 
 def test_at_keeps_the_parameter_checks():

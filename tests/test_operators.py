@@ -26,12 +26,12 @@ def test_fock_number_operator():
 
 def test_fock_x2_matrix_elements():
     # ladder algebra: <n|(a+a^dag)^2|n> = 2n+1, <n+2|...|n> = sqrt((n+1)(n+2))
-    ops = make_fock_ops(9)
+    x2 = np.asarray(make_fock_ops(9).x2)
     for n in range(9):
-        assert ops.x2[n, n] == pytest.approx(2 * n + 1)
+        assert x2[n, n] == pytest.approx(2 * n + 1)
     for n in range(7):
-        assert ops.x2[n + 2, n] == pytest.approx(np.sqrt((n + 1) * (n + 2)))
-    assert np.array_equal(ops.x2, ops.x2.T)
+        assert x2[n + 2, n] == pytest.approx(np.sqrt((n + 1) * (n + 2)))
+    assert np.array_equal(x2, x2.T)
 
 
 def test_fock_x2_smallest_truncation():
@@ -86,6 +86,13 @@ def test_dicke_casimir_positive(N):
     sy2 = j * (j + 1.0) * np.eye(N + 1) - ops.sx2 - np.diag(ops.sz ** 2)
     low = scipy.linalg.eigvalsh((sy2 + sy2.T) / 2.0)[0]
     assert low >= -1e-10 * max(1.0, j * (j + 1.0))
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 40])
+def test_dicke_sx2_band_holds_the_bits_of_the_product(N):
+    ops = make_dicke_ops(N)
+    assert ops.sx2.k == 2
+    assert np.array_equal(np.asarray(ops.sx2), ops.sx @ ops.sx)
 
 
 def test_dicke_rejects_zero_spins():
@@ -156,4 +163,5 @@ def test_all_operator_matrices_exactly_symmetric():
     dicke = make_dicke_ops(6)
     chain = make_chain_ops(4)
     for m in (fock.x2, dicke.sx, dicke.sx2, chain.sx_total, chain.xx_pbc):
+        m = np.asarray(m)
         assert np.array_equal(m, m.T)

@@ -160,7 +160,7 @@ def test_toy_second_moment_matches_closed_form(g, beta_eff):
     params = ToyParams(omega=1.0, g=g, beta=beta)
     model, spectrum = toy_converged_truncation(1.0, g, beta)
     state = gibbs(spectrum, beta)
-    ops_x2 = model.coupling_term * 4.0
+    ops_x2 = np.asarray(model.coupling_term) * 4.0
     mean2, var2 = quadrature_moments(params)
     got_mean = thermal_expectation(state, ops_x2)
     got_var = thermal_expectation(state, ops_x2 @ ops_x2) - got_mean ** 2
