@@ -173,10 +173,12 @@ class Spectrum:
 
 def _dense(diagonal, off, k):
     """The n x n matrix with ``diagonal`` on its main diagonal and ``off`` at offsets +-k."""
-    dense = np.diag(diagonal)
-    rows = np.arange(off.size)
-    dense[rows, rows + k] = off
-    dense[rows + k, rows] = off
+    n = diagonal.size
+    dense = np.zeros((n, n))
+    flat = dense.reshape(-1)  # a view: entry (i, j) sits at i * n + j
+    flat[:: n + 1] = diagonal
+    flat[k:(n - k) * n:n + 1] = off
+    flat[k * n::n + 1] = off
     return dense
 
 
@@ -279,15 +281,20 @@ def _band_chains(band):
     classes mod k, cut wherever the off-diagonal entry is exactly zero.
     """
     n, k = len(band), band.k
+    # positions along each residue class where a chain starts or ends
+    edges = [[0] for _ in range(min(k, n))]
+    for cut in np.flatnonzero(band.off == 0.0).tolist():  # rows cut and cut + k are not linked
+        edges[cut % k].append(cut // k + 1)
     isolated, chains = [], []
-    for start in range(min(k, n)):
-        rows = np.arange(start, n, k)
-        edges = np.concatenate(([0], np.flatnonzero(band.off[start::k] == 0.0) + 1, [rows.size]))
-        lone = np.diff(edges) == 1
-        isolated.append(rows[edges[:-1][lone]])
-        chains.extend(rows[lo:hi] for lo, hi in zip(edges[:-1][~lone], edges[1:][~lone]))
-    chains.sort(key=lambda idx: idx[0])
-    return np.sort(np.concatenate(isolated)), chains
+    for start, bounds in enumerate(edges):
+        bounds.append(len(range(start, n, k)))
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            if hi - lo == 1:
+                isolated.append(start + lo * k)
+            else:
+                chains.append((start + lo * k, np.arange(start + lo * k, start + hi * k, k)))
+    chains.sort(key=lambda chain: chain[0])
+    return np.array(sorted(isolated), dtype=np.intp), [rows for _, rows in chains]
 
 
 def _solve_chain(diagonal, off):
