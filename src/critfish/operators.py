@@ -6,8 +6,8 @@
 
 Constructors are pure; outputs are float64 arrays, or read-only bands
 (``linalg.Banded``) for the squares that have one off-diagonal, and are
-safe to share between workers.  Spin conventions differ deliberately between
-the two spin families: collective operators are half-integer spin
+safe to share between workers.  Spin conventions differ deliberately
+between the two spin families: collective operators are half-integer spin
 (a single spin gives +-1/2) while the ring uses bare Pauli matrices
 (eigenvalues +-1), matching how each Hamiltonian is written.  The two
 are never mixed.
@@ -30,11 +30,11 @@ class FockOps:
 
     ``num`` is the number operator's diagonal n.  ``x2`` is the band of
     the exact matrix elements of (a + a^dag)^2 restricted to the
-    truncation: diagonal 2n+1, plus (n, n+2) couplings sqrt((n+1)(n+2)).  Squaring
-    the truncated (a + a^dag) instead would zero out the ladder traffic
-    through the cut and corrupt the top diagonal entry; with the exact
-    elements the truncation error enters only through the missing levels
-    themselves.  No annihilation matrix is kept: the model needs only
+    truncation: diagonal 2n+1, plus (n, n+2) couplings sqrt((n+1)(n+2)).
+    Squaring the truncated (a + a^dag) instead would zero out the ladder
+    traffic through the cut and corrupt the top diagonal entry; with the
+    exact elements the truncation error enters only through the missing
+    levels themselves.  No annihilation matrix is kept: the model needs only
     these two, and at n_max = 2048 a dense one is 32 MB per build.
     """
 
