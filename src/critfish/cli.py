@@ -15,6 +15,7 @@ import numpy as np
 
 from . import selftest as selftest_module
 from .errors import ConfigError, CritfishError
+from .fisher import FD_RTOL
 from .sweep import (
     ESTIMATOR_NAMES,
     make_config,
@@ -37,12 +38,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(1)
-
-
-def _temp_value(text):
-    if text.lower() in ("inf", "infinity"):
-        return math.inf
-    return float(text)
 
 
 def _size_value(text):
@@ -119,12 +114,12 @@ def _build_parser():
     point.add_argument("--omega", type=float, default=1.0)
     point.add_argument("-g", "--coupling", required=True, type=float)
     group = point.add_mutually_exclusive_group(required=True)
-    group.add_argument("--beta-gap", type=_temp_value, help="beta as a multiple of the gap; 'inf' for T = 0")
-    group.add_argument("--beta", type=_temp_value, help="explicit inverse temperature; 'inf' for T = 0")
+    group.add_argument("--beta-gap", help="beta as a multiple of the gap; 'inf' for T = 0")
+    group.add_argument("--beta", help="explicit inverse temperature; 'inf' for T = 0")
     point.add_argument("--estimators", default="qfi_spectral,qfi_fidelity",
                        help="comma list from: " + ",".join(ESTIMATOR_NAMES))
     point.add_argument("--delta-omega", type=float, default=None)
-    point.add_argument("--fd-rtol", type=float, default=1e-3)
+    point.add_argument("--fd-rtol", type=float, default=FD_RTOL)
 
     swp = sub.add_parser("sweep", help="run a JSON config file")
     swp.add_argument("--config", required=True)

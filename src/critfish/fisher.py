@@ -34,6 +34,10 @@ move it along omega with ``ModelInstance.at``, which re-forms
 H = omega * dH - g * W from the parts the model already holds, so no
 operator is rebuilt on a ladder rung.
 
+The tolerances below are module constants, not parameters: only the
+ladder's relative agreement ``fd_rtol`` and its first step
+``delta_omega`` are arguments of the finite-difference estimators.
+
 All estimators are pure functions of their arguments; grid points of a
 parameter sweep can run in parallel without coordination.
 """
@@ -62,6 +66,7 @@ OUTCOME_GROUP_RTOL = 1e-10     # merge observable eigenvalues within this * scal
 OUTCOME_PROB_FLOOR = 1e-12     # skip measurement outcomes below this probability
 FD_RTOL = 1e-3                 # ladder acceptance: consecutive estimates agree to this
 FD_ATOL = 1e-10                # absolute slack for near-zero estimates
+ERRPROP_FD_ATOL = 1e-12        # the same slack for the error-propagation slope
 FD_DELTA_FACTOR = 1e-4         # default starting step, in units of omega
 FD_DELTA_MIN_FACTOR = 1e-8     # smallest step the ladder will try, in units of omega
 VARIANCE_FLOOR_RTOL = 1e-14    # ZeroVariance below this * scale^2
@@ -176,7 +181,7 @@ def _clamp_part(value):
     return max(value, 0.0)
 
 
-def _spectral_terms(model, state, degeneracy_rtol):
+def _spectral_terms(model, state):
     """Checked inputs of the spectral sums: (energies, probs, tol, elements, slopes, gid)."""
     if state.dim != model.H.shape[0]:
         raise DimMismatch(
@@ -187,12 +192,12 @@ def _spectral_terms(model, state, degeneracy_rtol):
             "spectral decomposition needs finite beta; at T = 0 use qfi_pure or qfi_fidelity_fd"
         )
     energies = state.spectrum.eigenvalues
-    tol = degeneracy_rtol * max(1.0, float(np.max(np.abs(energies))))
+    tol = DEGENERACY_RTOL * max(1.0, float(np.max(np.abs(energies))))
     elements, slopes, gid = _rotated_generator(state.spectrum, model.dH, tol, state.probs)
     return energies, state.probs, tol, elements, slopes, gid
 
 
-def qfi_spectral(model, state, degeneracy_rtol=DEGENERACY_RTOL):
+def qfi_spectral(model, state):
     """Quantum Fisher information of a finite-temperature Gibbs state.
 
     classical_part = sum_n (dp_n/domega)^2 / p_n with Hellmann-Feynman
@@ -200,7 +205,7 @@ def qfi_spectral(model, state, degeneracy_rtol=DEGENERACY_RTOL):
     <n|dH|m> / (E_m - E_n).  Requires finite beta (use qfi_pure or
     qfi_fidelity_fd for the T = 0 curve).
     """
-    energies, probs, tol, elements, level_slopes, gid = _spectral_terms(model, state, degeneracy_rtol)
+    energies, probs, tol, elements, level_slopes, gid = _spectral_terms(model, state)
 
     mean_slope = float(np.dot(probs, level_slopes))
     dprobs = -state.beta * probs * (level_slopes - mean_slope)
@@ -226,7 +231,7 @@ def qfi_spectral(model, state, degeneracy_rtol=DEGENERACY_RTOL):
     )
 
 
-def quantum_term_by_offset(model, state, degeneracy_rtol=DEGENERACY_RTOL):
+def quantum_term_by_offset(model, state):
     """Quantum-term mass of qfi_spectral, resolved by level distance |n - m|.
 
     Diagnostic companion to qfi_spectral: returns an array whose k-th
@@ -234,18 +239,18 @@ def quantum_term_by_offset(model, state, degeneracy_rtol=DEGENERACY_RTOL):
     always zero).  For the oscillator model essentially all mass sits at
     distance 2.
     """
-    energies, probs, _, elements, _, gid = _spectral_terms(model, state, degeneracy_rtol)
+    energies, probs, _, elements, _, gid = _spectral_terms(model, state)
     _, offsets = _quantum_pair_sum(energies, probs, elements, gid, by_offset=True)
     return offsets
 
 
-def qfi_pure(model, spectrum, level=0, degeneracy_rtol=DEGENERACY_RTOL):
+def qfi_pure(model, spectrum, level=0):
     """Fisher information of one eigenstate: 4 sum_{m!=n} |<m|dH|n>|^2/(E_n-E_m)^2."""
     energies = spectrum.eigenvalues
     d = spectrum.dim
     if not 0 <= level < d:
         raise ValueError(f"level {level} out of range for dimension {d}")
-    tol = degeneracy_rtol * max(1.0, float(np.max(np.abs(energies))))
+    tol = DEGENERACY_RTOL * max(1.0, float(np.max(np.abs(energies))))
     if (level > 0 and energies[level] - energies[level - 1] <= tol) or (
         level < d - 1 and energies[level + 1] - energies[level] <= tol
     ):
@@ -298,13 +303,13 @@ def _checked_observable(model, observable):
     return obs
 
 
-def qfi_fidelity_fd(model, beta, delta_omega=None, fd_rtol=FD_RTOL, fd_atol=FD_ATOL):
+def qfi_fidelity_fd(model, beta, delta_omega=None, fd_rtol=FD_RTOL):
     """Quantum Fisher information from the fidelity between neighbours:
 
         8 * (1 - sqrt(F[rho(omega - d/2), rho(omega + d/2)])) / d^2
 
     with the step halved until two consecutive estimates agree to
-    ``fd_rtol`` (plus ``fd_atol`` absolute).  The square root matters:
+    ``fd_rtol`` (plus FD_ATOL absolute).  The square root matters:
     1 - F itself shrinks like QFI * d^2 / 4, so feeding the squared
     fidelity into the /8 form would return twice the Fisher information
     (pure states make this obvious: F = |<psi|psi'>|^2 = 1 - QFI d^2/4).
@@ -325,7 +330,7 @@ def qfi_fidelity_fd(model, beta, delta_omega=None, fd_rtol=FD_RTOL, fd_atol=FD_A
             infidelity = 0.0
         return 8.0 * infidelity / step ** 2
 
-    value, _ = _fd_ladder(estimate, omega, delta_omega, fd_rtol, fd_atol)
+    value, _ = _fd_ladder(estimate, omega, delta_omega, fd_rtol, FD_ATOL)
     return max(value, 0.0)
 
 
@@ -342,7 +347,7 @@ def _outcome_projectors(observable):
     return spec.eigenvectors, groups
 
 
-def cfi_projective(model, beta, observable, delta_omega=None, fd_rtol=FD_RTOL, fd_atol=FD_ATOL):
+def cfi_projective(model, beta, observable, delta_omega=None, fd_rtol=FD_RTOL):
     """Classical Fisher information of projectively measuring an observable.
 
     Outcome probabilities p_k(omega) = tr(rho(omega) Pi_k) are formed
@@ -371,11 +376,11 @@ def cfi_projective(model, beta, observable, delta_omega=None, fd_rtol=FD_RTOL, f
         slopes = (plus - minus) / step
         return float(np.sum(slopes[keep] ** 2 / center[keep]))
 
-    value, _ = _fd_ladder(estimate, omega, delta_omega, fd_rtol, fd_atol)
+    value, _ = _fd_ladder(estimate, omega, delta_omega, fd_rtol, FD_ATOL)
     return max(value, 0.0)
 
 
-def fi_error_propagation(model, beta, observable, delta_omega=None, fd_rtol=FD_RTOL, fd_atol=1e-12):
+def fi_error_propagation(model, beta, observable, delta_omega=None, fd_rtol=FD_RTOL):
     """Two-moment Fisher information (d<A>/domega)^2 / Var(A).
 
     The weakest of the three estimators but the cheapest experimentally:
@@ -397,5 +402,5 @@ def fi_error_propagation(model, beta, observable, delta_omega=None, fd_rtol=FD_R
         minus = thermal_expectation(_thermal_state(model, omega - step / 2.0, beta), obs)
         return (plus - minus) / step
 
-    slope, _ = _fd_ladder(estimate, omega, delta_omega, fd_rtol, fd_atol)
+    slope, _ = _fd_ladder(estimate, omega, delta_omega, fd_rtol, ERRPROP_FD_ATOL)
     return slope ** 2 / variance

@@ -17,7 +17,8 @@ the ring's are dense.  Finite
 differences are reserved for cross-checks and for derivatives of the
 thermal state itself.  Energy offsets are never
 normalized away: Gibbs weights and every Fisher quantity here are
-offset-invariant.
+offset-invariant.  The adaptive oscillator truncation doubles its size
+until the Fisher total moves by less than TRUNCATION_RTOL (1e-8).
 """
 
 import math
@@ -111,12 +112,12 @@ def build_model(kind, omega, g, size):
     )
 
 
-def toy_converged_truncation(omega, g, beta, rtol=TRUNCATION_RTOL):
+def toy_converged_truncation(omega, g, beta):
     """Smallest doubling-ladder model at which the thermal Fisher total settles.
 
     Runs the spectral estimator at consecutive sizes 64, 128, ... and
     returns ``(model, spectrum)`` of the first size whose value agrees
-    with the next one to ``rtol`` relative; only that previous rung is
+    with the next one to TRUNCATION_RTOL relative; only that previous rung is
     kept while the next is solved.  At beta = inf the ground-state Fisher
     information is the convergence functional instead.  Raises
     TruncationNotConverged (carrying the last two values) at the 4096 cap.
@@ -136,7 +137,7 @@ def toy_converged_truncation(omega, g, beta, rtol=TRUNCATION_RTOL):
             value = qfi_pure(model, spectrum, level=0)
         else:
             value = qfi_spectral(model, gibbs(spectrum, beta)).total
-        if values and abs(value - values[-1]) <= rtol * max(abs(value), 1e-300):
+        if values and abs(value - values[-1]) <= TRUNCATION_RTOL * max(abs(value), 1e-300):
             return previous
         values.append(value)
         previous = model, spectrum

@@ -7,11 +7,22 @@ identical for serial and parallel runs (within the limit run_sweep
 states for BLAS threads).  Failed cells carry a status string instead
 of aborting the sweep; numeric columns are either finite (inf allowed
 for the T = 0 rows) or None.
+
+``make_config`` is the one gate into a sweep.  Each configuration value
+passes one rule for its kind: ``_number`` (finite, optionally > 0),
+``_count`` (an integer >= 1), ``_items`` (a non-empty list),
+``_choice``, and ``_temperature``, the only place an infinite value is
+read (as the T = 0 row).  A value the cells could not survive, such as a
+step that moves omega to zero, is rejected there with its field.  The
+tolerances no configuration sets are module constants:
+``fisher.FD_RTOL`` (the default of ``fd_rtol``), ``MEASUREMENT_FD_RTOL``
+and ``models.TRUNCATION_RTOL``.
 """
 
 import functools
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, fields
@@ -20,7 +31,7 @@ import numpy as np
 
 from .analytic import Prep, ToyParams, fi_errprop_closed, qfi_thermal_classical, qfi_thermal_quantum
 from .errors import ConfigError, CritfishError, WorkerDied
-from .fisher import cfi_projective, fi_error_propagation, qfi_fidelity_fd, qfi_spectral
+from .fisher import FD_RTOL, cfi_projective, fi_error_propagation, qfi_fidelity_fd, qfi_spectral
 from .linalg import eigh, limit_blas_threads
 from .models import ModelKind, build_model, toy_converged_truncation
 from .operators import make_chain_ops, make_dicke_ops, make_fock_ops
@@ -29,9 +40,11 @@ from .thermal import beta_from_gap_ratio, gap, gibbs
 ESTIMATOR_NAMES = ("qfi_spectral", "qfi_fidelity", "cfi_sx2", "fi_errprop", "toy_analytic")
 TEMP_MODES = ("beta_gap_ratio", "beta")
 SPACINGS = ("linear", "log-approach-to-critical")
+MODELS = tuple(kind.value for kind in ModelKind)
 ADAPTIVE = "adaptive"
-# config fields that must be positive numbers; a None default also admits null
-_POSITIVE_NUMBERS = ("omega", "delta_omega", "fd_rtol", "measurement_fd_rtol", "truncation_rtol")
+# p_k and <A> slopes are far less noise-limited than the fidelity, so
+# the measurement estimators can afford a much tighter ladder
+MEASUREMENT_FD_RTOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -53,9 +66,7 @@ class SweepConfig:
     omega: float = 1.0
     estimators: tuple = ("qfi_spectral", "qfi_fidelity")
     delta_omega: float = None
-    fd_rtol: float = 1e-3
-    measurement_fd_rtol: float = 1e-5
-    truncation_rtol: float = 1e-8
+    fd_rtol: float = FD_RTOL
     workers: int = None
 
 
@@ -87,25 +98,56 @@ COLUMNS = tuple(f.name for f in fields(SweepRow))
 _FLOAT_COLUMNS = frozenset(COLUMNS) - {"model", "N", "status"}
 
 
-def _expand_g_grid(raw, omega, model, enforce_critical=True):
+def _number(value, field, positive=False):
+    """A finite JSON number, never a bool, as a float; ``positive`` also demands > 0."""
+    # the range test also turns away NaN and an integer too large for a float
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"must be a finite number, got {value!r}", field=field)
+    if positive and not value > 0:
+        raise ConfigError(f"must be > 0, got {value!r}", field=field)
+    return float(value)
+
+
+def _count(value, field):
+    """An int, never a bool, >= 1."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"must be an integer >= 1, got {value!r}", field=field)
+    return value
+
+
+def _items(value, field):
+    """A non-empty list (or tuple); a string or a mapping is rejected, not iterated."""
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigError(f"must be a non-empty list, got {value!r}", field=field)
+    return value
+
+
+def _choice(value, options, field):
+    if value not in options:
+        raise ConfigError(f"must be one of {list(options)}, got {value!r}", field=field)
+    return value
+
+
+def _temperature(value, field):
+    """A beta or gap ratio > 0, as a number or as text; infinity is the T = 0 row."""
+    if isinstance(value, str):
+        try:
+            value = float(value)  # reads "inf" and "infinity" in any case
+        except ValueError:
+            raise ConfigError(f"not a number: {value!r}", field=field) from None
+    return math.inf if value == math.inf else _number(value, field, positive=True)
+
+
+def _g_grid(raw, omega, model, enforce_critical):
     if isinstance(raw, dict):
         unknown = set(raw) - {"min", "max", "count", "spacing"}
         if unknown:
             raise ConfigError(f"unknown keys {sorted(unknown)}", field="g_grid")
-        count = raw.get("count")
-        if isinstance(count, bool) or not isinstance(count, int):
-            raise ConfigError(f"count must be an integer, got {count!r}", field="g_grid")
-        if isinstance(raw.get("min"), bool) or isinstance(raw.get("max"), bool):
-            raise ConfigError("min and max must be numbers, not booleans", field="g_grid")
-        try:
-            lo, hi = float(raw["min"]), float(raw["max"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"need numeric min/max ({exc})", field="g_grid")
-        spacing = raw.get("spacing", "linear")
-        if spacing not in SPACINGS:
-            raise ConfigError(f"spacing must be one of {SPACINGS}", field="g_grid.spacing")
-        if count < 1 or hi < lo:
-            raise ConfigError("need count >= 1 and max >= min", field="g_grid")
+        count = _count(raw.get("count"), "g_grid")
+        lo, hi = _number(raw.get("min"), "g_grid"), _number(raw.get("max"), "g_grid")
+        spacing = _choice(raw.get("spacing", "linear"), SPACINGS, "g_grid.spacing")
+        if hi < lo:
+            raise ConfigError("need max >= min", field="g_grid")
         if spacing == "linear":
             values = np.linspace(lo, hi, count)
         else:
@@ -120,18 +162,7 @@ def _expand_g_grid(raw, omega, model, enforce_critical=True):
             values = g_c * (1.0 - 10.0 ** -np.linspace(k_lo, k_hi, count))
         grid = tuple(float(v) for v in values)
     else:
-        if isinstance(raw, str):
-            raise ConfigError(f"must be a list of numbers, got the string {raw!r}", field="g_grid")
-        try:
-            raw = list(raw)
-            grid = tuple(float(v) for v in raw)
-        except (TypeError, ValueError):
-            raise ConfigError("must be a list of numbers or a {min,max,count} mapping", field="g_grid")
-        for i, value in enumerate(raw):
-            if isinstance(value, bool):
-                raise ConfigError(f"must be a number, got {value!r}", field=f"g_grid[{i}]")
-    if not grid:
-        raise ConfigError("must not be empty", field="g_grid")
+        grid = tuple(_number(v, f"g_grid[{i}]") for i, v in enumerate(_items(raw, "g_grid")))
     for i, value in enumerate(grid):
         if value < 0:
             raise ConfigError(f"negative coupling {value}", field=f"g_grid[{i}]")
@@ -143,97 +174,56 @@ def _expand_g_grid(raw, omega, model, enforce_critical=True):
     return grid
 
 
-def _expand_temp_grid(raw):
-    if isinstance(raw, str):
-        raise ConfigError(f"must be a list, got the string {raw!r}", field="temp_grid")
-    try:
-        items = list(raw)
-    except TypeError:
-        raise ConfigError("must be a list", field="temp_grid")
-    if not items:
-        raise ConfigError("must not be empty", field="temp_grid")
-    grid = []
-    for i, value in enumerate(items):
-        if isinstance(value, bool):
-            raise ConfigError(f"must be a number, got {value!r}", field=f"temp_grid[{i}]")
-        if isinstance(value, str):
-            if value.lower() in ("inf", "infinity"):
-                grid.append(math.inf)
-                continue
-            try:
-                value = float(value)
-            except ValueError:
-                raise ConfigError(f"not a number: {value!r}", field=f"temp_grid[{i}]")
-        value = float(value)
-        if not value > 0:
-            raise ConfigError(f"must be > 0, got {value}", field=f"temp_grid[{i}]")
-        grid.append(value)
-    return tuple(grid)
-
-
 def make_config(raw, enforce_critical=True):
     """Build a validated SweepConfig from a plain mapping (parsed JSON).
 
+    Every field goes through one rule for its kind of value: _number,
+    _count, _items, _choice, or _temperature for the temperature grid.
     ``enforce_critical=False`` defers the toy-model g < omega check to
     the model builder, so single-point runs surface BeyondCriticality as
     a numerical failure instead of a configuration error.
     """
     if not isinstance(raw, dict):
         raise ConfigError("configuration must be a JSON object", field="")
-    known = {f.name for f in fields(SweepConfig)} | {"output"}
-    unknown = set(raw) - known
+    unknown = set(raw) - {f.name for f in fields(SweepConfig)} - {"output"}
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)}", field="")
-    try:
-        model = ModelKind(raw.get("model")).value
-    except ValueError:
-        raise ConfigError(
-            f"must be one of {[k.value for k in ModelKind]}, got {raw.get('model')!r}",
-            field="model",
-        )
-    numbers = {}
-    for f in fields(SweepConfig):
-        value = raw.get(f.name, f.default)
-        if f.name not in _POSITIVE_NUMBERS or (value is None and f.default is None):
-            continue
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
-            raise ConfigError(f"must be a positive number, got {value!r}", field=f.name)
-        numbers[f.name] = float(value)
+    model = ModelKind(_choice(raw.get("model"), MODELS, "model")).value
+    omega = _number(raw.get("omega", 1.0), "omega", positive=True)
+    delta_omega = raw.get("delta_omega")
+    if delta_omega is not None:
+        delta_omega = _number(delta_omega, "delta_omega", positive=True)
+        if delta_omega >= 2.0 * omega:
+            # the ladder's first rung sits at omega - delta_omega / 2
+            raise ConfigError(f"must be below 2 * omega = {2.0 * omega}", field="delta_omega")
     size = raw.get("size")
     if size == ADAPTIVE:
         if model != "toy":
             raise ConfigError("adaptive truncation applies to the toy model only", field="size")
-    elif not isinstance(size, int) or isinstance(size, bool) or size < 1:
-        raise ConfigError(f"must be a positive integer or 'adaptive', got {size!r}", field="size")
-    temp_mode = raw.get("temp_mode", "beta_gap_ratio")
-    if temp_mode not in TEMP_MODES:
-        raise ConfigError(f"must be one of {TEMP_MODES}", field="temp_mode")
+    else:
+        _count(size, "size")
+    temp_mode = _choice(raw.get("temp_mode", "beta_gap_ratio"), TEMP_MODES, "temp_mode")
     if size == ADAPTIVE and temp_mode != "beta":
         # the truncation depends on beta, and a gap ratio needs the truncated gap
         raise ConfigError("adaptive truncation needs explicit betas (temp_mode 'beta')", field="temp_mode")
-    estimators = tuple(raw.get("estimators", ("qfi_spectral", "qfi_fidelity")))
-    if not estimators:
-        raise ConfigError("need at least one estimator", field="estimators")
+    estimators = _items(raw.get("estimators", SweepConfig.estimators), "estimators")
     for i, name in enumerate(estimators):
-        if name not in ESTIMATOR_NAMES:
-            raise ConfigError(
-                f"unknown estimator {name!r}; choose from {ESTIMATOR_NAMES}",
-                field=f"estimators[{i}]",
-            )
+        _choice(name, ESTIMATOR_NAMES, f"estimators[{i}]")
     if "toy_analytic" in estimators and model != "toy":
         raise ConfigError("toy_analytic applies to the toy model only", field="estimators")
+    temp_grid = _items(raw.get("temp_grid"), "temp_grid")
     workers = raw.get("workers")
-    if workers is not None and (not isinstance(workers, int) or isinstance(workers, bool) or workers < 1):
-        raise ConfigError(f"must be a positive integer or null, got {workers!r}", field="workers")
     return SweepConfig(
         model=model,
         size=size,
-        g_grid=_expand_g_grid(raw.get("g_grid"), numbers["omega"], model, enforce_critical),
-        temp_grid=_expand_temp_grid(raw.get("temp_grid")),
+        g_grid=_g_grid(raw.get("g_grid"), omega, model, enforce_critical),
+        temp_grid=tuple(_temperature(v, f"temp_grid[{i}]") for i, v in enumerate(temp_grid)),
         temp_mode=temp_mode,
-        estimators=estimators,
-        workers=workers,
-        **numbers,
+        omega=omega,
+        estimators=tuple(estimators),
+        delta_omega=delta_omega,
+        fd_rtol=_number(raw.get("fd_rtol", FD_RTOL), "fd_rtol", positive=True),
+        workers=None if workers is None else _count(workers, "workers"),
     )
 
 
@@ -267,7 +257,7 @@ def _evaluate_cell(task):
 
     try:
         if config.size == ADAPTIVE:
-            model, spectrum = toy_converged_truncation(config.omega, g, temp, rtol=config.truncation_rtol)
+            model, spectrum = toy_converged_truncation(config.omega, g, temp)
         else:
             model = build_model(config.model, config.omega, g, config.size)
             spectrum = eigh(model.H)
@@ -286,9 +276,7 @@ def _evaluate_cell(task):
     row.beta = beta
 
     fd_kwargs = dict(delta_omega=config.delta_omega, fd_rtol=config.fd_rtol)
-    # p_k and <A> slopes are far less noise-limited than the fidelity, so
-    # the measurement estimators can afford a much tighter ladder
-    measure_kwargs = dict(delta_omega=config.delta_omega, fd_rtol=config.measurement_fd_rtol)
+    measure_kwargs = dict(delta_omega=config.delta_omega, fd_rtol=MEASUREMENT_FD_RTOL)
     wanted = set(config.estimators)
 
     if "qfi_spectral" in wanted:
@@ -362,8 +350,9 @@ def run_sweep(config):
     differently on one thread and on two.
     """
     tasks = [(config, g, temp) for g in config.g_grid for temp in config.temp_grid]
-    workers = _worker_count(config)
-    if workers == 1 or len(tasks) == 1:
+    # a fork pool starts every worker up front, so it is never larger than the sweep
+    workers = min(_worker_count(config), len(tasks))
+    if workers == 1:
         return [_evaluate_cell(task) for task in tasks]
     blas_threads = max(1, (os.cpu_count() or 1) // workers)
     try:

@@ -66,6 +66,15 @@ def test_point_beyond_criticality_exits_two(capsys):
     assert json.loads(captured.out)["status"] == "cell:BeyondCriticality"
 
 
+@pytest.mark.parametrize("flags", [["--delta-omega", "3"], ["--beta", "soon"]], ids=["step", "beta"])
+def test_point_bad_values_are_one_config_error(flags, capsys):
+    # a step of 3 would put the ladder's first rung at omega = -0.5
+    args = ["point", "--model", "lmg", "-N", "4", "-g", "0.5", "--beta", "1", *flags]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("configuration error: ")
+
+
 def test_unknown_flags_exit_one(capsys):
     with pytest.raises(SystemExit) as info:
         main(["point", "--model", "lmg", "--frequency", "2"])

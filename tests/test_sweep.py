@@ -2,14 +2,18 @@ import io
 import json
 import math
 import sys
+from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from critfish import fisher, linalg
+from critfish.cli import fig2_config
 from critfish.errors import ConfigError
 from critfish.sweep import (
     COLUMNS,
+    SweepConfig,
     SweepRow,
     make_config,
     rows_from_csv,
@@ -27,6 +31,9 @@ BASE = {
     "estimators": ["qfi_spectral", "qfi_fidelity", "toy_analytic"],
     "delta_omega": 1e-3,
 }
+
+# a model with no critical coupling inside any test grid
+LMG8 = {"model": "lmg", "size": 8, "estimators": ["qfi_spectral"]}
 
 
 def config(**overrides):
@@ -83,8 +90,8 @@ def test_config_grid_log_approach_to_critical():
         ({"workers": 0}, "workers"),
         ({"surprise": 1}, ""),
         ({"fd_rtol": True}, "fd_rtol"),
-        ({"measurement_fd_rtol": 0.0}, "measurement_fd_rtol"),
-        ({"truncation_rtol": "tight"}, "truncation_rtol"),
+        ({"measurement_fd_rtol": 0.0}, ""),
+        ({"truncation_rtol": "tight"}, ""),
         ({"workers": True}, "workers"),
         ({"size": "adaptive", "temp_mode": "beta_gap_ratio"}, "temp_mode"),
         ({"g_grid": {"min": 0.1, "max": 0.5, "count": 2.7}}, "g_grid"),
@@ -93,12 +100,50 @@ def test_config_grid_log_approach_to_critical():
         ({"temp_grid": [True]}, "temp_grid[0]"),
         ({"g_grid": "123", "model": "lmg", "size": 8, "estimators": ["qfi_spectral"]}, "g_grid"),
         ({"temp_grid": "55"}, "temp_grid"),
+        # Python's json reads NaN and Infinity; only a temperature may be infinite
+        (dict(json.loads('{"g_grid": [NaN]}'), **LMG8), "g_grid[0]"),
+        (dict(json.loads('{"g_grid": [Infinity]}'), **LMG8), "g_grid[0]"),
+        (json.loads('{"g_grid": {"min": NaN, "max": 0.5, "count": 2}}'), "g_grid"),
+        (json.loads('{"omega": Infinity}'), "omega"),
+        (json.loads('{"fd_rtol": Infinity}'), "fd_rtol"),
+        ({"omega": 10 ** 400}, "omega"),
+        # the ladder's first rung, omega - delta_omega / 2, must stay above zero
+        ({"delta_omega": 2.0}, "delta_omega"),
+        ({"delta_omega": 3.0, "omega": 1.4}, "delta_omega"),
+        ({"g_grid": ["0.5"]}, "g_grid[0]"),
+        ({"g_grid": {"min": "0.1", "max": 0.5, "count": 2}}, "g_grid"),
+        ({"estimators": "qfi_spectral"}, "estimators"),
+        ({"g_grid": [0.3], "temp_grid": ["-inf"]}, "temp_grid[0]"),
     ],
 )
 def test_config_rejections_carry_field_paths(overrides, field):
     with pytest.raises(ConfigError) as info:
         config(**overrides)
     assert info.value.field == field
+
+
+def test_infinite_temperatures_are_the_zero_temperature_row():
+    cfg = config(temp_grid=json.loads('[Infinity, "INFINITY", "inf", 2, "0.5"]'))
+    assert cfg.temp_grid == (math.inf, math.inf, math.inf, 2.0, 0.5)
+
+
+@pytest.mark.parametrize("preset", [
+    lambda: config(delta_omega=None, estimators=("qfi_spectral",)),
+    lambda: config(size="adaptive", g_grid={"min": 0.5, "max": 0.999, "count": 3,
+                                            "spacing": "log-approach-to-critical"}),
+    lambda: fig2_config("ising", 4, g_count=2),
+], ids=["no-step", "adaptive", "fig2-ising"])
+def test_config_round_trips_through_asdict(preset):
+    cfg = preset()
+    assert make_config(asdict(cfg)) == cfg
+
+
+def test_readme_schema_is_a_valid_config():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Sweep config schema", 1)[1]
+    block = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+    make_config(block)
+    assert set(block) == {f.name for f in fields(SweepConfig)} | {"output"}
 
 
 def test_ladder_rungs_past_the_critical_coupling_keep_their_statuses():
@@ -122,7 +167,7 @@ def test_failed_truncation_ladder_leaves_the_row_empty(monkeypatch):
     from critfish import sweep
     from critfish.errors import TruncationNotConverged
 
-    def no_convergence(omega, g, beta, rtol):
+    def no_convergence(omega, g, beta):
         raise TruncationNotConverged("cap hit", last_two=(1.0, 2.0))
 
     monkeypatch.setattr(sweep, "toy_converged_truncation", no_convergence)
@@ -205,6 +250,35 @@ def test_measurement_observable_is_shared_and_read_only():
     with pytest.raises(ValueError, match="read-only"):
         first[0, 0] = 1.0
     assert measurement_observable("lmg", 4).shape == (5, 5)
+
+
+def test_pool_is_never_larger_than_the_sweep(monkeypatch):
+    from critfish import sweep
+
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers, initializer, initargs):
+            pools.append((max_workers, initargs))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.delenv("CRITFISH_THREADS", raising=False)
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 4)
+    two_cells = dict(temp_grid=[1.0], estimators=["qfi_spectral"])
+    rows = run_sweep(config(workers=3, **two_cells))
+    assert pools == [(2, (2,))]  # two workers for two cells, each with half the cores
+    assert rows == run_sweep(config(workers=1, **two_cells))
+    run_sweep(config(workers=3, g_grid=[0.3], temp_grid=[1.0]))
+    assert len(pools) == 1  # one cell runs in this process
 
 
 def test_thread_env_var_caps_workers(monkeypatch):
