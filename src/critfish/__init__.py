@@ -25,7 +25,7 @@ from .fisher import (
     qfi_spectral,
     quantum_term_by_offset,
 )
-from .linalg import Banded, Spectrum, eigh, fidelity, psd_sqrt, symmetrize
+from .linalg import Banded, Spectrum, eigh, fidelity, symmetrize
 from .models import ModelInstance, ModelKind, build_model, toy_converged_truncation
 from .operators import make_chain_ops, make_dicke_ops, make_fock_ops
 from .sweep import SweepConfig, SweepRow, make_config, measurement_observable, run_sweep
@@ -59,7 +59,6 @@ __all__ = [
     "make_dicke_ops",
     "make_fock_ops",
     "measurement_observable",
-    "psd_sqrt",
     "qfi_eigenstate",
     "qfi_fidelity_fd",
     "qfi_pure",

@@ -179,6 +179,9 @@ def _run_point(args):
 def _run_sweep(args):
     with open(args.config, encoding="utf-8") as handle:
         raw = json.load(handle)
+    if args.workers is not None and isinstance(raw, dict):
+        raw = dict(raw, workers=args.workers)
+    config = make_config(raw)  # first, so that anything but a JSON object is a config error
     output = raw.get("output", {}) or {}
     if not isinstance(output, dict):
         raise ConfigError("must be a mapping with path/format", field="output")
@@ -188,9 +191,6 @@ def _run_sweep(args):
     fmt = args.format or output.get("format")
     if fmt not in (None, "csv", "json"):
         raise ConfigError(f"must be csv or json, got {fmt!r}", field="output.format")
-    if args.workers is not None:
-        raw = dict(raw, workers=args.workers)
-    config = make_config(raw)
     rows = run_sweep(config)
     _write_rows(rows, out, _resolve_format(fmt, out))
     return 0
@@ -216,7 +216,7 @@ def main(argv=None):
     except ConfigError as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing, unreadable or unwritable path, or a directory
         sys.stderr.write(f"{exc}\n")
         return 1
     except json.JSONDecodeError as exc:

@@ -350,11 +350,11 @@ def _outcome_projectors(observable):
 def cfi_projective(model, beta, observable, delta_omega=None, fd_rtol=FD_RTOL):
     """Classical Fisher information of projectively measuring an observable.
 
-    Outcome probabilities p_k(omega) = tr(rho(omega) Pi_k) are formed
-    from the observable's merged eigenprojectors (fixed across the
-    differentiation); their derivatives come from the same central-
-    difference ladder as qfi_fidelity_fd.  Outcomes with probability
-    below 1e-12 at the centre are skipped.
+    Outcome probabilities tr(rho Pi_k) = sum_n p_n |<k|n>|^2 over the
+    observable's merged eigenprojectors (fixed across the differentiation)
+    are read off the Gibbs eigenpairs; their derivatives come from the
+    same central-difference ladder as qfi_fidelity_fd.  Outcomes with
+    probability below 1e-12 at the centre are skipped.
     """
     obs = _checked_observable(model, observable)
     omega = model.omega
@@ -363,9 +363,9 @@ def cfi_projective(model, beta, observable, delta_omega=None, fd_rtol=FD_RTOL):
         return 0.0  # one outcome: the distribution cannot move
 
     def outcome_probs(at_omega):
-        rho = density_matrix(_thermal_state(model, at_omega, beta))
-        overlap = np.einsum("ik,ik->k", basis, rho @ basis)
-        return np.array([float(np.sum(overlap[g.start:g.stop])) for g in groups])
+        state = _thermal_state(model, at_omega, beta)
+        overlap = np.square(basis.T @ state.spectrum.eigenvectors) @ state.probs
+        return np.add.reduceat(overlap, [g.start for g in groups])
 
     center = outcome_probs(omega)
     keep = center > OUTCOME_PROB_FLOOR

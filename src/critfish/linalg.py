@@ -347,44 +347,45 @@ def eigh(matrix):
     return Spectrum(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
-def psd_sqrt(matrix):
-    """Symmetric PSD square root via eigendecomposition.
+def _root_columns(density):
+    """R = V sqrt(lambda) with rho = R R^T, for a unit-trace PSD matrix rho.
 
-    Eigenvalues in [-1e-10 * ||M||, 0) are clamped to zero; Gibbs-state
-    inputs are PSD analytically, so anything in that band is roundoff.
-    More negative input raises NotPSD.
+    Eigenvalues in [-PSD_CLAMP_RTOL * ||rho||, 0) are roundoff (Gibbs
+    states are PSD analytically) and are clamped to zero; more negative
+    ones raise NotPSD.
     """
-    spec = eigh(matrix)
+    tr = float(np.trace(density))
+    if abs(tr - 1.0) > 1e-9:
+        raise InvalidMatrix(f"density matrix trace {tr!r} is not 1")
+    spec = eigh(density)
     vals = spec.eigenvalues
-    scale = float(np.max(np.abs(vals)))
-    floor = -PSD_CLAMP_RTOL * scale
+    floor = -PSD_CLAMP_RTOL * float(np.max(np.abs(vals)))
     if vals[0] < floor:
         raise NotPSD(f"eigenvalue {vals[0]:.6e} below roundoff floor {floor:.6e}")
-    roots = np.sqrt(np.clip(vals, 0.0, None))
-    v = spec.eigenvectors
-    return symmetrize((v * roots) @ v.T)
+    return spec.eigenvectors * np.sqrt(np.clip(vals, 0.0, None))
+
+
+def _root_fidelity(a, b):
+    """sqrt F of the states a a^T and b b^T (a = V sqrt(p) for a Gibbs state): ||a^T b||_1."""
+    try:
+        singulars = np.linalg.svd(a.T @ b, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise DiagonalizationFailed(f"fidelity: {exc}") from exc
+    return float(np.sum(singulars))
 
 
 def fidelity(rho, sigma):
     """Uhlmann fidelity of two density matrices, clamped to [0, 1].
 
-    Equals [tr sqrt(sqrt(rho) sigma sqrt(rho))]^2, evaluated as the
-    squared nuclear norm of sqrt(rho) @ sqrt(sigma) -- the same value
-    with one nested root fewer, which behaves better for nearly equal
-    states.  Symmetric in its arguments to ~1e-10.
+    Equals [tr sqrt(sqrt(rho) sigma sqrt(rho))]^2.  With rho = V diag(l) V^T
+    and sigma = W diag(m) W^T, sqrt F = ||sqrt(rho) sqrt(sigma)||_1 is the
+    nuclear norm of (V sqrt(l))^T (W sqrt(m)), as the orthogonal V and W
+    drop out; no matrix root is formed (Uhlmann, Rep. Math. Phys. 9, 273,
+    1976; Jozsa, J. Mod. Opt. 41, 2315, 1994).  Symmetric in its
+    arguments to ~1e-10.
     """
     r = np.asarray(rho, dtype=float)
     s = np.asarray(sigma, dtype=float)
     if r.shape != s.shape:
         raise DimMismatch(f"density-matrix shapes differ: {r.shape} vs {s.shape}")
-    for m in (r, s):
-        tr = float(np.trace(m))
-        if abs(tr - 1.0) > 1e-9:
-            raise InvalidMatrix(f"density matrix trace {tr!r} is not 1")
-    try:
-        singulars = np.linalg.svd(psd_sqrt(r) @ psd_sqrt(s), compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise DiagonalizationFailed(f"fidelity: {exc}") from exc
-    value = float(np.sum(singulars)) ** 2
-    return min(max(value, 0.0), 1.0)
-
+    return min(_root_fidelity(_root_columns(r), _root_columns(s)) ** 2, 1.0)

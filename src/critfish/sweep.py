@@ -343,10 +343,9 @@ def run_sweep(config):
     Each pool worker caps its BLAS threads at its share of the cores, so
     processes times BLAS threads never exceed them: otherwise every
     worker's OpenBLAS starts one spinning thread per core and they
-    contend for the same cores.  Pooled rows equal serial ones bit for
-    bit where BLAS rounds alike with fewer threads.  OpenBLAS 0.3.31 on
-    2 cores does so at the benchmark's and the tests' sizes, but not at
-    every size: its products of 300- and 401-row matrices round
+    contend for the same cores.  Pooled rows equal serial rows at equal
+    BLAS thread counts.  A serial call at the default count may differ in
+    the last bits: OpenBLAS 0.3.31 rounds 300- and 401-row products
     differently on one thread and on two.
     """
     tasks = [(config, g, temp) for g in config.g_grid for temp in config.temp_grid]

@@ -141,6 +141,24 @@ def test_sweep_config_error_exit(tmp_path, capsys):
     assert "g_grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw, flags", [([1, 2], []), ("lmg", []), ([], ["--workers", "1"])],
+                         ids=["array", "string", "array-with-workers"])
+def test_sweep_config_that_is_not_an_object_exits_one(tmp_path, capsys, raw, flags):
+    path = tmp_path / "array.json"
+    path.write_text(json.dumps(raw))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "rows.csv"), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "configuration must be a JSON object" in err
+
+
+def test_directory_paths_exit_one(tmp_path, capsys):
+    args = ["fig2", "--model", "lmg", "-N", "4", "--g-count", "2", "--out", str(tmp_path)]
+    assert main(args) == 1
+    assert main(["sweep", "--config", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 2 and err.count("Is a directory") == 2
+
+
 def test_fig_presets_shapes():
     cfg1 = fig1_config("lmg", 20)
     assert len(cfg1.g_grid) == 60

@@ -3,10 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, reject, settings, strategies as st
 
 from critfish.analytic import ToyParams, fi_errprop_closed, qfi_thermal_classical, qfi_thermal_quantum
 from critfish.errors import (
+    CritfishError,
     DegenerateLevel,
     DimMismatch,
     InvalidTemperature,
@@ -396,6 +397,33 @@ def test_estimator_ordering(kind, size, g, beta):
     qfi = qfi_spectral(model, thermal(model, beta)).total
     cfi = cfi_projective(model, beta, obs, delta_omega=1e-3, fd_rtol=1e-6)
     errprop = fi_error_propagation(model, beta, obs, delta_omega=1e-3, fd_rtol=1e-6)
+    slack = 1e-6
+    assert errprop <= cfi + slack
+    assert cfi <= qfi + slack
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    case=st.one_of(
+        st.tuples(st.just("lmg"), st.integers(4, 12)),
+        st.tuples(st.just("ising"), st.sampled_from([4, 6])),
+    ),
+    g=st.floats(0.0, 1.5),
+    beta=st.floats(0.2, 10.0),
+)
+@example(case=("lmg", 8), g=0.0, beta=9.6)  # errprop and cfi agree to ~1e-14 here
+def test_estimator_ordering_property(case, g, beta):
+    kind, size = case
+    model = build_model(kind, 1.0, g, size)
+    obs = measurement_observable(kind, size)
+    try:
+        qfi = qfi_spectral(model, thermal(model, beta)).total
+        cfi = cfi_projective(model, beta, obs, fd_rtol=1e-6)
+        errprop = fi_error_propagation(model, beta, obs, fd_rtol=1e-6)
+    except CritfishError as exc:
+        # --hypothesis-show-statistics reports how often this happens
+        event(f"rejected: {type(exc).__name__}")
+        reject()
     slack = 1e-6
     assert errprop <= cfi + slack
     assert cfi <= qfi + slack

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from critfish import linalg
 from critfish.errors import DiagonalizationFailed, DimMismatch, InvalidMatrix, NotPSD
-from critfish.linalg import Banded, _band_chains, _component_labels, eigh, fidelity, psd_sqrt, symmetrize
+from critfish.linalg import Banded, _band_chains, _component_labels, eigh, fidelity, symmetrize
 from critfish.models import build_model
 from critfish.operators import make_dicke_ops, make_fock_ops
 from critfish.thermal import density_matrix, gibbs
@@ -387,37 +387,42 @@ def test_limit_blas_threads_sets_the_pool_of_numpys_openblas():
         linalg.limit_blas_threads(before)
 
 
-def test_psd_sqrt_basics():
-    assert np.allclose(psd_sqrt(np.eye(3)), np.eye(3))
-    assert np.allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
-    assert np.allclose(psd_sqrt(np.diag([1.0, 0.0])), np.diag([1.0, 0.0]))
-
-
-def test_psd_sqrt_squares_back():
-    rng = np.random.default_rng(11)
-    a = rng.normal(size=(6, 6))
-    m = a @ a.T
-    root = psd_sqrt(m)
-    assert np.abs(root @ root - m).max() <= 1e-9 * max(1.0, np.abs(m).max())
-
-
-def test_psd_sqrt_rejects_indefinite():
+def test_fidelity_rejects_indefinite():
     with pytest.raises(NotPSD):
-        psd_sqrt(np.diag([1.0, -1.0]))
+        fidelity(np.diag([1.5, -0.5]), np.eye(2) / 2.0)
+    with pytest.raises(NotPSD):
+        fidelity(np.eye(2) / 2.0, np.diag([1.5, -0.5]))
 
 
 @settings(max_examples=40, deadline=None)
-@given(dim=st.integers(2, 16), rank=st.integers(1, 16), seed=st.integers(0, 2 ** 31))
-def test_psd_sqrt_fixes_projectors(dim, rank, seed):
-    rank = min(rank, dim)
+@given(dim=st.integers(2, 16), rank=st.integers(1, 15), seed=st.integers(0, 2 ** 31))
+def test_fidelity_of_projector_state_with_itself_is_one(dim, rank, seed):
+    # the dim - rank zero eigenvalues come back as roundoff of either
+    # sign, so the state's root columns rely on the clamp
+    rank = min(rank, dim - 1)
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
-    p = q[:, :rank] @ q[:, :rank].T
-    # sqrt of noise-level eigenvalues is sqrt(eps): ~1e-8 is the floor here,
-    # while the squared contract R @ R == P holds to ~1e-15
-    assert np.abs(psd_sqrt(p) - p).max() <= 1e-7
-    root = psd_sqrt(p)
-    assert np.abs(root @ root - p).max() <= 1e-9
+    state = q[:, :rank] @ q[:, :rank].T / rank
+    assert fidelity(state, state) == pytest.approx(1.0, abs=1e-12)
+
+
+def dense_root_fidelity(rho, sigma):
+    """(||sqrt(rho) sqrt(sigma)||_1)^2 with both roots formed from numpy's eigh."""
+
+    def root(m):
+        vals, vecs = np.linalg.eigh(m)
+        return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+
+    return float(np.sum(np.linalg.svd(root(rho) @ root(sigma), compute_uv=False))) ** 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(2, 16), seed=st.integers(0, 2 ** 31))
+def test_fidelity_matches_the_matrix_root_route(dim, seed):
+    rng = np.random.default_rng(seed)
+    rho = random_density(rng, dim)
+    sigma = random_density(rng, dim)
+    assert fidelity(rho, sigma) == pytest.approx(dense_root_fidelity(rho, sigma), abs=1e-12)
 
 
 def test_fidelity_self_is_one():

@@ -1,15 +1,17 @@
+import ctypes
 import io
 import json
 import math
+import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from critfish import fisher, linalg
-from critfish.cli import fig2_config
+from critfish.cli import FIG_DELTA_OMEGA, fig2_config
 from critfish.errors import ConfigError
 from critfish.sweep import (
     COLUMNS,
@@ -237,6 +239,33 @@ def test_parallel_matches_serial():
     serial = run_sweep(config(workers=1))
     parallel = run_sweep(config(workers=2))
     assert serial == parallel
+
+
+def test_pooled_rows_equal_serial_rows_at_equal_blas_thread_counts(monkeypatch):
+    # lmg N=400 multiplies 401-row matrices, a size where OpenBLAS rounds
+    # differently on one thread and on two, so serial rows at the default
+    # thread count may differ from pooled ones in the last bits
+    monkeypatch.delenv("CRITFISH_THREADS", raising=False)
+    cfg = make_config({
+        "model": "lmg", "size": 400, "g_grid": [1.0333333333333332], "temp_grid": ["inf", 180],
+        "temp_mode": "beta_gap_ratio", "estimators": ["qfi_spectral", "qfi_fidelity", "cfi_sx2", "fi_errprop"],
+        "delta_omega": FIG_DELTA_OMEGA, "workers": 2,
+    })
+    pooled = run_sweep(cfg)
+    lib = linalg._openblas()
+    before = None
+    if lib is not None:
+        threads = lib.scipy_openblas_get_num_threads64_
+        threads.argtypes, threads.restype = [], ctypes.c_int
+        before = threads()
+    linalg.limit_blas_threads(max(1, (os.cpu_count() or 1) // 2))  # each worker's share
+    try:
+        serial = run_sweep(replace(cfg, workers=1))
+    finally:
+        if before is not None:
+            linalg.limit_blas_threads(before)
+    assert serial[1].status == "ok" and serial[0].qfi_fidelity is not None
+    assert pooled == serial
 
 
 def test_measurement_observable_is_shared_and_read_only():
