@@ -56,7 +56,7 @@ from .errors import (
     NoFDConvergence,
     ZeroVariance,
 )
-from .linalg import Banded, eigh, fidelity
+from .linalg import Sectors, eigh, fidelity
 from .thermal import density_matrix, gibbs, thermal_expectation
 
 DEGENERACY_RTOL = 1e-10        # |E_i - E_j| below this * ||H|| counts as degenerate
@@ -294,8 +294,8 @@ def _thermal_state(model, omega, beta):
 
 
 def _checked_observable(model, observable):
-    """The observable as given when it is a band, else as a float array, checked against the model."""
-    obs = observable if isinstance(observable, Banded) else np.asarray(observable, dtype=float)
+    """The observable as given when it is a Sectors, else as a float array, checked against the model."""
+    obs = observable if isinstance(observable, Sectors) else np.asarray(observable, dtype=float)
     if obs.shape != model.H.shape:
         raise DimMismatch(
             f"observable shape {obs.shape} does not match model dimension {model.H.shape}"

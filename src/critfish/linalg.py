@@ -1,33 +1,27 @@
-"""Real-symmetric linear algebra on dense arrays and bands.
+"""Real-symmetric linear algebra on dense arrays and parity sectors.
 
 Every operator in this package has real matrix elements in its chosen
-basis, so matrices are float64 ndarrays or bands, symmetry is exact
-by construction and no complex arithmetic appears anywhere.
+basis, so matrices are float64 ndarrays or ``Sectors``, symmetry is
+exact by construction and no complex arithmetic appears anywhere.
 Functions are pure and outputs never alias inputs, which makes all of
 this safe to call from parallel sweep workers.
 
-``eigh`` diagonalizes each connected block of a matrix on its own.
-Every model Hamiltonian conserves a Z2 parity, and so do its Gibbs
-states and the measured squares, so their matrices fall apart into two
-parity sectors with exactly zero couplings between them, and the two
-half-size solves cost about a quarter of one dense solve.  A row with no
-off-diagonal entry (as in a pure or underflowed Gibbs state) is an
-eigenvector as it stands and needs no solve.
+Every model Hamiltonian conserves a Z2 parity that its diagonal
+generator respects, and so do its Gibbs states and the measured
+squares.  Their matrices are block diagonal over row sets known before
+any number is computed, so the operators are built as ``Sectors``: one
+block per parity sector, never an n x n array.  ``eigh`` solves each
+block on its own, and two half-size solves cost about a quarter of one
+dense solve.  A plain ndarray is one block: it gets one ?syevd.
 
-The oscillator and collective-spin Hamiltonians and their measured
-squares are held as a ``Banded``: a main diagonal plus one off-diagonal
-at offsets +-2, never an n x n array.  Each of their parity blocks is an
-unreduced symmetric tridiagonal matrix in its own row order, so ``eigh``
-reads a band's blocks off in O(n), as the residue chains mod k cut
-wherever the off-diagonal is zero.  A chain with at least
+The oscillator and collective-spin blocks are unreduced symmetric
+tridiagonal chains, held as their two diagonals.  A chain with at least
 _STEVD_MIN_ROWS rows goes to LAPACK's tridiagonal divide and conquer
-``?stevd``, which is handed only its two diagonals; a shorter chain goes
-to ``?syevd`` on its dense block.  A dense matrix is split into the
-connected components of its exact nonzero pattern, and every block goes
-to the divide-and-conquer ``?syevd`` through ``numpy.linalg.eigh``.  On
-a tridiagonal block ``?syevd``'s Householder reduction meets nothing to
+``?stevd``; a shorter chain, and every dense block, goes to the
+divide-and-conquer ``?syevd`` through ``numpy.linalg.eigh``.  On a
+tridiagonal block ``?syevd``'s Householder reduction meets nothing to
 eliminate (every reflector has tau = 0), so it hands the same diagonals
-to the same ``?stedc`` call: a band and its dense matrix get the same
+to the same ``?stedc`` call: a chain and its dense block get the same
 bits, and ``?stevd`` skips the O(n^3) reduction.
 
 All BLAS and LAPACK work here goes through numpy's own OpenBLAS.  scipy
@@ -44,7 +38,6 @@ same handle lets a sweep worker cap its BLAS threads
 
 import ctypes
 import functools
-import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,7 +47,6 @@ from .errors import DiagonalizationFailed, DimMismatch, InvalidMatrix, NotPSD
 
 # negative eigenvalues above -PSD_CLAMP_RTOL * ||M|| count as roundoff
 PSD_CLAMP_RTOL = 1e-10
-_LABEL_ROWS = 64  # rows per read in the component search
 # smallest block sent to ?stevd, measured on toy parity blocks (2 vCPUs):
 # at 32 rows the check and ctypes call took 0.12-0.14 ms against numpy's
 # 0.09-0.10 ms, near 48 rows the two were level, and at 64 rows they took
@@ -161,93 +153,100 @@ class Spectrum:
     eigenvalues are ascending; eigenvectors[:, k] is the orthonormal
     eigenvector of eigenvalues[k], with the largest-magnitude component
     of each column made positive so repeated runs give identical output.
+    ``sectors`` are the row sets of the blocks that were solved; every
+    eigenvector is supported in exactly one of them.  Left out, it is one
+    sector of all rows.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    sectors: tuple = None
+
+    def __post_init__(self):
+        if self.sectors is None:
+            object.__setattr__(self, "sectors", (np.arange(self.dim),))
 
     @property
     def dim(self):
         return int(self.eigenvalues.shape[0])
 
 
-def _dense(diagonal, off, k):
-    """The n x n matrix with ``diagonal`` on its main diagonal and ``off`` at offsets +-k."""
+def _dense(diagonal, off):
+    """The square tridiagonal matrix with ``diagonal`` and ``off`` at offsets +-1."""
     n = diagonal.size
     dense = np.zeros((n, n))
     flat = dense.reshape(-1)  # a view: entry (i, j) sits at i * n + j
     flat[:: n + 1] = diagonal
-    flat[k:(n - k) * n:n + 1] = off
-    flat[k * n::n + 1] = off
+    flat[1:(n - 1) * n:n + 1] = off
+    flat[n::n + 1] = off
     return dense
 
 
-@dataclass(frozen=True, eq=False)
-class Banded:
-    """Symmetric matrix with a main diagonal and one off-diagonal at offsets +-k.
+def _read_only(entries):
+    array = np.array(entries, dtype=np.float64)
+    array.flags.writeable = False
+    return array
 
-    ``off[i]`` couples rows i and i + k, so it holds n - k entries (none
-    when n <= k).  Both arrays are copied as read-only float64.
-    ``np.asarray`` gives the dense matrix; ``eigh`` solves the band
-    without forming it.
+
+@dataclass(frozen=True, eq=False)
+class Sectors:
+    """Symmetric n x n matrix that is block diagonal over disjoint row sets.
+
+    ``rows[b]`` lists the rows of block b, which together cover 0 .. n-1
+    once; entry (i, j) of block b is the matrix entry
+    (rows[b][i], rows[b][j]).  A block is either a ``(diagonal, off)``
+    pair, the tridiagonal chain whose ``off[i]`` couples its rows i and
+    i + 1, or a dense square array, which is stored exactly symmetrized.
+    Every array is copied read-only, and non-finite entries raise
+    InvalidMatrix.  ``np.asarray`` gives the dense matrix; ``eigh``
+    solves the blocks without forming it.
     """
 
-    diagonal: np.ndarray
-    off: np.ndarray
-    k: int = 1
+    rows: tuple
+    blocks: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "k", operator.index(self.k))
-        for name in ("diagonal", "off"):
-            array = np.array(getattr(self, name), dtype=np.float64)
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
-        n = self.diagonal.size
-        if self.diagonal.ndim != 1 or n < 1 or self.k < 1 or self.off.shape != (max(n - self.k, 0),):
-            raise InvalidMatrix(
-                f"band needs a non-empty diagonal and n - k off-diagonal entries, got "
-                f"{self.diagonal.shape}, {self.off.shape} at k={self.k}"
-            )
+        rows = tuple(np.array(r, dtype=np.intp) for r in self.rows)
+        if len(rows) != len(self.blocks) or any(r.ndim != 1 or r.size < 1 for r in rows):
+            raise InvalidMatrix(f"need one non-empty row list per block, got {len(rows)} for {len(self.blocks)}")
+        if not np.array_equal(np.sort(np.concatenate(rows)), np.arange(sum(r.size for r in rows))):
+            raise InvalidMatrix("sector rows must cover 0 .. n-1 exactly once")
+        blocks = []
+        for r, block in zip(rows, self.blocks):
+            if isinstance(block, tuple):
+                diagonal, off = (_read_only(a) for a in block)
+                if diagonal.shape != r.shape or off.shape != (r.size - 1,):
+                    raise InvalidMatrix(
+                        f"a chain of {r.size} rows needs {r.size} diagonal and {r.size - 1} "
+                        f"off-diagonal entries, got {diagonal.shape} and {off.shape}"
+                    )
+                if not (np.isfinite(diagonal).all() and np.isfinite(off).all()):
+                    raise InvalidMatrix("chain has non-finite entries")
+                blocks.append((diagonal, off))
+            else:
+                block = symmetrize(block)
+                if block.shape != (r.size, r.size):
+                    raise InvalidMatrix(f"a block of {r.size} rows has shape {block.shape}")
+                block.flags.writeable = False
+                blocks.append(block)
+            r.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "blocks", tuple(blocks))
 
     @property
     def shape(self):
-        return (self.diagonal.size, self.diagonal.size)
+        return (len(self), len(self))
 
     def __len__(self):
-        return self.diagonal.size
+        return sum(r.size for r in self.rows)
 
     def __array__(self, dtype=None, copy=None):
         if copy is False:
-            raise ValueError("a band has no dense storage to share")
-        dense = _dense(self.diagonal, self.off, self.k)
+            raise ValueError("a Sectors matrix has no dense storage to share")
+        dense = np.zeros(self.shape)
+        for r, block in zip(self.rows, self.blocks):
+            dense[np.ix_(r, r)] = _dense(*block) if isinstance(block, tuple) else block
         return dense if dtype is None else dense.astype(dtype, copy=False)
-
-
-def _component_labels(m):
-    """Label every row of m with the smallest row index of its component.
-
-    Components are those of the graph whose edges are the exact nonzero
-    entries of the (exactly symmetric) matrix.  Each round gives every
-    row the smallest label among itself and its neighbours.  A round
-    that changes nothing ends the search, since neighbours then share a
-    label; otherwise each label jumps to its label's label until every
-    chain reaches its root, so a path of any length settles in one round
-    and one more confirms it.  Rows are read _LABEL_ROWS at a time, so
-    no n x n temporary is formed.
-    """
-    n = m.shape[0]
-    jumps = range(max(n - 1, 1).bit_length())
-    labels = np.arange(n)
-    while True:
-        low = np.empty_like(labels)
-        for lo in range(0, n, _LABEL_ROWS):
-            rows = slice(lo, lo + _LABEL_ROWS)
-            low[rows] = np.where(m[rows] != 0.0, labels, labels[rows, None]).min(axis=1)
-        if (low == labels).all():
-            return labels
-        for _ in jumps:
-            low = low[low]
-        labels = low
 
 
 def _sign_fixed(idx, solved):
@@ -260,91 +259,52 @@ def _sign_fixed(idx, solved):
     return idx, vals, np.ascontiguousarray(vecs)
 
 
-def _dense_blocks(matrix):
-    """Isolated rows, their diagonal and the solved connected blocks of a dense matrix."""
-    m = symmetrize(matrix)
-    n = m.shape[0]
-    labels = _component_labels(m)
-    sizes = np.bincount(labels, minlength=n)
-    isolated = (sizes[labels] == 1).nonzero()[0]
-    blocks = []
-    for root in (sizes > 1).nonzero()[0]:
-        idx = (labels == root).nonzero()[0]
-        blocks.append(_sign_fixed(idx, _DSYEVD(m if idx.size == n else m[idx[:, None], idx])))
-    return isolated, m[isolated, isolated], blocks
-
-
-def _band_chains(band):
-    """Isolated rows and the row chains of a band's connected blocks, ordered by first row.
-
-    Row i couples only to i - k and i + k, so the blocks are the residue
-    classes mod k, cut wherever the off-diagonal entry is exactly zero.
-    """
-    n, k = len(band), band.k
-    # positions along each residue class where a chain starts or ends
-    edges = [[0] for _ in range(min(k, n))]
-    for cut in np.flatnonzero(band.off == 0.0).tolist():  # rows cut and cut + k are not linked
-        edges[cut % k].append(cut // k + 1)
-    isolated, chains = [], []
-    for start, bounds in enumerate(edges):
-        bounds.append(len(range(start, n, k)))
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            if hi - lo == 1:
-                isolated.append(start + lo * k)
-            else:
-                chains.append((start + lo * k, np.arange(start + lo * k, start + hi * k, k)))
-    chains.sort(key=lambda chain: chain[0])
-    return np.array(sorted(isolated), dtype=np.intp), [rows for _, rows in chains]
-
-
 def _solve_chain(diagonal, off):
-    """(eigenvalues, eigenvectors, info) of an unreduced tridiagonal block.
+    """(eigenvalues, eigenvectors, info) of a tridiagonal block.
 
     A block of at least _STEVD_MIN_ROWS rows goes to ?stevd; a smaller
     one, or any block where numpy's OpenBLAS is not found, to ?syevd on
     the dense block.
     """
     solved = _DSTEVD(diagonal, off) if diagonal.size >= _STEVD_MIN_ROWS else None
-    return _DSYEVD(_dense(diagonal, off, 1)) if solved is None else solved
-
-
-def _band_blocks(band):
-    """Isolated rows, their diagonal and the solved blocks of a band, found in O(n)."""
-    if not (np.isfinite(band.diagonal).all() and np.isfinite(band.off).all()):
-        raise InvalidMatrix("band has non-finite entries")
-    isolated, chains = _band_chains(band)
-    blocks = [_sign_fixed(idx, _solve_chain(band.diagonal[idx], band.off[idx[:-1]])) for idx in chains]
-    return isolated, band.diagonal[isolated], blocks
+    return _DSYEVD(_dense(diagonal, off)) if solved is None else solved
 
 
 def eigh(matrix):
     """Full eigendecomposition of a symmetric matrix with fixed signs.
 
-    ``matrix`` is a dense array or a Banded.  Each connected block is
-    diagonalized on its own and its vectors are sign-fixed; rows with no
-    off-diagonal entry are their own eigenvectors and need no solve.  A
-    band's blocks are its chains, solved by ?stevd once large enough;
-    a dense matrix's blocks are the components of its exact nonzero
-    pattern, solved by ?syevd (see the module docstring).  The blocks'
-    eigenvalues are merged by a stable sort, so every eigenvector is
-    supported in exactly one block.  Raises InvalidMatrix for non-finite
-    entries and DiagonalizationFailed when the solver does not converge.
+    ``matrix`` is a Sectors or a dense array.  Each block of a Sectors
+    is solved on its own (a chain by ?stevd once large enough, a dense
+    block by ?syevd; see the module docstring) and its vectors are
+    sign-fixed; a dense array is symmetrized and solved as one block.
+    The blocks' eigenvalues are merged by a stable sort, so every
+    eigenvector is supported in exactly one block, and the blocks' row
+    sets are kept as ``Spectrum.sectors``.  Raises InvalidMatrix for
+    non-finite entries and DiagonalizationFailed when the solver does not
+    converge.
     """
-    isolated, diagonal, blocks = (_band_blocks if isinstance(matrix, Banded) else _dense_blocks)(matrix)
-    n = isolated.size + sum(idx.size for idx, _, _ in blocks)
-    merged = np.concatenate([diagonal] + [vals for _, vals, _ in blocks])
+    if isinstance(matrix, Sectors):
+        rows, blocks = matrix.rows, matrix.blocks
+    else:
+        dense = symmetrize(matrix)
+        rows, blocks = (np.arange(dense.shape[0]),), (dense,)
+    solved = [
+        _sign_fixed(idx, _solve_chain(*block) if isinstance(block, tuple) else _DSYEVD(block))
+        for idx, block in zip(rows, blocks)
+    ]
+    n = sum(idx.size for idx in rows)
+    merged = np.concatenate([vals for _, vals, _ in solved])
     order = np.argsort(merged, kind="stable")
     column = order.argsort()  # output column of each entry of merged
     eigenvalues = merged[order]
     eigenvectors = np.zeros((n, n))
-    eigenvectors[isolated, column[: isolated.size]] = 1.0
-    start = isolated.size
-    for idx, _, vecs in blocks:
+    start = 0
+    for idx, _, vecs in solved:
         eigenvectors[idx[:, None], column[start:start + idx.size]] = vecs
         start += idx.size
     eigenvalues.flags.writeable = False
     eigenvectors.flags.writeable = False
-    return Spectrum(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+    return Spectrum(eigenvalues=eigenvalues, eigenvectors=eigenvectors, sectors=rows)
 
 
 def _root_columns(density):
@@ -354,11 +314,11 @@ def _root_columns(density):
     states are PSD analytically) and are clamped to zero; more negative
     ones raise NotPSD.
     """
-    tr = float(np.trace(density))
-    if abs(tr - 1.0) > 1e-9:
-        raise InvalidMatrix(f"density matrix trace {tr!r} is not 1")
     spec = eigh(density)
     vals = spec.eigenvalues
+    tr = float(np.sum(vals))
+    if abs(tr - 1.0) > 1e-9:
+        raise InvalidMatrix(f"density matrix trace {tr!r} is not 1")
     floor = -PSD_CLAMP_RTOL * float(np.max(np.abs(vals)))
     if vals[0] < floor:
         raise NotPSD(f"eigenvalue {vals[0]:.6e} below roundoff floor {floor:.6e}")
@@ -381,11 +341,10 @@ def fidelity(rho, sigma):
     and sigma = W diag(m) W^T, sqrt F = ||sqrt(rho) sqrt(sigma)||_1 is the
     nuclear norm of (V sqrt(l))^T (W sqrt(m)), as the orthogonal V and W
     drop out; no matrix root is formed (Uhlmann, Rep. Math. Phys. 9, 273,
-    1976; Jozsa, J. Mod. Opt. 41, 2315, 1994).  Symmetric in its
-    arguments to ~1e-10.
+    1976; Jozsa, J. Mod. Opt. 41, 2315, 1994).  Sectors go to ``eigh``
+    as they are.  Symmetric in its arguments to ~1e-10.
     """
-    r = np.asarray(rho, dtype=float)
-    s = np.asarray(sigma, dtype=float)
+    r, s = (m if isinstance(m, Sectors) else np.asarray(m, dtype=float) for m in (rho, sigma))
     if r.shape != s.shape:
         raise DimMismatch(f"density-matrix shapes differ: {r.shape} vs {s.shape}")
     return min(_root_fidelity(_root_columns(r), _root_columns(s)) ** 2, 1.0)

@@ -9,13 +9,13 @@ Three families share the linear structure H = omega * dH - g * W:
 * ``ising`` -- Pauli ring, H = omega sum sigma_z - g sum sigma_x sigma_x.
 
 dH = dH/domega is exact, analytic and diagonal (the number operator,
-Sz, or the total sigma_z), so it is held as its diagonal.  The
-oscillator's and the collective spin's W has one off-diagonal, at
-offsets +-2, so their W and H are held as a ``linalg.Banded`` and no
-n x n matrix is formed (``np.asarray(model.H)`` gives it on request);
-the ring's are dense.  Finite
-differences are reserved for cross-checks and for derivatives of the
-thermal state itself.  Energy offsets are never
+Sz, or the total sigma_z), so it is held as its diagonal.  W and H are
+``linalg.Sectors`` over the two parity sectors that dH respects: even
+and odd index chains for the oscillator and the collective spin, dense
+blocks over the even and odd popcount states for the ring.  H is formed
+block by block, and no n x n matrix is (``np.asarray(model.H)`` gives
+it on request).  Finite differences are reserved for cross-checks and
+for derivatives of the thermal state itself.  Energy offsets are never
 normalized away: Gibbs weights and every Fisher quantity here are
 offset-invariant.  The adaptive oscillator truncation doubles its size
 until the Fisher total moves by less than TRUNCATION_RTOL (1e-8).
@@ -28,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import BeyondCriticality, TruncationNotConverged
-from .linalg import Banded
+from .linalg import Sectors
 from .operators import make_chain_ops, make_dicke_ops, make_fock_ops
 
 # doubling ladder for the adaptive Fock truncation
@@ -50,8 +50,7 @@ class ModelInstance:
     count N otherwise.  ``dH`` holds the generator's diagonal and
     ``coupling_term`` the normalized interaction W, so
     np.asarray(H) == np.diag(omega * dH) - g * np.asarray(coupling_term)
-    holds exactly.  H and W are bands for toy and lmg and dense arrays
-    for ising.
+    holds exactly.  H and W are Sectors over the same rows.
     """
 
     kind: ModelKind
@@ -69,10 +68,18 @@ class ModelInstance:
 
 
 def _hamiltonian(omega, g, generator, coupling):
-    """H = omega * dH - g * W, a band when W is one."""
-    if isinstance(coupling, Banded):
-        return Banded(omega * generator - g * coupling.diagonal, -g * coupling.off, coupling.k)
-    return np.diag(omega * generator) - g * coupling
+    """H = omega * dH[rows] - g * W, block by block over W's sectors."""
+    blocks = [
+        (omega * generator[rows] - g * w[0], -g * w[1]) if isinstance(w, tuple)
+        else np.diag(omega * generator[rows]) - g * w
+        for rows, w in zip(coupling.rows, coupling.blocks)
+    ]
+    return Sectors(coupling.rows, blocks)
+
+
+def _scaled(chains, factor):
+    """The chains of a Sectors, every entry divided by ``factor``."""
+    return Sectors(chains.rows, [(diagonal / factor, off / factor) for diagonal, off in chains.blocks])
 
 
 def _check_parameters(kind, omega, g):
@@ -92,11 +99,11 @@ def build_model(kind, omega, g, size):
     if kind is ModelKind.TOY:
         ops = make_fock_ops(size)
         generator = ops.num
-        coupling = Banded(ops.x2.diagonal / 4.0, ops.x2.off / 4.0, 2)
+        coupling = _scaled(ops.x2, 4.0)
     elif kind is ModelKind.LMG:
         ops = make_dicke_ops(size)
         generator = ops.sz
-        coupling = Banded(ops.sx2.diagonal / float(size), ops.sx2.off / float(size), 2)
+        coupling = _scaled(ops.sx2, float(size))
     else:
         ops = make_chain_ops(size)
         generator = ops.sz_total

@@ -4,9 +4,13 @@
 * collective spin in the maximal-spin (Dicke) basis j = N/2,
 * rings of spin-1/2 sites built from Pauli matrices (periodic closure).
 
-Constructors are pure; outputs are float64 arrays, or read-only bands
-(``linalg.Banded``) for the squares that have one off-diagonal, and are
-safe to share between workers.  Spin conventions differ deliberately
+Every family conserves a Z2 parity (the Fock and Dicke index mod 2, the
+ring's popcount mod 2), and every matrix here respects it, so matrices
+are built directly in their two parity sectors as read-only
+``linalg.Sectors``: tridiagonal chains for the Fock and Dicke squares,
+dense blocks for the ring.  Diagonal operators are held as their
+diagonal.  Constructors are pure and their outputs are safe to share
+between workers.  Spin conventions differ deliberately
 between the two spin families: collective operators are half-integer spin
 (a single spin gives +-1/2) while the ring uses bare Pauli matrices
 (eigenvalues +-1), matching how each Hamiltonian is written.  The two
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDimension
-from .linalg import Banded
+from .linalg import Sectors
 
 CHAIN_MAX_SITES = 14  # dense 2^N storage budget
 
@@ -28,8 +32,8 @@ CHAIN_MAX_SITES = 14  # dense 2^N storage budget
 class FockOps:
     """Ladder-derived operators on the truncated space |0> .. |n_max-1>.
 
-    ``num`` is the number operator's diagonal n.  ``x2`` is the band of
-    the exact matrix elements of (a + a^dag)^2 restricted to the
+    ``num`` is the number operator's diagonal n.  ``x2`` holds, as the
+    even and odd index chains, the exact matrix elements of (a + a^dag)^2 restricted to the
     truncation: diagonal 2n+1, plus (n, n+2) couplings sqrt((n+1)(n+2)).
     Squaring the truncated (a + a^dag) instead would zero out the ladder
     traffic through the cut and corrupt the top diagonal entry; with the
@@ -40,7 +44,17 @@ class FockOps:
 
     n_max: int
     num: np.ndarray
-    x2: Banded
+    x2: Sectors
+
+
+def _index_chains(diagonal, off):
+    """Sectors of the symmetric matrix with ``diagonal`` and ``off`` at offsets +-2.
+
+    ``off[i]`` couples rows i and i + 2, so the even rows and the odd
+    rows each form a tridiagonal chain.
+    """
+    rows = [np.arange(start, diagonal.size, 2) for start in range(min(2, diagonal.size))]
+    return Sectors(rows, [(diagonal[r], off[r[:-1]]) for r in rows])
 
 
 def make_fock_ops(n_max):
@@ -48,7 +62,7 @@ def make_fock_ops(n_max):
         raise InvalidDimension(f"need n_max >= 2, got {n_max}")
     n = np.arange(n_max, dtype=float)
     off = np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0))
-    return FockOps(n_max=int(n_max), num=n, x2=Banded(2.0 * n + 1.0, off, 2))
+    return FockOps(n_max=int(n_max), num=n, x2=_index_chains(2.0 * n + 1.0, off))
 
 
 @dataclass(frozen=True)
@@ -57,17 +71,17 @@ class DickeOps:
 
     Basis ordered by magnetization m = -N/2 .. +N/2, so ``sz`` is the
     ascending diagonal m of Sz and sx is tridiagonal with
-    <m+1|Sx|m> = sqrt(j(j+1) - m(m+1)) / 2.  ``sx2`` is the band of
-    sx @ sx, whose only nonzero entries lie on the main diagonal and at
-    offsets +-2.  It takes them from the matrix product itself, since
-    the product's fused accumulation rounds some diagonal entries one
-    ulp away from a closed form.
+    <m+1|Sx|m> = sqrt(j(j+1) - m(m+1)) / 2.  ``sx2`` holds sx @ sx, whose
+    only nonzero entries lie on the main diagonal and at offsets +-2, as
+    the even and odd index chains.  It takes them from the matrix product
+    itself, since the product's fused accumulation rounds some diagonal
+    entries one ulp away from a closed form.
     """
 
     N: int
     sz: np.ndarray
     sx: np.ndarray
-    sx2: Banded
+    sx2: Sectors
 
     @property
     def dim(self):
@@ -82,7 +96,7 @@ def make_dicke_ops(N):
     raising = np.sqrt(j * (j + 1.0) - m[:-1] * (m[:-1] + 1.0))
     sx = (np.diag(raising, k=-1) + np.diag(raising, k=1)) / 2.0
     sx2 = sx @ sx
-    return DickeOps(N=int(N), sz=m, sx=sx, sx2=Banded(np.diagonal(sx2), np.diagonal(sx2, 2), 2))
+    return DickeOps(N=int(N), sz=m, sx=sx, sx2=_index_chains(np.diagonal(sx2), np.diagonal(sx2, 2)))
 
 
 @dataclass(frozen=True)
@@ -92,12 +106,17 @@ class ChainOps:
     Site 1 is the leftmost Kronecker factor.  ``sz_total`` is the diagonal
     N - 2 popcount(state).  ``xx_pbc`` contains N bond
     terms sigma_x^n sigma_x^(n+1) with site N+1 identified with site 1.
+    ``sx2`` is the square of the collective spin Sx = sum_n sigma_x^n / 2:
+    N/4 on the diagonal and 1/2 for each pair of flipped sites.  Both
+    flip sites in pairs, so they are built over the states of even and
+    odd popcount, each sector in ascending state order, with every entry
+    written directly.
     """
 
     N: int
     sz_total: np.ndarray
-    sx_total: np.ndarray
-    xx_pbc: np.ndarray
+    xx_pbc: Sectors
+    sx2: Sectors
 
     @property
     def dim(self):
@@ -107,6 +126,20 @@ class ChainOps:
 def _bit_of_site(N, site):
     # site 1 is the leftmost kron factor, i.e. the most significant bit
     return 1 << (N - site)
+
+
+def _pair_flips(sectors, masks, weight, diagonal):
+    """Sectors of diagonal * I + weight * sum_mask X_mask, X_mask flipping the bits of mask."""
+    position = np.empty(sum(r.size for r in sectors), dtype=np.intp)
+    for r in sectors:
+        position[r] = np.arange(r.size)
+    blocks = []
+    for r in sectors:
+        block = np.diag(np.full(r.size, diagonal))
+        for mask in masks:
+            block[position[r], position[r ^ mask]] += weight
+        blocks.append(block)
+    return Sectors(sectors, blocks)
 
 
 def make_chain_ops(N):
@@ -119,20 +152,14 @@ def make_chain_ops(N):
             "periodic 2-site ring: the single bond appears twice in xx_pbc",
             stacklevel=2,
         )
-    dim = 2 ** N
-    states = np.arange(dim)
-    popcount = np.array([bin(s).count("1") for s in range(dim)])
-
-    sz_total = (N - 2 * popcount).astype(float)
-
-    sx_total = np.zeros((dim, dim))
-    for site in range(1, N + 1):
-        sx_total[states, states ^ _bit_of_site(N, site)] += 1.0
-
-    xx_pbc = np.zeros((dim, dim))
-    for site in range(1, N + 1):
-        neighbor = site % N + 1
-        flips = _bit_of_site(N, site) ^ _bit_of_site(N, neighbor)
-        xx_pbc[states, states ^ flips] += 1.0
-
-    return ChainOps(N=int(N), sz_total=sz_total, sx_total=sx_total, xx_pbc=xx_pbc)
+    popcount = np.array([bin(s).count("1") for s in range(2 ** N)])
+    sectors = [np.flatnonzero(popcount % 2 == parity) for parity in (0, 1)]
+    bit = [_bit_of_site(N, site) for site in range(1, N + 1)]
+    bonds = [bit[n] ^ bit[(n + 1) % N] for n in range(N)]
+    pairs = [bit[a] ^ bit[b] for a in range(N) for b in range(a + 1, N)]
+    return ChainOps(
+        N=int(N),
+        sz_total=(N - 2 * popcount).astype(float),
+        xx_pbc=_pair_flips(sectors, bonds, 1.0, 0.0),
+        sx2=_pair_flips(sectors, pairs, 0.5, N / 4.0),
+    )

@@ -241,13 +241,10 @@ def measurement_observable(model_kind, size):
 @functools.lru_cache(maxsize=1)
 def _observable(kind, size):
     if kind is ModelKind.TOY:
-        return make_fock_ops(size).x2  # bands are read-only
+        return make_fock_ops(size).x2  # Sectors are read-only
     if kind is ModelKind.LMG:
         return make_dicke_ops(size).sx2
-    half_sx = make_chain_ops(size).sx_total / 2.0
-    observable = half_sx @ half_sx
-    observable.flags.writeable = False
-    return observable
+    return make_chain_ops(size).sx2
 
 
 def _evaluate_cell(task):

@@ -1,7 +1,8 @@
 """Gibbs states over a fixed spectrum, gaps, and the gap-ratio temperature axis.
 
 Weights are computed after shifting all energies by E_0, so beta up to
-1e6 and beyond cannot overflow.  beta = math.inf is a first-class value
+1e6 and beyond cannot overflow.  A Gibbs state keeps the spectrum's
+parity sectors: its density matrix is one dense block per sector.  beta = math.inf is a first-class value
 (the exact T = 0 reference), with degenerate ground groups weighted
 uniformly -- the continuous limit of the finite-beta weights.
 """
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatch, GapTooSmall, InvalidDimension, InvalidTemperature
-from .linalg import Spectrum
+from .linalg import Sectors, Spectrum
 
 GROUND_DEGENERACY_RTOL = 1e-12
 GAP_FLOOR_RTOL = 1e-14
@@ -49,10 +50,14 @@ def gibbs(spectrum, beta):
 
 
 def density_matrix(state):
-    """rho = V diag(p) V^T: symmetric, PSD, unit trace."""
+    """rho = V diag(p) V^T as Sectors over the spectrum's sectors: symmetric, PSD, unit trace.
+
+    Each eigenvector lives in one sector, so the block of sector rows r
+    is (V[r] diag(p)) V[r]^T, and Sectors stores it exactly symmetrized.
+    """
     v = state.spectrum.eigenvectors
-    rho = (v * state.probs) @ v.T
-    return (rho + rho.T) / 2.0
+    sectors = state.spectrum.sectors
+    return Sectors(sectors, [(v[r] * state.probs) @ v[r].T for r in sectors])
 
 
 def gap(spectrum):

@@ -3,13 +3,15 @@ import ctypes
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse.csgraph import connected_components
 from hypothesis import given, settings, strategies as st
 
 from critfish import linalg
 from critfish.errors import DiagonalizationFailed, DimMismatch, InvalidMatrix, NotPSD
-from critfish.linalg import Banded, _band_chains, _component_labels, eigh, fidelity, symmetrize
+from critfish.linalg import Sectors, eigh, fidelity, symmetrize
 from critfish.models import build_model
 from critfish.operators import make_dicke_ops, make_fock_ops
+from critfish.sweep import measurement_observable
 from critfish.thermal import density_matrix, gibbs
 
 
@@ -100,55 +102,59 @@ def test_eigh_invariants_random(dim, seed):
     assert np.abs(rebuilt - m).max() <= 1e-10 * max(1.0, np.abs(m).max())
 
 
-def scrambled_path(rng, dim):
-    """Random tridiagonal matrix with rows and columns shuffled: a path graph in random order."""
-    off = rng.uniform(0.5, 2.0, dim - 1)
-    t = np.diag(rng.normal(size=dim)) + np.diag(off, 1) + np.diag(off, -1)
-    order = rng.permutation(dim)
-    return t[np.ix_(order, order)]
+def random_chain(rng, dim):
+    """(diagonal, off) of a random unreduced tridiagonal chain."""
+    off = rng.uniform(0.5, 2.0, dim - 1) * rng.choice([-1.0, 1.0], dim - 1)
+    return rng.normal(size=dim), off
 
 
-def interleaved_blocks(rng, sizes, singleton_values, paths=False):
-    """Symmetric matrix that is block diagonal after a random permutation.
+def chain_dense(diagonal, off):
+    return np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def interleaved_sectors(rng, sizes, singleton_values, chains=False):
+    """Sectors whose blocks interleave after a random permutation, and their dense matrix.
 
     Blocks of size 1 take their value from ``singleton_values`` (so they
-    repeat exactly); larger blocks are dense random, or scrambled paths
-    with ``paths``, and every second one repeats the block before it, so
-    their spectra coincide too.  The permutation interleaves the blocks
-    but keeps each block's own row order, which keeps repeated blocks
-    bit-identical after extraction.
-    Returns (matrix, list of index arrays, one per block).
+    repeat exactly); larger blocks are dense random, or tridiagonal chains
+    with ``chains``, and every second one repeats the block before it, so
+    their spectra coincide too.  Each block's rows come in random order.
+    Returns (sectors, dense matrix, list of row arrays, one per block).
     """
     owner = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
-    members = [np.flatnonzero(owner == b) for b in range(len(sizes))]
-    m = np.zeros((len(owner), len(owner)))
+    members = [rng.permutation(np.flatnonzero(owner == b)) for b in range(len(sizes))]
+    dense = np.zeros((len(owner), len(owner)))
+    blocks = []
     previous = None
     for b, idx in enumerate(members):
         if idx.size == 1:
-            block = np.array([[singleton_values[b % len(singleton_values)]]])
-        elif previous is not None and previous.shape[0] == idx.size and b % 2:
+            block = (np.array([singleton_values[b % len(singleton_values)]]), np.empty(0))
+        elif previous is not None and len(previous[0]) == idx.size and b % 2:
             block = previous
-        elif paths:
-            block = scrambled_path(rng, idx.size)
+        elif chains:
+            block = random_chain(rng, idx.size)
         else:
             block = random_symmetric(rng, idx.size)
-        m[np.ix_(idx, idx)] = block
+        full = chain_dense(*block) if isinstance(block, tuple) else block
+        dense[np.ix_(idx, idx)] = full
+        blocks.append(block if chains or idx.size == 1 else full)
         previous = block
-    return m, members
+    return Sectors(members, blocks), dense, members
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     sizes=st.lists(st.sampled_from([1, 1, 2, 3, 5, 8]), min_size=1, max_size=8),
     singleton_values=st.lists(st.sampled_from([-2.5, 0.0, 1.0]), min_size=1, max_size=3),
-    paths=st.booleans(),
+    chains=st.booleans(),
     seed=st.integers(0, 2 ** 31),
 )
-def test_eigh_blocked_matches_dense(sizes, singleton_values, paths, seed):
+def test_eigh_blocked_matches_dense(sizes, singleton_values, chains, seed):
     rng = np.random.default_rng(seed)
-    m, members = interleaved_blocks(rng, sizes, singleton_values, paths)
+    sectors, m, members = interleaved_sectors(rng, sizes, singleton_values, chains)
     dim = m.shape[0]
-    spec = eigh(m)
+    assert np.array_equal(np.asarray(sectors), m)
+    spec = eigh(sectors)
     vals, v = spec.eigenvalues, spec.eigenvectors
     scale = max(1.0, np.abs(m).max())
     assert np.abs(vals - scipy.linalg.eigvalsh(m)).max() <= 1e-12 * scale
@@ -162,32 +168,54 @@ def test_eigh_blocked_matches_dense(sizes, singleton_values, paths, seed):
         support = np.flatnonzero(v[:, k])
         assert np.unique(owner[support]).size == 1
         assert v[np.argmax(np.abs(v[:, k])), k] > 0
+    assert [r.tolist() for r in spec.sectors] == [idx.tolist() for idx in members]
     assert not vals.flags.writeable and not v.flags.writeable
-    again = eigh(m)
+    again = eigh(sectors)
     assert np.array_equal(again.eigenvalues, vals)
     assert np.array_equal(again.eigenvectors, v)
 
 
-def components(labels):
-    return sorted(np.flatnonzero(labels == root).tolist() for root in np.unique(labels))
+def test_dense_input_is_one_block():
+    m = np.diag([2.0, 1.0, 3.0])
+    m[0, 2] = m[2, 0] = 0.5
+    spec = eigh(m)
+    assert [r.tolist() for r in spec.sectors] == [[0, 1, 2]]
+    assert np.abs(m @ spec.eigenvectors - spec.eigenvectors * spec.eigenvalues).max() <= 1e-14
 
 
-@pytest.mark.parametrize("paths", [False, True])
-def test_component_labels_of_interleaved_blocks(paths):
-    # the 150-row block spans several reads of _LABEL_ROWS rows
-    rng = np.random.default_rng(2)
-    m, members = interleaved_blocks(rng, [3, 1, 5, 1, 2, 150], [0.0, 1.0], paths)
-    labels = _component_labels(m)
-    assert components(labels) == sorted(idx.tolist() for idx in members)
-    for idx in members:
-        assert np.all(labels[idx] == idx.min())
+def components(matrix):
+    """Connected components of the exact nonzero pattern, each as a sorted row list."""
+    count, labels = connected_components(np.asarray(matrix) != 0.0, directed=False)
+    return sorted(np.flatnonzero(labels == c).tolist() for c in range(count))
+
+
+def declared(sectors):
+    return sorted(sorted(r.tolist()) for r in sectors.rows)
+
+
+SECTOR_CASES = [
+    *[(kind, size, g) for g in (0.5, 0.9) for kind, size in (("toy", 64), ("lmg", 20), ("ising", 6))],
+    ("lmg", 20, 1.3),
+    ("ising", 6, 1.3),
+]
+
+
+@pytest.mark.parametrize("kind,size,g", SECTOR_CASES)
+def test_declared_sectors_are_the_connected_components(kind, size, g):
+    model = build_model(kind, 1.0, g, size)
+    observable = measurement_observable(kind, size)
+    assert declared(model.H) == components(model.H)
+    assert declared(model.coupling_term) == declared(model.H)
+    assert declared(observable) == components(observable)
+    assert len(model.H.rows) == 2
 
 
 def test_ising_hamiltonian_splits_into_parity_sectors():
-    found = components(_component_labels(build_model("ising", 1.0, 0.7, 6).H))
+    found = components(build_model("ising", 1.0, 0.7, 6).H)
     assert [len(c) for c in found] == [32, 32]
     parity = [np.unique([bin(i).count("1") % 2 for i in c]) for c in found]
     assert [p.tolist() for p in parity] == [[0], [1]]
+    assert declared(build_model("ising", 1.0, 0.7, 6).H) == found
 
 
 def test_eigh_wraps_solver_failure(monkeypatch):
@@ -208,13 +236,16 @@ def test_eigh_turns_a_lapack_error_into_diagonalization_failed(monkeypatch):
         eigh(np.ones((3, 3)))
 
 
-def random_band(rng, dim, k=1):
+def chains_mod(diagonal, off, k):
+    """Sectors of the matrix with ``diagonal`` and ``off[i]`` coupling rows i and i + k."""
+    rows = [np.arange(start, len(diagonal), k) for start in range(min(k, len(diagonal)))]
+    return Sectors(rows, [(diagonal[r], off[r[:-1]]) for r in rows])
+
+
+def random_chains(rng, dim, k=1, zeros=()):
     off = rng.uniform(0.5, 2.0, dim - k) * rng.choice([-1.0, 1.0], dim - k)
-    return Banded(rng.normal(size=dim), off, k)
-
-
-def random_tridiagonal(rng, dim):
-    return np.asarray(random_band(rng, dim))
+    off[list(zeros)] = 0.0
+    return chains_mod(rng.normal(size=dim), off, k)
 
 
 def no_stevd(diagonal, offdiagonal):
@@ -222,27 +253,43 @@ def no_stevd(diagonal, offdiagonal):
 
 
 TRIDIAGONAL_CASES = {
-    "toy-128": lambda: build_model("toy", 1.0, 0.9, 128).H,
+    **{f"toy-{n}": (lambda n=n: build_model("toy", 1.0, 0.9, n).H) for n in (2, 3, 64, 65, 128)},
     "toy-1024": lambda: build_model("toy", 1.0, 0.999, 1024).H,
+    "toy-2048": lambda: build_model("toy", 1.0, 0.999, 2048).H,
+    **{f"lmg-{n}": (lambda n=n: build_model("lmg", 1.0, 1.3, n).H) for n in (1, 4, 20)},
     "lmg-400-normal": lambda: build_model("lmg", 1.0, 0.6, 400).H,
     "lmg-400-ordered": lambda: build_model("lmg", 1.0, 1.3, 400).H,
-    "random-tridiagonal": lambda: random_band(np.random.default_rng(8), 200),
+    "toy-g0": lambda: build_model("toy", 1.0, 0.0, 128).H,
+    "lmg-g0": lambda: build_model("lmg", 1.0, 0.0, 20).H,
+    "toy-x2": lambda: make_fock_ops(300).x2,
+    "lmg-sx2": lambda: make_dicke_ops(150).sx2,
+    "random-tridiagonal": lambda: random_chains(np.random.default_rng(8), 200),
+    # interior zeros split chains into pieces above and below
+    # _STEVD_MIN_ROWS, and into single rows
+    "cut-k2": lambda: random_chains(np.random.default_rng(12), 400, 2, [0, 5, 6, 7, 90, 91, 250]),
+    "cut-k1": lambda: random_chains(np.random.default_rng(13), 300, 1, [0, 1, 40, 41, 150, 298]),
+    "k1": lambda: random_chains(np.random.default_rng(14), 150),
+    "k3": lambda: random_chains(np.random.default_rng(15), 100, 3),
 }
 
 
 @pytest.mark.parametrize("case", sorted(TRIDIAGONAL_CASES))
 def test_tridiagonal_route_returns_the_bits_of_syevd(monkeypatch, case):
+    # ?stevd on each chain against ?syevd on the same chain as a dense block
     m = TRIDIAGONAL_CASES[case]()
     solved = []
     stevd = linalg._DSTEVD
     monkeypatch.setattr(linalg, "_DSTEVD", lambda d, e: solved.append(d.size) or stevd(d, e))
     routed = eigh(m)
-    assert solved and min(solved) >= linalg._STEVD_MIN_ROWS
+    assert sorted(solved) == sorted(r.size for r in m.rows if r.size >= linalg._STEVD_MIN_ROWS)
     monkeypatch.setattr(linalg, "_DSTEVD", no_stevd)
     dense = eigh(m)
     assert np.array_equal(routed.eigenvalues, dense.eigenvalues)
     assert np.array_equal(routed.eigenvectors, dense.eigenvectors)
     assert not routed.eigenvalues.flags.writeable and not routed.eigenvectors.flags.writeable
+    scale = max(1.0, np.abs(np.asarray(m)).max())
+    residual = np.asarray(m) @ routed.eigenvectors - routed.eigenvectors * routed.eigenvalues
+    assert np.abs(residual).max() <= 1e-12 * scale
 
 
 def test_tridiagonal_route_is_taken_on_this_platform(monkeypatch):
@@ -266,7 +313,7 @@ def test_failing_stevd_raises_diagonalization_failed(monkeypatch):
 
 def beyond_the_band(rng, dim):
     # tridiagonal but for one pair of entries three rows out
-    m = random_tridiagonal(rng, dim)
+    m = chain_dense(*random_chain(rng, dim))
     m[5, 8] = m[8, 5] = 0.75
     return m
 
@@ -280,98 +327,72 @@ NOT_TRIDIAGONAL_CASES = {
 
 @pytest.mark.parametrize("case", sorted(NOT_TRIDIAGONAL_CASES))
 def test_blocks_that_are_not_tridiagonal_never_take_the_route(monkeypatch, case):
-    # only a band reaches ?stevd: every block of a dense matrix, a
-    # tridiagonal one included, goes to ?syevd
+    # only a chain reaches ?stevd: a dense block, a tridiagonal one
+    # included, goes to ?syevd
     def fail(diagonal, offdiagonal):
-        raise AssertionError("a block of a dense matrix reached ?stevd")
+        raise AssertionError("a dense block reached ?stevd")
 
     m = NOT_TRIDIAGONAL_CASES[case]()
-    assert min(len(c) for c in components(_component_labels(m))) >= linalg._STEVD_MIN_ROWS
+    blocks = m.blocks if isinstance(m, Sectors) else [m]
+    assert min(len(block) for block in blocks) >= linalg._STEVD_MIN_ROWS
     monkeypatch.setattr(linalg, "_DSTEVD", fail)
     spec = eigh(m)
-    scale = max(1.0, np.abs(m).max())
-    assert np.abs(m @ spec.eigenvectors - spec.eigenvectors * spec.eigenvalues).max() <= 1e-12 * scale
+    dense = np.asarray(m)
+    scale = max(1.0, np.abs(dense).max())
+    assert np.abs(dense @ spec.eigenvectors - spec.eigenvectors * spec.eigenvalues).max() <= 1e-12 * scale
 
 
-def cut_band(rng, dim, k, zeros):
-    band = random_band(rng, dim, k)
-    off = band.off.copy()
-    off[zeros] = 0.0
-    return Banded(band.diagonal, off, k)
+@pytest.mark.parametrize("stevd", [True, False])
+@pytest.mark.parametrize("kind,size", [("toy", 256), ("lmg", 20)])
+def test_uncoupled_chains_give_identity_eigenvectors(monkeypatch, stevd, kind, size):
+    # at g = 0 every off-diagonal entry is zero: ?stevd and ?syevd both
+    # hand back the diagonal, sorted, and exact unit vectors
+    if not stevd:
+        monkeypatch.setattr(linalg, "_DSTEVD", no_stevd)
+    model = build_model(kind, 1.0, 0.0, size)
+    spec = eigh(model.H)
+    assert np.array_equal(spec.eigenvalues, np.sort(model.dH))
+    assert np.array_equal(spec.eigenvectors, np.eye(len(model.H)))
 
 
-BAND_CASES = {
-    **{f"toy-{n}": (lambda n=n: build_model("toy", 1.0, 0.9, n).H) for n in (2, 3, 64, 65, 128)},
-    "toy-2048": lambda: build_model("toy", 1.0, 0.999, 2048).H,
-    **{f"lmg-{n}": (lambda n=n: build_model("lmg", 1.0, 1.3, n).H) for n in (1, 4, 20, 400)},
-    "toy-g0": lambda: build_model("toy", 1.0, 0.0, 128).H,
-    "lmg-g0": lambda: build_model("lmg", 1.0, 0.0, 20).H,
-    "toy-x2": lambda: make_fock_ops(300).x2,
-    "lmg-sx2": lambda: make_dicke_ops(150).sx2,
-    # interior zeros cut chains into pieces above and below _STEVD_MIN_ROWS,
-    # and into single rows
-    "cut-k2": lambda: cut_band(np.random.default_rng(12), 400, 2, [0, 5, 6, 7, 90, 91, 250]),
-    "cut-k1": lambda: cut_band(np.random.default_rng(13), 300, 1, [0, 1, 40, 41, 150, 298]),
-    "k1": lambda: random_band(np.random.default_rng(14), 150),
-    "k3": lambda: random_band(np.random.default_rng(15), 100, 3),
-}
-
-
-@pytest.mark.parametrize("case", sorted(BAND_CASES))
-def test_band_route_returns_the_bits_of_the_dense_route(case):
-    band = BAND_CASES[case]()
-    routed = eigh(band)
-    dense = eigh(np.asarray(band))
-    assert np.array_equal(routed.eigenvalues, dense.eigenvalues)
-    assert np.array_equal(routed.eigenvectors, dense.eigenvectors)
-    assert not routed.eigenvalues.flags.writeable and not routed.eigenvectors.flags.writeable
-
-
-def test_band_chains_are_the_components_of_the_dense_pattern():
-    band = cut_band(np.random.default_rng(16), 40, 2, [0, 3, 5, 20, 21])
-    isolated, chains = _band_chains(band)
-    found = sorted([[int(i)] for i in isolated] + [idx.tolist() for idx in chains])
-    assert found == components(_component_labels(np.asarray(band)))
-    assert [idx[0] for idx in chains] == sorted(idx[0] for idx in chains)
-    assert isolated.tolist() == [0, 5]  # row 5 lost both links: off[3] and off[5]
-
-
-def test_band_of_every_isolated_row_needs_no_solve(monkeypatch):
-    def fail(*args):
-        raise AssertionError("an isolated row reached LAPACK")
-
-    monkeypatch.setattr(linalg, "_DSTEVD", fail)
-    monkeypatch.setattr(linalg, "_DSYEVD", fail)
-    spec = eigh(build_model("toy", 1.0, 0.0, 256).H)
-    assert np.array_equal(spec.eigenvalues, np.arange(256.0))
-    assert np.array_equal(spec.eigenvectors, np.eye(256))
-
-
-def test_band_to_dense_and_shape():
-    band = Banded([1.0, 2.0, 3.0, 4.0], [5.0, 6.0], 2)
+def test_sectors_to_dense_and_shape():
+    chain = (np.array([1.0, 3.0]), np.array([5.0]))
+    block = np.array([[2.0, 6.0], [6.0, 4.0]])
+    m = Sectors([[0, 2], [1, 3]], [chain, block])
     want = np.array([[1, 0, 5, 0], [0, 2, 0, 6], [5, 0, 3, 0], [0, 6, 0, 4]], dtype=float)
-    assert np.array_equal(np.asarray(band), want)
-    assert band.shape == (4, 4) and len(band) == 4
-    assert np.asarray(band, dtype=np.float32).dtype == np.float32
-    assert not band.diagonal.flags.writeable and not band.off.flags.writeable
+    assert np.array_equal(np.asarray(m), want)
+    assert m.shape == (4, 4) and len(m) == 4
+    assert np.asarray(m, dtype=np.float32).dtype == np.float32
+    assert not any(a.flags.writeable for a in (*m.rows, *m.blocks[0], m.blocks[1]))
+    assert not np.shares_memory(m.blocks[1], block) and not np.shares_memory(m.blocks[0][0], chain[0])
     with pytest.raises(ValueError):
-        np.asarray(band, copy=False)
-    assert np.array_equal(np.asarray(Banded([7.0], [], 2)), [[7.0]])
+        np.asarray(m, copy=False)
+    assert np.array_equal(np.asarray(Sectors([[0]], [([7.0], [])])), [[7.0]])
+    # a dense block is stored exactly symmetrized
+    assert np.array_equal(Sectors([[1, 0]], [np.array([[1.0, 2.0], [0.0, 3.0]])]).blocks[0], [[1, 1], [1, 3]])
 
 
-@pytest.mark.parametrize("diagonal,off,k", [([1.0, 2.0], [1.0, 2.0], 1), ([], [], 1), ([1.0, 2.0], [], 0)])
-def test_band_rejects_a_bad_layout(diagonal, off, k):
+@pytest.mark.parametrize("rows,blocks", [
+    ([[0, 1]], [([1.0, 2.0], [1.0, 2.0])]),           # a chain with too many off-diagonal entries
+    ([[0, 1], [1]], [([1.0, 2.0], [1.0]), ([3.0], [])]),  # a row in two sectors
+    ([[0], [2]], [([1.0], []), ([3.0], [])]),          # row 1 in none
+    ([[0, 1], []], [([1.0, 2.0], [1.0]), ([], [])]),   # an empty sector
+    ([[0, 1]], [np.eye(3)]),                           # a dense block of the wrong size
+    ([[0, 1]], [np.ones((2, 3))]),                     # a dense block that is not square
+    ([[0, 1]], []),                                    # rows without a block
+])
+def test_sectors_reject_a_bad_layout(rows, blocks):
     with pytest.raises(InvalidMatrix):
-        Banded(diagonal, off, k)
+        Sectors(rows, blocks)
 
 
-@pytest.mark.parametrize("bad", ["diagonal", "off"])
+@pytest.mark.parametrize("bad", ["diagonal", "off", "dense"])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_band_with_non_finite_entries_raises_invalid_matrix(bad, value):
-    diagonal, off = np.ones(5), np.ones(3)
-    {"diagonal": diagonal, "off": off}[bad][1] = value
+    diagonal, off, dense = np.ones(5), np.ones(4), np.eye(5)
+    {"diagonal": diagonal, "off": off, "dense": dense}[bad][1] = value
     with pytest.raises(InvalidMatrix):
-        eigh(Banded(diagonal, off, 2))
+        eigh(Sectors([np.arange(5), np.arange(5, 10)], [(diagonal, off), dense]))
 
 
 def test_limit_blas_threads_sets_the_pool_of_numpys_openblas():

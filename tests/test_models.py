@@ -63,10 +63,10 @@ def test_toy_band_build_forms_no_dense_matrix():
     finally:
         tracemalloc.stop()
     assert built < 2 ** 20 and moved_peak < 2 ** 20
-    assert isinstance(model.H, linalg.Banded) and isinstance(moved.H, linalg.Banded)
-    assert isinstance(model.coupling_term, linalg.Banded)
-    assert isinstance(build_model("lmg", 1.0, 0.5, 8).H, linalg.Banded)
-    assert isinstance(build_model("ising", 1.0, 0.5, 3).H, np.ndarray)
+    assert isinstance(model.H, linalg.Sectors) and isinstance(moved.H, linalg.Sectors)
+    assert isinstance(model.coupling_term, linalg.Sectors)
+    assert isinstance(build_model("lmg", 1.0, 0.5, 8).H, linalg.Sectors)
+    assert isinstance(build_model("ising", 1.0, 0.5, 3).H, linalg.Sectors)
 
 
 def test_at_keeps_the_parameter_checks():

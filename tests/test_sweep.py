@@ -269,15 +269,17 @@ def test_pooled_rows_equal_serial_rows_at_equal_blas_thread_counts(monkeypatch):
 
 
 def test_measurement_observable_is_shared_and_read_only():
-    from critfish.operators import make_chain_ops
     from critfish.sweep import measurement_observable
 
     first = measurement_observable("ising", 4)
     assert measurement_observable("ising", 4) is first
-    half_sx = make_chain_ops(4).sx_total / 2.0
+    states = np.arange(16)
+    half_sx = np.zeros((16, 16))
+    for site in range(4):
+        half_sx[states, states ^ (1 << site)] += 0.5
     assert np.array_equal(first, half_sx @ half_sx)
     with pytest.raises(ValueError, match="read-only"):
-        first[0, 0] = 1.0
+        first.blocks[0][0, 0] = 1.0
     assert measurement_observable("lmg", 4).shape == (5, 5)
 
 

@@ -72,7 +72,7 @@ def test_rejects_bad_temperature():
 def test_density_matrix_ground_projector():
     model = build_model("lmg", 1.0, 0.4, 5)
     spec = eigh(model.H)
-    rho = density_matrix(gibbs(spec, math.inf))
+    rho = np.asarray(density_matrix(gibbs(spec, math.inf)))
     ground = spec.eigenvectors[:, 0]
     assert np.allclose(rho, np.outer(ground, ground), atol=1e-12)
     assert np.array_equal(rho, rho.T)
@@ -80,11 +80,25 @@ def test_density_matrix_ground_projector():
     assert np.linalg.eigvalsh(rho)[0] >= -1e-12
 
 
+@pytest.mark.parametrize("kind,size", [("toy", 40), ("lmg", 9), ("ising", 5)])
+def test_density_matrix_keeps_the_sectors_of_the_spectrum(kind, size):
+    spec = eigh(build_model(kind, 1.0, 0.7, size).H)
+    state = gibbs(spec, 0.8)
+    rho = density_matrix(state)
+    assert [r.tolist() for r in rho.rows] == [r.tolist() for r in spec.sectors]
+    assert all(isinstance(block, np.ndarray) for block in rho.blocks)
+    v = spec.eigenvectors
+    assert np.abs(np.asarray(rho) - (v * state.probs) @ v.T).max() <= 1e-15
+    # one sector of all rows when the spectrum was built without them
+    plain = density_matrix(gibbs(Spectrum(eigenvalues=spec.eigenvalues, eigenvectors=v), 0.8))
+    assert [r.tolist() for r in plain.rows] == [list(range(len(v)))]
+
+
 def test_density_matrix_hot_limit_is_maximally_mixed():
     model = build_model("ising", 1.0, 0.5, 3)
     spec = eigh(model.H)
     scale = np.abs(spec.eigenvalues).max()
-    rho = density_matrix(gibbs(spec, 1e-12 / scale))
+    rho = np.asarray(density_matrix(gibbs(spec, 1e-12 / scale)))
     assert np.abs(rho - np.eye(8) / 8.0).max() <= 1e-9
 
 
@@ -92,8 +106,8 @@ def test_density_matrix_energy_consistency():
     model = build_model("lmg", 1.0, 0.9, 10)
     spec = eigh(model.H)
     state = gibbs(spec, 1.3)
-    rho = density_matrix(state)
-    assert float(np.trace(rho @ model.H)) == pytest.approx(
+    rho = np.asarray(density_matrix(state))
+    assert float(np.trace(rho @ np.asarray(model.H))) == pytest.approx(
         float(np.dot(state.probs, spec.eigenvalues)), abs=1e-10
     )
 
@@ -104,7 +118,7 @@ def test_density_matrix_always_valid(beta, seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(6, 6))
     state = gibbs(eigh((a + a.T) / 2.0), beta)
-    rho = density_matrix(state)
+    rho = np.asarray(density_matrix(state))
     assert np.array_equal(rho, rho.T)
     assert float(np.trace(rho)) == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.eigvalsh(rho)[0] >= -1e-12
