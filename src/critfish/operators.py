@@ -70,17 +70,15 @@ class DickeOps:
     """Collective spin operators in the j = N/2 sector, dimension N + 1.
 
     Basis ordered by magnetization m = -N/2 .. +N/2, so ``sz`` is the
-    ascending diagonal m of Sz and sx is tridiagonal with
-    <m+1|Sx|m> = sqrt(j(j+1) - m(m+1)) / 2.  ``sx2`` holds sx @ sx, whose
-    only nonzero entries lie on the main diagonal and at offsets +-2, as
-    the even and odd index chains.  It takes them from the matrix product
-    itself, since the product's fused accumulation rounds some diagonal
-    entries one ulp away from a closed form.
+    ascending diagonal m of Sz.  Sx is tridiagonal with
+    <m+1|Sx|m> = r_m / 2, r_m = sqrt(j(j+1) - m(m+1)), so ``sx2`` = Sx^2
+    has (r_(m-1)^2 + r_m^2) / 4 on its diagonal and r_m r_(m+1) / 4 at
+    offsets +-2.  It is held in closed form as the even and odd index
+    chains; no (N+1)-row matrix is formed.
     """
 
     N: int
     sz: np.ndarray
-    sx: np.ndarray
     sx2: Sectors
 
     @property
@@ -94,9 +92,12 @@ def make_dicke_ops(N):
     j = N / 2.0
     m = np.arange(N + 1, dtype=float) - j
     raising = np.sqrt(j * (j + 1.0) - m[:-1] * (m[:-1] + 1.0))
-    sx = (np.diag(raising, k=-1) + np.diag(raising, k=1)) / 2.0
-    sx2 = sx @ sx
-    return DickeOps(N=int(N), sz=m, sx=sx, sx2=_index_chains(np.diagonal(sx2), np.diagonal(sx2, 2)))
+    square = raising ** 2 / 4.0
+    diagonal = np.zeros(N + 1)
+    diagonal[:-1] += square
+    diagonal[1:] += square
+    off = raising[:-1] * raising[1:] / 4.0
+    return DickeOps(N=int(N), sz=m, sx2=_index_chains(diagonal, off))
 
 
 @dataclass(frozen=True)

@@ -62,13 +62,13 @@ def test_fock_rejects_tiny_truncation():
 def test_dicke_single_spin():
     ops = make_dicke_ops(1)
     assert np.allclose(ops.sz, [-0.5, 0.5])
-    assert np.allclose(ops.sx, [[0.0, 0.5], [0.5, 0.0]])
+    assert np.array_equal(ops.sx2, np.eye(2) / 4.0)
 
 
 def test_dicke_two_spins_off_diagonal():
     ops = make_dicke_ops(2)
-    assert ops.sx[1, 0] == pytest.approx(np.sqrt(2.0) / 2.0)
-    assert ops.sx[2, 1] == pytest.approx(np.sqrt(2.0) / 2.0)
+    # <m+1|Sx|m> = sqrt(2) / 2, so Sx^2 = [[1/2, 0, 1/2], [0, 1, 0], [1/2, 0, 1/2]]
+    assert np.asarray(ops.sx2) == pytest.approx(np.array([[0.5, 0.0, 0.5], [0.0, 1.0, 0.0], [0.5, 0.0, 0.5]]))
 
 
 def test_dicke_twenty_spins():
@@ -89,10 +89,17 @@ def test_dicke_casimir_positive(N):
 
 
 @pytest.mark.parametrize("N", [1, 2, 5, 40])
-def test_dicke_sx2_band_holds_the_bits_of_the_product(N):
+def test_dicke_sx2_is_the_square_of_sx(N):
+    # the closed form and the matrix product agree to one ulp: the product
+    # fuses the two diagonal terms into one rounding
+    j = N / 2.0
+    m = np.arange(N + 1) - j
+    sx = np.diag(np.sqrt(j * (j + 1.0) - m[:-1] * (m[:-1] + 1.0)) / 2.0, 1)
+    sx += sx.T
+    product = sx @ sx
     ops = make_dicke_ops(N)
     assert len(ops.sx2.rows) == 2
-    assert np.array_equal(np.asarray(ops.sx2), ops.sx @ ops.sx)
+    assert np.all(np.abs(np.asarray(ops.sx2) - product) <= np.spacing(np.abs(product)))
 
 
 def test_dicke_rejects_zero_spins():
@@ -162,6 +169,6 @@ def test_all_operator_matrices_exactly_symmetric():
     fock = make_fock_ops(8)
     dicke = make_dicke_ops(6)
     chain = make_chain_ops(4)
-    for m in (fock.x2, dicke.sx, dicke.sx2, chain.sx2, chain.xx_pbc):
+    for m in (fock.x2, dicke.sx2, chain.sx2, chain.xx_pbc):
         m = np.asarray(m)
         assert np.array_equal(m, m.T)
