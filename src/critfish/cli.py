@@ -8,8 +8,8 @@ configuration or usage, 2 numerical failure in a ``point`` run.
 import argparse
 import json
 import math
+import os
 import sys
-from contextlib import nullcontext
 
 import numpy as np
 
@@ -76,17 +76,35 @@ def fig2_config(model, size, beta_gap_ratio=FIG_RATIO_CUT, g_count=FIG_G_COUNT):
     )
 
 
-def _write_rows(rows, out, fmt):
-    if out == "-":
-        context = nullcontext(sys.stdout)
+def _write_rows(rows, handle, fmt):
+    if fmt == "json":
+        json.dump(rows_to_json_objects(rows), handle, indent=1)
+        handle.write("\n")
     else:
-        context = open(out, "w", encoding="utf-8", newline="")
-    with context as handle:
-        if fmt == "json":
-            json.dump(rows_to_json_objects(rows), handle, indent=1)
-            handle.write("\n")
-        else:
-            rows_to_csv(rows, handle)
+        rows_to_csv(rows, handle)
+
+
+def _sweep_to(config, out, fmt):
+    """Run the sweep and write its rows to ``out`` ("-" for stdout).
+
+    A file is opened before any cell is computed, so a path that cannot
+    be written fails at once.  It is opened for appending and emptied
+    only once the rows are in, so a failed sweep leaves an existing file
+    as it was and removes one it created.
+    """
+    if out == "-":
+        _write_rows(run_sweep(config), sys.stdout, fmt)
+        return
+    existed = os.path.exists(out)
+    try:
+        with open(out, "a", encoding="utf-8", newline="") as handle:
+            rows = run_sweep(config)
+            handle.truncate(0)
+            _write_rows(rows, handle, fmt)
+    except BaseException:
+        if not existed and os.path.isfile(out):
+            os.remove(out)
+        raise
 
 
 def _resolve_format(fmt, out):
@@ -191,8 +209,7 @@ def _run_sweep(args):
     fmt = args.format or output.get("format")
     if fmt not in (None, "csv", "json"):
         raise ConfigError(f"must be csv or json, got {fmt!r}", field="output.format")
-    rows = run_sweep(config)
-    _write_rows(rows, out, _resolve_format(fmt, out))
+    _sweep_to(config, out, _resolve_format(fmt, out))
     return 0
 
 
@@ -205,11 +222,11 @@ def main(argv=None):
             return _run_sweep(args)
         if args.command == "fig1":
             config = fig1_config(args.model, args.size, args.g_count, args.temp_count)
-            _write_rows(run_sweep(config), args.out, _resolve_format(args.format, args.out))
+            _sweep_to(config, args.out, _resolve_format(args.format, args.out))
             return 0
         if args.command == "fig2":
             config = fig2_config(args.model, args.size, args.beta_gap, args.g_count)
-            _write_rows(run_sweep(config), args.out, _resolve_format(args.format, args.out))
+            _sweep_to(config, args.out, _resolve_format(args.format, args.out))
             return 0
         if args.command == "selftest":
             return selftest_module.run(sys.stdout)

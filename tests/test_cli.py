@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import critfish
+from critfish import cli
 from critfish.cli import fig1_config, fig2_config, main
 from critfish.sweep import _evaluate_cell as EVALUATE_CELL, rows_from_csv
 
@@ -151,12 +152,44 @@ def test_sweep_config_that_is_not_an_object_exits_one(tmp_path, capsys, raw, fla
     assert err.count("\n") == 1 and "configuration must be a JSON object" in err
 
 
-def test_directory_paths_exit_one(tmp_path, capsys):
-    args = ["fig2", "--model", "lmg", "-N", "4", "--g-count", "2", "--out", str(tmp_path)]
-    assert main(args) == 1
-    assert main(["sweep", "--config", str(tmp_path)]) == 1
+def test_directory_paths_exit_one(tmp_path, capsys, monkeypatch):
+    # the output is opened before the sweep, so no cell is computed
+    def never(config):
+        raise AssertionError("run_sweep reached with an output that cannot be written")
+
+    monkeypatch.setattr(cli, "run_sweep", never)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": "lmg", "size": 4, "g_grid": [0.5], "temp_grid": [1.0]}))
+    commands = [
+        ["fig2", "--model", "lmg", "-N", "4", "--g-count", "2", "--out", str(tmp_path)],
+        ["fig1", "--model", "lmg", "-N", "4", "--g-count", "2", "--out", str(tmp_path)],
+        ["sweep", "--config", str(config), "--out", str(tmp_path)],
+        ["sweep", "--config", str(tmp_path)],
+    ]
+    for args in commands:
+        assert main(args) == 1
     err = capsys.readouterr().err
-    assert err.count("\n") == 2 and err.count("Is a directory") == 2
+    assert err.count("\n") == 4 and err.count("Is a directory") == 4
+
+
+def test_failed_sweep_leaves_the_output_as_it_was(tmp_path, monkeypatch):
+    def fail(config):
+        raise cli.ConfigError("no workers")
+
+    monkeypatch.setattr(cli, "run_sweep", fail)
+    kept, new = tmp_path / "kept.csv", tmp_path / "new.csv"
+    kept.write_text("earlier rows\n")
+    for out in (kept, new):
+        assert main(["fig2", "--model", "lmg", "-N", "4", "--g-count", "2", "--out", str(out)]) == 1
+    assert kept.read_text() == "earlier rows\n" and not new.exists()
+
+
+def test_sweep_replaces_an_existing_output(tmp_path):
+    out = tmp_path / "rows.csv"
+    out.write_text("x" * 100000)
+    assert main(["fig2", "--model", "lmg", "-N", "4", "--g-count", "2", "--out", str(out)]) == 0
+    with open(out, encoding="utf-8") as handle:
+        assert len(rows_from_csv(handle)) == 4
 
 
 def test_fig_presets_shapes():
