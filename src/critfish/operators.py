@@ -33,8 +33,9 @@ class FockOps:
     """Ladder-derived operators on the truncated space |0> .. |n_max-1>.
 
     ``num`` is the number operator's diagonal n.  ``x2`` holds, as the
-    even and odd index chains, the exact matrix elements of (a + a^dag)^2 restricted to the
-    truncation: diagonal 2n+1, plus (n, n+2) couplings sqrt((n+1)(n+2)).
+    even and odd index chains, the exact matrix elements of
+    (a + a^dag)^2 restricted to the truncation: diagonal 2n+1, plus
+    (n, n+2) couplings sqrt((n+1)(n+2)).
     Squaring the truncated (a + a^dag) instead would zero out the ladder
     traffic through the cut and corrupt the top diagonal entry; with the
     exact elements the truncation error enters only through the missing

@@ -1,10 +1,11 @@
 """Gibbs states over a fixed spectrum, gaps, and the gap-ratio temperature axis.
 
 Weights are computed after shifting all energies by E_0, so beta up to
-1e6 and beyond cannot overflow.  A Gibbs state keeps the spectrum's
-parity sectors: its density matrix is one dense block per sector.  beta = math.inf is a first-class value
+1e6 and beyond cannot overflow.  beta = math.inf is a first-class value
 (the exact T = 0 reference), with degenerate ground groups weighted
-uniformly -- the continuous limit of the finite-beta weights.
+uniformly -- the continuous limit of the finite-beta weights.  A Gibbs
+state keeps the parity sectors of its spectrum: its density matrix is
+one dense block per sector.
 """
 
 import math

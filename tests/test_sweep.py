@@ -268,6 +268,33 @@ def test_pooled_rows_equal_serial_rows_at_equal_blas_thread_counts(monkeypatch):
     assert pooled == serial
 
 
+@pytest.mark.parametrize("kind,size,temp_mode,temps", [
+    ("toy", "adaptive", "beta", [2.0, math.inf]),
+    ("lmg", 6, "beta_gap_ratio", [5.0, math.inf]),
+    ("ising", 4, "beta_gap_ratio", [5.0, math.inf]),
+])
+def test_every_eigh_on_the_row_path_gets_sectors(monkeypatch, kind, size, temp_mode, temps):
+    # every matrix is built in its sectors: no diagonalization on the
+    # way to a row is handed a plain array
+    from critfish import sweep
+
+    seen = []
+    eigh = linalg.eigh
+
+    def spy(matrix):
+        seen.append(type(matrix).__name__)
+        return eigh(matrix)
+
+    for module in (linalg, fisher, sweep):
+        monkeypatch.setattr(module, "eigh", spy)
+    estimators = ["qfi_spectral", "qfi_fidelity", "cfi_sx2", "fi_errprop"]
+    config = make_config({"model": kind, "size": size, "g_grid": [0.7], "temp_grid": temps,
+                          "temp_mode": temp_mode, "estimators": estimators, "delta_omega": 1e-3, "workers": 1})
+    rows = run_sweep(config)
+    assert all(row.qfi_fidelity is not None for row in rows)
+    assert seen and set(seen) == {"Sectors"}
+
+
 def test_measurement_observable_is_shared_and_read_only():
     from critfish.sweep import measurement_observable
 
