@@ -87,10 +87,9 @@ def _write_rows(rows, handle, fmt):
 def _sweep_to(config, out, fmt):
     """Run the sweep and write its rows to ``out`` ("-" for stdout).
 
-    A file is opened before any cell is computed, so a path that cannot
-    be written fails at once.  It is opened for appending and emptied
-    only once the rows are in, so a failed sweep leaves an existing file
-    as it was and removes one it created.
+    A file is opened (for appending) before any cell runs, so a bad path
+    fails at once, and emptied once the rows are in: a failed sweep leaves
+    an existing file as it was and removes one it created.
     """
     if out == "-":
         _write_rows(run_sweep(config), sys.stdout, fmt)

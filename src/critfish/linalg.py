@@ -182,12 +182,6 @@ def _dense(diagonal, off):
     return dense
 
 
-def _read_only(entries):
-    array = np.array(entries, dtype=np.float64)
-    array.flags.writeable = False
-    return array
-
-
 @dataclass(frozen=True, eq=False)
 class Sectors:
     """Symmetric n x n matrix that is block diagonal over disjoint row sets.
@@ -195,7 +189,7 @@ class Sectors:
     ``rows[b]`` lists the rows of block b, which together cover 0 .. n-1
     once; entry (i, j) of block b is the matrix entry
     (rows[b][i], rows[b][j]).  A block is either a ``(diagonal, off)``
-    pair, the tridiagonal chain whose ``off[i]`` couples its rows i and
+    tuple, the tridiagonal chain whose ``off[i]`` couples its rows i and
     i + 1, or a dense square array, which is stored exactly symmetrized.
     Every array is copied read-only, and non-finite entries raise
     InvalidMatrix.  ``np.asarray`` gives the dense matrix; ``eigh``
@@ -207,29 +201,21 @@ class Sectors:
 
     def __post_init__(self):
         rows = tuple(np.array(r, dtype=np.intp) for r in self.rows)
-        if len(rows) != len(self.blocks) or any(r.ndim != 1 or r.size < 1 for r in rows):
-            raise InvalidMatrix(f"need one non-empty row list per block, got {len(rows)} for {len(self.blocks)}")
-        if not np.array_equal(np.sort(np.concatenate(rows)), np.arange(sum(r.size for r in rows))):
-            raise InvalidMatrix("sector rows must cover 0 .. n-1 exactly once")
+        if (not rows or len(rows) != len(self.blocks) or any(r.ndim != 1 or r.size < 1 for r in rows)
+                or not np.array_equal(np.sort(np.concatenate(rows)), np.arange(sum(r.size for r in rows)))):
+            raise InvalidMatrix("need one non-empty row list per block, together covering 0 .. n-1 once")
         blocks = []
         for r, block in zip(rows, self.blocks):
-            if isinstance(block, tuple):
-                diagonal, off = (_read_only(a) for a in block)
-                if diagonal.shape != r.shape or off.shape != (r.size - 1,):
-                    raise InvalidMatrix(
-                        f"a chain of {r.size} rows needs {r.size} diagonal and {r.size - 1} "
-                        f"off-diagonal entries, got {diagonal.shape} and {off.shape}"
-                    )
-                if not (np.isfinite(diagonal).all() and np.isfinite(off).all()):
-                    raise InvalidMatrix("chain has non-finite entries")
-                blocks.append((diagonal, off))
-            else:
-                block = symmetrize(block)
-                if block.shape != (r.size, r.size):
-                    raise InvalidMatrix(f"a block of {r.size} rows has shape {block.shape}")
-                block.flags.writeable = False
-                blocks.append(block)
-            r.flags.writeable = False
+            chain = isinstance(block, tuple)
+            parts = [np.array(a, dtype=np.float64) for a in block] if chain else [symmetrize(block)]
+            layout = [a.shape for a in parts]
+            if layout != ([(r.size,), (r.size - 1,)] if chain else [(r.size, r.size)]):
+                raise InvalidMatrix(f"a block of {r.size} rows has the layout {layout}")
+            if not all(np.isfinite(a).all() for a in parts):
+                raise InvalidMatrix("block has non-finite entries")
+            for array in (r, *parts):
+                array.flags.writeable = False
+            blocks.append(tuple(parts) if chain else parts[0])
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "blocks", tuple(blocks))
 

@@ -4,13 +4,11 @@
 * collective spin in the maximal-spin (Dicke) basis j = N/2,
 * rings of spin-1/2 sites built from Pauli matrices (periodic closure).
 
-Every family conserves a Z2 parity (the Fock and Dicke index mod 2, the
-ring's popcount mod 2), and every matrix here respects it, so matrices
-are built directly in their two parity sectors as read-only
-``linalg.Sectors``: tridiagonal chains for the Fock and Dicke squares,
-dense blocks for the ring.  Diagonal operators are held as their
-diagonal.  Constructors are pure and their outputs are safe to share
-between workers.  Spin conventions differ deliberately
+Diagonal operators are held as their diagonal.  Every other matrix
+respects a Z2 parity (the Fock and Dicke index mod 2, the ring's
+popcount mod 2) and is built in its two parity sectors as a read-only
+``linalg.Sectors``.  Constructors are pure and their outputs are safe
+to share between workers.  Spin conventions differ deliberately
 between the two spin families: collective operators are half-integer spin
 (a single spin gives +-1/2) while the ring uses bare Pauli matrices
 (eigenvalues +-1), matching how each Hamiltonian is written.  The two
@@ -49,11 +47,7 @@ class FockOps:
 
 
 def _index_chains(diagonal, off):
-    """Sectors of the symmetric matrix with ``diagonal`` and ``off`` at offsets +-2.
-
-    ``off[i]`` couples rows i and i + 2, so the even rows and the odd
-    rows each form a tridiagonal chain.
-    """
+    """The even and odd index chains of the matrix with ``off[i]`` coupling rows i and i + 2."""
     rows = [np.arange(start, diagonal.size, 2) for start in range(min(2, diagonal.size))]
     return Sectors(rows, [(diagonal[r], off[r[:-1]]) for r in rows])
 
@@ -94,11 +88,8 @@ def make_dicke_ops(N):
     m = np.arange(N + 1, dtype=float) - j
     raising = np.sqrt(j * (j + 1.0) - m[:-1] * (m[:-1] + 1.0))
     square = raising ** 2 / 4.0
-    diagonal = np.zeros(N + 1)
-    diagonal[:-1] += square
-    diagonal[1:] += square
-    off = raising[:-1] * raising[1:] / 4.0
-    return DickeOps(N=int(N), sz=m, sx2=_index_chains(diagonal, off))
+    diagonal = np.append(square, 0.0) + np.append(0.0, square)
+    return DickeOps(N=int(N), sz=m, sx2=_index_chains(diagonal, raising[:-1] * raising[1:] / 4.0))
 
 
 @dataclass(frozen=True)
@@ -108,11 +99,9 @@ class ChainOps:
     Site 1 is the leftmost Kronecker factor.  ``sz_total`` is the diagonal
     N - 2 popcount(state).  ``xx_pbc`` contains N bond
     terms sigma_x^n sigma_x^(n+1) with site N+1 identified with site 1.
-    ``sx2`` is the square of the collective spin Sx = sum_n sigma_x^n / 2:
-    N/4 on the diagonal and 1/2 for each pair of flipped sites.  Both
-    flip sites in pairs, so they are built over the states of even and
-    odd popcount, each sector in ascending state order, with every entry
-    written directly.
+    ``sx2`` = (sum_n sigma_x^n / 2)^2 is N/4 on the diagonal and 1/2 per
+    pair of flipped sites.  Both are written entry by entry over the
+    states of even and odd popcount, each in ascending order.
     """
 
     N: int

@@ -51,11 +51,7 @@ def gibbs(spectrum, beta):
 
 
 def density_matrix(state):
-    """rho = V diag(p) V^T as Sectors over the spectrum's sectors: symmetric, PSD, unit trace.
-
-    Each eigenvector lives in one sector, so the block of sector rows r
-    is (V[r] diag(p)) V[r]^T, and Sectors stores it exactly symmetrized.
-    """
+    """rho = V diag(p) V^T, a block (V[r] diag(p)) V[r]^T per sector r: symmetric, PSD, unit trace."""
     v = state.spectrum.eigenvectors
     sectors = state.spectrum.sectors
     return Sectors(sectors, [(v[r] * state.probs) @ v[r].T for r in sectors])
