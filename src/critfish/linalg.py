@@ -211,8 +211,8 @@ class Sectors:
             layout = [a.shape for a in parts]
             if layout != ([(r.size,), (r.size - 1,)] if chain else [(r.size, r.size)]):
                 raise InvalidMatrix(f"a block of {r.size} rows has the layout {layout}")
-            if not all(np.isfinite(a).all() for a in parts):
-                raise InvalidMatrix("block has non-finite entries")
+            if chain and not all(np.isfinite(a).all() for a in parts):  # symmetrize checks a dense one
+                raise InvalidMatrix("chain has non-finite entries")
             for array in (r, *parts):
                 array.flags.writeable = False
             blocks.append(tuple(parts) if chain else parts[0])
