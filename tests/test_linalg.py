@@ -374,6 +374,7 @@ def test_sectors_to_dense_and_shape():
 
 @pytest.mark.parametrize("rows,blocks", [
     ([[0, 1]], [([1.0, 2.0], [1.0, 2.0])]),           # a chain with too many off-diagonal entries
+    ([[0, 1]], [([1.0, 2.0], [])]),                   # a chain with too few off-diagonal entries
     ([[0, 1], [1]], [([1.0, 2.0], [1.0]), ([3.0], [])]),  # a row in two sectors
     ([[0], [2]], [([1.0], []), ([3.0], [])]),          # row 1 in none
     ([[0, 1], []], [([1.0, 2.0], [1.0]), ([], [])]),   # an empty sector
