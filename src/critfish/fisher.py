@@ -29,6 +29,13 @@ part needs only each level's slope.  In a cold state near criticality
 a few dozen of thousands of levels carry weight, so the rotation costs
 |K| n^2 instead of n^3.
 
+Every sum runs over the blocks of the spectrum (``Spectrum.blocks``).
+dH is diagonal, and each block's eigenvectors vanish off its rows, so
+<m|dH|n> is zero between two blocks and no pair across blocks
+contributes.  Level indices, degenerate groups and the weighted prefix
+K stay global; a degenerate group that spans two blocks is rotated
+inside each of them, which only relabels its levels.
+
 Every estimator takes the built model.  The finite-difference routes
 move it along omega with ``ModelInstance.at``, which re-forms
 H = omega * dH - g * W from the parts the model already holds, so no
@@ -56,8 +63,8 @@ from .errors import (
     NoFDConvergence,
     ZeroVariance,
 )
-from .linalg import Sectors, eigh, fidelity
-from .thermal import density_matrix, gibbs, thermal_expectation
+from .linalg import eigh, fidelity
+from .thermal import _checked_observable, density_matrix, gibbs, thermal_expectation
 
 DEGENERACY_RTOL = 1e-10        # |E_i - E_j| below this * ||H|| counts as degenerate
 PAIR_WEIGHT_FLOOR = 1e-15      # skip quantum terms with p_n + p_m below this
@@ -98,80 +105,91 @@ def _degenerate_groups(values, tol):
 
 
 def _rotated_generator(spectrum, generator, tol, probs):
-    """Weighted rows of <n|dH|m> in a degeneracy-adapted eigenbasis.
+    """Weighted rows of <n|dH|m> in a degeneracy-adapted eigenbasis, block by block.
 
-    ``generator`` is dH's diagonal.  Within each group of numerically
-    equal eigenvalues the basis is rotated to diagonalize dH restricted
-    to the group, so the level slopes become the proper Hellmann-Feynman
-    derivatives and intra-group couplings vanish by construction.
+    ``generator`` is dH's diagonal.  dH is diagonal, so it has no element
+    between two blocks of the spectrum, and every element lives inside
+    one block.  Within each group of numerically equal eigenvalues the
+    basis is rotated to diagonalize dH restricted to the group, so the
+    level slopes become the proper Hellmann-Feynman derivatives and
+    intra-group couplings vanish by construction.  A group that spans
+    two blocks is rotated inside each of them.
 
     Only the rows of the weighted levels K are formed: the shortest
     prefix of the spectrum that holds every level with
     p_n >= PAIR_WEIGHT_FLOOR / 2 and ends on a group boundary.  Every
     pair that passes the pair-weight floor has a level in K, so these
-    rows hold every element the quantum sum reads.  The classical part
-    needs only the slopes: sum_i dH_i V_in^2 for a lone level, and the
-    eigenvalues of its group's own block of dH for a degenerate one.
+    rows hold every element the quantum sum reads.  A block's levels
+    ascend, so its share of K is a prefix of its columns.  The classical
+    part needs only the slopes: sum_i dH_i V_in^2 for a lone level, and
+    the eigenvalues of its group's own block of dH for a degenerate one.
 
-    Returns (rows K of the elements, slope per level, group id per level).
+    Returns (one (levels, rows of the block's elements) per block,
+    slope per level, group id per level); levels and group ids are global.
     """
-    v = spectrum.eigenvectors
     groups = _degenerate_groups(spectrum.eigenvalues, tol)
     gid = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
     last_heavy = np.flatnonzero(probs >= PAIR_WEIGHT_FLOOR / 2.0)[-1]  # the weights sum to 1
     weighted = groups[gid[last_heavy]].stop
-    m = (generator[:, None] * v[:, :weighted]).T @ v
-    slopes = np.einsum("in,in,i->n", v, v, generator)
-    for group in groups:
-        if len(group) > 1:
-            sl = slice(group.start, group.stop)
-            inside = group.start < weighted
-            block = m[sl, sl] if inside else (generator[:, None] * v[:, sl]).T @ v[:, sl]
-            try:
-                slopes[sl], u = np.linalg.eigh((block + block.T) / 2.0)
-            except np.linalg.LinAlgError as exc:
-                raise DiagonalizationFailed(f"rotating a degenerate group of {len(group)} levels: {exc}") from exc
-            m[:, sl] = m[:, sl] @ u
-            if inside:
-                m[sl, :] = u.T @ m[sl, :]
-    m[:, :weighted] = (m[:, :weighted] + m[:, :weighted].T) / 2.0
-    return m, slopes, gid
+    slopes = np.empty(spectrum.dim)
+    parts = []
+    for rows, levels, v in spectrum.blocks:
+        dh = generator[rows]
+        heavy = int(np.searchsorted(levels, weighted))
+        m = (dh[:, None] * v[:, :heavy]).T @ v
+        slopes[levels] = np.einsum("in,in,i->n", v, v, dh)
+        for group in _degenerate_groups(gid[levels], 0.5):  # the block's share of each group
+            if len(group) > 1:
+                sl = slice(group.start, group.stop)
+                inside = group.start < heavy
+                block = m[sl, sl] if inside else (dh[:, None] * v[:, sl]).T @ v[:, sl]
+                try:
+                    slopes[levels[sl]], u = np.linalg.eigh((block + block.T) / 2.0)
+                except np.linalg.LinAlgError as exc:
+                    raise DiagonalizationFailed(f"rotating a degenerate group of {len(group)} levels: {exc}") from exc
+                m[:, sl] = m[:, sl] @ u
+                if inside:
+                    m[sl, :] = u.T @ m[sl, :]
+        m[:, :heavy] = (m[:, :heavy] + m[:, :heavy].T) / 2.0
+        parts.append((levels, m))
+    return parts, slopes, gid
 
 
-def _quantum_pair_sum(energies, probs, elements, gid, by_offset=False):
+def _quantum_pair_sum(energies, probs, gid, parts, offsets=None):
     """2 sum_{n,m} (p_n - p_m)^2/(p_n + p_m) |<n|dH|m>|^2 / (E_m - E_n)^2.
 
-    Ordered pairs inside one degenerate group are skipped (their
-    couplings are zero after the basis rotation anyway), as are pairs
-    whose combined weight is negligible.  ``elements`` holds the rows of
-    the weighted prefix K (see _rotated_generator); every pair that
-    passes the floor has a level in K, so the sum is the K x K block
-    plus twice the K x light block.  With ``by_offset`` the mass is also
-    histogrammed by the level-index distance |n - m|.
+    Only pairs inside one block of the spectrum couple, so the sum runs
+    block by block over ``parts``, the (levels, elements) pairs of
+    _rotated_generator.  Ordered pairs inside one degenerate group are
+    skipped (their couplings are zero after the basis rotation anyway),
+    as are pairs whose combined weight is negligible.  A block's elements
+    hold the rows of its weighted levels K; every pair that passes the
+    floor has a level in K, so the block's sum is its K x K part plus
+    twice its K x light part.  When ``offsets`` is given, the mass is
+    also added into it by the level-index distance |n - m|.
     """
-    weighted, d = elements.shape
     total = 0.0
-    offsets = np.zeros(d) if by_offset else None
-    for lo in range(0, weighted, _CHUNK):
-        hi = min(lo + _CHUNK, weighted)
-        p_rows = probs[lo:hi, None]
-        weight_sum = p_rows + probs[None, :]
-        e_diff = energies[None, :] - energies[lo:hi, None]
-        mask = (weight_sum >= PAIR_WEIGHT_FLOOR) & (gid[lo:hi, None] != gid[None, :])
-        denom = np.where(mask, weight_sum * e_diff * e_diff, 1.0)
-        contrib = np.where(
-            mask,
-            (p_rows - probs[None, :]) ** 2 * elements[lo:hi, :] ** 2 / denom,
-            0.0,
-        )
-        contrib[:, weighted:] *= 2.0  # each light pair stands for (n, m) and (m, n)
-        total += float(contrib.sum())
-        if by_offset:
-            idx = np.abs(np.arange(lo, hi)[:, None] - np.arange(d)[None, :])
-            offsets += np.bincount(idx.ravel(), weights=contrib.ravel(), minlength=d)
-    if by_offset:
-        return 2.0 * total, 2.0 * offsets
-    return 2.0 * total, None
+    for levels, elements in parts:
+        e, p, group = energies[levels], probs[levels], gid[levels]
+        weighted = len(elements)
+        for lo in range(0, weighted, _CHUNK):
+            hi = min(lo + _CHUNK, weighted)
+            p_rows = p[lo:hi, None]
+            weight_sum = p_rows + p[None, :]
+            e_diff = e[None, :] - e[lo:hi, None]
+            mask = (weight_sum >= PAIR_WEIGHT_FLOOR) & (group[lo:hi, None] != group[None, :])
+            denom = np.where(mask, weight_sum * e_diff * e_diff, 1.0)
+            contrib = np.where(
+                mask,
+                (p_rows - p[None, :]) ** 2 * elements[lo:hi, :] ** 2 / denom,
+                0.0,
+            )
+            contrib[:, weighted:] *= 2.0  # each light pair stands for (n, m) and (m, n)
+            total += float(contrib.sum())
+            if offsets is not None:
+                distance = np.abs(levels[lo:hi, None] - levels[None, :])
+                offsets += 2.0 * np.bincount(distance.ravel(), weights=contrib.ravel(), minlength=offsets.size)
+    return 2.0 * total
 
 
 def _clamp_part(value):
@@ -182,7 +200,7 @@ def _clamp_part(value):
 
 
 def _spectral_terms(model, state):
-    """Checked inputs of the spectral sums: (energies, probs, tol, elements, slopes, gid)."""
+    """Checked inputs of the spectral sums: (energies, probs, tol, parts, slopes, gid)."""
     if state.dim != model.H.shape[0]:
         raise DimMismatch(
             f"state dimension {state.dim} does not match model dimension {model.H.shape[0]}"
@@ -193,8 +211,8 @@ def _spectral_terms(model, state):
         )
     energies = state.spectrum.eigenvalues
     tol = DEGENERACY_RTOL * max(1.0, float(np.max(np.abs(energies))))
-    elements, slopes, gid = _rotated_generator(state.spectrum, model.dH, tol, state.probs)
-    return energies, state.probs, tol, elements, slopes, gid
+    parts, slopes, gid = _rotated_generator(state.spectrum, model.dH, tol, state.probs)
+    return energies, state.probs, tol, parts, slopes, gid
 
 
 def qfi_spectral(model, state):
@@ -205,14 +223,14 @@ def qfi_spectral(model, state):
     <n|dH|m> / (E_m - E_n).  Requires finite beta (use qfi_pure or
     qfi_fidelity_fd for the T = 0 curve).
     """
-    energies, probs, tol, elements, level_slopes, gid = _spectral_terms(model, state)
+    energies, probs, tol, parts, level_slopes, gid = _spectral_terms(model, state)
 
     mean_slope = float(np.dot(probs, level_slopes))
     dprobs = -state.beta * probs * (level_slopes - mean_slope)
     keep = probs > PROB_FLOOR
     classical = float(np.sum(dprobs[keep] ** 2 / probs[keep]))
 
-    quantum, _ = _quantum_pair_sum(energies, probs, elements, gid)
+    quantum = _quantum_pair_sum(energies, probs, gid, parts)
 
     classical = _clamp_part(classical)
     quantum = _clamp_part(quantum)
@@ -226,7 +244,7 @@ def qfi_spectral(model, state):
             "pair_weight_floor": PAIR_WEIGHT_FLOOR,
             "prob_floor": PROB_FLOOR,
             "size": model.size,
-            "weighted_levels": len(elements),
+            "weighted_levels": sum(len(elements) for _, elements in parts),
         },
     )
 
@@ -239,8 +257,9 @@ def quantum_term_by_offset(model, state):
     always zero).  For the oscillator model essentially all mass sits at
     distance 2.
     """
-    energies, probs, _, elements, _, gid = _spectral_terms(model, state)
-    _, offsets = _quantum_pair_sum(energies, probs, elements, gid, by_offset=True)
+    energies, probs, _, parts, _, gid = _spectral_terms(model, state)
+    offsets = np.zeros(state.dim)
+    _quantum_pair_sum(energies, probs, gid, parts, offsets)
     return offsets
 
 
@@ -255,10 +274,11 @@ def qfi_pure(model, spectrum, level=0):
         level < d - 1 and energies[level + 1] - energies[level] <= tol
     ):
         raise DegenerateLevel(f"level {level} is degenerate within tolerance {tol:.3e}")
-    column = spectrum.eigenvectors.T @ (model.dH * spectrum.eigenvectors[:, level])
-    diffs = energies[level] - energies
-    mask = np.arange(d) != level
-    return 4.0 * float(np.sum(column[mask] ** 2 / diffs[mask] ** 2))
+    # only the levels of the level's own block couple to it through the diagonal dH
+    rows, levels, v = next(block for block in spectrum.blocks if level in block[1])
+    others = levels != level
+    column = v[:, others].T @ (model.dH[rows] * v[:, ~others].ravel())
+    return 4.0 * float(np.sum(column ** 2 / (energies[level] - energies[levels[others]]) ** 2))
 
 
 def _fd_ladder(estimate, omega, delta_omega, rtol, atol):
@@ -293,16 +313,6 @@ def _thermal_state(model, omega, beta):
     return gibbs(eigh(model.at(omega).H), beta)
 
 
-def _checked_observable(model, observable):
-    """The observable as given when it is a Sectors, else as a float array, checked against the model."""
-    obs = observable if isinstance(observable, Sectors) else np.asarray(observable, dtype=float)
-    if obs.shape != model.H.shape:
-        raise DimMismatch(
-            f"observable shape {obs.shape} does not match model dimension {model.H.shape}"
-        )
-    return obs
-
-
 def qfi_fidelity_fd(model, beta, delta_omega=None, fd_rtol=FD_RTOL):
     """Quantum Fisher information from the fidelity between neighbours:
 
@@ -335,16 +345,15 @@ def qfi_fidelity_fd(model, beta, delta_omega=None, fd_rtol=FD_RTOL):
 
 
 def _outcome_projectors(observable):
-    """Eigenbasis of the observable with degenerate eigenvalues merged.
+    """Eigendecomposition of the observable with degenerate eigenvalues merged.
 
-    Returns (basis columns, list of column ranges), one range per
-    distinct outcome.  Merging matters: measuring a squared spin
-    component must not distinguish +m from -m.
+    Returns (its Spectrum, list of level ranges), one range per distinct
+    outcome.  Merging matters: measuring a squared spin component must
+    not distinguish +m from -m.
     """
     spec = eigh(observable)
     scale = max(1.0, float(np.max(np.abs(spec.eigenvalues))))
-    groups = _degenerate_groups(spec.eigenvalues, OUTCOME_GROUP_RTOL * scale)
-    return spec.eigenvectors, groups
+    return spec, _degenerate_groups(spec.eigenvalues, OUTCOME_GROUP_RTOL * scale)
 
 
 def cfi_projective(model, beta, observable, delta_omega=None, fd_rtol=FD_RTOL):
@@ -352,11 +361,13 @@ def cfi_projective(model, beta, observable, delta_omega=None, fd_rtol=FD_RTOL):
 
     Outcome probabilities tr(rho Pi_k) = sum_n p_n |<k|n>|^2 over the
     observable's merged eigenprojectors (fixed across the differentiation)
-    are read off the Gibbs eigenpairs; their derivatives come from the
-    same central-difference ladder as qfi_fidelity_fd.  Outcomes with
-    probability below 1e-12 at the centre are skipped.
+    are read off the Gibbs eigenpairs, block by block: the observable is
+    taken over the model's sectors, so <k|n> vanishes between blocks.
+    Their derivatives come from the same central-difference ladder as
+    qfi_fidelity_fd.  Outcomes with probability below 1e-12 at the centre
+    are skipped.
     """
-    obs = _checked_observable(model, observable)
+    obs = _checked_observable(observable, model.H.rows)
     omega = model.omega
     basis, groups = _outcome_projectors(obs)
     if len(groups) == 1:
@@ -364,7 +375,9 @@ def cfi_projective(model, beta, observable, delta_omega=None, fd_rtol=FD_RTOL):
 
     def outcome_probs(at_omega):
         state = _thermal_state(model, at_omega, beta)
-        overlap = np.square(basis.T @ state.spectrum.eigenvectors) @ state.probs
+        overlap = np.empty(state.dim)
+        for (_, levels, v), (_, outcomes, u) in zip(state.spectrum.blocks, basis.blocks):
+            overlap[outcomes] = np.square(u.T @ v) @ state.probs[levels]
         return np.add.reduceat(overlap, [g.start for g in groups])
 
     center = outcome_probs(omega)
@@ -384,23 +397,26 @@ def fi_error_propagation(model, beta, observable, delta_omega=None, fd_rtol=FD_R
     """Two-moment Fisher information (d<A>/domega)^2 / Var(A).
 
     The weakest of the three estimators but the cheapest experimentally:
-    only the mean and variance of one observable enter.  Raises
-    ZeroVariance when the observable does not fluctuate in the state.
+    only the mean and variance of one observable enter, both read off
+    the centre state by ``thermal_expectation``.  Raises ZeroVariance
+    when the observable does not fluctuate in the state.
     """
-    obs = np.asarray(_checked_observable(model, observable))  # moments need the dense matrix
+    obs = _checked_observable(observable, model.H.rows)
     omega = model.omega
     center = _thermal_state(model, omega, beta)
-    mean = thermal_expectation(center, obs)
-    second = thermal_expectation(center, obs @ obs)
+    mean, second = thermal_expectation(center, obs)
     variance = second - mean ** 2
-    scale = max(1.0, float(np.max(np.abs(obs))))
+    stored = [a for block in obs.blocks for a in (block if isinstance(block, tuple) else (block,))]
+    scale = max(1.0, *(float(np.max(np.abs(a), initial=0.0)) for a in stored))
     if variance <= VARIANCE_FLOOR_RTOL * scale ** 2:
         raise ZeroVariance(f"Var(A) = {variance:.3e} is numerically zero")
+    # differences down at the roundoff of <A> are a constant <A>, not a slope
+    floor = center.dim * np.finfo(float).eps * abs(mean)
 
     def estimate(step):
-        plus = thermal_expectation(_thermal_state(model, omega + step / 2.0, beta), obs)
-        minus = thermal_expectation(_thermal_state(model, omega - step / 2.0, beta), obs)
-        return (plus - minus) / step
+        plus, _ = thermal_expectation(_thermal_state(model, omega + step / 2.0, beta), obs)
+        minus, _ = thermal_expectation(_thermal_state(model, omega - step / 2.0, beta), obs)
+        return 0.0 if abs(plus - minus) <= floor else (plus - minus) / step
 
     slope, _ = _fd_ladder(estimate, omega, delta_omega, fd_rtol, ERRPROP_FD_ATOL)
     return slope ** 2 / variance

@@ -12,7 +12,10 @@ squares.  Their matrices are block diagonal over row sets known before
 any number is computed, so the operators are built as ``Sectors``: one
 block per parity sector, never an n x n array.  ``eigh`` solves each
 block on its own, and two half-size solves cost about a quarter of one
-dense solve.  A plain ndarray is one block: it gets one ?syevd.
+dense solve.  A plain ndarray is one block: it gets one ?syevd.  The
+eigenpairs stay in their blocks (``Spectrum.blocks``), so no n x n
+eigenvector matrix, half of it zeros, is formed either, and every
+consumer works block by block.
 
 The oscillator and collective-spin blocks are unreduced symmetric
 tridiagonal chains, held as their two diagonals.  A chain with at least
@@ -148,23 +151,20 @@ def symmetrize(entries):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigendecomposition of a real symmetric matrix.
+    """Eigendecomposition of a real symmetric matrix, kept in its solved blocks.
 
-    eigenvalues are ascending; eigenvectors[:, k] is the orthonormal
-    eigenvector of eigenvalues[k], with the largest-magnitude component
-    of each column made positive so repeated runs give identical output.
-    ``sectors`` are the row sets of the blocks that were solved; every
-    eigenvector is supported in exactly one of them.  Left out, it is one
-    sector of all rows.
+    ``eigenvalues`` holds all n levels in ascending order.  ``blocks``
+    holds one read-only ``(rows, levels, vectors)`` per solved block:
+    ``vectors[:, k]`` is the orthonormal eigenvector of level
+    ``levels[k]`` on the rows ``rows``, zero on every other row, with its
+    largest-magnitude component positive so repeated runs give identical
+    output.  Each block's levels ascend, and together the blocks cover
+    the rows and the levels 0 .. n-1 once.  No n x n eigenvector matrix
+    is held.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    sectors: tuple = None
-
-    def __post_init__(self):
-        if self.sectors is None:
-            object.__setattr__(self, "sectors", (np.arange(self.dim),))
+    blocks: tuple
 
     @property
     def dim(self):
@@ -236,13 +236,13 @@ class Sectors:
 
 
 def _sign_fixed(idx, solved):
-    """(idx, eigenvalues, eigenvectors) of one solved block, checked and sign-fixed."""
+    """(eigenvalues, eigenvectors) of one solved block, checked, sign-fixed and read-only."""
     vals, vecs, info = solved
     if info != 0:
         raise DiagonalizationFailed(f"LAPACK failed with info={info} on a block of size {idx.size}")
     vecs *= np.copysign(1.0, vecs[np.abs(vecs).argmax(axis=0), np.arange(idx.size)])
-    # ?stevd's vectors are column-major; the scatter in eigh reads rows far faster
-    return idx, vals, np.ascontiguousarray(vecs)
+    vecs.flags.writeable = False
+    return vals, vecs
 
 
 def _solve_chain(diagonal, off):
@@ -257,44 +257,41 @@ def _solve_chain(diagonal, off):
 
 
 def eigh(matrix):
-    """Full eigendecomposition of a symmetric matrix with fixed signs.
+    """Full eigendecomposition of a symmetric matrix, block by block, with fixed signs.
 
     ``matrix`` is a Sectors or a dense array.  Each block of a Sectors
     is solved on its own (a chain by ?stevd once large enough, a dense
     block by ?syevd; see the module docstring) and its vectors are
     sign-fixed; a dense array is symmetrized and solved as one block.
-    The blocks' eigenvalues are merged by a stable sort, so every
-    eigenvector is supported in exactly one block, and the blocks' row
-    sets are kept as ``Spectrum.sectors``.  Raises InvalidMatrix for
-    non-finite entries and DiagonalizationFailed when the solver does not
-    converge.
+    The blocks' eigenvalues are merged by a stable sort into the global
+    levels, and each block keeps its own rows, levels and vectors in
+    ``Spectrum.blocks``.  Raises InvalidMatrix for non-finite entries and
+    DiagonalizationFailed when the solver does not converge.
     """
-    if isinstance(matrix, Sectors):
-        rows, blocks = matrix.rows, matrix.blocks
-    else:
-        dense = symmetrize(matrix)
-        rows, blocks = (np.arange(dense.shape[0]),), (dense,)
+    if not isinstance(matrix, Sectors):
+        dense = np.asarray(matrix, dtype=float)
+        # one block of all rows; Sectors checks and symmetrizes it
+        matrix = Sectors([np.arange(dense.shape[0] if dense.ndim else 0)], [dense])
     solved = [
         _sign_fixed(idx, _solve_chain(*block) if isinstance(block, tuple) else _DSYEVD(block))
-        for idx, block in zip(rows, blocks)
+        for idx, block in zip(matrix.rows, matrix.blocks)
     ]
-    n = sum(idx.size for idx in rows)
-    merged = np.concatenate([vals for _, vals, _ in solved])
+    merged = np.concatenate([vals for vals, _ in solved])
     order = np.argsort(merged, kind="stable")
-    column = order.argsort()  # output column of each entry of merged
+    level = order.argsort()  # the global level of each entry of merged
     eigenvalues = merged[order]
-    eigenvectors = np.zeros((n, n))
-    start = 0
-    for idx, _, vecs in solved:
-        eigenvectors[idx[:, None], column[start:start + idx.size]] = vecs
-        start += idx.size
-    eigenvalues.flags.writeable = False
-    eigenvectors.flags.writeable = False
-    return Spectrum(eigenvalues=eigenvalues, eigenvectors=eigenvectors, sectors=rows)
+    eigenvalues.flags.writeable = level.flags.writeable = False
+    levels = np.split(level, np.cumsum([idx.size for idx in matrix.rows])[:-1])  # read-only views
+    return Spectrum(eigenvalues, tuple(zip(matrix.rows, levels, [vecs for _, vecs in solved])))
+
+
+def _same_rows(matrix, rows):
+    """Whether ``matrix`` is a Sectors over exactly ``rows``, block for block."""
+    return isinstance(matrix, Sectors) and [r.tolist() for r in matrix.rows] == [r.tolist() for r in rows]
 
 
 def _root_columns(density):
-    """R = V sqrt(lambda) with rho = R R^T, for a unit-trace PSD matrix rho.
+    """R_b = V_b sqrt(lambda_b) per block, with rho = sum_b R_b R_b^T, for a unit-trace PSD rho.
 
     Eigenvalues in [-PSD_CLAMP_RTOL * ||rho||, 0) are roundoff (Gibbs
     states are PSD analytically) and are clamped to zero; more negative
@@ -308,7 +305,7 @@ def _root_columns(density):
     floor = -PSD_CLAMP_RTOL * float(np.max(np.abs(vals)))
     if vals[0] < floor:
         raise NotPSD(f"eigenvalue {vals[0]:.6e} below roundoff floor {floor:.6e}")
-    return spec.eigenvectors * np.sqrt(np.clip(vals, 0.0, None))
+    return [vecs * np.sqrt(np.clip(vals[levels], 0.0, None)) for _, levels, vecs in spec.blocks]
 
 
 def _root_fidelity(a, b):
@@ -327,10 +324,15 @@ def fidelity(rho, sigma):
     and sigma = W diag(m) W^T, sqrt F = ||sqrt(rho) sqrt(sigma)||_1 is the
     nuclear norm of (V sqrt(l))^T (W sqrt(m)), as the orthogonal V and W
     drop out; no matrix root is formed (Uhlmann, Rep. Math. Phys. 9, 273,
-    1976; Jozsa, J. Mod. Opt. 41, 2315, 1994).  Sectors go to ``eigh``
-    as they are.  Symmetric in its arguments to ~1e-10.
+    1976; Jozsa, J. Mod. Opt. 41, 2315, 1994).  Two Sectors over the same
+    rows go to ``eigh`` as they are: that product is then block diagonal,
+    and its nuclear norm is the sum of its blocks'.  Any other pair is
+    diagonalized as two dense matrices of one block each.  Symmetric in
+    its arguments to ~1e-10.
     """
     r, s = (m if isinstance(m, Sectors) else np.asarray(m, dtype=float) for m in (rho, sigma))
     if r.shape != s.shape:
         raise DimMismatch(f"density-matrix shapes differ: {r.shape} vs {s.shape}")
-    return min(_root_fidelity(_root_columns(r), _root_columns(s)) ** 2, 1.0)
+    if not (isinstance(r, Sectors) and _same_rows(s, r.rows)):
+        r, s = np.asarray(r), np.asarray(s)
+    return min(sum(_root_fidelity(a, b) for a, b in zip(_root_columns(r), _root_columns(s))) ** 2, 1.0)

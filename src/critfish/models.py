@@ -123,11 +123,13 @@ def toy_converged_truncation(omega, g, beta):
     """Smallest doubling-ladder model at which the thermal Fisher total settles.
 
     Runs the spectral estimator at consecutive sizes 64, 128, ... and
-    returns ``(model, spectrum)`` of the first size whose value agrees
-    with the next one to TRUNCATION_RTOL relative; only that previous rung is
+    returns ``(model, spectrum, breakdown)`` of the first size whose value
+    agrees with the next one to TRUNCATION_RTOL relative, ``breakdown``
+    being that rung's ``qfi_spectral`` result; only that previous rung is
     kept while the next is solved.  At beta = inf the ground-state Fisher
-    information is the convergence functional instead.  Raises
-    TruncationNotConverged (carrying the last two values) at the 4096 cap.
+    information is the convergence functional instead, and ``breakdown``
+    is None.  Raises TruncationNotConverged (carrying the last two values)
+    at the 4096 cap.
     """
     # local imports: fisher/thermal import this module for ModelInstance
     from .fisher import qfi_pure, qfi_spectral
@@ -140,14 +142,12 @@ def toy_converged_truncation(omega, g, beta):
     for n_max in TRUNCATION_SIZES:
         model = build_model(ModelKind.TOY, omega, g, n_max)
         spectrum = eigh(model.H)
-        if math.isinf(beta):
-            value = qfi_pure(model, spectrum, level=0)
-        else:
-            value = qfi_spectral(model, gibbs(spectrum, beta)).total
+        breakdown = None if math.isinf(beta) else qfi_spectral(model, gibbs(spectrum, beta))
+        value = qfi_pure(model, spectrum, level=0) if breakdown is None else breakdown.total
         if values and abs(value - values[-1]) <= TRUNCATION_RTOL * max(abs(value), 1e-300):
             return previous
         values.append(value)
-        previous = model, spectrum
+        previous = model, spectrum, breakdown
     raise TruncationNotConverged(
         f"no convergence up to n_max={TRUNCATION_SIZES[-1]} "
         f"(omega={omega}, g={g}, beta={beta})",

@@ -33,8 +33,8 @@ def _rel_err(value, reference):
 
 def _check_toy_oracle():
     params = ToyParams(omega=1.0, g=0.6, beta=1.0 / ToyParams(1.0, 0.6, 1.0).effective_frequency)
-    model, spectrum = toy_converged_truncation(params.omega, params.g, params.beta)
-    numeric = qfi_spectral(model, gibbs(spectrum, params.beta)).total
+    model, _, breakdown = toy_converged_truncation(params.omega, params.g, params.beta)
+    numeric = breakdown.total
     exact = qfi_thermal_quantum(params) + qfi_thermal_classical(params)
     err = _rel_err(numeric, exact)
     return err <= 1e-6, f"relative error {err:.2e} (n_max={model.size})"
@@ -48,7 +48,7 @@ def _check_zero_temperature_limits():
     err_closed = _rel_err(fi_errprop_closed(params), ground)
     if err_closed > 1e-12:
         return False, f"error-propagation closed form off by {err_closed:.2e} at T=0"
-    model, _ = toy_converged_truncation(1.0, 0.5, math.inf)
+    model, _, _ = toy_converged_truncation(1.0, 0.5, math.inf)
     numeric = qfi_fidelity_fd(model, math.inf, delta_omega=1e-2)
     err_fd = _rel_err(numeric, ground)
     return err_fd <= 1e-4, f"fidelity route off by {err_fd:.2e} from {ground}"
@@ -90,10 +90,10 @@ def _check_estimator_ordering():
 
 
 def _dense_spectrum(matrix):
-    # one solve of the whole matrix: skipping the block split is what
-    # makes this independent of linalg.eigh
+    # one solve of the whole matrix as one block: skipping the block
+    # split is what makes this independent of linalg.eigh
     vals, vecs = np.linalg.eigh(matrix)
-    return Spectrum(eigenvalues=vals, eigenvectors=vecs)
+    return Spectrum(eigenvalues=vals, blocks=((np.arange(len(vals)), np.arange(len(vals)), vecs),))
 
 
 def _dense_qfi_fidelity(g, size, beta, delta_omega):
@@ -103,8 +103,8 @@ def _dense_qfi_fidelity(g, size, beta, delta_omega):
         return density_matrix(gibbs(_dense_spectrum(build_model("ising", at_omega, g, size).H), beta))
 
     def root(rho):
-        spec = _dense_spectrum(rho)
-        return (spec.eigenvectors * np.sqrt(np.clip(spec.eigenvalues, 0.0, None))) @ spec.eigenvectors.T
+        vals, vecs = np.linalg.eigh(rho)
+        return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
     def estimate(step):
         rho, sigma = density(1.0 - step / 2.0), density(1.0 + step / 2.0)

@@ -254,10 +254,11 @@ def _evaluate_cell(task):
 
     try:
         if config.size == ADAPTIVE:
-            model, spectrum = toy_converged_truncation(config.omega, g, temp)
+            # the ladder hands over the qfi_spectral breakdown of the rung it accepted
+            model, spectrum, breakdown = toy_converged_truncation(config.omega, g, temp)
         else:
             model = build_model(config.model, config.omega, g, config.size)
-            spectrum = eigh(model.H)
+            spectrum, breakdown = eigh(model.H), None
         gap_value = gap(spectrum)
         if config.temp_mode == "beta_gap_ratio":
             row.beta_gap_ratio = temp
@@ -278,7 +279,8 @@ def _evaluate_cell(task):
 
     if "qfi_spectral" in wanted:
         try:
-            breakdown = qfi_spectral(model, gibbs(spectrum, beta))
+            if breakdown is None:
+                breakdown = qfi_spectral(model, gibbs(spectrum, beta))
             row.qfi_spectral_total = breakdown.total
             row.qfi_classical_part = breakdown.classical_part
             row.qfi_quantum_part = breakdown.quantum_part

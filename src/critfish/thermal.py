@@ -4,8 +4,10 @@ Weights are computed after shifting all energies by E_0, so beta up to
 1e6 and beyond cannot overflow.  beta = math.inf is a first-class value
 (the exact T = 0 reference), with degenerate ground groups weighted
 uniformly -- the continuous limit of the finite-beta weights.  A Gibbs
-state keeps the parity sectors of its spectrum: its density matrix is
-one dense block per sector.
+state keeps the blocks of its spectrum: its density matrix is one dense
+block per sector, and the moments of an observable are summed block by
+block.  An observable is brought onto those blocks in one place,
+``_checked_observable``, for this module and for ``fisher``.
 """
 
 import math
@@ -13,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, GapTooSmall, InvalidDimension, InvalidTemperature
-from .linalg import Sectors, Spectrum
+from .errors import DimMismatch, GapTooSmall, InvalidDimension, InvalidMatrix, InvalidTemperature
+from .linalg import Sectors, Spectrum, _dense, _same_rows
 
 GROUND_DEGENERACY_RTOL = 1e-12
 GAP_FLOOR_RTOL = 1e-14
@@ -51,10 +53,9 @@ def gibbs(spectrum, beta):
 
 
 def density_matrix(state):
-    """rho = V diag(p) V^T, a block (V[r] diag(p)) V[r]^T per sector r: symmetric, PSD, unit trace."""
-    v = state.spectrum.eigenvectors
-    sectors = state.spectrum.sectors
-    return Sectors(sectors, [(v[r] * state.probs) @ v[r].T for r in sectors])
+    """rho = V diag(p) V^T, a dense block (V_b diag(p)) V_b^T per spectrum block: symmetric, PSD, unit trace."""
+    blocks = state.spectrum.blocks
+    return Sectors([rows for rows, _, _ in blocks], [(v * state.probs[levels]) @ v.T for _, levels, v in blocks])
 
 
 def gap(spectrum):
@@ -90,13 +91,36 @@ def beta_from_gap_ratio(ratio, spectrum):
     return float(ratio) * delta
 
 
-def thermal_expectation(state, observable):
-    """tr(rho A), evaluated in the eigenbasis of the state."""
+def _checked_observable(observable, rows):
+    """The observable as a Sectors over ``rows``, the row sets of the spectra it meets.
+
+    A Sectors over those rows is returned as it is.  Any other matrix (a
+    dense array, or a Sectors over other rows) is cut into its blocks
+    over ``rows``; an entry that couples two of them raises
+    InvalidMatrix, and the wrong size raises DimMismatch.
+    """
+    if _same_rows(observable, rows):
+        return observable
     a = np.asarray(observable, dtype=float)
-    if a.shape != (state.dim, state.dim):
-        raise DimMismatch(
-            f"observable shape {a.shape} does not match state dimension {state.dim}"
-        )
-    v = state.spectrum.eigenvectors
-    diag = np.einsum("in,in->n", v, a @ v)
-    return float(np.dot(state.probs, diag))
+    if a.shape != (sum(r.size for r in rows),) * 2:
+        raise DimMismatch(f"observable shape {a.shape} does not match the rows of the spectrum")
+    cut = Sectors(rows, [a[np.ix_(r, r)] for r in rows])
+    if not np.array_equal(np.asarray(cut), a):
+        raise InvalidMatrix("the observable is not symmetric and block diagonal over the sectors")
+    return cut
+
+
+def thermal_expectation(state, observable):
+    """(tr(rho A), tr(rho A^2)), block by block in the eigenbasis of the state.
+
+    With W = A V_b on block b, <n|A|n> = (V_b^T W)_nn and
+    <n|A^2|n> = |W e_n|^2, so both moments come from the one product
+    and A^2 is never formed.
+    """
+    obs = _checked_observable(observable, [rows for rows, _, _ in state.spectrum.blocks])
+    mean = second = 0.0
+    for (_, levels, v), block in zip(state.spectrum.blocks, obs.blocks):
+        w = (_dense(*block) if isinstance(block, tuple) else block) @ v
+        mean += float(state.probs[levels] @ np.einsum("in,in->n", v, w))
+        second += float(state.probs[levels] @ np.einsum("in,in->n", w, w))
+    return mean, second

@@ -32,6 +32,8 @@ from critfish.models import build_model, toy_converged_truncation
 from critfish.sweep import make_config, measurement_observable, rows_from_csv, rows_to_csv, run_sweep
 from critfish.thermal import gibbs
 
+from spectra import dense_eigenvectors
+
 # criterion 3's documented grid, reused verbatim by criterion 5
 CROSS_METHOD_MODELS = (("lmg", 4), ("lmg", 8), ("ising", 4), ("ising", 6))
 CROSS_METHOD_G = (0.2, 0.5, 0.8, 1.0, 1.2)
@@ -73,7 +75,7 @@ def test_criterion_1_toy_oracle_agreement():
         for beta_eff in (0.1, 1.0, 10.0):
             beta = beta_eff / scales.effective_frequency
             params = ToyParams(omega=1.0, g=g, beta=beta)
-            model, spectrum = toy_converged_truncation(1.0, g, beta)
+            model, spectrum, _ = toy_converged_truncation(1.0, g, beta)
             numeric = qfi_spectral(model, gibbs(spectrum, beta)).total
             exact = qfi_thermal_quantum(params) + qfi_thermal_classical(params)
             worst = max(worst, relerr(numeric, exact))
@@ -91,7 +93,7 @@ def test_criterion_2_zero_temperature_limits():
     ground = qfi_eigenstate(cold, 0)
     exact_identity = qfi_thermal_quantum(cold) == ground
     errprop_err = relerr(fi_errprop_closed(cold), ground)
-    model, _ = toy_converged_truncation(1.0, 0.5, math.inf)
+    model, _, _ = toy_converged_truncation(1.0, 0.5, math.inf)
     fd = qfi_fidelity_fd(model, math.inf, delta_omega=1e-2)
     fd_err = relerr(fd, 0.125)
     report(
@@ -134,7 +136,7 @@ def test_criterion_4_commuting_case():
         state = gibbs(spectrum, beta)
         breakdown = qfi_spectral(model, state)
         quantum_ok = quantum_ok and breakdown.quantum_part == 0.0
-        v = spectrum.eigenvectors
+        v = dense_eigenvectors(spectrum)
         slopes = np.einsum("in,in->n", v, np.diag(model.dH) @ v)
         mean = float(np.dot(state.probs, slopes))
         variance = float(np.dot(state.probs, (slopes - mean) ** 2))
@@ -238,7 +240,7 @@ def test_criterion_7_fig2_measurement_beats_cold_bound(fig2_rows):
 def test_criterion_8_two_excitation_selection_rule():
     g, beta_eff = 0.6, 1.0
     beta = beta_eff / ToyParams(omega=1.0, g=g, beta=1.0).effective_frequency
-    model, spectrum = toy_converged_truncation(1.0, g, beta)
+    model, spectrum, _ = toy_converged_truncation(1.0, g, beta)
     offsets = quantum_term_by_offset(model, gibbs(spectrum, beta))
     total = float(offsets.sum())
     outside = float(total - offsets[2])

@@ -31,6 +31,8 @@ from critfish.models import build_model, toy_converged_truncation
 from critfish.sweep import measurement_observable
 from critfish.thermal import ThermalState, gap, gibbs
 
+from spectra import dense_eigenvectors
+
 
 def thermal(model, beta):
     return gibbs(eigh(model.H), beta)
@@ -76,7 +78,7 @@ def test_commuting_case_is_pure_probability_information(kind, size, beta):
     breakdown = qfi_spectral(model, state)
     assert breakdown.quantum_part == 0.0
     spec = eigh(model.H)
-    v = spec.eigenvectors
+    v = dense_eigenvectors(spec)
     slopes = np.einsum("in,in->n", v, np.diag(model.dH) @ v)
     mean = float(np.dot(state.probs, slopes))
     variance = float(np.dot(state.probs, (slopes - mean) ** 2))
@@ -140,7 +142,7 @@ def test_toy_thermal_qfi_matches_closed_forms(g, beta_eff):
     scales = ToyParams(omega=1.0, g=g, beta=1.0)
     beta = beta_eff / scales.effective_frequency
     params = ToyParams(omega=1.0, g=g, beta=beta)
-    model, spectrum = toy_converged_truncation(1.0, g, beta)
+    model, spectrum, _ = toy_converged_truncation(1.0, g, beta)
     breakdown = qfi_spectral(model, gibbs(spectrum, beta))
     assert breakdown.quantum_part == pytest.approx(qfi_thermal_quantum(params), rel=1e-6)
     assert breakdown.classical_part == pytest.approx(qfi_thermal_classical(params), rel=1e-6)
@@ -165,7 +167,7 @@ def test_spectral_handles_exact_degeneracies():
 
 def test_quantum_mass_sits_two_levels_apart():
     g, beta = 0.6, 2.0
-    model, spectrum = toy_converged_truncation(1.0, g, beta)
+    model, spectrum, _ = toy_converged_truncation(1.0, g, beta)
     state = gibbs(spectrum, beta)
     offsets = quantum_term_by_offset(model, state)
     total = offsets.sum()
@@ -181,7 +183,7 @@ def cell(kind, size, g, beta):
 
 def dense_spectral_reference(model, state):
     """(classical, quantum, offsets) from the full n x n rotation of dH and every ordered pair."""
-    energies, v, probs = state.spectrum.eigenvalues, state.spectrum.eigenvectors, state.probs
+    energies, v, probs = state.spectrum.eigenvalues, dense_eigenvectors(state.spectrum), state.probs
     n = len(energies)
     tol = DEGENERACY_RTOL * max(1.0, float(np.max(np.abs(energies))))
     gid = np.concatenate([[0], np.cumsum(np.diff(energies) > tol)])
@@ -301,7 +303,7 @@ def test_fidelity_route_matches_spectral():
 
 
 def test_fidelity_route_zero_temperature_toy():
-    model, _ = toy_converged_truncation(1.0, 0.5, math.inf)
+    model, _, _ = toy_converged_truncation(1.0, 0.5, math.inf)
     fd = qfi_fidelity_fd(model, math.inf, delta_omega=1e-2)
     assert fd == pytest.approx(0.125, rel=1e-4)
 
@@ -368,7 +370,7 @@ def test_squared_spin_outcomes_are_merged():
 
 def test_error_propagation_matches_closed_form():
     g, beta = 0.6, 2.0
-    model, _ = toy_converged_truncation(1.0, g, beta)
+    model, _, _ = toy_converged_truncation(1.0, g, beta)
     obs = measurement_observable("toy", model.size)
     got = fi_error_propagation(model, beta, obs, delta_omega=1e-3)
     want = fi_errprop_closed(ToyParams(omega=1.0, g=g, beta=beta))
@@ -382,6 +384,13 @@ def test_error_propagation_free_oscillator():
     got = fi_error_propagation(build_model("toy", 1.0, 0.0, n_max), beta, obs, delta_omega=1e-3)
     want = beta ** 2 / (2.0 * math.sinh(beta) ** 2)
     assert got == pytest.approx(want, rel=1e-5)
+
+
+def test_error_propagation_is_zero_where_the_mean_does_not_move():
+    # at g = 0 the ring's Gibbs states are diagonal, so <(Sx/2)^2> = N/4 for
+    # every omega: the differences are roundoff and the slope is exactly 0
+    model = build_model("ising", 1.0, 0.0, 6)
+    assert fi_error_propagation(model, 1.74, measurement_observable("ising", 6)) == 0.0
 
 
 def test_error_propagation_rejects_zero_variance():
@@ -434,7 +443,7 @@ def test_quantum_part_grows_with_temperature_toward_twice_ground():
     params = ToyParams(omega=1.0, g=g, beta=1.0)
     w_eff = params.effective_frequency
     betas = [b / w_eff for b in (10.0, 3.0, 1.0, 0.3, 0.1)]
-    model, spec = toy_converged_truncation(1.0, g, betas[-1])
+    model, spec, _ = toy_converged_truncation(1.0, g, betas[-1])
     values = [qfi_spectral(model, gibbs(spec, b)).quantum_part for b in betas]
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
     ground = qfi_pure(model, spec, 0)

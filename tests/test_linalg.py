@@ -14,6 +14,8 @@ from critfish.operators import make_dicke_ops, make_fock_ops
 from critfish.sweep import measurement_observable
 from critfish.thermal import density_matrix, gibbs
 
+from spectra import dense_eigenvectors
+
 
 def random_symmetric(rng, dim, scale=5.0):
     a = rng.normal(scale=scale, size=(dim, dim))
@@ -59,7 +61,7 @@ def test_symmetrize_rejects_overflow_without_a_warning():
 def test_eigh_already_diagonal():
     spec = eigh(np.diag([3.0, 1.0]))
     assert np.allclose(spec.eigenvalues, [1.0, 3.0])
-    assert np.allclose(np.abs(spec.eigenvectors), np.eye(2)[:, ::-1])
+    assert np.allclose(np.abs(dense_eigenvectors(spec)), np.eye(2)[:, ::-1])
 
 
 def test_eigh_two_level_flip():
@@ -67,15 +69,17 @@ def test_eigh_two_level_flip():
     assert np.allclose(spec.eigenvalues, [-1.0, 1.0])
     r = 1.0 / np.sqrt(2.0)
     # sign convention: first of the tied largest-magnitude components positive
-    assert np.allclose(spec.eigenvectors[:, 0], [r, -r])
-    assert np.allclose(spec.eigenvectors[:, 1], [r, r])
+    v = dense_eigenvectors(spec)
+    assert np.allclose(v[:, 0], [r, -r])
+    assert np.allclose(v[:, 1], [r, r])
 
 
 def test_eigh_reconstruction_seeded():
     rng = np.random.default_rng(7)
     m = random_symmetric(rng, 8)
     spec = eigh(m)
-    rebuilt = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.T
+    v = dense_eigenvectors(spec)
+    rebuilt = (v * spec.eigenvalues) @ v.T
     tol = 1e-10 * max(1.0, np.abs(m).max())
     assert np.abs(rebuilt - m).max() <= tol
 
@@ -86,7 +90,7 @@ def test_eigh_deterministic():
     a = eigh(m)
     b = eigh(m.copy())
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
-    assert np.array_equal(a.eigenvectors, b.eigenvectors)
+    assert np.array_equal(dense_eigenvectors(a), dense_eigenvectors(b))
 
 
 @settings(max_examples=60, deadline=None)
@@ -96,7 +100,7 @@ def test_eigh_invariants_random(dim, seed):
     m = random_symmetric(rng, dim)
     spec = eigh(m)
     assert np.all(np.diff(spec.eigenvalues) >= 0)
-    v = spec.eigenvectors
+    v = dense_eigenvectors(spec)
     assert np.abs(v.T @ v - np.eye(dim)).max() <= 1e-12
     rebuilt = (v * spec.eigenvalues) @ v.T
     assert np.abs(rebuilt - m).max() <= 1e-10 * max(1.0, np.abs(m).max())
@@ -155,7 +159,7 @@ def test_eigh_blocked_matches_dense(sizes, singleton_values, chains, seed):
     dim = m.shape[0]
     assert np.array_equal(np.asarray(sectors), m)
     spec = eigh(sectors)
-    vals, v = spec.eigenvalues, spec.eigenvectors
+    vals, v = spec.eigenvalues, dense_eigenvectors(spec)
     scale = max(1.0, np.abs(m).max())
     assert np.abs(vals - scipy.linalg.eigvalsh(m)).max() <= 1e-12 * scale
     assert np.all(np.diff(vals) >= 0)
@@ -168,19 +172,25 @@ def test_eigh_blocked_matches_dense(sizes, singleton_values, chains, seed):
         support = np.flatnonzero(v[:, k])
         assert np.unique(owner[support]).size == 1
         assert v[np.argmax(np.abs(v[:, k])), k] > 0
-    assert [r.tolist() for r in spec.sectors] == [idx.tolist() for idx in members]
-    assert not vals.flags.writeable and not v.flags.writeable
+    # one block per declared sector: its rows, ascending global levels, and vectors on those rows only
+    assert [rows.tolist() for rows, _, _ in spec.blocks] == [idx.tolist() for idx in members]
+    assert all(vectors.shape == (rows.size, rows.size) for rows, _, vectors in spec.blocks)
+    assert all(np.all(np.diff(levels) > 0) for _, levels, _ in spec.blocks)
+    assert np.array_equal(np.sort(np.concatenate([levels for _, levels, _ in spec.blocks])), np.arange(dim))
+    assert not vals.flags.writeable
+    assert not any(a.flags.writeable for block in spec.blocks for a in block)
     again = eigh(sectors)
     assert np.array_equal(again.eigenvalues, vals)
-    assert np.array_equal(again.eigenvectors, v)
+    assert np.array_equal(dense_eigenvectors(again), v)
 
 
 def test_dense_input_is_one_block():
     m = np.diag([2.0, 1.0, 3.0])
     m[0, 2] = m[2, 0] = 0.5
     spec = eigh(m)
-    assert [r.tolist() for r in spec.sectors] == [[0, 1, 2]]
-    assert np.abs(m @ spec.eigenvectors - spec.eigenvectors * spec.eigenvalues).max() <= 1e-14
+    assert [(rows.tolist(), levels.tolist()) for rows, levels, _ in spec.blocks] == [([0, 1, 2], [0, 1, 2])]
+    v = dense_eigenvectors(spec)
+    assert np.abs(m @ v - v * spec.eigenvalues).max() <= 1e-14
 
 
 def components(matrix):
@@ -284,11 +294,13 @@ def test_tridiagonal_route_returns_the_bits_of_syevd(monkeypatch, case):
     assert sorted(solved) == sorted(r.size for r in m.rows if r.size >= linalg._STEVD_MIN_ROWS)
     monkeypatch.setattr(linalg, "_DSTEVD", no_stevd)
     dense = eigh(m)
+    v = dense_eigenvectors(routed)
     assert np.array_equal(routed.eigenvalues, dense.eigenvalues)
-    assert np.array_equal(routed.eigenvectors, dense.eigenvectors)
-    assert not routed.eigenvalues.flags.writeable and not routed.eigenvectors.flags.writeable
+    assert np.array_equal(v, dense_eigenvectors(dense))
+    assert not routed.eigenvalues.flags.writeable
+    assert not any(vectors.flags.writeable for _, _, vectors in routed.blocks)
     scale = max(1.0, np.abs(np.asarray(m)).max())
-    residual = np.asarray(m) @ routed.eigenvectors - routed.eigenvectors * routed.eigenvalues
+    residual = np.asarray(m) @ v - v * routed.eigenvalues
     assert np.abs(residual).max() <= 1e-12 * scale
 
 
@@ -302,7 +314,7 @@ def test_tridiagonal_route_is_taken_on_this_platform(monkeypatch):
     monkeypatch.setattr(linalg, "_DSYEVD", fail)
     got = eigh(m)
     assert np.array_equal(got.eigenvalues, want.eigenvalues)
-    assert np.array_equal(got.eigenvectors, want.eigenvectors)
+    assert np.array_equal(dense_eigenvectors(got), dense_eigenvectors(want))
 
 
 def test_failing_stevd_raises_diagonalization_failed(monkeypatch):
@@ -339,7 +351,8 @@ def test_blocks_that_are_not_tridiagonal_never_take_the_route(monkeypatch, case)
     spec = eigh(m)
     dense = np.asarray(m)
     scale = max(1.0, np.abs(dense).max())
-    assert np.abs(dense @ spec.eigenvectors - spec.eigenvectors * spec.eigenvalues).max() <= 1e-12 * scale
+    v = dense_eigenvectors(spec)
+    assert np.abs(dense @ v - v * spec.eigenvalues).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("stevd", [True, False])
@@ -352,7 +365,7 @@ def test_uncoupled_chains_give_identity_eigenvectors(monkeypatch, stevd, kind, s
     model = build_model(kind, 1.0, 0.0, size)
     spec = eigh(model.H)
     assert np.array_equal(spec.eigenvalues, np.sort(model.dH))
-    assert np.array_equal(spec.eigenvectors, np.eye(len(model.H)))
+    assert np.array_equal(dense_eigenvectors(spec), np.eye(len(model.H)))
 
 
 def test_sectors_to_dense_and_shape():
@@ -445,6 +458,19 @@ def test_fidelity_matches_the_matrix_root_route(dim, seed):
     rho = random_density(rng, dim)
     sigma = random_density(rng, dim)
     assert fidelity(rho, sigma) == pytest.approx(dense_root_fidelity(rho, sigma), abs=1e-12)
+
+
+def test_fidelity_of_sectors_matches_the_matrix_root_route():
+    # two states over the same sectors: the nuclear norm is summed block by
+    # block; a Sectors against a dense matrix is compared as two dense ones
+    model = build_model("lmg", 1.0, 0.7, 8)
+    rho = density_matrix(gibbs(eigh(model.H), 2.0))
+    sigma = density_matrix(gibbs(eigh(model.at(1.1).H), 2.0))
+    assert fidelity(rho, sigma) == pytest.approx(dense_root_fidelity(np.asarray(rho), np.asarray(sigma)), abs=1e-12)
+    other = random_density(np.random.default_rng(4), 9)
+    want = dense_root_fidelity(np.asarray(rho), other)
+    assert fidelity(rho, other) == pytest.approx(want, abs=1e-12)
+    assert fidelity(other, rho) == pytest.approx(want, abs=1e-10)
 
 
 def test_fidelity_self_is_one():

@@ -12,6 +12,8 @@ from critfish.linalg import eigh
 from critfish.models import TRUNCATION_SIZES, ModelKind, build_model, toy_converged_truncation
 from critfish.thermal import gap, gibbs
 
+from spectra import dense_eigenvectors
+
 
 def test_toy_free_oscillator():
     model = build_model("toy", 1.0, 0.0, 32)
@@ -115,7 +117,7 @@ def test_hellmann_feynman_matches_finite_differences(kind, size, levels):
     plus = eigh(build_model(kind, omega + step / 2, g, size).H).eigenvalues
     minus = eigh(build_model(kind, omega - step / 2, g, size).H).eigenvalues
     fd = (plus - minus) / step
-    v = spec.eigenvectors
+    v = dense_eigenvectors(spec)
     hf = np.einsum("in,in->n", v, np.diag(model.dH) @ v)
     gaps = np.diff(spec.eigenvalues)
     for n in levels:
@@ -155,32 +157,33 @@ def test_gibbs_offset_invariance(shift):
 
     model = build_model("lmg", 1.0, 0.6, 6)
     spec = eigh(model.H)
-    shifted = Spectrum(eigenvalues=spec.eigenvalues + shift, eigenvectors=spec.eigenvectors)
+    shifted = Spectrum(eigenvalues=spec.eigenvalues + shift, blocks=spec.blocks)
     a = gibbs(spec, 2.5).probs
     b = gibbs(shifted, 2.5).probs
     assert np.allclose(a, b, atol=1e-14)
 
 
 def test_truncation_free_oscillator_converges_immediately():
-    model, _ = toy_converged_truncation(1.0, 0.0, 2.0)
+    model, _, _ = toy_converged_truncation(1.0, 0.0, 2.0)
     assert model.size == 64
 
 
 def test_truncation_mild_coupling_cold():
-    model, _ = toy_converged_truncation(1.0, 0.1, 10.0)
+    model, _, _ = toy_converged_truncation(1.0, 0.1, 10.0)
     assert model.size <= 128
 
 
 def test_truncation_grows_when_hot_and_squeezed():
-    hot, _ = toy_converged_truncation(1.0, 0.9, 0.3)
-    cold, _ = toy_converged_truncation(1.0, 0.9, 30.0)
+    hot, _, _ = toy_converged_truncation(1.0, 0.9, 0.3)
+    cold, _, _ = toy_converged_truncation(1.0, 0.9, 30.0)
     assert hot.size >= cold.size
     assert hot.size >= 128
 
 
 def test_truncation_zero_temperature():
-    model, _ = toy_converged_truncation(1.0, 0.5, math.inf)
+    model, _, breakdown = toy_converged_truncation(1.0, 0.5, math.inf)
     assert model.size <= 128
+    assert breakdown is None  # the ladder ran on qfi_pure
 
 
 def test_truncation_rejects_critical():
@@ -189,12 +192,13 @@ def test_truncation_rejects_critical():
 
 
 def test_truncation_hands_over_the_converged_rung():
-    model, spectrum = toy_converged_truncation(1.0, 0.9, 5.0)
+    model, spectrum, breakdown = toy_converged_truncation(1.0, 0.9, 5.0)
     fresh = build_model("toy", 1.0, 0.9, model.size)
     assert np.array_equal(model.H, fresh.H) and np.array_equal(model.dH, fresh.dH)
     again = eigh(fresh.H)
     assert np.array_equal(spectrum.eigenvalues, again.eigenvalues)
-    assert np.array_equal(spectrum.eigenvectors, again.eigenvectors)
+    assert np.array_equal(dense_eigenvectors(spectrum), dense_eigenvectors(again))
+    assert breakdown == qfi_spectral(fresh, gibbs(again, 5.0))
 
 
 def test_adaptive_cell_diagonalizes_each_rung_once(monkeypatch):

@@ -148,6 +148,14 @@ def test_readme_schema_is_a_valid_config():
     assert set(block) == {f.name for f in fields(SweepConfig)} | {"output"}
 
 
+def test_readme_library_snippet_runs():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Library use", 1)[1]
+    namespace = {}
+    exec(section.split("```python", 1)[1].split("```", 1)[0], namespace)
+    assert namespace["fd"] == pytest.approx(namespace["breakdown"].total, rel=1e-3)
+
+
 def test_ladder_rungs_past_the_critical_coupling_keep_their_statuses():
     # at g = 0.9999 the ladder's lower point omega - delta/2 crosses g for the oscillator
     rows = run_sweep(config(size=64, g_grid=[0.9999], temp_grid=[5.0], workers=1,
@@ -275,7 +283,8 @@ def test_pooled_rows_equal_serial_rows_at_equal_blas_thread_counts(monkeypatch):
 ])
 def test_every_eigh_on_the_row_path_gets_sectors(monkeypatch, kind, size, temp_mode, temps):
     # every matrix is built in its sectors: no diagonalization on the
-    # way to a row is handed a plain array
+    # way to a row is handed a plain array, and every spectrum comes
+    # back in its blocks, with no n x n eigenvector matrix
     from critfish import sweep
 
     seen = []
@@ -283,16 +292,50 @@ def test_every_eigh_on_the_row_path_gets_sectors(monkeypatch, kind, size, temp_m
 
     def spy(matrix):
         seen.append(type(matrix).__name__)
-        return eigh(matrix)
+        spectrum = eigh(matrix)
+        assert not hasattr(spectrum, "eigenvectors")
+        for rows, levels, vectors in spectrum.blocks:
+            assert vectors.shape == (rows.size, levels.size) == (rows.size, rows.size)
+        levels = np.concatenate([levels for _, levels, _ in spectrum.blocks])
+        assert np.array_equal(np.sort(levels), np.arange(len(matrix)))
+        return spectrum
+
+    def no_dense(self, dtype=None, copy=None):
+        raise AssertionError("a Sectors was made an n x n array on the row path")
 
     for module in (linalg, fisher, sweep):
         monkeypatch.setattr(module, "eigh", spy)
+    monkeypatch.setattr(linalg.Sectors, "__array__", no_dense)
     estimators = ["qfi_spectral", "qfi_fidelity", "cfi_sx2", "fi_errprop"]
     config = make_config({"model": kind, "size": size, "g_grid": [0.7], "temp_grid": temps,
                           "temp_mode": temp_mode, "estimators": estimators, "delta_omega": 1e-3, "workers": 1})
     rows = run_sweep(config)
     assert all(row.qfi_fidelity is not None for row in rows)
     assert seen and set(seen) == {"Sectors"}
+
+
+def test_adaptive_cell_reuses_the_breakdown_of_the_accepted_rung(monkeypatch):
+    # the ladder's own qfi_spectral of the rung it hands over is the row's:
+    # on this grid (the toy-adaptive benchmark preset) 3 cells climb 11 rungs
+    from critfish import sweep
+
+    calls = []
+    spectral = fisher.qfi_spectral
+
+    def counting(model, state):
+        calls.append(model.size)
+        return spectral(model, state)
+
+    grid = {"min": 0.5, "max": 0.999, "count": 3, "spacing": "log-approach-to-critical"}
+    cfg = config(size="adaptive", g_grid=grid, temp_grid=[50.0], workers=1)
+    want = run_sweep(cfg)
+    # the ladder imports qfi_spectral from fisher at call time; the cell holds its own name
+    monkeypatch.setattr(fisher, "qfi_spectral", counting)
+    monkeypatch.setattr(sweep, "qfi_spectral", counting)
+    assert run_sweep(cfg) == want
+    assert len(calls) == 11
+    cold, = run_sweep(config(size="adaptive", g_grid=[0.5], temp_grid=["inf"], workers=1))
+    assert "qfi_spectral:InvalidTemperature" in cold.status
 
 
 def test_measurement_observable_is_shared_and_read_only():
@@ -433,8 +476,8 @@ def test_negative_fisher_part_becomes_an_estimator_status(monkeypatch):
 
     def negative_first(*args, **kwargs):
         calls.append(1)
-        total, offsets = pair_sum(*args, **kwargs)
-        return (-1.0 if len(calls) == 1 else total), offsets
+        total = pair_sum(*args, **kwargs)
+        return -1.0 if len(calls) == 1 else total
 
     monkeypatch.setattr(fisher, "_quantum_pair_sum", negative_first)
     rows = run_sweep(config(workers=1))

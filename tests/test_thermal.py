@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from critfish.errors import DimMismatch, GapTooSmall, InvalidDimension, InvalidTemperature
-from critfish.linalg import Spectrum, eigh
+from critfish.errors import DimMismatch, GapTooSmall, InvalidDimension, InvalidMatrix, InvalidTemperature
+from critfish.linalg import Sectors, eigh
 from critfish.models import build_model, toy_converged_truncation
 from critfish.analytic import ToyParams, quadrature_moments
 from critfish.thermal import (
@@ -16,10 +16,11 @@ from critfish.thermal import (
     thermal_expectation,
 )
 
+from spectra import dense_eigenvectors, one_block
+
 
 def spectrum_from_energies(energies):
-    energies = np.asarray(energies, dtype=float)
-    return Spectrum(eigenvalues=energies, eigenvectors=np.eye(len(energies)))
+    return one_block(energies, np.eye(len(energies)))
 
 
 def test_two_level_weights():
@@ -73,7 +74,7 @@ def test_density_matrix_ground_projector():
     model = build_model("lmg", 1.0, 0.4, 5)
     spec = eigh(model.H)
     rho = np.asarray(density_matrix(gibbs(spec, math.inf)))
-    ground = spec.eigenvectors[:, 0]
+    ground = dense_eigenvectors(spec)[:, 0]
     assert np.allclose(rho, np.outer(ground, ground), atol=1e-12)
     assert np.array_equal(rho, rho.T)
     assert float(np.trace(rho)) == pytest.approx(1.0, abs=1e-12)
@@ -85,12 +86,12 @@ def test_density_matrix_keeps_the_sectors_of_the_spectrum(kind, size):
     spec = eigh(build_model(kind, 1.0, 0.7, size).H)
     state = gibbs(spec, 0.8)
     rho = density_matrix(state)
-    assert [r.tolist() for r in rho.rows] == [r.tolist() for r in spec.sectors]
+    assert [r.tolist() for r in rho.rows] == [rows.tolist() for rows, _, _ in spec.blocks]
     assert all(isinstance(block, np.ndarray) for block in rho.blocks)
-    v = spec.eigenvectors
+    v = dense_eigenvectors(spec)
     assert np.abs(np.asarray(rho) - (v * state.probs) @ v.T).max() <= 1e-15
-    # one sector of all rows when the spectrum was built without them
-    plain = density_matrix(gibbs(Spectrum(eigenvalues=spec.eigenvalues, eigenvectors=v), 0.8))
+    # one sector of all rows from a spectrum of one block
+    plain = density_matrix(gibbs(one_block(spec.eigenvalues, v), 0.8))
     assert [r.tolist() for r in plain.rows] == [list(range(len(v)))]
 
 
@@ -159,11 +160,25 @@ def test_thermal_expectation_identity_and_energy():
     model = build_model("lmg", 1.0, 0.7, 8)
     spec = eigh(model.H)
     state = gibbs(spec, 2.0)
-    assert thermal_expectation(state, np.eye(9)) == pytest.approx(1.0, abs=1e-12)
-    want = float(np.dot(state.probs, spec.eigenvalues))
+    assert thermal_expectation(state, np.eye(9)) == pytest.approx((1.0, 1.0), abs=1e-12)
+    want = (float(np.dot(state.probs, spec.eigenvalues)), float(np.dot(state.probs, spec.eigenvalues ** 2)))
     assert thermal_expectation(state, model.H) == pytest.approx(want, abs=1e-10)
+    assert thermal_expectation(state, np.asarray(model.H)) == pytest.approx(want, abs=1e-10)
     with pytest.raises(DimMismatch):
         thermal_expectation(state, np.eye(4))
+
+
+def test_observable_over_other_rows_is_cut_into_the_sectors_or_rejected():
+    model = build_model("lmg", 1.0, 0.7, 8)
+    state = gibbs(eigh(model.H), 2.0)
+    dense = np.asarray(model.coupling_term)
+    want = thermal_expectation(state, model.coupling_term)
+    # one block over all rows: the same matrix, cut into the spectrum's sectors
+    assert thermal_expectation(state, Sectors([np.arange(9)], [dense])) == pytest.approx(want, rel=1e-12)
+    # Sx couples the parity sectors, so its moments need entries no sector holds
+    sx = np.diag(np.full(8, 0.5), 1) + np.diag(np.full(8, 0.5), -1)
+    with pytest.raises(InvalidMatrix, match="block diagonal over the sectors"):
+        thermal_expectation(state, sx)
 
 
 @pytest.mark.parametrize("g", [0.3, 0.6, 0.9])
@@ -172,12 +187,12 @@ def test_toy_second_moment_matches_closed_form(g, beta_eff):
     params = ToyParams(omega=1.0, g=g, beta=1.0)  # placeholder beta for scales
     beta = beta_eff / params.effective_frequency
     params = ToyParams(omega=1.0, g=g, beta=beta)
-    model, spectrum = toy_converged_truncation(1.0, g, beta)
+    model, spectrum, _ = toy_converged_truncation(1.0, g, beta)
     state = gibbs(spectrum, beta)
     ops_x2 = np.asarray(model.coupling_term) * 4.0
     mean2, var2 = quadrature_moments(params)
-    got_mean = thermal_expectation(state, ops_x2)
-    got_var = thermal_expectation(state, ops_x2 @ ops_x2) - got_mean ** 2
+    got_mean, got_second = thermal_expectation(state, ops_x2)
+    got_var = got_second - got_mean ** 2
     assert got_mean == pytest.approx(mean2, rel=1e-6)
     assert got_var == pytest.approx(var2, rel=1e-6)
 
