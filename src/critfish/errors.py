@@ -41,6 +41,10 @@ class DegenerateLevel(CritfishError):
     """Operation requires a non-degenerate eigenvalue."""
 
 
+class IncompleteSpectrum(CritfishError):
+    """The operation needs every level, and the spectrum was solved in a window."""
+
+
 class NegativeFisherPart(CritfishError):
     """A sum-of-squares Fisher contribution came out negative beyond roundoff."""
 

@@ -29,6 +29,12 @@ part needs only each level's slope.  In a cold state near criticality
 a few dozen of thousands of levels carry weight, so the rotation costs
 |K| n^2 instead of n^3.
 
+On a spectrum solved in an energy window (``eigh(H, window)``) the
+levels a chain left unsolved carry no Gibbs weight, and enter only
+through their elements with the weighted levels.  Those are summed per
+weighted level by one tridiagonal resolvent solve (``_unsolved_mass``),
+so the sums equal the full spectrum's to roundoff.
+
 Every sum runs over the blocks of the spectrum (``Spectrum.blocks``).
 dH is diagonal, and each block's eigenvectors vanish off its rows, so
 <m|dH|n> is zero between two blocks and no pair across blocks
@@ -58,15 +64,15 @@ from .errors import (
     DegenerateLevel,
     DiagonalizationFailed,
     DimMismatch,
+    IncompleteSpectrum,
     InvalidTemperature,
     NegativeFisherPart,
     NoFDConvergence,
     ZeroVariance,
 )
-from .linalg import eigh, fidelity
+from .linalg import DEGENERACY_RTOL, _DGTSV, eigh, fidelity
 from .thermal import _checked_observable, density_matrix, gibbs, thermal_expectation
 
-DEGENERACY_RTOL = 1e-10        # |E_i - E_j| below this * ||H|| counts as degenerate
 PAIR_WEIGHT_FLOOR = 1e-15      # skip quantum terms with p_n + p_m below this
 PROB_FLOOR = 1e-300            # skip classical terms with p_n below this
 OUTCOME_GROUP_RTOL = 1e-10     # merge observable eigenvalues within this * scale
@@ -104,6 +110,28 @@ def _degenerate_groups(values, tol):
     return [range(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
 
 
+def _unsolved_mass(chain, dh, solved, columns, energies):
+    """sum_m |<m|dH|x>|^2 / (E_m - E)^2 over a chain's unsolved levels m, per column x at level E.
+
+    That is ||Q (T - E)^{-1} Q dH x||^2 for the chain T, where
+    Q = 1 - V V^T projects out the block's solved vectors V: on the range
+    of Q, (T - E)^{-1} is sum_m |m><m| / (E_m - E), a Sternheimer
+    resolvent (Baroni, de Gironcoli, Dal Corso & Giannozzi, RMP 73, 515,
+    2001).  Each column costs one tridiagonal solve (?gtsv).  T - E is
+    nearly singular along the level's own vector, so the solve leaves
+    roundoff there, and Q is applied again after it to drop it.
+    """
+    rhs = dh[:, None] * columns
+    rhs -= solved @ (solved.T @ rhs)
+    x = np.empty_like(rhs)
+    for k, energy in enumerate(energies):
+        x[:, k], info = _DGTSV(*chain, energy, rhs[:, k])
+        if info != 0:
+            raise DiagonalizationFailed(f"resolvent solve at level {energy!r} hit a zero pivot (info={info})")
+    x -= solved @ (solved.T @ x)
+    return np.einsum("in,in->n", x, x)
+
+
 def _rotated_generator(spectrum, generator, tol, probs):
     """Weighted rows of <n|dH|m> in a degeneracy-adapted eigenbasis, block by block.
 
@@ -113,7 +141,8 @@ def _rotated_generator(spectrum, generator, tol, probs):
     basis is rotated to diagonalize dH restricted to the group, so the
     level slopes become the proper Hellmann-Feynman derivatives and
     intra-group couplings vanish by construction.  A group that spans
-    two blocks is rotated inside each of them.
+    two blocks is rotated inside each of them.  A block's groups of one
+    size are rotated by one stacked ``eigh`` call.
 
     Only the rows of the weighted levels K are formed: the shortest
     prefix of the spectrum that holds every level with
@@ -124,34 +153,51 @@ def _rotated_generator(spectrum, generator, tol, probs):
     part needs only the slopes: sum_i dH_i V_in^2 for a lone level, and
     the eigenvalues of its group's own block of dH for a degenerate one.
 
-    Returns (one (levels, rows of the block's elements) per block,
-    slope per level, group id per level); levels and group ids are global.
+    A block of a windowed spectrum lacks its upper levels, whose Gibbs
+    weights lie far below the floor.  Their elements with the levels of
+    K are summed per K level by ``_unsolved_mass``.
+
+    Returns (one (levels, rows of the block's elements, unsolved mass per
+    K level or None) per block, slope per solved level, group id per
+    solved level); levels and group ids are global.
     """
     groups = _degenerate_groups(spectrum.eigenvalues, tol)
     gid = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
     last_heavy = np.flatnonzero(probs >= PAIR_WEIGHT_FLOOR / 2.0)[-1]  # the weights sum to 1
     weighted = groups[gid[last_heavy]].stop
-    slopes = np.empty(spectrum.dim)
+    slopes = np.empty(len(probs))
     parts = []
-    for rows, levels, v in spectrum.blocks:
+    for b, (rows, levels, v) in enumerate(spectrum.blocks):
         dh = generator[rows]
         heavy = int(np.searchsorted(levels, weighted))
+        complete = v.shape[1] == rows.size
+        rotated = None if complete else v[:, :heavy].copy()
         m = (dh[:, None] * v[:, :heavy]).T @ v
         slopes[levels] = np.einsum("in,in,i->n", v, v, dh)
-        for group in _degenerate_groups(gid[levels], 0.5):  # the block's share of each group
-            if len(group) > 1:
-                sl = slice(group.start, group.stop)
-                inside = group.start < heavy
-                block = m[sl, sl] if inside else (dh[:, None] * v[:, sl]).T @ v[:, sl]
-                try:
-                    slopes[levels[sl]], u = np.linalg.eigh((block + block.T) / 2.0)
-                except np.linalg.LinAlgError as exc:
-                    raise DiagonalizationFailed(f"rotating a degenerate group of {len(group)} levels: {exc}") from exc
-                m[:, sl] = m[:, sl] @ u
-                if inside:
-                    m[sl, :] = u.T @ m[sl, :]
+        # the block's share of each degenerate group, and dH restricted to it
+        shares = [slice(g.start, g.stop) for g in _degenerate_groups(gid[levels], 0.5) if len(g) > 1]
+        restricted = [m[sl, sl] if sl.start < heavy else (dh[:, None] * v[:, sl]).T @ v[:, sl] for sl in shares]
+        rotations = [None] * len(shares)
+        for size in sorted({len(block) for block in restricted}):
+            members = [k for k, block in enumerate(restricted) if len(block) == size]
+            stack = np.stack([restricted[k] for k in members])
+            try:
+                values, vectors = np.linalg.eigh((stack + stack.transpose(0, 2, 1)) / 2.0)
+            except np.linalg.LinAlgError as exc:
+                raise DiagonalizationFailed(f"rotating degenerate groups of {size} levels: {exc}") from exc
+            for k, value, u in zip(members, values, vectors):
+                rotations[k] = value, u
+        for sl, (value, u) in zip(shares, rotations):
+            slopes[levels[sl]] = value
+            m[:, sl] = m[:, sl] @ u
+            if sl.start < heavy:
+                m[sl, :] = u.T @ m[sl, :]
+                if rotated is not None:
+                    rotated[:, sl] = rotated[:, sl] @ u
         m[:, :heavy] = (m[:, :heavy] + m[:, :heavy].T) / 2.0
-        parts.append((levels, m))
+        light = None if complete else _unsolved_mass(
+            spectrum.matrix.blocks[b], dh, v, rotated, spectrum.eigenvalues[levels[:heavy]])
+        parts.append((levels, m, light))
     return parts, slopes, gid
 
 
@@ -159,19 +205,24 @@ def _quantum_pair_sum(energies, probs, gid, parts, offsets=None):
     """2 sum_{n,m} (p_n - p_m)^2/(p_n + p_m) |<n|dH|m>|^2 / (E_m - E_n)^2.
 
     Only pairs inside one block of the spectrum couple, so the sum runs
-    block by block over ``parts``, the (levels, elements) pairs of
-    _rotated_generator.  Ordered pairs inside one degenerate group are
+    block by block over ``parts``, the (levels, elements, unsolved mass)
+    of _rotated_generator.  Ordered pairs inside one degenerate group are
     skipped (their couplings are zero after the basis rotation anyway),
     as are pairs whose combined weight is negligible.  A block's elements
     hold the rows of its weighted levels K; every pair that passes the
     floor has a level in K, so the block's sum is its K x K part plus
-    twice its K x light part.  When ``offsets`` is given, the mass is
-    also added into it by the level-index distance |n - m|.
+    twice its K x light part.  An unsolved level has no weight in the
+    state (``gibbs`` normalizes over the solved levels), so its pair
+    weight with n is p_n, and the K x unsolved part is p_n times the
+    level's unsolved mass, summed over K.  When ``offsets`` is given,
+    the mass is also added into it by the level-index distance |n - m|.
     """
     total = 0.0
-    for levels, elements in parts:
+    for levels, elements, light in parts:
         e, p, group = energies[levels], probs[levels], gid[levels]
         weighted = len(elements)
+        if light is not None:
+            total += 2.0 * float(p[:weighted] @ light)  # twice, as for every light pair
         for lo in range(0, weighted, _CHUNK):
             hi = min(lo + _CHUNK, weighted)
             p_rows = p[lo:hi, None]
@@ -210,7 +261,7 @@ def _spectral_terms(model, state):
             "spectral decomposition needs finite beta; at T = 0 use qfi_pure or qfi_fidelity_fd"
         )
     energies = state.spectrum.eigenvalues
-    tol = DEGENERACY_RTOL * max(1.0, float(np.max(np.abs(energies))))
+    tol = DEGENERACY_RTOL * state.spectrum.energy_scale
     parts, slopes, gid = _rotated_generator(state.spectrum, model.dH, tol, state.probs)
     return energies, state.probs, tol, parts, slopes, gid
 
@@ -244,7 +295,7 @@ def qfi_spectral(model, state):
             "pair_weight_floor": PAIR_WEIGHT_FLOOR,
             "prob_floor": PROB_FLOOR,
             "size": model.size,
-            "weighted_levels": sum(len(elements) for _, elements in parts),
+            "weighted_levels": sum(len(elements) for _, elements, _ in parts),
         },
     )
 
@@ -255,8 +306,11 @@ def quantum_term_by_offset(model, state):
     Diagnostic companion to qfi_spectral: returns an array whose k-th
     entry is the mass carried by eigenpairs k levels apart (entry 0 is
     always zero).  For the oscillator model essentially all mass sits at
-    distance 2.
+    distance 2.  Raises IncompleteSpectrum on a windowed spectrum, whose
+    unsolved levels have no index.
     """
+    if not state.spectrum.complete:
+        raise IncompleteSpectrum("the mass by level distance needs every level; diagonalize without a window")
     energies, probs, _, parts, _, gid = _spectral_terms(model, state)
     offsets = np.zeros(state.dim)
     _quantum_pair_sum(energies, probs, gid, parts, offsets)
@@ -264,21 +318,29 @@ def quantum_term_by_offset(model, state):
 
 
 def qfi_pure(model, spectrum, level=0):
-    """Fisher information of one eigenstate: 4 sum_{m!=n} |<m|dH|n>|^2/(E_n-E_m)^2."""
+    """Fisher information of one eigenstate: 4 sum_{m!=n} |<m|dH|n>|^2/(E_n-E_m)^2.
+
+    On a windowed spectrum the unsolved levels of the level's block enter
+    through its resolvent (``_unsolved_mass``).
+    """
     energies = spectrum.eigenvalues
-    d = spectrum.dim
+    d = len(energies)
     if not 0 <= level < d:
-        raise ValueError(f"level {level} out of range for dimension {d}")
-    tol = DEGENERACY_RTOL * max(1.0, float(np.max(np.abs(energies))))
+        raise ValueError(f"level {level} out of range for the {d} solved levels")
+    tol = DEGENERACY_RTOL * spectrum.energy_scale
     if (level > 0 and energies[level] - energies[level - 1] <= tol) or (
         level < d - 1 and energies[level + 1] - energies[level] <= tol
     ):
         raise DegenerateLevel(f"level {level} is degenerate within tolerance {tol:.3e}")
     # only the levels of the level's own block couple to it through the diagonal dH
-    rows, levels, v = next(block for block in spectrum.blocks if level in block[1])
+    b, (rows, levels, v) = next((b, block) for b, block in enumerate(spectrum.blocks) if level in block[1])
     others = levels != level
-    column = v[:, others].T @ (model.dH[rows] * v[:, ~others].ravel())
-    return 4.0 * float(np.sum(column ** 2 / (energies[level] - energies[levels[others]]) ** 2))
+    dh = model.dH[rows]
+    column = v[:, others].T @ (dh * v[:, ~others].ravel())
+    value = 4.0 * float(np.sum(column ** 2 / (energies[level] - energies[levels[others]]) ** 2))
+    if v.shape[1] < rows.size:
+        value += 4.0 * float(_unsolved_mass(spectrum.matrix.blocks[b], dh, v, v[:, ~others], energies[[level]])[0])
+    return value
 
 
 def _fd_ladder(estimate, omega, delta_omega, rtol, atol):

@@ -36,11 +36,20 @@ already loaded.  The library is looked up at the first block that needs
 it; where it cannot be found (another numpy build, another platform)
 every chain goes through ``?syevd`` and the results are the same.  The
 same handle lets a sweep worker cap its BLAS threads
-(``limit_blas_threads``).
+(``limit_blas_threads``).  Each routine is looked up on its own, so a
+library that lacks one still serves the others.
+
+A cold Gibbs state weighs a few dozen of thousands of levels, so
+``eigh`` takes an energy window: a long chain then solves only its
+levels within the window of the lowest one, by bisection (``?stebz``)
+and inverse iteration (``?stein``), at O(n) per level.  The levels it
+leaves out are still reachable through the chain's resolvent, one
+tridiagonal solve (``?gtsv``) per level (``fisher``).
 """
 
 import ctypes
 import functools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,9 +64,39 @@ PSD_CLAMP_RTOL = 1e-10
 # 0.09-0.10 ms, near 48 rows the two were level, and at 64 rows they took
 # 0.27-0.32 ms against 0.40-0.52 ms
 _STEVD_MIN_ROWS = 64
+# levels a windowed chain bisects first; the count doubles from there
+_WINDOW_START = 16
+# a windowed chain solves at most 1/_WINDOW_SHARE of its levels, measured
+# on toy chains (2 vCPUs): ?stebz and ?stein take about 0.5 us per row and
+# level, ?stevd about 50 ns per row squared (50 ms at 1024 rows), so the
+# two are level near 1/10 of the levels, and a window that gives up after
+# bisecting 1/16 of them costs at most 1.5 full solves
+_WINDOW_SHARE = 16
+# |E_i - E_j| below this * max |E| counts as degenerate
+DEGENERACY_RTOL = 1e-10
 _c_int = ctypes.c_int64  # the library's LAPACK integer (ILP64)
 _int_p = ctypes.POINTER(_c_int)
 _float_p = ctypes.POINTER(ctypes.c_double)
+_c_char = ctypes.c_char_p
+_size = ctypes.c_size_t
+# each LAPACK hook: its symbol in the library and its arguments (every
+# Fortran argument by reference, then the length of each character one)
+_HOOKS = {
+    # JOBZ, N, D, E, Z, LDZ, WORK, LWORK, IWORK, LIWORK, INFO, len(JOBZ)
+    "stevd": ("scipy_dstevd_64_", [_c_char, _int_p, _float_p, _float_p, _float_p, _int_p,
+                                   _float_p, _int_p, _int_p, _int_p, _int_p, _size]),
+    # RANGE, ORDER, N, VL, VU, IL, IU, ABSTOL, D, E, M, NSPLIT, W, IBLOCK,
+    # ISPLIT, WORK, IWORK, INFO, len(RANGE), len(ORDER)
+    "stebz": ("scipy_dstebz_64_", [_c_char, _c_char, _int_p, _float_p, _float_p, _int_p, _int_p,
+                                   _float_p, _float_p, _float_p, _int_p, _int_p, _float_p, _int_p,
+                                   _int_p, _float_p, _int_p, _int_p, _size, _size]),
+    # N, D, E, M, W, IBLOCK, ISPLIT, Z, LDZ, WORK, IWORK, IFAIL, INFO
+    "stein": ("scipy_dstein_64_", [_int_p, _float_p, _float_p, _int_p, _float_p, _int_p, _int_p,
+                                   _float_p, _int_p, _float_p, _int_p, _int_p, _int_p]),
+    # N, NRHS, DL, D, DU, B, LDB, INFO
+    "gtsv": ("scipy_dgtsv_64_", [_int_p, _int_p, _float_p, _float_p, _float_p, _float_p, _int_p, _int_p]),
+    "set_threads": ("scipy_openblas_set_num_threads64_", [ctypes.c_int]),
+}
 
 
 @functools.cache
@@ -68,28 +107,43 @@ def _openblas():
     for folder in (package.parent / "numpy.libs", package / ".dylibs"):
         for path in sorted(folder.glob("libscipy_openblas64_*")):
             try:
-                lib = ctypes.CDLL(str(path))
-                stevd, set_threads = lib.scipy_dstevd_64_, lib.scipy_openblas_set_num_threads64_
-            except (OSError, AttributeError):
+                return ctypes.CDLL(str(path))
+            except OSError:
                 continue
-            # JOBZ, N, D, E, Z, LDZ, WORK, LWORK, IWORK, LIWORK, INFO, len(JOBZ)
-            stevd.argtypes = [ctypes.c_char_p, _int_p, _float_p, _float_p, _float_p, _int_p,
-                              _float_p, _int_p, _int_p, _int_p, _int_p, ctypes.c_size_t]
-            stevd.restype = None
-            set_threads.argtypes = [ctypes.c_int]
-            set_threads.restype = None
-            return lib
     return None
+
+
+@functools.cache
+def _hook(name):
+    """The library function of one _HOOKS entry, typed, or None where it is not found.
+
+    Each symbol is looked up on its own, so a library without one of them
+    still serves the others.
+    """
+    symbol, argtypes = _HOOKS[name]
+    function = getattr(_openblas(), symbol, None)
+    if function is not None:
+        function.argtypes, function.restype = argtypes, None
+    return function
 
 
 def limit_blas_threads(count):
     """Cap this process's BLAS thread pool at ``count`` threads.
 
-    Does nothing where numpy's OpenBLAS cannot be found.
+    Does nothing where numpy's OpenBLAS, or its thread setter, cannot be found.
     """
-    lib = _openblas()
-    if lib is not None:
-        lib.scipy_openblas_set_num_threads64_(count)
+    set_threads = _hook("set_threads")
+    if set_threads is not None:
+        set_threads(count)
+
+
+def _ref(value):
+    return ctypes.byref(_c_int(value))
+
+
+def _ptr(array, kind=_float_p):
+    """Pointer to a C-contiguous array's data; it holds the array until the call it is passed to returns."""
+    return array.ctypes.data_as(kind)
 
 
 def _DSYEVD(a):
@@ -104,10 +158,10 @@ def _DSYEVD(a):
 def _DSTEVD(diagonal, offdiagonal):
     """LAPACK's ?stevd on a symmetric tridiagonal block: (eigenvalues, eigenvectors, info).
 
-    Returns None where numpy's OpenBLAS cannot be found.
+    Returns None where numpy's OpenBLAS or its ?stevd cannot be found.
     """
-    lib = _openblas()
-    if lib is None:
+    stevd = _hook("stevd")
+    if stevd is None:
         return None
     n = diagonal.size
     # every buffer is a fresh float64 (or LAPACK-integer) array in the
@@ -119,16 +173,70 @@ def _DSTEVD(diagonal, offdiagonal):
     work = np.empty(1 + 4 * n + n * n)
     iwork = np.empty(3 + 5 * n, dtype=_c_int)
     info = _c_int()
-
-    def ref(value):
-        return ctypes.byref(_c_int(value))
-
-    def ptr(array, kind=_float_p):
-        return array.ctypes.data_as(kind)
-
-    lib.scipy_dstevd_64_(b"V", ref(n), ptr(vals), ptr(work_e), ptr(vecs), ref(n), ptr(work),
-                         ref(work.size), ptr(iwork, _int_p), ref(iwork.size), ctypes.byref(info), 1)
+    stevd(b"V", _ref(n), _ptr(vals), _ptr(work_e), _ptr(vecs), _ref(n), _ptr(work),
+          _ref(work.size), _ptr(iwork, _int_p), _ref(iwork.size), ctypes.byref(info), 1)
     return vals, vecs, info.value
+
+
+def _DSTEBZ(diagonal, offdiagonal, first, last):
+    """LAPACK's ?stebz: levels first .. last (from 1, ascending) of a chain, by bisection.
+
+    Returns (eigenvalues ascending, the split-off block of each, where
+    each split-off block ends), or None when the bisection reports a
+    failure.
+    """
+    n = diagonal.size
+    vals = np.empty(n)
+    iblock, isplit = np.empty(n, dtype=_c_int), np.empty(n, dtype=_c_int)
+    found, nsplit, info = _c_int(), _c_int(), _c_int()
+    unread = ctypes.c_double(0.0)  # VL and VU
+    # ABSTOL at twice the underflow threshold bisects each level to its own
+    # relative precision, not to eps * ||T|| (30% more steps on toy chains):
+    # the gap E_1 - E_0 near g -> omega keeps ~1e-14 relative, not ~1e-11
+    abstol = ctypes.c_double(2.0 * np.finfo(float).tiny)
+    _hook("stebz")(b"I", b"E", _ref(n), ctypes.byref(unread), ctypes.byref(unread), _ref(first), _ref(last),
+                   ctypes.byref(abstol), _ptr(np.array(diagonal, dtype=np.float64)),
+                   _ptr(np.array(offdiagonal, dtype=np.float64)), ctypes.byref(found), ctypes.byref(nsplit),
+                   _ptr(vals), _ptr(iblock, _int_p), _ptr(isplit, _int_p), _ptr(np.empty(4 * n)),
+                   _ptr(np.empty(3 * n, dtype=_c_int), _int_p), ctypes.byref(info), 1, 1)
+    if info.value != 0 or found.value != last - first + 1:
+        return None
+    return vals[:found.value], iblock[:found.value], isplit[:nsplit.value]
+
+
+def _DSTEIN(diagonal, offdiagonal, vals, iblock, isplit):
+    """LAPACK's ?stein: (eigenvalues, eigenvectors, info) of a chain at bisected levels.
+
+    Inverse iteration, reorthogonalized within clusters.  ?stein wants
+    the levels grouped by split-off block; the columns come back in the
+    ascending order of ``vals``.
+    """
+    n, count = diagonal.size, vals.size
+    order = np.argsort(iblock, kind="stable")  # vals ascend, so each block's share ascends too
+    vecs = np.empty((n, count), order="F")
+    info = _c_int()
+    _hook("stein")(_ref(n), _ptr(np.array(diagonal, dtype=np.float64)),
+                   _ptr(np.array(offdiagonal, dtype=np.float64)), _ref(count), _ptr(np.array(vals[order])),
+                   _ptr(np.array(iblock[order]), _int_p), _ptr(np.array(isplit), _int_p), _ptr(vecs), _ref(n),
+                   _ptr(np.empty(5 * n)), _ptr(np.empty(n, dtype=_c_int), _int_p),
+                   _ptr(np.empty(count, dtype=_c_int), _int_p), ctypes.byref(info))
+    ascending = np.empty((n, count))
+    ascending[:, order] = vecs
+    return np.array(vals), ascending, info.value
+
+
+def _DGTSV(diagonal, offdiagonal, shift, rhs):
+    """LAPACK's ?gtsv: x with (T - shift) x = rhs for the chain T, by LU with partial pivoting.
+
+    Returns (x, info); info > 0 marks an exactly singular pivot.
+    """
+    n = diagonal.size
+    x = np.array(rhs, dtype=np.float64)
+    info = _c_int()
+    _hook("gtsv")(_ref(n), _ref(1), _ptr(np.array(offdiagonal, dtype=np.float64)),
+                  _ptr(diagonal - shift), _ptr(np.array(offdiagonal, dtype=np.float64)), _ptr(x), _ref(n),
+                  ctypes.byref(info))
+    return x, info.value
 
 
 def symmetrize(entries):
@@ -153,22 +261,40 @@ def symmetrize(entries):
 class Spectrum:
     """Eigendecomposition of a real symmetric matrix, kept in its solved blocks.
 
-    ``eigenvalues`` holds all n levels in ascending order.  ``blocks``
-    holds one read-only ``(rows, levels, vectors)`` per solved block:
+    ``eigenvalues`` holds the solved levels in ascending order: all n of
+    them, unless ``eigh`` was given a window.  ``blocks`` holds one
+    read-only ``(rows, levels, vectors)`` per solved block:
     ``vectors[:, k]`` is the orthonormal eigenvector of level
     ``levels[k]`` on the rows ``rows``, zero on every other row, with its
     largest-magnitude component positive so repeated runs give identical
     output.  Each block's levels ascend, and together the blocks cover
-    the rows and the levels 0 .. n-1 once.  No n x n eigenvector matrix
-    is held.
+    the rows once and the solved levels once.  No n x n eigenvector
+    matrix is held.  A windowed spectrum also keeps ``highest``, the
+    matrix's largest eigenvalue, and ``matrix``, the Sectors it was
+    solved from, so that the unsolved levels of a block can still be
+    reached through its resolvent; both are None when every level is
+    solved.
     """
 
     eigenvalues: np.ndarray
     blocks: tuple
+    highest: float = None
+    matrix: object = None
 
     @property
     def dim(self):
-        return int(self.eigenvalues.shape[0])
+        """The dimension n of the matrix, solved levels or not."""
+        return sum(int(rows.size) for rows, _, _ in self.blocks)
+
+    @property
+    def complete(self):
+        return self.eigenvalues.shape[0] == self.dim
+
+    @property
+    def energy_scale(self):
+        """max(1, max |E|) over every level of the matrix, the scale of the relative tolerances."""
+        top = self.eigenvalues[-1] if self.highest is None else self.highest
+        return max(1.0, abs(float(self.eigenvalues[0])), abs(float(top)))
 
 
 def _dense(diagonal, off):
@@ -240,7 +366,7 @@ def _sign_fixed(idx, solved):
     vals, vecs, info = solved
     if info != 0:
         raise DiagonalizationFailed(f"LAPACK failed with info={info} on a block of size {idx.size}")
-    vecs *= np.copysign(1.0, vecs[np.abs(vecs).argmax(axis=0), np.arange(idx.size)])
+    vecs *= np.copysign(1.0, vecs[np.abs(vecs).argmax(axis=0), np.arange(vecs.shape[1])])
     vecs.flags.writeable = False
     return vals, vecs
 
@@ -256,8 +382,66 @@ def _solve_chain(diagonal, off):
     return _DSYEVD(_dense(diagonal, off)) if solved is None else solved
 
 
-def eigh(matrix):
-    """Full eigendecomposition of a symmetric matrix, block by block, with fixed signs.
+def _solve_block(idx, block):
+    """(eigenvalues, eigenvectors) of every level of one block of a Sectors, sign-fixed."""
+    return _sign_fixed(idx, _solve_chain(*block) if isinstance(block, tuple) else _DSYEVD(block))
+
+
+def _window_end(values, edge, tol):
+    """Last value of the kept prefix of ascending ``values``, or None when it is not among them.
+
+    The prefix runs through the degenerate group (consecutive gaps <= tol)
+    of the first value above ``edge``, and its end needs the next value
+    to be seen.
+    """
+    first = int(np.searchsorted(values, edge, side="right"))
+    gaps = np.flatnonzero(np.diff(values[first:]) > tol)
+    return float(values[first + gaps[0]]) if gaps.size else None
+
+
+def _windowed(matrix, window):
+    """eigh's (eigenvalues, eigenvectors) per block within ``window``, and the highest level.
+
+    The highest level is None when every block was solved completely.
+    """
+    chains, solved, tops = {}, {}, []
+    windowable = all(_hook(name) is not None for name in ("stebz", "stein", "gtsv"))
+    for b, (idx, block) in enumerate(zip(matrix.rows, matrix.blocks)):
+        if windowable and isinstance(block, tuple) and idx.size >= _WINDOW_START * _WINDOW_SHARE:
+            low, top = _DSTEBZ(*block, 1, _WINDOW_START), _DSTEBZ(*block, idx.size, idx.size)
+            if low is not None and top is not None:
+                chains[b] = low
+                tops.append(float(top[0][0]))
+                continue
+        solved[b] = _solve_block(idx, block)
+        tops.append(float(solved[b][0][-1]))
+    lowest = min(float(part[0][0]) for part in (*chains.values(), *solved.values()))
+    tol = DEGENERACY_RTOL * max(1.0, abs(lowest), *map(abs, tops))
+    cut = math.inf
+    while chains:
+        # every level below the lowest last bisected level is known
+        bound, b = min((float(vals[-1]), b) for b, (vals, _, _) in chains.items())
+        known = np.sort(np.concatenate([part[0][part[0] <= bound] for part in (*chains.values(), *solved.values())]))
+        cut = _window_end(known, lowest + window, tol)
+        if cut is not None:
+            break
+        vals, block, most = chains[b][0], matrix.blocks[b], matrix.rows[b].size / _WINDOW_SHARE
+        # levels spread about evenly would need (edge - E_0) / mean spacing of them
+        spread = (lowest + window - vals[0]) * vals.size > most * (vals[-1] - vals[0])
+        more = None if spread or 2 * vals.size > most else _DSTEBZ(*block, vals.size + 1, 2 * vals.size)
+        if more is None:  # too large a share of the chain, or a failed bisection
+            solved[b] = _solve_block(matrix.rows[b], block)
+            del chains[b]
+        else:
+            chains[b] = (*(np.concatenate(pair) for pair in zip(chains[b], more[:2])), more[2])
+    for b, (vals, iblock, isplit) in chains.items():
+        keep = vals <= cut
+        solved[b] = _sign_fixed(matrix.rows[b], _DSTEIN(*matrix.blocks[b], vals[keep], iblock[keep], isplit))
+    return [solved[b] for b in range(len(matrix.rows))], (max(tops) if chains else None)
+
+
+def eigh(matrix, window=None):
+    """Eigendecomposition of a symmetric matrix, block by block, with fixed signs.
 
     ``matrix`` is a Sectors or a dense array.  Each block of a Sectors
     is solved on its own (a chain by ?stevd once large enough, a dense
@@ -267,22 +451,39 @@ def eigh(matrix):
     levels, and each block keeps its own rows, levels and vectors in
     ``Spectrum.blocks``.  Raises InvalidMatrix for non-finite entries and
     DiagonalizationFailed when the solver does not converge.
+
+    With a ``window`` >= 0, a chain of at least _STEVD_MIN_ROWS rows
+    solves only its lowest levels: bisection (?stebz) finds them, the
+    count doubling from _WINDOW_START until the levels within ``window``
+    of the matrix's lowest level are known, and inverse iteration
+    (?stein) gives their vectors.  The spectrum keeps every level up to
+    the end of the degenerate group (DEGENERACY_RTOL * max |E|) of the
+    first level past the window, so it ends on a group boundary and holds
+    at least one level past the window.  A chain that would need half of
+    its levels or more, a shorter chain and a dense block are solved
+    completely, as are all blocks where the library lacks ?stebz, ?stein
+    or the ?gtsv that reaches the unsolved levels (``fisher``).  Each
+    chain's highest level comes from one more bisection, so the
+    tolerance scale max |E| is that of the full spectrum.
     """
     if not isinstance(matrix, Sectors):
         dense = np.asarray(matrix, dtype=float)
         # one block of all rows; Sectors checks and symmetrizes it
         matrix = Sectors([np.arange(dense.shape[0] if dense.ndim else 0)], [dense])
-    solved = [
-        _sign_fixed(idx, _solve_chain(*block) if isinstance(block, tuple) else _DSYEVD(block))
-        for idx, block in zip(matrix.rows, matrix.blocks)
-    ]
+    if window is None:
+        solved, highest = [_solve_block(idx, block) for idx, block in zip(matrix.rows, matrix.blocks)], None
+    elif window >= 0:
+        solved, highest = _windowed(matrix, float(window))
+    else:
+        raise ValueError(f"window must be >= 0, got {window}")
     merged = np.concatenate([vals for vals, _ in solved])
     order = np.argsort(merged, kind="stable")
     level = order.argsort()  # the global level of each entry of merged
     eigenvalues = merged[order]
     eigenvalues.flags.writeable = level.flags.writeable = False
-    levels = np.split(level, np.cumsum([idx.size for idx in matrix.rows])[:-1])  # read-only views
-    return Spectrum(eigenvalues, tuple(zip(matrix.rows, levels, [vecs for _, vecs in solved])))
+    levels = np.split(level, np.cumsum([vals.size for vals, _ in solved])[:-1])  # read-only views
+    blocks = tuple(zip(matrix.rows, levels, [vecs for _, vecs in solved]))
+    return Spectrum(eigenvalues, blocks, highest, None if highest is None else matrix)
 
 
 def _same_rows(matrix, rows):

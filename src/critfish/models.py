@@ -18,7 +18,8 @@ it on request).  Finite differences are reserved for cross-checks and
 for derivatives of the thermal state itself.  Energy offsets are never
 normalized away: Gibbs weights and every Fisher quantity here are
 offset-invariant.  The adaptive oscillator truncation doubles its size
-until the Fisher total moves by less than TRUNCATION_RTOL (1e-8).
+until the Fisher total moves by less than TRUNCATION_RTOL (1e-8), and
+solves each rung only in the energy window that holds its Gibbs weight.
 """
 
 import math
@@ -34,6 +35,9 @@ from .operators import make_chain_ops, make_dicke_ops, make_fock_ops
 # doubling ladder for the adaptive Fock truncation
 TRUNCATION_SIZES = (64, 128, 256, 512, 1024, 2048, 4096)
 TRUNCATION_RTOL = 1e-8
+# each rung solves the levels with Gibbs weight exp(-beta (E - E_0)) above
+# this: the dropped weight, below 4096 * 1e-20, stays under 2^-53 of Z >= 1
+WINDOW_WEIGHT = 1e-20
 
 
 class ModelKind(str, Enum):
@@ -130,6 +134,11 @@ def toy_converged_truncation(omega, g, beta):
     information is the convergence functional instead, and ``breakdown``
     is None.  Raises TruncationNotConverged (carrying the last two values)
     at the 4096 cap.
+
+    Each rung is solved in the window ln(1 / WINDOW_WEIGHT) / beta above
+    its ground level (only the ground group, and the group above it, at
+    beta = inf), so ``spectrum`` holds the Gibbs-weighted levels of a
+    large rung and not all of them; ``eigh(model.H)`` gives every level.
     """
     # local imports: fisher/thermal import this module for ModelInstance
     from .fisher import qfi_pure, qfi_spectral
@@ -141,7 +150,7 @@ def toy_converged_truncation(omega, g, beta):
     previous = None
     for n_max in TRUNCATION_SIZES:
         model = build_model(ModelKind.TOY, omega, g, n_max)
-        spectrum = eigh(model.H)
+        spectrum = eigh(model.H, window=math.log(1.0 / WINDOW_WEIGHT) / beta)
         breakdown = None if math.isinf(beta) else qfi_spectral(model, gibbs(spectrum, beta))
         value = qfi_pure(model, spectrum, level=0) if breakdown is None else breakdown.total
         if values and abs(value - values[-1]) <= TRUNCATION_RTOL * max(abs(value), 1e-300):

@@ -22,7 +22,7 @@ from .fisher import (
     qfi_spectral,
 )
 from .linalg import Sectors, Spectrum, eigh
-from .models import build_model, toy_converged_truncation
+from .models import WINDOW_WEIGHT, build_model, toy_converged_truncation
 from .sweep import make_config, measurement_observable, rows_from_csv, rows_to_csv, run_sweep
 from .thermal import density_matrix, gibbs
 
@@ -142,6 +142,20 @@ def _check_chains_vs_dense_blocks():
     return True, "toy 1024 and lmg 40: qfi_spectral identical on both routes"
 
 
+def _check_windowed_vs_full():
+    # a cold toy cell near g -> omega, a hot one whose wide window falls
+    # back to complete chains, and lmg doublets that span both chains
+    worst, solved = 0.0, []
+    for kind, g, size, beta in (("toy", 0.999, 2048, 50.0), ("toy", 0.9, 2048, 0.3), ("lmg", 1.3, 2000, 5.0)):
+        model = build_model(kind, 1.0, g, size)
+        spectrum = eigh(model.H, window=math.log(1.0 / WINDOW_WEIGHT) / beta)
+        windowed = qfi_spectral(model, gibbs(spectrum, beta)).total
+        full = qfi_spectral(model, gibbs(eigh(model.H), beta)).total
+        worst = max(worst, _rel_err(windowed, full))
+        solved.append(f"{kind} g={g} beta={beta}: {len(spectrum.eigenvalues)}/{spectrum.dim}")
+    return worst <= 1e-10, f"relative error {worst:.2e}; levels solved " + ", ".join(solved)
+
+
 def _check_table_roundtrip():
     config = make_config(
         {
@@ -176,6 +190,7 @@ CHECKS = (
     ("blocked vs dense diagonalization", _check_blocked_vs_dense),
     ("table round-trip and parallel determinism", _check_table_roundtrip),
     ("tridiagonal chains vs dense blocks", _check_chains_vs_dense_blocks),
+    ("windowed vs full spectrum", _check_windowed_vs_full),
 )
 
 

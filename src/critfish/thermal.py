@@ -7,7 +7,10 @@ uniformly -- the continuous limit of the finite-beta weights.  A Gibbs
 state keeps the blocks of its spectrum: its density matrix is one dense
 block per sector, and the moments of an observable are summed block by
 block.  An observable is brought onto those blocks in one place,
-``_checked_observable``, for this module and for ``fisher``.
+``_checked_observable``, for this module and for ``fisher``.  Over a
+spectrum solved in an energy window the weights are normalized over the
+solved levels; the window is chosen so that the rest carry a negligible
+share of Z (``models.WINDOW_WEIGHT``).
 """
 
 import math
@@ -44,8 +47,7 @@ def gibbs(spectrum, beta):
         raise InvalidTemperature(f"beta must be > 0, got {beta}")
     energies = spectrum.eigenvalues
     if math.isinf(beta):
-        scale = max(1.0, float(np.max(np.abs(energies))))
-        ground = energies <= energies[0] + GROUND_DEGENERACY_RTOL * scale
+        ground = energies <= energies[0] + GROUND_DEGENERACY_RTOL * spectrum.energy_scale
         probs = np.where(ground, 1.0 / int(np.count_nonzero(ground)), 0.0)
         return ThermalState(spectrum=spectrum, beta=beta, probs=probs)
     weights = np.exp(-beta * (energies - energies[0]))
@@ -83,8 +85,7 @@ def beta_from_gap_ratio(ratio, spectrum):
     if not ratio > 0:
         raise InvalidTemperature(f"beta-gap ratio must be > 0, got {ratio}")
     delta = gap(spectrum)
-    scale = max(1.0, float(np.max(np.abs(spectrum.eigenvalues))))
-    if delta < GAP_FLOOR_RTOL * scale:
+    if delta < GAP_FLOOR_RTOL * spectrum.energy_scale:
         raise GapTooSmall(f"E_1 - E_0 = {delta:.3e} is too close to degeneracy")
     if math.isinf(ratio):
         return math.inf

@@ -240,8 +240,9 @@ def test_criterion_7_fig2_measurement_beats_cold_bound(fig2_rows):
 def test_criterion_8_two_excitation_selection_rule():
     g, beta_eff = 0.6, 1.0
     beta = beta_eff / ToyParams(omega=1.0, g=g, beta=1.0).effective_frequency
-    model, spectrum, _ = toy_converged_truncation(1.0, g, beta)
-    offsets = quantum_term_by_offset(model, gibbs(spectrum, beta))
+    model, _, _ = toy_converged_truncation(1.0, g, beta)
+    # every level: the ladder's spectrum may be windowed
+    offsets = quantum_term_by_offset(model, gibbs(eigh(model.H), beta))
     total = float(offsets.sum())
     outside = float(total - offsets[2])
     report(

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import event, example, given, reject, settings, strategies as st
 
 from critfish.analytic import ToyParams, fi_errprop_closed, qfi_thermal_classical, qfi_thermal_quantum
+from critfish import linalg
 from critfish.errors import (
     CritfishError,
     DegenerateLevel,
     DimMismatch,
+    IncompleteSpectrum,
     InvalidTemperature,
     NoFDConvergence,
     ZeroVariance,
@@ -27,7 +29,7 @@ from critfish.fisher import (
     quantum_term_by_offset,
 )
 from critfish.linalg import eigh, symmetrize
-from critfish.models import build_model, toy_converged_truncation
+from critfish.models import WINDOW_WEIGHT, build_model, toy_converged_truncation
 from critfish.sweep import measurement_observable
 from critfish.thermal import ThermalState, gap, gibbs
 
@@ -167,8 +169,8 @@ def test_spectral_handles_exact_degeneracies():
 
 def test_quantum_mass_sits_two_levels_apart():
     g, beta = 0.6, 2.0
-    model, spectrum, _ = toy_converged_truncation(1.0, g, beta)
-    state = gibbs(spectrum, beta)
+    model, _, _ = toy_converged_truncation(1.0, g, beta)
+    state = gibbs(eigh(model.H), beta)  # every level: the ladder's spectrum may be windowed
     offsets = quantum_term_by_offset(model, state)
     total = offsets.sum()
     outside = total - offsets[2]
@@ -448,3 +450,93 @@ def test_quantum_part_grows_with_temperature_toward_twice_ground():
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
     ground = qfi_pure(model, spec, 0)
     assert values[-1] == pytest.approx(2.0 * ground, rel=5e-3)
+
+
+def window(beta):
+    return math.log(1.0 / WINDOW_WEIGHT) / beta
+
+
+WINDOWED_CELLS = [
+    *[("toy", g, n, 50.0) for g in (0.5, 0.978, 0.999) for n in (1024, 2048)],
+    ("toy", 0.9, 2048, 3.0),
+    # so cold that the window stops short of the level two above the ground,
+    # which carries its quantum mass: only the resolvent reaches it
+    ("toy", 0.5, 1024, 1000.0),
+    ("toy", 0.999, 2048, 1000.0),
+    ("lmg", 1.3, 2000, 5.0),  # ordered phase: degenerate doublets across the two chains
+    ("lmg", 0.6, 1600, 2.0),
+]
+
+
+@pytest.mark.parametrize("kind,g,size,beta", WINDOWED_CELLS)
+def test_windowed_spectrum_gives_the_full_route_qfi(kind, g, size, beta):
+    model = build_model(kind, 1.0, g, size)
+    full = qfi_spectral(model, thermal(model, beta))
+    spectrum = eigh(model.H, window=window(beta))
+    assert not spectrum.complete
+    got = qfi_spectral(model, gibbs(spectrum, beta))
+    for part in ("total", "classical_part", "quantum_part"):
+        assert abs(getattr(got, part) - getattr(full, part)) <= 1e-10 * full.total
+    assert got.meta["weighted_levels"] == full.meta["weighted_levels"]
+    assert got.meta["degeneracy_tol"] == pytest.approx(full.meta["degeneracy_tol"], rel=1e-14)
+
+
+@pytest.mark.parametrize("g,size", [(0.5, 1024), (0.999, 2048)])
+def test_pure_state_information_reaches_unsolved_levels_through_the_resolvent(g, size):
+    model = build_model("toy", 1.0, g, size)
+    spectrum = eigh(model.H, window=0.0)
+    assert len(spectrum.eigenvalues) == 2
+    assert qfi_pure(model, spectrum, 0) == pytest.approx(qfi_pure(model, eigh(model.H), 0), rel=1e-10)
+    with pytest.raises(ValueError, match="out of range"):
+        qfi_pure(model, spectrum, 2)
+
+
+def test_mass_by_distance_rejects_a_windowed_spectrum():
+    model = build_model("toy", 1.0, 0.999, 1024)
+    state = gibbs(eigh(model.H, window=window(50.0)), 50.0)
+    with pytest.raises(IncompleteSpectrum):
+        quantum_term_by_offset(model, state)
+
+
+def full_route_ladder(monkeypatch, g, beta):
+    """toy_converged_truncation with every rung diagonalized completely."""
+    with monkeypatch.context() as patch:
+        solve = linalg.eigh
+        patch.setattr(linalg, "eigh", lambda matrix, window=None: solve(matrix))
+        return toy_converged_truncation(1.0, g, beta)
+
+
+LADDERS = [
+    *[(g, beta_eff / ToyParams(1.0, g, 1.0).effective_frequency) for g in (0.3, 0.6, 0.9) for beta_eff in (0.1, 1.0, 10.0)],
+    *[(g, 50.0) for g in (0.5, 0.95, 0.997, 0.999)],
+    (0.999, math.inf),
+]
+
+
+@pytest.mark.parametrize("g,beta", LADDERS)
+def test_windowed_ladder_accepts_the_rung_of_the_full_route(monkeypatch, g, beta):
+    model, spectrum, breakdown = toy_converged_truncation(1.0, g, beta)
+    full_model, _, full_breakdown = full_route_ladder(monkeypatch, g, beta)
+    assert model.size == full_model.size
+    if breakdown is None:  # T = 0: the ladder ran on qfi_pure
+        assert full_breakdown is None and math.isinf(beta)
+        return
+    assert breakdown.total == pytest.approx(full_breakdown.total, rel=1e-10, abs=0)
+
+
+def test_lmg_approaches_the_oscillator_closed_form():
+    # Holstein-Primakoff: Sz = -N/2 + a^dag a and Sx^2 / N -> (a + a^dag)^2 / 4,
+    # so lmg's QFI tends to the toy closed form with corrections in 1/N
+    # (Dusuel & Vidal, PRL 93, 237204, 2004); two Richardson levels remove
+    # the 1/N and 1/N^2 terms
+    g, beta = 0.6, 2.0
+    qfi = {}
+    for size in (400, 800, 1600):
+        model = build_model("lmg", 1.0, g, size)
+        qfi[size] = qfi_spectral(model, thermal(model, beta)).total
+    coarse, fine = 2.0 * qfi[800] - qfi[400], 2.0 * qfi[1600] - qfi[800]
+    extrapolated = (4.0 * fine - coarse) / 3.0
+    params = ToyParams(omega=1.0, g=g, beta=beta)
+    exact = qfi_thermal_quantum(params) + qfi_thermal_classical(params)
+    assert abs(qfi[1600] - exact) > 1e-3 * exact  # the raw value alone is far off
+    assert extrapolated == pytest.approx(exact, rel=1e-4)

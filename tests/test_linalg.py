@@ -1,4 +1,5 @@
 import ctypes
+import math
 
 import numpy as np
 import pytest
@@ -529,3 +530,117 @@ def test_fidelity_pure_states_overlap(dim, seed):
     want = float(psi @ phi) ** 2
     got = fidelity(np.outer(psi, psi), np.outer(phi, phi))
     assert got == pytest.approx(want, abs=1e-10)
+
+
+WINDOW_CASES = [
+    ("toy", 0.999, 1024, math.log(1e20) / 50.0),
+    ("toy", 0.999, 2048, math.log(1e20) / 50.0),
+    ("toy", 0.5, 2048, 0.0),
+    ("lmg", 1.3, 2000, math.log(1e20) / 5.0),  # ordered phase: doublets across the two chains
+]
+
+
+@pytest.mark.parametrize("kind,g,size,window", WINDOW_CASES)
+def test_windowed_eigh_holds_the_lowest_eigenpairs_of_the_full_one(kind, g, size, window):
+    m = build_model(kind, 1.0, g, size).H
+    full, win = eigh(m), eigh(m, window=window)
+    count = len(win.eigenvalues)
+    scale = full.energy_scale
+    assert not win.complete and win.dim == full.dim == size + (kind == "lmg")
+    assert win.matrix is m and win.highest == pytest.approx(full.eigenvalues[-1], rel=1e-14)
+    assert win.energy_scale == pytest.approx(scale, rel=1e-14)
+    assert np.abs(win.eigenvalues - full.eigenvalues[:count]).max() <= 1e-13 * scale
+    # every level within the window, then the group of the first level past
+    # it, so the spectrum ends on a degenerate-group boundary
+    above = np.flatnonzero(win.eigenvalues > win.eigenvalues[0] + window)
+    assert above.size and above[0] >= 1
+    assert full.eigenvalues[count] - full.eigenvalues[count - 1] > linalg.DEGENERACY_RTOL * scale
+    for (rows, levels, v), (full_rows, full_levels, full_v) in zip(win.blocks, full.blocks):
+        solved = v.shape[1]
+        assert solved < rows.size and np.array_equal(rows, full_rows)
+        # the same levels, up to the labels inside a group that spans both chains
+        assert np.abs(win.eigenvalues[levels] - full.eigenvalues[full_levels[:solved]]).max() <= 1e-13 * scale
+        assert np.abs(v - full_v[:, :solved]).max() <= 1e-10
+        assert np.abs(v.T @ v - np.eye(solved)).max() <= 1e-12
+        assert not v.flags.writeable
+
+
+def test_window_zero_keeps_the_ground_and_the_next_group():
+    m = build_model("toy", 1.0, 0.5, 1024).H
+    win = eigh(m, window=0.0)
+    assert len(win.eigenvalues) == 2 and [v.shape[1] for _, _, v in win.blocks] == [1, 1]
+
+
+def test_a_wide_window_solves_the_chains_completely():
+    # hot: the window needs more levels than a bisection is worth, so each
+    # chain falls back to ?stevd and the spectrum is the full one, bit for bit
+    m = build_model("toy", 1.0, 0.9, 2048).H
+    full, win = eigh(m), eigh(m, window=math.log(1e20) / 0.3)
+    assert win.complete and win.highest is None and win.matrix is None
+    assert np.array_equal(win.eigenvalues, full.eigenvalues)
+    assert np.array_equal(dense_eigenvectors(win), dense_eigenvectors(full))
+
+
+@pytest.mark.parametrize("matrix", [
+    lambda: np.asarray(build_model("toy", 1.0, 0.9, 512).H),  # a dense block
+    lambda: build_model("toy", 1.0, 0.9, 256).H,  # chains too short to bisect
+])
+def test_dense_blocks_and_short_chains_ignore_the_window(matrix):
+    m = matrix()
+    full, win = eigh(m), eigh(m, window=0.0)
+    assert win.complete and np.array_equal(win.eigenvalues, full.eigenvalues)
+    assert np.array_equal(dense_eigenvectors(win), dense_eigenvectors(full))
+
+
+@pytest.mark.parametrize("window", [-1.0, math.nan])
+def test_a_negative_window_is_rejected(window):
+    with pytest.raises(ValueError, match="window"):
+        eigh(build_model("toy", 1.0, 0.5, 512).H, window=window)
+
+
+class _Without:
+    """The library with one symbol hidden, as a build that lacks it would be."""
+
+    def __init__(self, lib, symbol):
+        self._lib, self._symbol = lib, symbol
+
+    def __getattr__(self, name):
+        if name == self._symbol:
+            raise AttributeError(name)
+        return getattr(self._lib, name)
+
+
+@pytest.fixture
+def hide_symbol(monkeypatch):
+    def hide(name):
+        lib = linalg._openblas()
+        monkeypatch.setattr(linalg, "_openblas", lambda: _Without(lib, linalg._HOOKS[name][0]))
+        linalg._hook.cache_clear()
+
+    yield hide
+    linalg._hook.cache_clear()
+
+
+@pytest.mark.parametrize("name", sorted(linalg._HOOKS))
+def test_each_missing_symbol_leaves_the_others_and_the_rows(hide_symbol, name):
+    from critfish.fisher import qfi_spectral
+    from critfish.sweep import make_config, run_sweep
+
+    config = make_config({"model": "toy", "size": "adaptive", "g_grid": [0.997], "temp_grid": [50.0],
+                          "temp_mode": "beta", "estimators": ["qfi_spectral"], "workers": 1})
+    want, = run_sweep(config)
+    model = build_model("toy", 1.0, 0.997, want.N)
+    full = qfi_spectral(model, gibbs(eigh(model.H), 50.0)).total
+    assert want.N >= 512  # its chains are long enough to be windowed
+    hide_symbol(name)
+    assert linalg._hook(name) is None
+    assert all(linalg._hook(other) is not None for other in linalg._HOOKS if other != name)
+    if name == "set_threads":
+        threads = linalg._openblas().scipy_openblas_get_num_threads64_
+        threads.argtypes, threads.restype = [], ctypes.c_int
+        before = threads()
+        linalg.limit_blas_threads(before + 1)  # without the setter this does nothing
+        assert threads() == before
+    got, = run_sweep(config)
+    assert got.status == "ok" and got.N == want.N
+    assert got.qfi_spectral_total == pytest.approx(full, rel=1e-10, abs=0)

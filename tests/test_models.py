@@ -9,7 +9,7 @@ from critfish import linalg, models, sweep
 from critfish.errors import BeyondCriticality, InvalidDimension, TruncationNotConverged
 from critfish.fisher import qfi_spectral
 from critfish.linalg import eigh
-from critfish.models import TRUNCATION_SIZES, ModelKind, build_model, toy_converged_truncation
+from critfish.models import TRUNCATION_SIZES, WINDOW_WEIGHT, ModelKind, build_model, toy_converged_truncation
 from critfish.thermal import gap, gibbs
 
 from spectra import dense_eigenvectors
@@ -191,14 +191,25 @@ def test_truncation_rejects_critical():
         toy_converged_truncation(1.0, 1.0, 1.0)
 
 
-def test_truncation_hands_over_the_converged_rung():
-    model, spectrum, breakdown = toy_converged_truncation(1.0, 0.9, 5.0)
-    fresh = build_model("toy", 1.0, 0.9, model.size)
+def handed_over_rung(g, beta):
+    """The ladder's accepted rung, checked against the same rung solved afresh; its spectrum."""
+    model, spectrum, breakdown = toy_converged_truncation(1.0, g, beta)
+    fresh = build_model("toy", 1.0, g, model.size)
     assert np.array_equal(model.H, fresh.H) and np.array_equal(model.dH, fresh.dH)
-    again = eigh(fresh.H)
-    assert np.array_equal(spectrum.eigenvalues, again.eigenvalues)
+    again = eigh(fresh.H, window=math.log(1.0 / WINDOW_WEIGHT) / beta)
+    assert np.array_equal(spectrum.eigenvalues, again.eigenvalues) and spectrum.highest == again.highest
     assert np.array_equal(dense_eigenvectors(spectrum), dense_eigenvectors(again))
-    assert breakdown == qfi_spectral(fresh, gibbs(again, 5.0))
+    assert breakdown == qfi_spectral(fresh, gibbs(again, beta))
+    return spectrum
+
+
+def test_truncation_hands_over_the_converged_rung():
+    assert handed_over_rung(0.9, 5.0).complete  # chains too short to bisect
+
+
+def test_truncation_hands_over_a_windowed_rung():
+    # g = 0.999 settles at n = 1024, whose chains solve only their lowest levels
+    assert not handed_over_rung(0.999, 50.0).complete
 
 
 def test_adaptive_cell_diagonalizes_each_rung_once(monkeypatch):
@@ -209,9 +220,9 @@ def test_adaptive_cell_diagonalizes_each_rung_once(monkeypatch):
         rungs.append(size)
         return real_build(kind, omega, g, size)
 
-    def counting_eigh(matrix):
+    def counting_eigh(matrix, window=None):
         solved.append(len(matrix))
-        return real_eigh(matrix)
+        return real_eigh(matrix, window=window)
 
     # the ladder imports eigh from linalg at call time; the cell holds its own name
     monkeypatch.setattr(models, "build_model", counting_build)

@@ -290,14 +290,15 @@ def test_every_eigh_on_the_row_path_gets_sectors(monkeypatch, kind, size, temp_m
     seen = []
     eigh = linalg.eigh
 
-    def spy(matrix):
+    def spy(matrix, window=None):
         seen.append(type(matrix).__name__)
-        spectrum = eigh(matrix)
+        spectrum = eigh(matrix, window=window)
         assert not hasattr(spectrum, "eigenvectors")
+        assert spectrum.complete or window is not None  # only the ladder's windowed rungs may lack levels
         for rows, levels, vectors in spectrum.blocks:
-            assert vectors.shape == (rows.size, levels.size) == (rows.size, rows.size)
+            assert vectors.shape == (rows.size, levels.size)
         levels = np.concatenate([levels for _, levels, _ in spectrum.blocks])
-        assert np.array_equal(np.sort(levels), np.arange(len(matrix)))
+        assert np.array_equal(np.sort(levels), np.arange(len(spectrum.eigenvalues)))
         return spectrum
 
     def no_dense(self, dtype=None, copy=None):
