@@ -11,6 +11,7 @@ from .analytic import (
     Prep,
     ToyParams,
     fi_errprop_closed,
+    ising_ground_qfi,
     qfi_eigenstate,
     qfi_thermal_classical,
     qfi_thermal_quantum,
@@ -54,6 +55,7 @@ __all__ = [
     "fidelity",
     "gap",
     "gibbs",
+    "ising_ground_qfi",
     "make_chain_ops",
     "make_config",
     "make_dicke_ops",

@@ -1,4 +1,4 @@
-"""Closed forms for the squeezing-oscillator model.
+"""Closed forms for the squeezing-oscillator model, and the ring's ground state.
 
 Exact in the untruncated Hilbert space for coupling below the critical
 value, these expressions are the oracles against which the numerical
@@ -16,6 +16,10 @@ to the working point:
 The high-temperature forms (valid for temperatures well above the gap
 scale) are available behind ``high_t=True``; the exact forms are always
 the default because the approximations poison low-temperature checks.
+
+The transverse-field ring maps onto free fermions, which gives its
+ground-state Fisher information at any even N (``ising_ground_qfi``),
+the one oracle of that model that is not a cross-check between methods.
 """
 
 import math
@@ -164,3 +168,27 @@ def fi_errprop_closed(params):
     )
     amplitude = coupling_free * x_csch + slope
     return 2.0 * amplitude ** 2
+
+
+def ising_ground_qfi(omega, g, N):
+    """Ground-state Fisher information in omega of H = omega sum sigma_z - g sum sigma_x sigma_x on an even ring.
+
+    The ground state is a product over the antiperiodic momenta
+    k = (2n - 1) pi / N, n = 1 .. N/2, of Bogoliubov pairs at angle
+    theta_k = atan2(g sin k, -omega - g cos k) / 2, so the Fisher
+    information is 4 sum_k (d theta_k / d omega)^2 =
+    sum_k g^2 sin^2 k / ((omega + g cos k)^2 + g^2 sin^2 k)^2
+    (Damski, PRE 87, 052131, 2013).  It holds on both sides of g = omega.
+    """
+    if not omega > 0:
+        raise ValueError(f"omega must be positive, got {omega}")
+    if g < 0:
+        raise ValueError(f"coupling must be non-negative, got {g}")
+    if N < 2 or N % 2:
+        raise ValueError(f"the closed form needs an even ring of N >= 2 sites, got N={N}")
+    total = 0.0
+    for n in range(1, N // 2 + 1):
+        k = (2 * n - 1) * math.pi / N
+        along, across = omega + g * math.cos(k), g * math.sin(k)
+        total += across ** 2 / (along ** 2 + across ** 2) ** 2
+    return total

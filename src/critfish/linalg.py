@@ -1,4 +1,4 @@
-"""Real-symmetric linear algebra on dense arrays and parity sectors.
+"""Real-symmetric linear algebra on dense arrays and symmetry sectors.
 
 Every operator in this package has real matrix elements in its chosen
 basis, so matrices are float64 ndarrays or ``Sectors``, symmetry is
@@ -8,11 +8,15 @@ this safe to call from parallel sweep workers.
 
 Every model Hamiltonian conserves a Z2 parity that its diagonal
 generator respects, and so do its Gibbs states and the measured
-squares.  Their matrices are block diagonal over row sets known before
-any number is computed, so the operators are built as ``Sectors``: one
-block per parity sector, never an n x n array.  ``eigh`` solves each
-block on its own, and two half-size solves cost about a quarter of one
-dense solve.  A plain ndarray is one block: it gets one ?syevd.  The
+squares; the ring conserves its lattice momentum too.  Their matrices
+are block diagonal over row sets known before any number is computed,
+so the operators are built as ``Sectors``, never as an n x n array:
+one block per parity sector, and on the ring one per (parity,
+momentum) pair, its rows the real translation-adapted basis of
+``operators.ChainOps``.  ``eigh`` solves each block on its own: two
+half-size solves cost about a quarter of one dense solve, and the
+ring's 2 (N/2 + 1) blocks of about 2^N / N rows far less.  A plain
+ndarray is one block: it gets one ?syevd.  The
 eigenpairs stay in their blocks (``Spectrum.blocks``), so no n x n
 eigenvector matrix, half of it zeros, is formed either, and every
 consumer works block by block.

@@ -10,11 +10,13 @@ Three families share the linear structure H = omega * dH - g * W:
 
 dH = dH/domega is exact, analytic and diagonal (the number operator,
 Sz, or the total sigma_z), so it is held as its diagonal.  W and H are
-``linalg.Sectors`` over the two parity sectors that dH respects: even
-and odd index chains for the oscillator and the collective spin, dense
-blocks over the even and odd popcount states for the ring.  H is formed
-block by block, and no n x n matrix is (``np.asarray(model.H)`` gives
-it on request).  Finite differences are reserved for cross-checks and
+``linalg.Sectors`` over sectors that dH respects: the even and odd
+index chains for the oscillator and the collective spin, and for the
+ring one dense block per (popcount parity, lattice momentum) pair, in
+the real translation-adapted basis of ``operators.ChainOps`` (sum
+sigma_z is diagonal there too).  H is formed block by block, and no
+n x n matrix is (``np.asarray(model.H)`` gives it on request, in that
+basis).  Finite differences are reserved for cross-checks and
 for derivatives of the thermal state itself.  Energy offsets are never
 normalized away: Gibbs weights and every Fisher quantity here are
 offset-invariant.  The adaptive oscillator truncation doubles its size

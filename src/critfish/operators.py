@@ -4,17 +4,22 @@
 * collective spin in the maximal-spin (Dicke) basis j = N/2,
 * rings of spin-1/2 sites built from Pauli matrices (periodic closure).
 
-Diagonal operators are held as their diagonal.  Every other matrix
-respects a Z2 parity (the Fock and Dicke index mod 2, the ring's
-popcount mod 2) and is built in its two parity sectors as a read-only
-``linalg.Sectors``.  Constructors are pure and their outputs are safe
-to share between workers.  Spin conventions differ deliberately
+Diagonal operators are held as their diagonal.  Every other matrix is a
+read-only ``linalg.Sectors``.  The Fock and Dicke ones respect the
+parity of the index and are built as its even and odd chains.  The
+ring's respect the popcount parity and commute with translation, so
+they are built in a real basis of lattice momentum, one dense block per
+(parity, momentum) pair (Sandvik, arXiv:1101.3281, sec. 4), from orbit
+arithmetic and never through a 2^N-row matrix.  Constructors are pure
+and their outputs are safe to share between workers; the ring's last
+one is kept and handed out again.  Spin conventions differ deliberately
 between the two spin families: collective operators are half-integer spin
 (a single spin gives +-1/2) while the ring uses bare Pauli matrices
 (eigenvalues +-1), matching how each Hamiltonian is written.  The two
 are never mixed.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -23,7 +28,10 @@ import numpy as np
 from .errors import InvalidDimension
 from .linalg import Sectors
 
-CHAIN_MAX_SITES = 14  # dense 2^N storage budget
+# the momentum blocks of 14 sites hold up to 1188 rows (11 MB each) and
+# take about a second to build; past that the dense blocks' O(rows^3)
+# solves, not storage, set the limit
+CHAIN_MAX_SITES = 14
 
 
 @dataclass(frozen=True)
@@ -94,20 +102,36 @@ def make_dicke_ops(N):
 
 @dataclass(frozen=True)
 class ChainOps:
-    """Pauli sums over a ring of N spin-1/2 sites, dimension 2^N.
+    """Pauli sums over a ring of N spin-1/2 sites, dimension 2^N, in a real momentum basis.
 
-    Site 1 is the leftmost Kronecker factor.  ``sz_total`` is the diagonal
-    N - 2 popcount(state).  ``xx_pbc`` contains N bond
-    terms sigma_x^n sigma_x^(n+1) with site N+1 identified with site 1.
-    ``sx2`` = (sum_n sigma_x^n / 2)^2 is N/4 on the diagonal and 1/2 per
-    pair of flipped sites.  Both are written entry by entry over the
-    states of even and odd popcount, each in ascending order.
+    Site 1 is the leftmost Kronecker factor, the most significant bit of a
+    computational state, and the translation T moves every site one place
+    along the ring (site n to n + 1, site N to 1).  Each orbit
+    {T^r a : r < R} of T, with ``a`` its smallest state and R its period,
+    and each j = 0 .. N // 2 with j R = 0 (mod N), give the normalized
+    real columns sum_r cos(2 pi j r / N) |T^r a> and, for 0 < j < N/2,
+    sum_r sin(2 pi j r / N) |T^r a>.  These 2^N columns are orthonormal,
+    and row i of every operator here is column i: ``representative[i]``
+    is its ``a``, ``momentum[i]`` its j and ``sine[i]`` whether it is
+    the sine column.
+
+    Each column lies inside one popcount, so ``sz_total``, the diagonal
+    of sum sigma_z, is N - 2 popcount(a) per row.  ``xx_pbc`` holds the N
+    bond terms sigma_x^n sigma_x^(n+1) with site N+1 identified with site
+    1, and ``sx2`` is (sum_n sigma_x^n / 2)^2.  Both commute with T and
+    with the popcount parity, so they are Sectors over the blocks of
+    rows that share (parity, j), parity 0 first and j ascending within
+    each; a block lists its orbits in ascending order of ``a``, the sine
+    row of an orbit right after its cosine row.  Every array is read-only.
     """
 
     N: int
     sz_total: np.ndarray
     xx_pbc: Sectors
     sx2: Sectors
+    representative: np.ndarray
+    momentum: np.ndarray
+    sine: np.ndarray
 
     @property
     def dim(self):
@@ -119,38 +143,103 @@ def _bit_of_site(N, site):
     return 1 << (N - site)
 
 
-def _pair_flips(sectors, masks, weight, diagonal):
-    """Sectors of diagonal * I + weight * sum_mask X_mask, X_mask flipping the bits of mask."""
-    position = np.empty(sum(r.size for r in sectors), dtype=np.intp)
-    for r in sectors:
-        position[r] = np.arange(r.size)
-    blocks = []
-    for r in sectors:
-        block = np.diag(np.full(r.size, diagonal))
-        for mask in masks:
-            block[position[r], position[r ^ mask]] += weight
-        blocks.append(block)
-    return Sectors(sectors, blocks)
+def _unit_circle(N):
+    """cos and sin of 2 pi q / N for q = 0 .. N-1.
+
+    Both are read off the first quadrant, so the values the circle's
+    symmetries equate are equal bits (cos at q, N - q and, negated,
+    N/2 - q), and the zeros at multiples of pi/2 are exact.
+    """
+    q = np.arange(N)
+    t = np.minimum(q, N - q)  # the angle folded into [0, pi]
+    u = np.minimum(2 * t, N - 2 * t)  # and its distance pi u / N from 0 or pi
+    cos = np.where(4 * t <= N, 1.0, -1.0) * np.sin(np.pi * (N - 2 * u) / (2 * N))
+    sin = np.where(2 * q <= N, 1.0, -1.0) * np.sin(np.pi * u / N)
+    return cos, sin
+
+
+def _orbits(N):
+    """Per state s: its orbit's representative b, the shift l with s = T^l b, and its period."""
+    states = np.arange(2 ** N)
+    back = np.empty((N + 1, states.size), dtype=states.dtype)  # back[r] = T^-r s, back[N] = s
+    back[0] = states
+    for r in range(1, N + 1):
+        back[r] = ((back[r - 1] << 1) & (states.size - 1)) | (back[r - 1] >> (N - 1))
+    return back[:N].min(axis=0), back[:N].argmin(axis=0), (back[1:] == states).argmax(axis=0) + 1
+
+
+def _momentum_block(N, members, j, orbits, circle, flips):
+    """One (parity, j) block of diagonal * I + weight * sum_mask X_mask, X_mask flipping the bits of mask.
+
+    ``members`` are the representatives of the block's orbits and
+    ``flips`` is (masks, weight, diagonal).  The flips commute with T, so
+    X_mask T^r |a> = T^(r + l) |b> for the image a ^ mask = T^l b gives
+    <b, k| X |a, k> = exp(-i k l) sqrt(R_a / R_b) between the normalized
+    momentum states |a, k> = sum_r exp(i k r) T^r |a> / sqrt(R_a); in the
+    cosine and sine rows that turns the (cos, sin) pair by k l.  Every
+    entry is a sum of such terms in a fixed order, with no BLAS call.
+    """
+    rep, shift, period = orbits
+    masks, weight, diagonal = flips
+    position = np.full(rep.size, -1)
+    position[members] = np.arange(members.size)
+    images = members[:, None] ^ masks[None, :]
+    source = np.repeat(np.arange(members.size), masks.size)
+    target, turn = position[rep[images]].ravel(), (j * shift[images].ravel()) % N
+    keep = target >= 0  # the image's orbit also carries momentum j
+    source, target, turn = source[keep], target[keep], turn[keep]
+    scale = weight * np.sqrt(period[members[source]] / period[members[target]])
+    cos, sin = scale * circle[0][turn], scale * circle[1][turn]
+    if 0 < 2 * j < N:  # orbit i has its cosine row 2i and its sine row 2i + 1
+        rows = np.concatenate([2 * target, 2 * target + 1, 2 * target, 2 * target + 1])
+        cols = np.concatenate([2 * source, 2 * source, 2 * source + 1, 2 * source + 1])
+        entries, n = np.concatenate([cos, sin, -sin, cos]), 2 * members.size
+    else:
+        rows, cols, entries, n = target, source, cos, members.size
+    block = np.diag(np.full(n, diagonal))
+    block += np.bincount(rows * n + cols, entries, minlength=n * n).reshape(n, n)
+    return block
+
+
+@functools.lru_cache(maxsize=1)
+def _ring(N):
+    """The ChainOps of an N-site ring; kept for the last N, as every array of it is read-only."""
+    orbits = _orbits(N)
+    rep, _, period = orbits
+    reps = np.flatnonzero(rep == np.arange(rep.size))
+    popcount = sum((reps >> n) & 1 for n in range(N))
+    circle = _unit_circle(N)
+    bit = [_bit_of_site(N, site) for site in range(1, N + 1)]
+    bonds = (np.array([bit[n] ^ bit[(n + 1) % N] for n in range(N)]), 1.0, 0.0)
+    pairs = (np.array([bit[a] ^ bit[b] for a in range(N) for b in range(a + 1, N)], dtype=int), 0.5, N / 4.0)
+    record, xx, sx2 = [], [], []
+    for parity in (0, 1):
+        for j in range(N // 2 + 1):
+            members = reps[(popcount % 2 == parity) & (j * period[reps] % N == 0)]
+            if members.size == 0:
+                continue
+            parts = 2 if 0 < 2 * j < N else 1
+            record.append((np.repeat(members, parts), np.full(parts * members.size, j),
+                           np.tile(np.arange(parts) == 1, members.size)))
+            xx.append(_momentum_block(N, members, j, orbits, circle, bonds))
+            sx2.append(_momentum_block(N, members, j, orbits, circle, pairs))
+    representative, momentum, sine = (np.concatenate(column) for column in zip(*record))
+    rows = np.split(np.arange(representative.size), np.cumsum([block.shape[0] for block in xx])[:-1])
+    sz_total = N - 2.0 * sum((representative >> n) & 1 for n in range(N))
+    for array in (representative, momentum, sine, sz_total):
+        array.flags.writeable = False
+    return ChainOps(N=N, sz_total=sz_total, xx_pbc=Sectors(rows, xx), sx2=Sectors(rows, sx2),
+                    representative=representative, momentum=momentum, sine=sine)
 
 
 def make_chain_ops(N):
     if not 1 <= N <= CHAIN_MAX_SITES:
         raise InvalidDimension(
-            f"need 1 <= N <= {CHAIN_MAX_SITES} for dense 2^N matrices, got {N}"
+            f"need 1 <= N <= {CHAIN_MAX_SITES} for dense momentum blocks, got {N}"
         )
     if N == 2:
         warnings.warn(
             "periodic 2-site ring: the single bond appears twice in xx_pbc",
             stacklevel=2,
         )
-    popcount = np.array([bin(s).count("1") for s in range(2 ** N)])
-    sectors = [np.flatnonzero(popcount % 2 == parity) for parity in (0, 1)]
-    bit = [_bit_of_site(N, site) for site in range(1, N + 1)]
-    bonds = [bit[n] ^ bit[(n + 1) % N] for n in range(N)]
-    pairs = [bit[a] ^ bit[b] for a in range(N) for b in range(a + 1, N)]
-    return ChainOps(
-        N=int(N),
-        sz_total=(N - 2 * popcount).astype(float),
-        xx_pbc=_pair_flips(sectors, bonds, 1.0, 0.0),
-        sx2=_pair_flips(sectors, pairs, 0.5, N / 4.0),
-    )
+    return _ring(int(N))

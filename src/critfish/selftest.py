@@ -11,7 +11,14 @@ from dataclasses import replace
 
 import numpy as np
 
-from .analytic import ToyParams, fi_errprop_closed, qfi_eigenstate, qfi_thermal_classical, qfi_thermal_quantum
+from .analytic import (
+    ToyParams,
+    fi_errprop_closed,
+    ising_ground_qfi,
+    qfi_eigenstate,
+    qfi_thermal_classical,
+    qfi_thermal_quantum,
+)
 from .fisher import (
     FD_ATOL,
     FD_RTOL,
@@ -19,6 +26,7 @@ from .fisher import (
     cfi_projective,
     fi_error_propagation,
     qfi_fidelity_fd,
+    qfi_pure,
     qfi_spectral,
 )
 from .linalg import Sectors, Spectrum, eigh
@@ -89,6 +97,20 @@ def _check_estimator_ordering():
     return ok, f"errprop={errprop:.6g}, cfi={cfi:.6g}, qfi={qfi:.6g}"
 
 
+def _pauli_ring(omega, g, size):
+    """(H, dH diagonal) of the ring in the computational basis, summed from Pauli Kronecker products."""
+    sx, sz = np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[1.0, 0.0], [0.0, -1.0]])
+
+    def term(factors):
+        out = np.ones((1, 1))
+        for site in range(size):
+            out = np.kron(out, factors.get(site, np.eye(2)))
+        return out
+
+    dh = sum(np.diag(term({n: sz})) for n in range(size))
+    return omega * np.diag(dh) - g * sum(term({n: sx, (n + 1) % size: sx}) for n in range(size)), dh
+
+
 def _dense_spectrum(matrix):
     # one solve of the whole matrix as one block: skipping the block
     # split is what makes this independent of linalg.eigh
@@ -100,7 +122,7 @@ def _dense_qfi_fidelity(g, size, beta, delta_omega):
     """qfi_fidelity_fd's ladder with every diagonalization done densely."""
 
     def density(at_omega):
-        return density_matrix(gibbs(_dense_spectrum(build_model("ising", at_omega, g, size).H), beta))
+        return density_matrix(gibbs(_dense_spectrum(_pauli_ring(at_omega, g, size)[0]), beta))
 
     def root(rho):
         vals, vecs = np.linalg.eigh(rho)
@@ -121,13 +143,23 @@ def _check_blocked_vs_dense():
     for g in (0.5, 1.3):
         model = build_model("ising", 1.0, g, size)
         blocked = qfi_spectral(model, gibbs(eigh(model.H), beta)).total
-        dense = qfi_spectral(model, gibbs(_dense_spectrum(model.H), beta)).total
+        # the ring in the computational basis, so the momentum basis is checked too
+        H, dh = _pauli_ring(1.0, g, size)
+        dense = qfi_spectral(replace(model, H=H, dH=dh), gibbs(_dense_spectrum(H), beta)).total
         worst["qfi_spectral"] = max(worst["qfi_spectral"], _rel_err(blocked, dense))
         blocked = qfi_fidelity_fd(model, beta, delta_omega=delta_omega)
         dense = _dense_qfi_fidelity(g, size, beta, delta_omega)
         worst["qfi_fidelity"] = max(worst["qfi_fidelity"], _rel_err(blocked, dense))
     ok = worst["qfi_spectral"] <= 1e-10 and worst["qfi_fidelity"] <= 1e-6
     return ok, ", ".join(f"{name} relative error {err:.2e}" for name, err in worst.items())
+
+
+def _check_ising_free_fermions():
+    worst = 0.0
+    for g in (0.3, 0.9, 1.0, 1.5):
+        model = build_model("ising", 1.0, g, 10)
+        worst = max(worst, _rel_err(qfi_pure(model, eigh(model.H), level=0), ising_ground_qfi(1.0, g, 10)))
+    return worst <= 1e-12, f"N=10 ground state vs the free-fermion form, relative error {worst:.2e}"
 
 
 def _check_chains_vs_dense_blocks():
@@ -188,6 +220,7 @@ CHECKS = (
     ("spectral vs fidelity cross-method", _check_cross_method),
     ("estimator ordering", _check_estimator_ordering),
     ("blocked vs dense diagonalization", _check_blocked_vs_dense),
+    ("ising ground state vs free fermions", _check_ising_free_fermions),
     ("table round-trip and parallel determinism", _check_table_roundtrip),
     ("tridiagonal chains vs dense blocks", _check_chains_vs_dense_blocks),
     ("windowed vs full spectrum", _check_windowed_vs_full),

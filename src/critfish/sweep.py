@@ -231,7 +231,8 @@ def measurement_observable(model_kind, size):
     """The second-moment observable each model is measured with (read-only).
 
     Oscillator: the squared quadrature (a + a^dag)^2.  Spins: the square
-    of the collective x spin (Pauli sums carry the factor 1/2 per site).
+    of the collective x spin (Pauli sums carry the factor 1/2 per site),
+    for the ring in the momentum basis of its model's rows.
     It does not depend on the coupling, so the last one built is kept
     and every cell of a fixed-size sweep shares it.
     """

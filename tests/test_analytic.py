@@ -7,12 +7,16 @@ from critfish.analytic import (
     Prep,
     ToyParams,
     fi_errprop_closed,
+    ising_ground_qfi,
     qfi_eigenstate,
     qfi_thermal_classical,
     qfi_thermal_quantum,
     quadrature_moments,
 )
 from critfish.errors import BeyondCriticality, InvalidTemperature, UndefinedForZeroCoupling
+from critfish.fisher import qfi_pure
+from critfish.linalg import eigh
+from critfish.models import build_model
 
 # frozen with mpmath (30 digits): 2 (1/4)^2 tanh(sqrt(.5)) / tanh(sqrt(.5)/2)
 QUANTUM_AT_HALF_COUPLING_BETA_ONE = 0.22415977271829836
@@ -152,3 +156,24 @@ def test_thermal_forms_reduce_to_ground_state_at_zero_temperature(params):
     ground = qfi_eigenstate(cold, 0)
     assert qfi_thermal_quantum(cold) == pytest.approx(ground, rel=1e-12, abs=1e-300)
     assert qfi_thermal_classical(cold) == 0.0
+
+
+# ---------------------------------------------------------------- Pauli ring
+
+@pytest.mark.parametrize("g", [0.3, 0.9, 1.0, 1.5])
+@pytest.mark.parametrize("N", [4, 6, 8, 10, 12])
+def test_ising_ground_qfi_matches_exact_diagonalization(N, g):
+    # the free-fermion closed form against the ground level of the
+    # diagonalized ring, on both sides of the critical coupling
+    model = build_model("ising", 1.0, g, N)
+    assert qfi_pure(model, eigh(model.H), level=0) == pytest.approx(ising_ground_qfi(1.0, g, N), rel=1e-12)
+
+
+def test_ising_ground_qfi_limits_and_rejections():
+    assert ising_ground_qfi(1.0, 0.0, 8) == 0.0  # the uncoupled ground state does not move
+    # deep in the paramagnet each mode's angle is g sin k / 2 omega to first order
+    small = 1e-4
+    assert ising_ground_qfi(1.0, small, 8) == pytest.approx(small ** 2 * 8 / 4.0, rel=1e-3)
+    for omega, g, N in ((1.0, 0.5, 5), (1.0, 0.5, 0), (0.0, 0.5, 4), (1.0, -0.1, 4)):
+        with pytest.raises(ValueError):
+            ising_ground_qfi(omega, g, N)

@@ -184,19 +184,29 @@ def cell(kind, size, g, beta):
 
 
 def dense_spectral_reference(model, state):
-    """(classical, quantum, offsets) from the full n x n rotation of dH and every ordered pair."""
+    """(classical, quantum, offsets) from the full n x n dH in the eigenbasis and every ordered pair.
+
+    Each degenerate group is rotated to diagonalize dH inside each block
+    of the spectrum, as the library does: where dH is degenerate within a
+    group that spans two blocks, a rotation of the whole group would mix
+    them, and the offsets would move between the group's level indices.
+    """
     energies, v, probs = state.spectrum.eigenvalues, dense_eigenvectors(state.spectrum), state.probs
     n = len(energies)
     tol = DEGENERACY_RTOL * max(1.0, float(np.max(np.abs(energies))))
     gid = np.concatenate([[0], np.cumsum(np.diff(energies) > tol)])
+    block_of = np.empty(n, dtype=int)
+    for b, (_, levels, _) in enumerate(state.spectrum.blocks):
+        block_of[levels] = b
     m = v.T @ (model.dH[:, None] * v)
     for k in range(gid[-1] + 1):
-        members = np.flatnonzero(gid == k)
-        if len(members) > 1:
-            sl = slice(members[0], members[-1] + 1)
-            _, u = np.linalg.eigh((m[sl, sl] + m[sl, sl].T) / 2.0)
-            m[:, sl] = m[:, sl] @ u
-            m[sl, :] = u.T @ m[sl, :]
+        for b in np.unique(block_of[gid == k]):
+            share = np.flatnonzero((gid == k) & (block_of == b))
+            if len(share) > 1:
+                restricted = m[np.ix_(share, share)]
+                _, u = np.linalg.eigh((restricted + restricted.T) / 2.0)
+                m[:, share] = m[:, share] @ u
+                m[share, :] = u.T @ m[share, :]
     m = (m + m.T) / 2.0
     slopes = np.diag(m)
     dprobs = -state.beta * probs * (slopes - np.dot(probs, slopes))

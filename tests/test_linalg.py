@@ -11,10 +11,11 @@ from critfish import linalg
 from critfish.errors import DiagonalizationFailed, DimMismatch, InvalidMatrix, NotPSD
 from critfish.linalg import Sectors, eigh, fidelity, symmetrize
 from critfish.models import build_model
-from critfish.operators import make_dicke_ops, make_fock_ops
+from critfish.operators import make_chain_ops, make_dicke_ops, make_fock_ops
 from critfish.sweep import measurement_observable
 from critfish.thermal import density_matrix, gibbs
 
+from ring import kron_sums, momentum_groups, ring_basis
 from spectra import dense_eigenvectors
 
 
@@ -211,22 +212,49 @@ SECTOR_CASES = [
 ]
 
 
+def in_computational_basis(matrix, size):
+    """A ring operator of ``size`` sites, given in its momentum basis, as the 2^N x 2^N computational matrix."""
+    u = ring_basis(make_chain_ops(size))
+    return u @ np.asarray(matrix) @ u.T
+
+
 @pytest.mark.parametrize("kind,size,g", SECTOR_CASES)
 def test_declared_sectors_are_the_connected_components(kind, size, g):
     model = build_model(kind, 1.0, g, size)
     observable = measurement_observable(kind, size)
-    assert declared(model.H) == components(model.H)
     assert declared(model.coupling_term) == declared(model.H)
-    assert declared(observable) == components(observable)
-    assert len(model.H.rows) == 2
+    if kind == "ising":
+        # the ring's blocks are its (parity, j) row groups, which a further
+        # symmetry can split (reflection at j = 0 and N/2, the cosine and
+        # sine rows at j = N/4), so they are checked against the Kronecker
+        # products instead of the nonzero pattern
+        sz, sx, xx = kron_sums(size)
+        assert declared(model.H) == momentum_groups(make_chain_ops(size))
+        assert declared(observable) == declared(model.H)
+        assert np.abs(in_computational_basis(model.H, size) - (sz - g * xx)).max() <= 1e-14
+        assert np.abs(in_computational_basis(observable, size) - (sx / 2.0) @ (sx / 2.0)).max() <= 1e-14
+        assert len(model.H.rows) == 2 * (size // 2 + 1)
+    else:
+        assert declared(model.H) == components(model.H)
+        assert declared(observable) == components(observable)
+        assert len(model.H.rows) == 2
 
 
 def test_ising_hamiltonian_splits_into_parity_sectors():
-    found = components(build_model("ising", 1.0, 0.7, 6).H)
-    assert [len(c) for c in found] == [32, 32]
-    parity = [np.unique([bin(i).count("1") % 2 for i in c]) for c in found]
-    assert [p.tolist() for p in parity] == [[0], [1]]
-    assert declared(build_model("ising", 1.0, 0.7, 6).H) == found
+    model = build_model("ising", 1.0, 0.7, 6)
+    ops = make_chain_ops(6)
+    assert [r.size for r in model.H.rows] == [8, 8, 12, 4, 6, 10, 10, 6]
+    assert declared(model.H) == momentum_groups(ops)
+    # each block's rows lie in one popcount parity, and the even blocks come first
+    parity = [np.unique([bin(a).count("1") % 2 for a in ops.representative[r].tolist()]) for r in model.H.rows]
+    assert [p.tolist() for p in parity] == [[0]] * 4 + [[1]] * 4
+    assert [np.unique(ops.momentum[r]).tolist() for r in model.H.rows] == [[0], [1], [2], [3]] * 2
+    sz, _, xx = kron_sums(6)
+    assert np.abs(in_computational_basis(model.H, 6) - (sz - 0.7 * xx)).max() <= 1e-14
+    # every block but the even one at k = pi is one connected component; that one splits in two
+    found = components(model.H)
+    assert len(found) == 9
+    assert [r.tolist() in found for r in model.H.rows] == [True] * 3 + [False] + [True] * 4
 
 
 def test_eigh_wraps_solver_failure(monkeypatch):

@@ -5,15 +5,7 @@ import scipy.linalg
 from critfish.errors import InvalidDimension
 from critfish.operators import make_chain_ops, make_dicke_ops, make_fock_ops
 
-SX = np.array([[0.0, 1.0], [1.0, 0.0]])
-SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
-
-
-def kron_chain(N, ops_by_site):
-    out = np.ones((1, 1))
-    for site in range(1, N + 1):
-        out = np.kron(out, ops_by_site.get(site, np.eye(2)))
-    return out
+from ring import SX, kron_sums, momentum_groups, ring_basis
 
 
 # ---------------------------------------------------------------- Fock space
@@ -109,27 +101,54 @@ def test_dicke_rejects_zero_spins():
 
 # ---------------------------------------------------------------- Pauli ring
 
+# the momentum basis is not exact in binary, so the rebuilt operators match
+# the Kronecker products to this absolute bound instead of bit for bit
+BASIS_ATOL = 1e-14
+
+
+@pytest.mark.parametrize("N", [1, 3, 4, 6, 8])
+def test_chain_basis_is_orthogonal_and_keeps_popcount(N):
+    ops = make_chain_ops(N)
+    u = ring_basis(ops)
+    assert np.abs(u.T @ u - np.eye(ops.dim)).max() <= BASIS_ATOL
+    popcount = np.array([bin(s).count("1") for s in range(ops.dim)])
+    for i in range(ops.dim):
+        counts = np.unique(popcount[u[:, i] != 0.0])
+        assert counts.size == 1  # each column lies inside one popcount
+        assert ops.sz_total[i] == N - 2 * counts[0]  # so sum sigma_z is exactly diagonal
+
+
 def test_chain_matches_kron_construction():
-    for N in (1, 3, 4):
+    for N in (1, 3, 4, 6):
         ops = make_chain_ops(N)
-        sz = sum(kron_chain(N, {n: SZ}) for n in range(1, N + 1))
-        sx = sum(kron_chain(N, {n: SX}) for n in range(1, N + 1))
-        xx = np.zeros((2 ** N, 2 ** N))
-        for n in range(1, N + 1):
-            m = n % N + 1
-            if m == n:
-                xx += kron_chain(N, {n: SX @ SX})
-            else:
-                xx += kron_chain(N, {n: SX, m: SX})
-        assert np.array_equal(np.diag(ops.sz_total), sz)
-        assert np.array_equal(ops.sx2, (sx / 2.0) @ (sx / 2.0))  # the entries are exact
-        assert np.array_equal(ops.xx_pbc, xx)
+        u = ring_basis(ops)
+        sz, sx, xx = kron_sums(N)
+        assert np.abs(u @ np.diag(ops.sz_total) @ u.T - sz).max() <= BASIS_ATOL
+        assert np.abs(u @ np.asarray(ops.sx2) @ u.T - (sx / 2.0) @ (sx / 2.0)).max() <= BASIS_ATOL
+        assert np.abs(u @ np.asarray(ops.xx_pbc) @ u.T - xx).max() <= BASIS_ATOL
+
+
+@pytest.mark.parametrize("N", [3, 6, 8])
+def test_chain_blocks_are_the_parity_momentum_groups(N):
+    ops = make_chain_ops(N)
+    for matrix in (ops.xx_pbc, ops.sx2):
+        assert sorted(r.tolist() for r in matrix.rows) == momentum_groups(ops)
+        assert len(matrix.rows) == 2 * (N // 2 + 1)
+
+
+def test_chain_eight_sites_block_sizes():
+    rows = make_chain_ops(8).xx_pbc.rows
+    assert [r.size for r in rows] == [20, 28, 34, 28, 18, 16, 32, 32, 32, 16]
+    assert all(np.array_equal(r, np.arange(r[0], r[0] + r.size)) for r in rows)  # consecutive
 
 
 def test_chain_two_sites_double_bond():
     with pytest.warns(UserWarning, match="twice"):
         ops = make_chain_ops(2)
-    assert np.array_equal(ops.xx_pbc, 2.0 * np.kron(SX, SX))
+    u = ring_basis(ops)
+    assert np.abs(u @ np.asarray(ops.xx_pbc) @ u.T - 2.0 * np.kron(SX, SX)).max() <= BASIS_ATOL
+    with pytest.warns(UserWarning, match="twice"):  # on every call, built or not
+        make_chain_ops(2)
 
 
 def test_chain_sz_eigenvalues_by_bit_count():
@@ -143,10 +162,18 @@ def test_chain_sz_eigenvalues_by_bit_count():
 def test_chain_six_sites_bond_count():
     ops = make_chain_ops(6)
     assert ops.dim == 64
-    # N distinct two-site flip patterns, each bond contributing weight one
-    xx = np.asarray(ops.xx_pbc)
-    assert np.count_nonzero(xx[0]) == 6
-    assert set(np.unique(xx)) == {0.0, 1.0}
+    u = ring_basis(ops)
+    xx = u @ np.asarray(ops.xx_pbc) @ u.T
+    # N distinct two-site flip patterns per state, each bond contributing weight one
+    assert np.all(np.sum(np.abs(xx - 1.0) <= BASIS_ATOL, axis=1) == 6)
+    assert np.all((np.abs(xx) <= BASIS_ATOL) | (np.abs(xx - 1.0) <= BASIS_ATOL))
+
+
+def test_chain_arrays_are_read_only():
+    ops = make_chain_ops(4)
+    for array in (ops.sz_total, ops.representative, ops.momentum, ops.sine, ops.sx2.blocks[0]):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
 
 
 def test_chain_dicke_g0_consistency():
