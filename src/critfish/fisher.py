@@ -311,10 +311,11 @@ def quantum_term_by_offset(model, state):
 
     The split is defined up to the order of levels inside a degenerate
     group on which dH is degenerate too (the k and -k levels of the
-    ring): any rotation of such a group keeps the total and moves mass
-    between its level indices.  The basis is the one ``qfi_spectral``
-    uses, each group rotated to diagonalize dH inside each block of the
-    spectrum, never across two.
+    ring, which always span two twin blocks, one level in each): any
+    rotation of such a group keeps the total and moves mass between its
+    level indices.  The basis is the one ``qfi_spectral`` uses, each
+    group rotated to diagonalize dH inside each block of the spectrum,
+    never across two.
     """
     if not state.spectrum.complete:
         raise IncompleteSpectrum("the mass by level distance needs every level; diagonalize without a window")

@@ -8,15 +8,21 @@ this safe to call from parallel sweep workers.
 
 Every model Hamiltonian conserves a Z2 parity that its diagonal
 generator respects, and so do its Gibbs states and the measured
-squares; the ring conserves its lattice momentum too.  Their matrices
-are block diagonal over row sets known before any number is computed,
-so the operators are built as ``Sectors``, never as an n x n array:
-one block per parity sector, and on the ring one per (parity,
-momentum) pair, its rows the real translation-adapted basis of
-``operators.ChainOps``.  ``eigh`` solves each block on its own: two
-half-size solves cost about a quarter of one dense solve, and the
-ring's 2 (N/2 + 1) blocks of about 2^N / N rows far less.  A plain
-ndarray is one block: it gets one ?syevd.  The
+squares; the ring conserves its lattice momentum and reflection too.
+Their matrices are block diagonal over row sets known before any number
+is computed, so the operators are built as ``Sectors``, never as an
+n x n array: one block per parity sector, and on the ring one per
+(parity, momentum) pair, its rows the real translation-adapted basis of
+``operators.ChainOps``.  Where the momenta k and -k differ, that pair
+is two twin blocks, the reflection-even rows and their images, that
+hold one matrix.  ``eigh`` solves each block on its own: two half-size
+solves cost about a quarter of one dense solve, and the ring's 2N
+blocks of about 2^N / 2N rows far less.  A dense block equal entry for
+entry to the block before it (a twin) is stored as that same array
+(``Sectors``), and ``eigh`` hands it the eigenpairs it found for that
+array, the bits a second ?syevd of it would give; so the ring's H, its
+Gibbs states and the measured square each solve one block of every
+twin pair.  A plain ndarray is one block: it gets one ?syevd.  The
 eigenpairs stay in their blocks (``Spectrum.blocks``), so no n x n
 eigenvector matrix, half of it zeros, is formed either, and every
 consumer works block by block.
@@ -250,13 +256,18 @@ def symmetrize(entries):
     non-finite or whose sum overflows.  Every input entry reaches the
     result, so checking the result alone catches non-finite input too.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _symmetric_part(entries)
+
+
+def _symmetric_part(entries):
+    """``symmetrize`` under the caller's floating-point error state, which must ignore overflow."""
     a = np.asarray(entries, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise InvalidMatrix(f"expected a square matrix, got shape {a.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        sym = a + a.T  # a new array, so the result never aliases the input
-        sym /= 2.0
-    if not np.all(np.isfinite(sym)):
+    sym = a + a.T  # a new array, so the result never aliases the input
+    sym /= 2.0
+    if not np.isfinite(sym).all():
         raise InvalidMatrix("matrix has non-finite entries or overflows when symmetrized")
     return sym
 
@@ -321,9 +332,11 @@ class Sectors:
     (rows[b][i], rows[b][j]).  A block is either a ``(diagonal, off)``
     tuple, the tridiagonal chain whose ``off[i]`` couples its rows i and
     i + 1, or a dense square array, which is stored exactly symmetrized.
-    Every array is copied read-only, and non-finite entries raise
-    InvalidMatrix.  ``np.asarray`` gives the dense matrix; ``eigh``
-    solves the blocks without forming it.
+    A dense block equal entry for entry to the dense block before it is
+    stored as that same array, which ``eigh`` solves once.  Every array
+    is copied read-only, and non-finite entries raise InvalidMatrix.
+    ``np.asarray`` gives the dense matrix; ``eigh`` solves the blocks
+    without forming it.
     """
 
     rows: tuple
@@ -335,17 +348,23 @@ class Sectors:
                 or not np.array_equal(np.sort(np.concatenate(rows)), np.arange(sum(r.size for r in rows)))):
             raise InvalidMatrix("need one non-empty row list per block, together covering 0 .. n-1 once")
         blocks = []
-        for r, block in zip(rows, self.blocks):
-            chain = isinstance(block, tuple)
-            parts = [np.array(a, dtype=np.float64) for a in block] if chain else [symmetrize(block)]
-            layout = [a.shape for a in parts]
-            if layout != ([(r.size,), (r.size - 1,)] if chain else [(r.size, r.size)]):
-                raise InvalidMatrix(f"a block of {r.size} rows has the layout {layout}")
-            if chain and not all(np.isfinite(a).all() for a in parts):  # symmetrize checks a dense one
-                raise InvalidMatrix("chain has non-finite entries")
-            for array in (r, *parts):
-                array.flags.writeable = False
-            blocks.append(tuple(parts) if chain else parts[0])
+        with np.errstate(over="ignore", invalid="ignore"):  # for _symmetric_part
+            for b, (r, block) in enumerate(zip(rows, self.blocks)):
+                r.flags.writeable = False
+                chain = isinstance(block, tuple)
+                if (b and not chain and isinstance(blocks[-1], np.ndarray) and r.size == rows[b - 1].size
+                        and (block is self.blocks[b - 1] or np.array_equal(block, self.blocks[b - 1]))):
+                    blocks.append(blocks[-1])  # a twin of the block before it: the same array
+                    continue
+                parts = [np.array(a, dtype=np.float64) for a in block] if chain else [_symmetric_part(block)]
+                layout = [a.shape for a in parts]
+                if layout != ([(r.size,), (r.size - 1,)] if chain else [(r.size, r.size)]):
+                    raise InvalidMatrix(f"a block of {r.size} rows has the layout {layout}")
+                if chain and not all(np.isfinite(a).all() for a in parts):  # _symmetric_part checks a dense one
+                    raise InvalidMatrix("chain has non-finite entries")
+                for array in parts:
+                    array.flags.writeable = False
+                blocks.append(tuple(parts) if chain else parts[0])
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "blocks", tuple(blocks))
 
@@ -391,6 +410,11 @@ def _solve_block(idx, block):
     return _sign_fixed(idx, _solve_chain(*block) if isinstance(block, tuple) else _DSYEVD(block))
 
 
+def _twin(matrix, b):
+    """Whether block b of a Sectors is the block before it (a dense block stored once for both)."""
+    return b > 0 and matrix.blocks[b] is matrix.blocks[b - 1]
+
+
 def _window_end(values, edge, tol):
     """Last value of the kept prefix of ascending ``values``, or None when it is not among them.
 
@@ -417,7 +441,7 @@ def _windowed(matrix, window):
                 chains[b] = low
                 tops.append(float(top[0][0]))
                 continue
-        solved[b] = _solve_block(idx, block)
+        solved[b] = solved[b - 1] if _twin(matrix, b) else _solve_block(idx, block)
         tops.append(float(solved[b][0][-1]))
     lowest = min(float(part[0][0]) for part in (*chains.values(), *solved.values()))
     tol = DEGENERACY_RTOL * max(1.0, abs(lowest), *map(abs, tops))
@@ -450,7 +474,9 @@ def eigh(matrix, window=None):
     ``matrix`` is a Sectors or a dense array.  Each block of a Sectors
     is solved on its own (a chain by ?stevd once large enough, a dense
     block by ?syevd; see the module docstring) and its vectors are
-    sign-fixed; a dense array is symmetrized and solved as one block.
+    sign-fixed; a dense block stored as the same array as the block
+    before it (a twin) takes that block's eigenpairs.  A dense array is
+    symmetrized and solved as one block.
     The blocks' eigenvalues are merged by a stable sort into the global
     levels, and each block keeps its own rows, levels and vectors in
     ``Spectrum.blocks``.  Raises InvalidMatrix for non-finite entries and
@@ -463,10 +489,13 @@ def eigh(matrix, window=None):
     (?stein) gives their vectors.  The spectrum keeps every level up to
     the end of the degenerate group (DEGENERACY_RTOL * max |E|) of the
     first level past the window, so it ends on a group boundary and holds
-    at least one level past the window.  A chain that would need half of
-    its levels or more, a shorter chain and a dense block are solved
-    completely, as are all blocks where the library lacks ?stebz, ?stein
-    or the ?gtsv that reaches the unsolved levels (``fisher``).  Each
+    at least one level past the window.  A chain gives up and is solved
+    completely once the window would hold more than 1/_WINDOW_SHARE of
+    its levels, judged from the spacing of the levels bisected so far,
+    or once doubling the bisected count would pass that share.  A
+    shorter chain and a dense block are solved completely too, as are
+    all blocks where the library lacks ?stebz, ?stein or the ?gtsv that
+    reaches the unsolved levels (``fisher``).  Each
     chain's highest level comes from one more bisection, so the
     tolerance scale max |E| is that of the full spectrum.
     """
@@ -475,7 +504,9 @@ def eigh(matrix, window=None):
         # one block of all rows; Sectors checks and symmetrizes it
         matrix = Sectors([np.arange(dense.shape[0] if dense.ndim else 0)], [dense])
     if window is None:
-        solved, highest = [_solve_block(idx, block) for idx, block in zip(matrix.rows, matrix.blocks)], None
+        solved, highest = [], None
+        for b, (idx, block) in enumerate(zip(matrix.rows, matrix.blocks)):
+            solved.append(solved[-1] if _twin(matrix, b) else _solve_block(idx, block))
     elif window >= 0:
         solved, highest = _windowed(matrix, float(window))
     else:
@@ -485,7 +516,8 @@ def eigh(matrix, window=None):
     level = order.argsort()  # the global level of each entry of merged
     eigenvalues = merged[order]
     eigenvalues.flags.writeable = level.flags.writeable = False
-    levels = np.split(level, np.cumsum([vals.size for vals, _ in solved])[:-1])  # read-only views
+    ends = np.cumsum([vals.size for vals, _ in solved]).tolist()
+    levels = [level[start:end] for start, end in zip([0, *ends], ends)]  # read-only views
     blocks = tuple(zip(matrix.rows, levels, [vecs for _, vecs in solved]))
     return Spectrum(eigenvalues, blocks, highest, None if highest is None else matrix)
 

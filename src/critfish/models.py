@@ -14,7 +14,10 @@ Sz, or the total sigma_z), so it is held as its diagonal.  W and H are
 index chains for the oscillator and the collective spin, and for the
 ring one dense block per (popcount parity, lattice momentum) pair, in
 the real translation-adapted basis of ``operators.ChainOps`` (sum
-sigma_z is diagonal there too).  H is formed block by block, and no
+sigma_z is diagonal there too); where k and -k differ that pair is two
+twin blocks, reflection-even rows and their images, with equal
+entries, so H's twin blocks are equal too and ``eigh`` solves one of
+each.  H is formed block by block, and no
 n x n matrix is (``np.asarray(model.H)`` gives it on request, in that
 basis).  Finite differences are reserved for cross-checks and
 for derivatives of the thermal state itself.  Energy offsets are never

@@ -7,12 +7,14 @@
 Diagonal operators are held as their diagonal.  Every other matrix is a
 read-only ``linalg.Sectors``.  The Fock and Dicke ones respect the
 parity of the index and are built as its even and odd chains.  The
-ring's respect the popcount parity and commute with translation, so
-they are built in a real basis of lattice momentum, one dense block per
-(parity, momentum) pair (Sandvik, arXiv:1101.3281, sec. 4), from orbit
-arithmetic and never through a 2^N-row matrix.  Constructors are pure
-and their outputs are safe to share between workers; the ring's last
-one is kept and handed out again.  Spin conventions differ deliberately
+ring's respect the popcount parity and commute with translation and
+with the reflection of the ring, so they are built in a real basis of
+lattice momentum, one dense block per (parity, momentum) pair, split by
+the reflection into two equal blocks wherever k and -k differ (Sandvik,
+arXiv:1101.3281, sec. 4), from orbit arithmetic and never through a
+2^N-row matrix.  Constructors are pure and their outputs are safe to
+share between workers; the ring's last one is kept and handed out
+again.  Spin conventions differ deliberately
 between the two spin families: collective operators are half-integer spin
 (a single spin gives +-1/2) while the ring uses bare Pauli matrices
 (eigenvalues +-1), matching how each Hamiltonian is written.  The two
@@ -28,9 +30,9 @@ import numpy as np
 from .errors import InvalidDimension
 from .linalg import Sectors
 
-# the momentum blocks of 14 sites hold up to 1188 rows (11 MB each) and
-# take about a second to build; past that the dense blocks' O(rows^3)
-# solves, not storage, set the limit
+# the blocks of 14 sites hold up to 596 rows (2.8 MB each) and take
+# under a second to build; past that the dense blocks' O(rows^3) solves,
+# each 0.7 s at 14 sites, and the vectors they keep set the limit
 CHAIN_MAX_SITES = 14
 
 
@@ -105,24 +107,35 @@ class ChainOps:
     """Pauli sums over a ring of N spin-1/2 sites, dimension 2^N, in a real momentum basis.
 
     Site 1 is the leftmost Kronecker factor, the most significant bit of a
-    computational state, and the translation T moves every site one place
-    along the ring (site n to n + 1, site N to 1).  Each orbit
-    {T^r a : r < R} of T, with ``a`` its smallest state and R its period,
-    and each j = 0 .. N // 2 with j R = 0 (mod N), give the normalized
-    real columns sum_r cos(2 pi j r / N) |T^r a> and, for 0 < j < N/2,
-    sum_r sin(2 pi j r / N) |T^r a>.  These 2^N columns are orthonormal,
-    and row i of every operator here is column i: ``representative[i]``
-    is its ``a``, ``momentum[i]`` its j and ``sine[i]`` whether it is
-    the sine column.
+    computational state, the translation T moves every site one place
+    along the ring (site n to n + 1, site N to 1), and the reflection R
+    takes site n to N + 1 - n.  Each orbit {T^r a : r < R} of T, with
+    ``a`` its smallest state and R its period, and each j = 0 .. N // 2
+    with j R = 0 (mod N), give the normalized real columns
+    c_a = sum_r cos(k r) |T^r a> and, for 0 < 2j < N, s_a = sum_r
+    sin(k r) |T^r a>, k = 2 pi j / N.  At j = 0 and N/2 row i of every
+    operator here is the column c_a.  At 0 < 2j < N the rows are the
+    reflection-even combinations e of those columns and their twins J e,
+    J = (T - T^-1) / (2 sin k) turning each (c_a, s_a) pair by 90 degrees
+    (c_a to s_a, s_a to -c_a).  With R a = T^l b, b the ``partner``
+    orbit: an orbit its own partner gives e = cos(kl/2) c_a + sin(kl/2)
+    s_a, and a pair a < b of orbits gives (c_a + R c_a) / sqrt 2 and, the
+    ``sine`` row, (s_a + R s_a) / sqrt 2.  These 2^N rows are
+    orthonormal; ``representative[i]`` is the a of row i, ``momentum[i]``
+    its j, ``partner[i]`` the b, ``sine[i]`` whether it is built on s_a
+    and ``twin[i]`` whether it is J e.
 
-    Each column lies inside one popcount, so ``sz_total``, the diagonal
-    of sum sigma_z, is N - 2 popcount(a) per row.  ``xx_pbc`` holds the N
+    Each row lies inside one popcount, so ``sz_total``, the diagonal of
+    sum sigma_z, is N - 2 popcount(a) per row.  ``xx_pbc`` holds the N
     bond terms sigma_x^n sigma_x^(n+1) with site N+1 identified with site
-    1, and ``sx2`` is (sum_n sigma_x^n / 2)^2.  Both commute with T and
-    with the popcount parity, so they are Sectors over the blocks of
-    rows that share (parity, j), parity 0 first and j ascending within
-    each; a block lists its orbits in ascending order of ``a``, the sine
-    row of an orbit right after its cosine row.  Every array is read-only.
+    1, and ``sx2`` is (sum_n sigma_x^n / 2)^2.  Both commute with T, R and
+    the popcount parity, so they are Sectors over the blocks of rows that
+    share (parity, j), parity 0 first and j ascending within each.  At
+    0 < 2j < N that block is two: its even rows, in ascending order of
+    (a, sine), then their twins in the same order.  J commutes with both
+    operators and R anticommutes with J, so the two hold the same matrix,
+    stored once.  A block at j = 0 or N/2 lists its orbits in ascending
+    order of ``a``.  Every array is read-only.
     """
 
     N: int
@@ -131,7 +144,9 @@ class ChainOps:
     sx2: Sectors
     representative: np.ndarray
     momentum: np.ndarray
+    partner: np.ndarray
     sine: np.ndarray
+    twin: np.ndarray
 
     @property
     def dim(self):
@@ -196,9 +211,59 @@ def _momentum_block(N, members, j, orbits, circle, flips):
         entries, n = np.concatenate([cos, sin, -sin, cos]), 2 * members.size
     else:
         rows, cols, entries, n = target, source, cos, members.size
-    block = np.diag(np.full(n, diagonal))
-    block += np.bincount(rows * n + cols, entries, minlength=n * n).reshape(n, n)
+    # bincount gives integers when no entry is left
+    block = np.bincount(rows * n + cols, entries, minlength=n * n).astype(float, copy=False).reshape(n, n)
+    block.flat[:: n + 1] += diagonal
     return block
+
+
+def _reflect(N, states):
+    """The reflection R (site n to N + 1 - n) on computational states: their N bits reversed."""
+    return sum(((states >> n) & 1) << (N - 1 - n) for n in range(N))
+
+
+def _even_rows(N, members, j, orbits):
+    """The reflection-even rows E of a (parity, j) block with 0 < 2j < N, on its cosine and sine rows.
+
+    Orbit p of ``members`` has its cosine row c at 2p and its sine row s
+    at 2p + 1.  R a = T^l b for the representatives a, b maps c_a and s_a
+    to cos(kl) c_b + sin(kl) s_b and sin(kl) c_b - cos(kl) s_b.  An orbit
+    with b = a gives the one even row cos(kl/2) c_a + sin(kl/2) s_a; a
+    pair of orbits, listed at its smaller representative a, gives the two
+    (c_a + R c_a) / sqrt 2 and (s_a + R s_a) / sqrt 2.  Returns
+    (representative a, partner b, sine, index, weight) per even row in
+    ascending order of (a, sine): even row i is
+    sum_t weight[i, t] * row index[i, t], t = 0, 1, 2.
+    """
+    rep, shift, _ = orbits
+    image = _reflect(N, members)
+    partner, p = rep[image], np.arange(members.size)
+    alone, first = partner == members, partner > members
+    a, b, c = p[alone], p[first], np.searchsorted(members, partner[first])
+    cos_h, sin_h = (part[(j * shift[image[alone]]) % (2 * N)] for part in _unit_circle(2 * N))
+    cos, sin = (np.sqrt(0.5) * part[(j * shift[image[first]]) % N] for part in _unit_circle(N))
+    root = np.full(b.size, np.sqrt(0.5))
+    index = np.concatenate([np.stack([2 * a, 2 * a + 1, 2 * a], axis=1),
+                            np.stack([2 * b, 2 * c, 2 * c + 1], axis=1),
+                            np.stack([2 * b + 1, 2 * c, 2 * c + 1], axis=1)])
+    weight = np.concatenate([np.stack([cos_h, sin_h, np.zeros(a.size)], axis=1),
+                             np.stack([root, cos, sin], axis=1),
+                             np.stack([root, sin, -cos], axis=1)])
+    listed = np.concatenate([a, b, b])
+    sine = np.arange(listed.size) >= a.size + b.size
+    order = np.lexsort((sine, listed))
+    return members[listed][order], partner[listed][order], sine[order], index[order], weight[order]
+
+
+def _reflection_even(block, index, weight):
+    """E^T B^T E for the block B over the cosine and sine rows and the even rows E of ``_even_rows``.
+
+    That is E^T B E up to roundoff, B being symmetric.  It is formed by
+    two gathers of rows, each a three-term sum in a fixed order, with no
+    BLAS call.
+    """
+    half = np.ascontiguousarray(sum(weight[:, t, None] * block[index[:, t]] for t in range(3)).T)
+    return sum(weight[:, t, None] * half[index[:, t]] for t in range(3))
 
 
 @functools.lru_cache(maxsize=1)
@@ -218,18 +283,23 @@ def _ring(N):
             members = reps[(popcount % 2 == parity) & (j * period[reps] % N == 0)]
             if members.size == 0:
                 continue
-            parts = 2 if 0 < 2 * j < N else 1
-            record.append((np.repeat(members, parts), np.full(parts * members.size, j),
-                           np.tile(np.arange(parts) == 1, members.size)))
-            xx.append(_momentum_block(N, members, j, orbits, circle, bonds))
-            sx2.append(_momentum_block(N, members, j, orbits, circle, pairs))
-    representative, momentum, sine = (np.concatenate(column) for column in zip(*record))
+            blocks = [_momentum_block(N, members, j, orbits, circle, flips) for flips in (bonds, pairs)]
+            if 0 < 2 * j < N:  # the even rows, then their twins J e over the same matrices
+                members, partner, sine, index, weight = _even_rows(N, members, j, orbits)
+                blocks, twins = [_reflection_even(block, index, weight) for block in blocks], (False, True)
+            else:
+                partner, sine, twins = rep[_reflect(N, members)], np.zeros(members.size, bool), (False,)
+            for twin in twins:
+                record.append((members, np.full(members.size, j), partner, sine, np.full(members.size, twin)))
+                xx.append(blocks[0])
+                sx2.append(blocks[1])
+    representative, momentum, partner, sine, twin = (np.concatenate(column) for column in zip(*record))
     rows = np.split(np.arange(representative.size), np.cumsum([block.shape[0] for block in xx])[:-1])
     sz_total = N - 2.0 * sum((representative >> n) & 1 for n in range(N))
-    for array in (representative, momentum, sine, sz_total):
+    for array in (representative, momentum, partner, sine, twin, sz_total):
         array.flags.writeable = False
     return ChainOps(N=N, sz_total=sz_total, xx_pbc=Sectors(rows, xx), sx2=Sectors(rows, sx2),
-                    representative=representative, momentum=momentum, sine=sine)
+                    representative=representative, momentum=momentum, partner=partner, sine=sine, twin=twin)
 
 
 def make_chain_ops(N):

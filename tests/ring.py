@@ -29,26 +29,57 @@ def translate(N, state):
     return (state >> 1) | ((state & 1) << (N - 1))
 
 
+def reflect(N, state):
+    """R on a computational state: site n moves to N + 1 - n, i.e. its N bits reversed."""
+    return int(format(state, f"0{N}b")[::-1], 2)
+
+
+def orbit_wave(N, a, wave):
+    """sum_r wave(r) |T^r a> over the orbit of ``a``, as a computational vector."""
+    out = np.zeros(2 ** N)
+    state, r = a, 0
+    while r == 0 or state != a:
+        out[state] = wave(r)
+        state, r = translate(N, state), r + 1
+    return out
+
+
 def ring_basis(ops):
     """U, column i the basis state of row i of ``ops``, rebuilt from its record in the computational basis.
 
-    Column i is cos (or sin) of 2 pi j r / N on the states T^r a of the
-    orbit of a = ``ops.representative[i]``, normalized; so an operator S
-    of ``ops`` is U S U^T in the computational basis.
+    At j = 0 and N/2 column i is sum_r cos(k r) |T^r a>, normalized, for
+    k = 2 pi j / N and a = ``ops.representative[i]``.  At 0 < 2j < N it is
+    w + R w for an even row and, with sin for cos, w - R w for its twin,
+    where w = sum_r cos(k r - phi) |T^r a>: phi is pi/2 on a sine row,
+    k l / 2 for an orbit its own reflection (R a = T^l a, l the smallest)
+    and 0 otherwise.  An operator S of ``ops`` is U S U^T in the
+    computational basis.
     """
     N = ops.N
+    mirror = np.array([reflect(N, s) for s in range(ops.dim)])  # (R v)[s] = v[R s]
     u = np.zeros((ops.dim, ops.dim))
-    for i, (a, j, sine) in enumerate(zip(ops.representative.tolist(), ops.momentum, ops.sine)):
-        state, r = a, 0
-        while r == 0 or state != a:
-            u[state, i] = (np.sin if sine else np.cos)(2.0 * np.pi * j * r / N)
-            state, r = translate(N, state), r + 1
-        u[:, i] /= np.linalg.norm(u[:, i])
+    record = zip(ops.representative.tolist(), ops.momentum.tolist(), ops.partner.tolist(),
+                 ops.sine.tolist(), ops.twin.tolist())
+    for i, (a, j, partner, sine, twin) in enumerate(record):
+        k = 2.0 * np.pi * j / N
+        if not 0 < 2 * j < N:
+            column = orbit_wave(N, a, lambda r: np.cos(k * r))
+        else:
+            phi = np.pi / 2 if sine else 0.0
+            if partner == a:  # phi = k l / 2 for the smallest l with T^l a = R a
+                state, l = a, 0
+                while state != reflect(N, a):
+                    state, l = translate(N, state), l + 1
+                phi = k * l / 2
+            wave = orbit_wave(N, a, lambda r: (np.sin if twin else np.cos)(k * r - phi))
+            column = wave - wave[mirror] if twin else wave + wave[mirror]
+        u[:, i] = column / np.linalg.norm(column)
     return u
 
 
-def momentum_groups(ops):
-    """The row groups of ``ops`` sharing (popcount parity of the representative, j), sorted as rows lists."""
+def ring_groups(ops):
+    """The row groups of ``ops`` sharing (popcount parity of the representative, j, twin), sorted as rows lists."""
     parity = np.array([bin(a).count("1") % 2 for a in ops.representative.tolist()])
-    labels = sorted(set(zip(parity.tolist(), ops.momentum.tolist())))
-    return sorted(np.flatnonzero((parity == p) & (ops.momentum == j)).tolist() for p, j in labels)
+    labels = sorted(set(zip(parity.tolist(), ops.momentum.tolist(), ops.twin.tolist())))
+    return sorted(np.flatnonzero((parity == p) & (ops.momentum == j) & (ops.twin == t)).tolist()
+                  for p, j, t in labels)

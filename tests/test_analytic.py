@@ -161,7 +161,7 @@ def test_thermal_forms_reduce_to_ground_state_at_zero_temperature(params):
 # ---------------------------------------------------------------- Pauli ring
 
 @pytest.mark.parametrize("g", [0.3, 0.9, 1.0, 1.5])
-@pytest.mark.parametrize("N", [4, 6, 8, 10, 12])
+@pytest.mark.parametrize("N", [4, 6, 8, 10, 12, 14])
 def test_ising_ground_qfi_matches_exact_diagonalization(N, g):
     # the free-fermion closed form against the ground level of the
     # diagonalized ring, on both sides of the critical coupling

@@ -15,7 +15,7 @@ from critfish.operators import make_chain_ops, make_dicke_ops, make_fock_ops
 from critfish.sweep import measurement_observable
 from critfish.thermal import density_matrix, gibbs
 
-from ring import kron_sums, momentum_groups, ring_basis
+from ring import kron_sums, ring_basis, ring_groups
 from spectra import dense_eigenvectors
 
 
@@ -224,16 +224,16 @@ def test_declared_sectors_are_the_connected_components(kind, size, g):
     observable = measurement_observable(kind, size)
     assert declared(model.coupling_term) == declared(model.H)
     if kind == "ising":
-        # the ring's blocks are its (parity, j) row groups, which a further
-        # symmetry can split (reflection at j = 0 and N/2, the cosine and
-        # sine rows at j = N/4), so they are checked against the Kronecker
-        # products instead of the nonzero pattern
+        # the ring's blocks are its (parity, j, twin) row groups, which a
+        # further symmetry can split (reflection at j = 0 and N/2), so they
+        # are checked against the Kronecker products instead of the nonzero
+        # pattern
         sz, sx, xx = kron_sums(size)
-        assert declared(model.H) == momentum_groups(make_chain_ops(size))
+        assert declared(model.H) == ring_groups(make_chain_ops(size))
         assert declared(observable) == declared(model.H)
         assert np.abs(in_computational_basis(model.H, size) - (sz - g * xx)).max() <= 1e-14
         assert np.abs(in_computational_basis(observable, size) - (sx / 2.0) @ (sx / 2.0)).max() <= 1e-14
-        assert len(model.H.rows) == 2 * (size // 2 + 1)
+        assert len(model.H.rows) == 2 * size
     else:
         assert declared(model.H) == components(model.H)
         assert declared(observable) == components(observable)
@@ -243,18 +243,80 @@ def test_declared_sectors_are_the_connected_components(kind, size, g):
 def test_ising_hamiltonian_splits_into_parity_sectors():
     model = build_model("ising", 1.0, 0.7, 6)
     ops = make_chain_ops(6)
-    assert [r.size for r in model.H.rows] == [8, 8, 12, 4, 6, 10, 10, 6]
-    assert declared(model.H) == momentum_groups(ops)
+    assert [r.size for r in model.H.rows] == [8, 4, 4, 6, 6, 4, 6, 5, 5, 5, 5, 6]
+    assert declared(model.H) == ring_groups(ops)
     # each block's rows lie in one popcount parity, and the even blocks come first
     parity = [np.unique([bin(a).count("1") % 2 for a in ops.representative[r].tolist()]) for r in model.H.rows]
-    assert [p.tolist() for p in parity] == [[0]] * 4 + [[1]] * 4
-    assert [np.unique(ops.momentum[r]).tolist() for r in model.H.rows] == [[0], [1], [2], [3]] * 2
+    assert [p.tolist() for p in parity] == [[0]] * 6 + [[1]] * 6
+    assert [np.unique(ops.momentum[r]).tolist() for r in model.H.rows] == [[0], [1], [1], [2], [2], [3]] * 2
+    # j = 1 and 2 are split into their reflection-even rows and then the twins
+    assert [np.unique(ops.twin[r]).tolist() for r in model.H.rows] == [[False], [False], [True], [False], [True], [False]] * 2
     sz, _, xx = kron_sums(6)
     assert np.abs(in_computational_basis(model.H, 6) - (sz - 0.7 * xx)).max() <= 1e-14
     # every block but the even one at k = pi is one connected component; that one splits in two
     found = components(model.H)
-    assert len(found) == 9
-    assert [r.tolist() in found for r in model.H.rows] == [True] * 3 + [False] + [True] * 4
+    assert len(found) == 13
+    assert [r.tolist() in found for r in model.H.rows] == [True] * 5 + [False] + [True] * 6
+
+
+def counted_syevd(monkeypatch):
+    """The blocks handed to ?syevd, recorded while it still solves them."""
+    seen = []
+
+    def solve(a):
+        seen.append(np.array(a))
+        return solve.real(a)
+
+    solve.real = linalg._DSYEVD
+    monkeypatch.setattr(linalg, "_DSYEVD", solve)
+    return seen
+
+
+@pytest.mark.parametrize("window", [None, 0.5])
+def test_an_equal_dense_block_reuses_the_eigenpairs_before_it(monkeypatch, window):
+    rng = np.random.default_rng(11)
+    a, other = random_symmetric(rng, 6), random_symmetric(rng, 6)
+    alone = [eigh(a), eigh(other)]
+    seen = counted_syevd(monkeypatch)
+    spec = eigh(Sectors([np.arange(6), np.arange(6, 12), np.arange(12, 18)], [a, a.copy(), other]), window)
+    assert len(seen) == 2 and np.array_equal(seen[0], a) and np.array_equal(seen[1], other)
+    # the bits of solving each block on its own
+    for (_, levels, vecs), single in zip(spec.blocks, [alone[0], alone[0], alone[1]]):
+        assert np.array_equal(spec.eigenvalues[levels], single.eigenvalues)
+        assert np.array_equal(vecs, single.blocks[0][2])
+
+
+def test_a_dense_block_that_differs_in_one_entry_is_solved_again(monkeypatch):
+    rng = np.random.default_rng(12)
+    a = random_symmetric(rng, 5)
+    b = a.copy()
+    b[1, 3] = b[3, 1] = np.nextafter(a[1, 3], np.inf)
+    seen = counted_syevd(monkeypatch)
+    eigh(Sectors([np.arange(5), np.arange(5, 10)], [a, b]))
+    assert len(seen) == 2
+    # a chain equal to the dense block before it, or to the chain before it, is not a twin
+    seen.clear()
+    diagonal, off = np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.25])
+    eigh(Sectors([np.arange(3), np.arange(3, 6), np.arange(6, 9)],
+                 [linalg._dense(diagonal, off), (diagonal, off), (diagonal, off)]))
+    assert len(seen) == 3
+
+
+@pytest.mark.parametrize("size", [6, 8])
+def test_ring_twin_blocks_are_equal_and_solved_once(monkeypatch, size):
+    ops = make_chain_ops(size)
+    model = build_model("ising", 1.0, 0.8, size)
+    twins = [b for b in range(1, len(model.H.rows)) if ops.twin[model.H.rows[b][0]]]
+    assert len(twins) == 2 * ((size - 1) // 2)
+    seen = counted_syevd(monkeypatch)
+    spectrum = eigh(model.H)
+    assert len(seen) == len(model.H.rows) - len(twins)
+    rho = density_matrix(gibbs(spectrum, 1.5))
+    for matrix in (ops.xx_pbc, ops.sx2, model.H, rho, measurement_observable("ising", size)):
+        assert all(np.array_equal(matrix.blocks[b], matrix.blocks[b - 1]) for b in twins)
+    for b in twins:  # one shared spectrum per twin pair
+        assert np.array_equal(spectrum.eigenvalues[spectrum.blocks[b][1]], spectrum.eigenvalues[spectrum.blocks[b - 1][1]])
+        assert spectrum.blocks[b][2] is spectrum.blocks[b - 1][2]
 
 
 def test_eigh_wraps_solver_failure(monkeypatch):

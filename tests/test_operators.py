@@ -5,7 +5,7 @@ import scipy.linalg
 from critfish.errors import InvalidDimension
 from critfish.operators import make_chain_ops, make_dicke_ops, make_fock_ops
 
-from ring import SX, kron_sums, momentum_groups, ring_basis
+from ring import SX, kron_sums, reflect, ring_basis, ring_groups
 
 
 # ---------------------------------------------------------------- Fock space
@@ -106,7 +106,7 @@ def test_dicke_rejects_zero_spins():
 BASIS_ATOL = 1e-14
 
 
-@pytest.mark.parametrize("N", [1, 3, 4, 6, 8])
+@pytest.mark.parametrize("N", [1, 3, 4, 6, 8, 10])
 def test_chain_basis_is_orthogonal_and_keeps_popcount(N):
     ops = make_chain_ops(N)
     u = ring_basis(ops)
@@ -119,7 +119,7 @@ def test_chain_basis_is_orthogonal_and_keeps_popcount(N):
 
 
 def test_chain_matches_kron_construction():
-    for N in (1, 3, 4, 6):
+    for N in (1, 3, 4, 6, 8, 10):
         ops = make_chain_ops(N)
         u = ring_basis(ops)
         sz, sx, xx = kron_sums(N)
@@ -132,14 +132,48 @@ def test_chain_matches_kron_construction():
 def test_chain_blocks_are_the_parity_momentum_groups(N):
     ops = make_chain_ops(N)
     for matrix in (ops.xx_pbc, ops.sx2):
-        assert sorted(r.tolist() for r in matrix.rows) == momentum_groups(ops)
-        assert len(matrix.rows) == 2 * (N // 2 + 1)
+        assert sorted(r.tolist() for r in matrix.rows) == ring_groups(ops)
+        # (parity, j) for j = 0 .. N // 2, each 0 < 2j < N split in two
+        assert len(matrix.rows) == 2 * N
 
 
 def test_chain_eight_sites_block_sizes():
-    rows = make_chain_ops(8).xx_pbc.rows
-    assert [r.size for r in rows] == [20, 28, 34, 28, 18, 16, 32, 32, 32, 16]
+    ops = make_chain_ops(8)
+    rows = ops.xx_pbc.rows
+    assert [r.size for r in rows] == [20, 14, 14, 17, 17, 14, 14, 18, 16, 16, 16, 16, 16, 16, 16, 16]
     assert all(np.array_equal(r, np.arange(r[0], r[0] + r.size)) for r in rows)  # consecutive
+    # each split (parity, j) is an even block and then its twin, on the same orbits
+    for even, twin in [(rows[b], rows[b + 1]) for b in (1, 3, 5, 9, 11, 13)]:
+        assert not ops.twin[even].any() and ops.twin[twin].all()
+        for record in (ops.representative, ops.momentum, ops.partner, ops.sine):
+            assert np.array_equal(record[even], record[twin])
+
+
+@pytest.mark.parametrize("N", [3, 4, 6, 8, 10])
+def test_chain_twin_blocks_are_stored_once(N):
+    ops = make_chain_ops(N)
+    for matrix in (ops.xx_pbc, ops.sx2):
+        twins = [b for b in range(1, len(matrix.rows)) if ops.twin[matrix.rows[b][0]]]
+        assert len(twins) == 2 * ((N - 1) // 2)
+        assert all(matrix.blocks[b] is matrix.blocks[b - 1] for b in twins)
+
+
+def test_chain_records_the_reflected_orbit():
+    N = 8
+    ops = make_chain_ops(N)
+    rep = {}
+    for state in range(ops.dim):
+        orbit, s = [], state
+        while s not in orbit:
+            orbit.append(s)
+            s = (s >> 1) | ((s & 1) << (N - 1))
+        rep[state] = min(orbit)
+    assert [rep[reflect(N, a)] for a in ops.representative.tolist()] == ops.partner.tolist()
+    split = (0 < 2 * ops.momentum) & (2 * ops.momentum < N)
+    # a sine row is the second even row of a pair of orbits, listed at its smaller representative
+    assert not ops.sine[~split].any()
+    assert np.all(ops.partner[ops.sine] > ops.representative[ops.sine])
+    assert not ops.twin[~split].any()
 
 
 def test_chain_two_sites_double_bond():
@@ -171,7 +205,8 @@ def test_chain_six_sites_bond_count():
 
 def test_chain_arrays_are_read_only():
     ops = make_chain_ops(4)
-    for array in (ops.sz_total, ops.representative, ops.momentum, ops.sine, ops.sx2.blocks[0]):
+    for array in (ops.sz_total, ops.representative, ops.momentum, ops.partner, ops.sine, ops.twin,
+                  ops.sx2.blocks[0], ops.sx2.blocks[2]):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
 
