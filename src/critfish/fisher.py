@@ -45,7 +45,14 @@ inside each of them, which only relabels its levels.
 Every estimator takes the built model.  The finite-difference routes
 move it along omega with ``ModelInstance.at``, which re-forms
 H = omega * dH - g * W from the parts the model already holds, so no
-operator is rebuilt on a ladder rung.
+operator is rebuilt or checked again on a ladder rung.  Each rung's Gibbs
+state, and the centre state of ``cfi_projective`` and
+``fi_error_propagation``, is solved in its Gibbs window
+(``models.gibbs_window``) with whole blocks: a dense block whose levels
+all lie past the window is left out, every other block is solved
+completely, and a block left out does no work in any sum here.  Its
+levels' weights, below ``models.WINDOW_WEIGHT``, are all the estimates
+lose, so they move only at roundoff.
 
 The tolerances below are module constants, not parameters: only the
 ladder's relative agreement ``fd_rtol`` and its first step
@@ -71,6 +78,7 @@ from .errors import (
     ZeroVariance,
 )
 from .linalg import DEGENERACY_RTOL, _DGTSV, eigh, fidelity
+from .models import gibbs_window
 from .thermal import _checked_observable, density_matrix, gibbs, thermal_expectation
 
 PAIR_WEIGHT_FLOOR = 1e-15      # skip quantum terms with p_n + p_m below this
@@ -153,9 +161,10 @@ def _rotated_generator(spectrum, generator, tol, probs):
     part needs only the slopes: sum_i dH_i V_in^2 for a lone level, and
     the eigenvalues of its group's own block of dH for a degenerate one.
 
-    A block of a windowed spectrum lacks its upper levels, whose Gibbs
+    A chain of a windowed spectrum lacks its upper levels, whose Gibbs
     weights lie far below the floor.  Their elements with the levels of
-    K are summed per K level by ``_unsolved_mass``.
+    K are summed per K level by ``_unsolved_mass``.  A block with no
+    solved level holds no level of K and is skipped.
 
     Returns (one (levels, rows of the block's elements, unsolved mass per
     K level or None) per block, slope per solved level, group id per
@@ -168,6 +177,8 @@ def _rotated_generator(spectrum, generator, tol, probs):
     slopes = np.empty(len(probs))
     parts = []
     for b, (rows, levels, v) in enumerate(spectrum.blocks):
+        if not levels.size:
+            continue
         dh = generator[rows]
         heavy = int(np.searchsorted(levels, weighted))
         complete = v.shape[1] == rows.size
@@ -380,7 +391,8 @@ def _fd_ladder(estimate, omega, delta_omega, rtol, atol):
 
 
 def _thermal_state(model, omega, beta):
-    return gibbs(eigh(model.at(omega).H), beta)
+    """Gibbs state of the model at another omega, solved in its Gibbs window with whole blocks."""
+    return gibbs(eigh(model.at(omega).H, window=gibbs_window(beta), whole_blocks=True), beta)
 
 
 def qfi_fidelity_fd(model, beta, delta_omega=None, fd_rtol=FD_RTOL):
@@ -426,6 +438,17 @@ def _outcome_projectors(observable):
     return spec, _degenerate_groups(spec.eigenvalues, OUTCOME_GROUP_RTOL * scale)
 
 
+def _outcome_probs(state, basis, groups):
+    """tr(rho Pi_k) for each merged outcome k of ``_outcome_projectors``, read off the state block by block.
+
+    A block of the state with no solved level adds nothing.
+    """
+    overlap = np.empty(state.dim)
+    for (_, levels, v), (_, outcomes, u) in zip(state.spectrum.blocks, basis.blocks):
+        overlap[outcomes] = np.square(u.T @ v) @ state.probs[levels] if levels.size else 0.0
+    return np.add.reduceat(overlap, [g.start for g in groups])
+
+
 def cfi_projective(model, beta, observable, delta_omega=None, fd_rtol=FD_RTOL):
     """Classical Fisher information of projectively measuring an observable.
 
@@ -444,11 +467,7 @@ def cfi_projective(model, beta, observable, delta_omega=None, fd_rtol=FD_RTOL):
         return 0.0  # one outcome: the distribution cannot move
 
     def outcome_probs(at_omega):
-        state = _thermal_state(model, at_omega, beta)
-        overlap = np.empty(state.dim)
-        for (_, levels, v), (_, outcomes, u) in zip(state.spectrum.blocks, basis.blocks):
-            overlap[outcomes] = np.square(u.T @ v) @ state.probs[levels]
-        return np.add.reduceat(overlap, [g.start for g in groups])
+        return _outcome_probs(_thermal_state(model, at_omega, beta), basis, groups)
 
     center = outcome_probs(omega)
     keep = center > OUTCOME_PROB_FLOOR

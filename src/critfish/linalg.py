@@ -50,11 +50,15 @@ same handle lets a sweep worker cap its BLAS threads
 library that lacks one still serves the others.
 
 A cold Gibbs state weighs a few dozen of thousands of levels, so
-``eigh`` takes an energy window: a long chain then solves only its
+``eigh`` takes an energy window.  A dense block whose levels all lie
+past it is left out whole, decided mostly from bounds on its lowest
+level and otherwise by one Cholesky factorization, far cheaper than a
+solve; the rest are solved completely.  A long chain solves only its
 levels within the window of the lowest one, by bisection (``?stebz``)
-and inverse iteration (``?stein``), at O(n) per level.  The levels it
-leaves out are still reachable through the chain's resolvent, one
-tridiagonal solve (``?gtsv``) per level (``fisher``).
+and inverse iteration (``?stein``), at O(n) per level, unless the
+caller asks for whole blocks.  The levels a chain leaves out are still
+reachable through its resolvent, one tridiagonal solve (``?gtsv``) per
+level (``fisher``).
 """
 
 import ctypes
@@ -278,17 +282,23 @@ class Spectrum:
 
     ``eigenvalues`` holds the solved levels in ascending order: all n of
     them, unless ``eigh`` was given a window.  ``blocks`` holds one
-    read-only ``(rows, levels, vectors)`` per solved block:
+    read-only ``(rows, levels, vectors)`` per block of the matrix:
     ``vectors[:, k]`` is the orthonormal eigenvector of level
     ``levels[k]`` on the rows ``rows``, zero on every other row, with its
     largest-magnitude component positive so repeated runs give identical
     output.  Each block's levels ascend, and together the blocks cover
     the rows once and the solved levels once.  No n x n eigenvector
-    matrix is held.  A windowed spectrum also keeps ``highest``, the
-    matrix's largest eigenvalue, and ``matrix``, the Sectors it was
-    solved from, so that the unsolved levels of a block can still be
-    reached through its resolvent; both are None when every level is
-    solved.
+    matrix is held.  A block may hold no level at all: a dense block a
+    window left out whole, or a zero block (``Sectors``).
+
+    A spectrum whose chains a window left partly unsolved also keeps
+    ``highest``, the matrix's largest eigenvalue, and ``matrix``, the
+    Sectors it was solved from, so that the unsolved levels of a chain
+    can still be reached through its resolvent.  Both are None when
+    every chain is solved completely, even where dense blocks were left
+    out: every level of such a block lies past the window, so no
+    resolvent is needed for it, and ``energy_scale`` is then that of the
+    solved levels.
     """
 
     eigenvalues: np.ndarray
@@ -329,12 +339,14 @@ class Sectors:
 
     ``rows[b]`` lists the rows of block b, which together cover 0 .. n-1
     once; entry (i, j) of block b is the matrix entry
-    (rows[b][i], rows[b][j]).  A block is either a ``(diagonal, off)``
-    tuple, the tridiagonal chain whose ``off[i]`` couples its rows i and
-    i + 1, or a dense square array, which is stored exactly symmetrized.
-    A dense block equal entry for entry to the dense block before it is
-    stored as that same array, which ``eigh`` solves once.  Every array
-    is copied read-only, and non-finite entries raise InvalidMatrix.
+    (rows[b][i], rows[b][j]).  A block is a ``(diagonal, off)`` tuple,
+    the tridiagonal chain whose ``off[i]`` couples its rows i and i + 1;
+    a dense square array, which is stored exactly symmetrized; or None,
+    a zero block, to which ``eigh`` gives no eigenpair (a Gibbs state's
+    block with no solved level, ``thermal.density_matrix``).  A dense
+    block equal entry for entry to the dense block before it is stored
+    as that same array, which ``eigh`` solves once.  Every array is
+    copied read-only, and non-finite entries raise InvalidMatrix.
     ``np.asarray`` gives the dense matrix; ``eigh`` solves the blocks
     without forming it.
     """
@@ -351,6 +363,9 @@ class Sectors:
         with np.errstate(over="ignore", invalid="ignore"):  # for _symmetric_part
             for b, (r, block) in enumerate(zip(rows, self.blocks)):
                 r.flags.writeable = False
+                if block is None:
+                    blocks.append(None)
+                    continue
                 chain = isinstance(block, tuple)
                 if (b and not chain and isinstance(blocks[-1], np.ndarray) and r.size == rows[b - 1].size
                         and (block is self.blocks[b - 1] or np.array_equal(block, self.blocks[b - 1]))):
@@ -368,6 +383,19 @@ class Sectors:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "blocks", tuple(blocks))
 
+    @classmethod
+    def _checked(cls, rows, blocks):
+        """A Sectors of parts that already meet every rule above, taken as they are.
+
+        For ``rows`` of a Sectors and blocks that are read-only, finite and
+        exactly symmetric, an equal consecutive dense block being the same
+        array; nothing is checked or copied.
+        """
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "rows", rows)
+        object.__setattr__(matrix, "blocks", tuple(blocks))
+        return matrix
+
     @property
     def shape(self):
         return (len(self), len(self))
@@ -380,7 +408,8 @@ class Sectors:
             raise ValueError("a Sectors matrix has no dense storage to share")
         dense = np.zeros(self.shape)
         for r, block in zip(self.rows, self.blocks):
-            dense[np.ix_(r, r)] = _dense(*block) if isinstance(block, tuple) else block
+            if block is not None:
+                dense[np.ix_(r, r)] = _dense(*block) if isinstance(block, tuple) else block
         return dense if dtype is None else dense.astype(dtype, copy=False)
 
 
@@ -405,14 +434,23 @@ def _solve_chain(diagonal, off):
     return _DSYEVD(_dense(diagonal, off)) if solved is None else solved
 
 
+def _no_level(idx):
+    """(eigenvalues, eigenvectors) of a block that holds no solved level: both empty, read-only."""
+    vals, vecs = np.empty(0), np.empty((idx.size, 0))
+    vals.flags.writeable = vecs.flags.writeable = False
+    return vals, vecs
+
+
 def _solve_block(idx, block):
-    """(eigenvalues, eigenvectors) of every level of one block of a Sectors, sign-fixed."""
+    """(eigenvalues, eigenvectors) of every level of one block of a Sectors, sign-fixed; none for a zero block."""
+    if block is None:
+        return _no_level(idx)
     return _sign_fixed(idx, _solve_chain(*block) if isinstance(block, tuple) else _DSYEVD(block))
 
 
 def _twin(matrix, b):
     """Whether block b of a Sectors is the block before it (a dense block stored once for both)."""
-    return b > 0 and matrix.blocks[b] is matrix.blocks[b - 1]
+    return b > 0 and matrix.blocks[b] is not None and matrix.blocks[b] is matrix.blocks[b - 1]
 
 
 def _window_end(values, edge, tol):
@@ -427,77 +465,154 @@ def _window_end(values, edge, tol):
     return float(values[first + gaps[0]]) if gaps.size else None
 
 
-def _windowed(matrix, window):
+def _lies_above(block, x):
+    """Whether the lowest level of a dense block lies above ``x``.
+
+    The smallest diagonal entry lies above the lowest level (it is a
+    Rayleigh quotient) and a Gershgorin bound below it; the two decide
+    many blocks, and the rest take one Cholesky factorization of
+    block - x I, which exists exactly when every level lies above x.
+    """
+    diagonal = block.diagonal()
+    if diagonal.min() <= x:
+        return False
+    radius = np.abs(block).sum(axis=1)
+    radius -= np.abs(diagonal)
+    if (diagonal - radius).min() > x:
+        return True
+    shifted = np.array(block)
+    shifted.flat[:: block.shape[0] + 1] -= x
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _windowed(matrix, window, whole):
     """eigh's (eigenvalues, eigenvectors) per block within ``window``, and the highest level.
 
-    The highest level is None when every block was solved completely.
+    The highest level is None unless a chain was left partly unsolved.  A
+    dense block left out whole gets no eigenpair.
     """
-    chains, solved, tops = {}, {}, []
-    windowable = all(_hook(name) is not None for name in ("stebz", "stein", "gtsv"))
+    chains, solved, lows, tops, smallest = {}, {}, [], [], {}
+    windowable = not whole and all(_hook(name) is not None for name in ("stebz", "stein", "gtsv"))
     for b, (idx, block) in enumerate(zip(matrix.rows, matrix.blocks)):
         if windowable and isinstance(block, tuple) and idx.size >= _WINDOW_START * _WINDOW_SHARE:
             low, top = _DSTEBZ(*block, 1, _WINDOW_START), _DSTEBZ(*block, idx.size, idx.size)
             if low is not None and top is not None:
                 chains[b] = low
+                lows.append(float(low[0][0]))
                 tops.append(float(top[0][0]))
                 continue
-        solved[b] = solved[b - 1] if _twin(matrix, b) else _solve_block(idx, block)
-        tops.append(float(solved[b][0][-1]))
-    lowest = min(float(part[0][0]) for part in (*chains.values(), *solved.values()))
-    tol = DEGENERACY_RTOL * max(1.0, abs(lowest), *map(abs, tops))
-    cut = math.inf
-    while chains:
-        # every level below the lowest last bisected level is known
-        bound, b = min((float(vals[-1]), b) for b, (vals, _, _) in chains.items())
-        known = np.sort(np.concatenate([part[0][part[0] <= bound] for part in (*chains.values(), *solved.values())]))
-        cut = _window_end(known, lowest + window, tol)
-        if cut is not None:
-            break
-        vals, block, most = chains[b][0], matrix.blocks[b], matrix.rows[b].size / _WINDOW_SHARE
-        # levels spread about evenly would need (edge - E_0) / mean spacing of them
-        spread = (lowest + window - vals[0]) * vals.size > most * (vals[-1] - vals[0])
-        more = None if spread or 2 * vals.size > most else _DSTEBZ(*block, vals.size + 1, 2 * vals.size)
-        if more is None:  # too large a share of the chain, or a failed bisection
-            solved[b] = _solve_block(matrix.rows[b], block)
-            del chains[b]
+        if isinstance(block, tuple):
+            solved[b] = _solve_block(idx, block)
+            lows.append(float(solved[b][0][0]))
+            tops.append(float(solved[b][0][-1]))
+        elif block is not None and not _twin(matrix, b):
+            smallest[b] = float(block.diagonal().min())
+    # dense blocks by their smallest diagonal entry, so the ground block is most likely solved first
+    undecided = sorted(smallest, key=smallest.get)
+    above = {}  # each dense block left out, and the value its lowest level is known to lie above
+    cut, changed = math.inf, True
+    while chains or undecided or above or changed:
+        if changed:  # the levels known so far moved: find the window's end again
+            changed, cut = False, None
+            if lows:
+                lowest = min(lows)
+                tol = DEGENERACY_RTOL * max(1.0, abs(lowest), *map(abs, tops))
+                # every level below the lowest last bisected level is known
+                bound, b = min([(float(vals[-1]), b) for b, (vals, _, _) in chains.items()], default=(math.inf, 0))
+                known = np.sort(np.concatenate([part[0][part[0] <= bound]
+                                                for part in (*chains.values(), *solved.values())]))
+                cut = _window_end(known, lowest + window, tol)
+        if cut is None and chains:
+            vals, block, most = chains[b][0], matrix.blocks[b], matrix.rows[b].size / _WINDOW_SHARE
+            # levels spread about evenly would need (edge - E_0) / mean spacing of them
+            spread = (lowest + window - vals[0]) * vals.size > most * (vals[-1] - vals[0])
+            more = None if spread or 2 * vals.size > most else _DSTEBZ(*block, vals.size + 1, 2 * vals.size)
+            if more is None:  # too large a share of the chain, or a failed bisection
+                solved[b] = _solve_block(matrix.rows[b], block)
+                del chains[b]
+            else:
+                chains[b] = (*(np.concatenate(pair) for pair in zip(chains[b], more[:2])), more[2])
+            changed = True
+            continue
+        if undecided:
+            b = undecided.pop(0)
+        else:  # a block left out against a lower end, or a narrower tolerance, is decided again
+            b = next((b for b, x in above.items() if cut is None or x < cut + tol), None)
+            if b is None:
+                break
+            del above[b]
+        if cut is not None and _lies_above(matrix.blocks[b], cut + tol):
+            above[b] = cut + tol
         else:
-            chains[b] = (*(np.concatenate(pair) for pair in zip(chains[b], more[:2])), more[2])
+            solved[b] = _solve_block(matrix.rows[b], matrix.blocks[b])
+            lows.append(float(solved[b][0][0]))
+            tops.append(float(solved[b][0][-1]))
+            changed = True
+    for b in smallest:  # a block solved against an end that later moved down is left out after all
+        if b in solved and cut is not None and solved[b][0][0] > cut:
+            del solved[b]
     for b, (vals, iblock, isplit) in chains.items():
         keep = vals <= cut
         solved[b] = _sign_fixed(matrix.rows[b], _DSTEIN(*matrix.blocks[b], vals[keep], iblock[keep], isplit))
-    return [solved[b] for b in range(len(matrix.rows))], (max(tops) if chains else None)
+    results = []
+    for b, idx in enumerate(matrix.rows):
+        if b not in solved:
+            solved[b] = solved[b - 1] if _twin(matrix, b) else _no_level(idx)
+        results.append(solved[b])
+    return results, (max(tops) if chains else None)
 
 
-def eigh(matrix, window=None):
+def eigh(matrix, window=None, *, whole_blocks=False):
     """Eigendecomposition of a symmetric matrix, block by block, with fixed signs.
 
     ``matrix`` is a Sectors or a dense array.  Each block of a Sectors
     is solved on its own (a chain by ?stevd once large enough, a dense
     block by ?syevd; see the module docstring) and its vectors are
     sign-fixed; a dense block stored as the same array as the block
-    before it (a twin) takes that block's eigenpairs.  A dense array is
-    symmetrized and solved as one block.
-    The blocks' eigenvalues are merged by a stable sort into the global
-    levels, and each block keeps its own rows, levels and vectors in
-    ``Spectrum.blocks``.  Raises InvalidMatrix for non-finite entries and
-    DiagonalizationFailed when the solver does not converge.
+    before it (a twin) takes that block's eigenpairs, and a zero block
+    (None) gets none.  A dense array is symmetrized and solved as one
+    block.  The blocks' eigenvalues are merged by a stable sort into the
+    global levels, and each block keeps its own rows, levels and vectors
+    in ``Spectrum.blocks``.  Raises InvalidMatrix for non-finite entries
+    and DiagonalizationFailed when the solver does not converge.
 
-    With a ``window`` >= 0, a chain of at least _STEVD_MIN_ROWS rows
-    solves only its lowest levels: bisection (?stebz) finds them, the
-    count doubling from _WINDOW_START until the levels within ``window``
-    of the matrix's lowest level are known, and inverse iteration
-    (?stein) gives their vectors.  The spectrum keeps every level up to
-    the end of the degenerate group (DEGENERACY_RTOL * max |E|) of the
-    first level past the window, so it ends on a group boundary and holds
-    at least one level past the window.  A chain gives up and is solved
-    completely once the window would hold more than 1/_WINDOW_SHARE of
-    its levels, judged from the spacing of the levels bisected so far,
-    or once doubling the bisected count would pass that share.  A
-    shorter chain and a dense block are solved completely too, as are
-    all blocks where the library lacks ?stebz, ?stein or the ?gtsv that
-    reaches the unsolved levels (``fisher``).  Each
-    chain's highest level comes from one more bisection, so the
-    tolerance scale max |E| is that of the full spectrum.
+    With a ``window`` >= 0 the spectrum keeps every level up to the end
+    of the degenerate group (DEGENERACY_RTOL * max |E|) of the first
+    level more than ``window`` above the matrix's lowest level, so it
+    ends on a group boundary and holds at least one level past the
+    window.  Blocks beyond that are left out or cut short:
+
+    * A dense block whose lowest level lies past the end of that group
+      is left out whole and holds no level; every other dense block is
+      solved completely, to the bits of an unwindowed solve.  Most
+      blocks are decided without a solve, from a Gershgorin bound below
+      their lowest level and their smallest diagonal entry above it; the
+      rest by one Cholesky factorization of the block shifted by the
+      group's end.  Blocks are visited in ascending order of their
+      smallest diagonal entry, so the ground block sets E_0 first, and a
+      block left out is decided again if a later solve moves the end up.
+    * A chain of at least _STEVD_MIN_ROWS rows solves only its lowest
+      levels: bisection (?stebz) finds them, the count doubling from
+      _WINDOW_START until the levels within the window are known, and
+      inverse iteration (?stein) gives their vectors.  It gives up and
+      is solved completely once the window would hold more than
+      1/_WINDOW_SHARE of its levels, judged from the spacing of the
+      levels bisected so far, or once doubling the bisected count would
+      pass that share.  A shorter chain is solved completely too, as are
+      all chains where the library lacks ?stebz, ?stein or the ?gtsv that
+      reaches the unsolved levels (``fisher``).  Each chain's highest
+      level comes from one more bisection, so the tolerance scale
+      max |E| is that of the full spectrum.
+
+    ``whole_blocks=True`` solves every chain completely under a window,
+    as the Gibbs states of the finite-difference rungs need (``fisher``),
+    so only dense blocks are left out; the default cuts long chains
+    short, as the oscillator's truncation ladder wants
+    (``models.toy_converged_truncation``).
     """
     if not isinstance(matrix, Sectors):
         dense = np.asarray(matrix, dtype=float)
@@ -508,7 +623,7 @@ def eigh(matrix, window=None):
         for b, (idx, block) in enumerate(zip(matrix.rows, matrix.blocks)):
             solved.append(solved[-1] if _twin(matrix, b) else _solve_block(idx, block))
     elif window >= 0:
-        solved, highest = _windowed(matrix, float(window))
+        solved, highest = _windowed(matrix, float(window), whole_blocks)
     else:
         raise ValueError(f"window must be >= 0, got {window}")
     merged = np.concatenate([vals for vals, _ in solved])
@@ -532,7 +647,7 @@ def _root_columns(density):
 
     Eigenvalues in [-PSD_CLAMP_RTOL * ||rho||, 0) are roundoff (Gibbs
     states are PSD analytically) and are clamped to zero; more negative
-    ones raise NotPSD.
+    ones raise NotPSD.  A zero block (None) has no root column.
     """
     spec = eigh(density)
     vals = spec.eigenvalues
@@ -546,7 +661,12 @@ def _root_columns(density):
 
 
 def _root_fidelity(a, b):
-    """sqrt F of the states a a^T and b b^T (a = V sqrt(p) for a Gibbs state): ||a^T b||_1."""
+    """sqrt F of the states a a^T and b b^T (a = V sqrt(p) for a Gibbs state): ||a^T b||_1.
+
+    A zero block on either side (no root column) adds nothing.
+    """
+    if not (a.shape[1] and b.shape[1]):
+        return 0.0
     try:
         singulars = np.linalg.svd(a.T @ b, compute_uv=False)
     except np.linalg.LinAlgError as exc:

@@ -33,7 +33,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import BeyondCriticality, TruncationNotConverged
+from .errors import BeyondCriticality, InvalidTemperature, TruncationNotConverged
 from .linalg import Sectors
 from .operators import make_chain_ops, make_dicke_ops, make_fock_ops
 
@@ -43,6 +43,16 @@ TRUNCATION_RTOL = 1e-8
 # each rung solves the levels with Gibbs weight exp(-beta (E - E_0)) above
 # this: the dropped weight, below 4096 * 1e-20, stays under 2^-53 of Z >= 1
 WINDOW_WEIGHT = 1e-20
+
+
+def gibbs_window(beta):
+    """ln(1 / WINDOW_WEIGHT) / beta: the energy above E_0 within which a level's Gibbs weight passes WINDOW_WEIGHT.
+
+    It is 0 at beta = inf, and a beta that is not > 0 raises InvalidTemperature.
+    """
+    if not beta > 0:
+        raise InvalidTemperature(f"beta must be > 0, got {beta}")
+    return 0.0 if math.isinf(beta) else math.log(1.0 / WINDOW_WEIGHT) / beta
 
 
 class ModelKind(str, Enum):
@@ -71,19 +81,35 @@ class ModelInstance:
     coupling_term: object
 
     def at(self, omega):
-        """The same model at another omega, with H formed exactly as build_model forms it."""
+        """The same model at another omega, with H formed exactly as build_model forms it.
+
+        H takes none of the checks of a new Sectors, which build_model ran
+        on the same parts (``_hamiltonian``).
+        """
         _check_parameters(self.kind, omega, self.g)
         return replace(self, omega=float(omega), H=_hamiltonian(omega, self.g, self.dH, self.coupling_term))
 
 
 def _hamiltonian(omega, g, generator, coupling):
-    """H = omega * dH[rows] - g * W, block by block over W's sectors."""
-    blocks = [
-        (omega * generator[rows] - g * w[0], -g * w[1]) if isinstance(w, tuple)
-        else np.diag(omega * generator[rows]) - g * w
-        for rows, w in zip(coupling.rows, coupling.blocks)
-    ]
-    return Sectors(coupling.rows, blocks)
+    """H = omega * dH[rows] - g * W, block by block over the checked sectors of W.
+
+    Each block is exactly symmetric because W's is, and a twin of W, the
+    same array as the block before it over rows of equal dH, gives the
+    same H block, so H is a Sectors over W's rows that nothing checks
+    again.  build_model checks the H it forms; ``at`` trusts it for an
+    omega that passed ``_check_parameters``.
+    """
+    blocks, diagonal = [], None
+    for b, (rows, w) in enumerate(zip(coupling.rows, coupling.blocks)):
+        previous, diagonal = diagonal, omega * generator[rows]
+        if b and w is coupling.blocks[b - 1] and np.array_equal(diagonal, previous):
+            blocks.append(blocks[-1])
+            continue
+        block = (diagonal - g * w[0], -g * w[1]) if isinstance(w, tuple) else np.diag(diagonal) - g * w
+        for array in block if isinstance(block, tuple) else (block,):
+            array.flags.writeable = False
+        blocks.append(block)
+    return Sectors._checked(coupling.rows, blocks)
 
 
 def _scaled(chains, factor):
@@ -92,6 +118,8 @@ def _scaled(chains, factor):
 
 
 def _check_parameters(kind, omega, g):
+    if not (math.isfinite(omega) and math.isfinite(g)):
+        raise ValueError(f"omega and the coupling must be finite, got omega={omega}, g={g}")
     if not omega > 0:
         raise ValueError(f"omega must be positive, got {omega}")
     if g < 0:
@@ -117,12 +145,13 @@ def build_model(kind, omega, g, size):
         ops = make_chain_ops(size)
         generator = ops.sz_total
         coupling = ops.xx_pbc
+    H = _hamiltonian(omega, g, generator, coupling)
     return ModelInstance(
         kind=kind,
         omega=float(omega),
         g=float(g),
         size=int(size),
-        H=_hamiltonian(omega, g, generator, coupling),
+        H=Sectors(H.rows, H.blocks),  # checked once here, so ``at`` need not
         dH=generator,
         coupling_term=coupling,
     )
@@ -140,8 +169,8 @@ def toy_converged_truncation(omega, g, beta):
     is None.  Raises TruncationNotConverged (carrying the last two values)
     at the 4096 cap.
 
-    Each rung is solved in the window ln(1 / WINDOW_WEIGHT) / beta above
-    its ground level (only the ground group, and the group above it, at
+    Each rung is solved in the window ``gibbs_window(beta)`` above its
+    ground level (only the ground group, and the group above it, at
     beta = inf), so ``spectrum`` holds the Gibbs-weighted levels of a
     large rung and not all of them; ``eigh(model.H)`` gives every level.
     """
@@ -155,7 +184,7 @@ def toy_converged_truncation(omega, g, beta):
     previous = None
     for n_max in TRUNCATION_SIZES:
         model = build_model(ModelKind.TOY, omega, g, n_max)
-        spectrum = eigh(model.H, window=math.log(1.0 / WINDOW_WEIGHT) / beta)
+        spectrum = eigh(model.H, window=gibbs_window(beta))
         breakdown = None if math.isinf(beta) else qfi_spectral(model, gibbs(spectrum, beta))
         value = qfi_pure(model, spectrum, level=0) if breakdown is None else breakdown.total
         if values and abs(value - values[-1]) <= TRUNCATION_RTOL * max(abs(value), 1e-300):

@@ -10,7 +10,10 @@ block.  An observable is brought onto those blocks in one place,
 ``_checked_observable``, for this module and for ``fisher``.  Over a
 spectrum solved in an energy window the weights are normalized over the
 solved levels; the window is chosen so that the rest carry a negligible
-share of Z (``models.WINDOW_WEIGHT``).
+share of Z (``models.WINDOW_WEIGHT``).  The oscillator's truncation
+ladder and the Gibbs states of the finite-difference rungs (``fisher``)
+are solved in that window; a block it left with no solved level holds
+no weight, and costs nothing here.
 """
 
 import math
@@ -55,9 +58,13 @@ def gibbs(spectrum, beta):
 
 
 def density_matrix(state):
-    """rho = V diag(p) V^T, a dense block (V_b diag(p)) V_b^T per spectrum block: symmetric, PSD, unit trace."""
+    """rho = V diag(p) V^T, a dense block (V_b diag(p)) V_b^T per spectrum block: symmetric, PSD, unit trace.
+
+    A block with no solved level is a zero block (None).
+    """
     blocks = state.spectrum.blocks
-    return Sectors([rows for rows, _, _ in blocks], [(v * state.probs[levels]) @ v.T for _, levels, v in blocks])
+    return Sectors([rows for rows, _, _ in blocks],
+                   [(v * state.probs[levels]) @ v.T if levels.size else None for _, levels, v in blocks])
 
 
 def gap(spectrum):
@@ -116,11 +123,13 @@ def thermal_expectation(state, observable):
 
     With W = A V_b on block b, <n|A|n> = (V_b^T W)_nn and
     <n|A^2|n> = |W e_n|^2, so both moments come from the one product
-    and A^2 is never formed.
+    and A^2 is never formed.  A block with no solved level adds nothing.
     """
     obs = _checked_observable(observable, [rows for rows, _, _ in state.spectrum.blocks])
     mean = second = 0.0
     for (_, levels, v), block in zip(state.spectrum.blocks, obs.blocks):
+        if not levels.size:
+            continue
         w = (_dense(*block) if isinstance(block, tuple) else block) @ v
         mean += float(state.probs[levels] @ np.einsum("in,in->n", v, w))
         second += float(state.probs[levels] @ np.einsum("in,in->n", w, w))

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import event, example, given, reject, settings, strategies as st
 
 from critfish.analytic import ToyParams, fi_errprop_closed, qfi_thermal_classical, qfi_thermal_quantum
-from critfish import linalg
+from critfish import fisher, linalg
+from critfish.cli import fig2_config
 from critfish.errors import (
     CritfishError,
     DegenerateLevel,
@@ -29,9 +30,9 @@ from critfish.fisher import (
     quantum_term_by_offset,
 )
 from critfish.linalg import eigh, symmetrize
-from critfish.models import WINDOW_WEIGHT, build_model, toy_converged_truncation
+from critfish.models import build_model, gibbs_window, toy_converged_truncation
 from critfish.sweep import measurement_observable
-from critfish.thermal import ThermalState, gap, gibbs
+from critfish.thermal import ThermalState, beta_from_gap_ratio, gap, gibbs
 
 from spectra import dense_eigenvectors
 
@@ -462,10 +463,6 @@ def test_quantum_part_grows_with_temperature_toward_twice_ground():
     assert values[-1] == pytest.approx(2.0 * ground, rel=5e-3)
 
 
-def window(beta):
-    return math.log(1.0 / WINDOW_WEIGHT) / beta
-
-
 WINDOWED_CELLS = [
     *[("toy", g, n, 50.0) for g in (0.5, 0.978, 0.999) for n in (1024, 2048)],
     ("toy", 0.9, 2048, 3.0),
@@ -482,7 +479,7 @@ WINDOWED_CELLS = [
 def test_windowed_spectrum_gives_the_full_route_qfi(kind, g, size, beta):
     model = build_model(kind, 1.0, g, size)
     full = qfi_spectral(model, thermal(model, beta))
-    spectrum = eigh(model.H, window=window(beta))
+    spectrum = eigh(model.H, window=gibbs_window(beta))
     assert not spectrum.complete
     got = qfi_spectral(model, gibbs(spectrum, beta))
     for part in ("total", "classical_part", "quantum_part"):
@@ -503,7 +500,7 @@ def test_pure_state_information_reaches_unsolved_levels_through_the_resolvent(g,
 
 def test_mass_by_distance_rejects_a_windowed_spectrum():
     model = build_model("toy", 1.0, 0.999, 1024)
-    state = gibbs(eigh(model.H, window=window(50.0)), 50.0)
+    state = gibbs(eigh(model.H, window=gibbs_window(50.0)), 50.0)
     with pytest.raises(IncompleteSpectrum):
         quantum_term_by_offset(model, state)
 
@@ -532,6 +529,56 @@ def test_windowed_ladder_accepts_the_rung_of_the_full_route(monkeypatch, g, beta
         assert full_breakdown is None and math.isinf(beta)
         return
     assert breakdown.total == pytest.approx(full_breakdown.total, rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("kind,g,size,beta", [("toy", 0.999, 1024, 50.0), ("lmg", 1.3, 600, 5.0), ("lmg", 0.9, 600, 50.0)])
+def test_rung_states_of_chains_stay_complete(kind, g, size, beta):
+    # the rungs solve their chains whole, to the bits of an unwindowed solve
+    model = build_model(kind, 1.0, g, size)
+    for omega in (1.0 - 5e-5, 1.0, 1.0 + 5e-5):
+        state = fisher._thermal_state(model, omega, beta)
+        full = eigh(model.at(omega).H)
+        assert state.spectrum.complete and state.spectrum.highest is None
+        assert np.array_equal(state.spectrum.eigenvalues, full.eigenvalues)
+        assert all(np.array_equal(v, w) for (_, _, v), (_, _, w) in zip(state.spectrum.blocks, full.blocks))
+
+
+def ring_cold_cells(size):
+    """(model, beta) of fig2_config("ising", size)'s couplings at its finite ratio, every third one."""
+    config = fig2_config("ising", size)
+    ratio = [r for r in config.temp_grid if math.isfinite(r)][0]
+    for g in config.g_grid[::3]:
+        model = build_model("ising", 1.0, g, size)
+        yield model, beta_from_gap_ratio(ratio, eigh(model.H))
+
+
+@pytest.mark.parametrize("size", [6, 8, 10])
+def test_windowed_ring_spectrum_gives_the_full_qfi(size):
+    left_out = 0
+    for model, beta in ring_cold_cells(size):
+        full = qfi_spectral(model, thermal(model, beta))
+        spectrum = eigh(model.H, window=gibbs_window(beta), whole_blocks=True)
+        got = qfi_spectral(model, gibbs(spectrum, beta))
+        for part in ("total", "classical_part", "quantum_part"):
+            assert abs(getattr(got, part) - getattr(full, part)) <= 1e-12 * full.total
+        left_out += sum(levels.size == 0 for _, levels, _ in spectrum.blocks)
+    assert left_out > 0
+
+
+@pytest.mark.parametrize("beta_of", [lambda beta: beta, lambda beta: math.inf])
+def test_fd_estimators_on_windowed_ring_rungs_match_full_rungs(monkeypatch, beta_of):
+    model, beta = next(ring_cold_cells(8))
+    beta = beta_of(beta)
+    observable = measurement_observable("ising", 8)
+    estimators = (
+        lambda: qfi_fidelity_fd(model, beta, delta_omega=1e-3),
+        lambda: cfi_projective(model, beta, observable, delta_omega=1e-3, fd_rtol=1e-5),
+        lambda: fi_error_propagation(model, beta, observable, delta_omega=1e-3, fd_rtol=1e-5),
+    )
+    windowed = [estimate() for estimate in estimators]
+    monkeypatch.setattr(fisher, "_thermal_state", lambda m, omega, b: gibbs(eigh(m.at(omega).H), b))
+    full = [estimate() for estimate in estimators]
+    assert windowed == pytest.approx(full, rel=1e-12, abs=0)
 
 
 def test_lmg_approaches_the_oscillator_closed_form():

@@ -10,10 +10,11 @@ from hypothesis import given, settings, strategies as st
 from critfish import linalg
 from critfish.errors import DiagonalizationFailed, DimMismatch, InvalidMatrix, NotPSD
 from critfish.linalg import Sectors, eigh, fidelity, symmetrize
-from critfish.models import build_model
+from critfish.cli import fig2_config
+from critfish.models import build_model, gibbs_window
 from critfish.operators import make_chain_ops, make_dicke_ops, make_fock_ops
 from critfish.sweep import measurement_observable
-from critfish.thermal import density_matrix, gibbs
+from critfish.thermal import beta_from_gap_ratio, density_matrix, gap, gibbs
 
 from ring import kron_sums, ring_basis, ring_groups
 from spectra import dense_eigenvectors
@@ -272,7 +273,8 @@ def counted_syevd(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("window", [None, 0.5])
+# a window of 100 covers every level of both blocks, so each is solved
+@pytest.mark.parametrize("window", [None, 100.0])
 def test_an_equal_dense_block_reuses_the_eigenpairs_before_it(monkeypatch, window):
     rng = np.random.default_rng(11)
     a, other = random_symmetric(rng, 6), random_symmetric(rng, 6)
@@ -284,6 +286,21 @@ def test_an_equal_dense_block_reuses_the_eigenpairs_before_it(monkeypatch, windo
     for (_, levels, vecs), single in zip(spec.blocks, [alone[0], alone[0], alone[1]]):
         assert np.array_equal(spec.eigenvalues[levels], single.eigenvalues)
         assert np.array_equal(vecs, single.blocks[0][2])
+
+
+def test_a_twin_pair_past_the_window_is_left_out_unsolved(monkeypatch):
+    rng = np.random.default_rng(11)
+    a, low = random_symmetric(rng, 6), random_symmetric(rng, 6)
+    high = a + (np.linalg.eigvalsh(low)[-1] - np.linalg.eigvalsh(a)[0] + 1.0) * np.eye(6)  # above every level of low
+    alone = eigh(low)
+    seen = counted_syevd(monkeypatch)
+    spec = eigh(Sectors([np.arange(6), np.arange(6, 12), np.arange(12, 18)], [high, high.copy(), low]), 0.5)
+    assert len(seen) == 1 and np.array_equal(seen[0], low)
+    assert [levels.size for _, levels, _ in spec.blocks] == [0, 0, 6] and not spec.complete
+    assert spec.dim == 18 and spec.highest is None and spec.matrix is None
+    assert [v.shape for _, _, v in spec.blocks] == [(6, 0), (6, 0), (6, 6)]
+    assert np.array_equal(spec.eigenvalues, alone.eigenvalues)
+    assert np.array_equal(spec.blocks[2][2], alone.blocks[0][2])
 
 
 def test_a_dense_block_that_differs_in_one_entry_is_solved_again(monkeypatch):
@@ -680,6 +697,110 @@ def test_dense_blocks_and_short_chains_ignore_the_window(matrix):
     full, win = eigh(m), eigh(m, window=0.0)
     assert win.complete and np.array_equal(win.eigenvalues, full.eigenvalues)
     assert np.array_equal(dense_eigenvectors(win), dense_eigenvectors(full))
+
+
+def rotated(rng, levels):
+    """A dense symmetric block with about these eigenvalues, in a random orthonormal basis."""
+    q, _ = np.linalg.qr(rng.normal(size=(len(levels), len(levels))))
+    return (q * np.asarray(levels, dtype=float)) @ q.T
+
+
+def kept_by_rule(full, window):
+    """Per block, whether its lowest level in the full spectrum is at most the end of the group past the window."""
+    tol = linalg.DEGENERACY_RTOL * full.energy_scale
+    end = linalg._window_end(full.eigenvalues, full.eigenvalues[0] + window, tol)
+    return [bool(full.eigenvalues[levels[0]] <= end) for _, levels, _ in full.blocks]
+
+
+def assert_kept_blocks_hold_the_full_bits(full, win, kept):
+    assert [levels.size > 0 for _, levels, _ in win.blocks] == kept
+    for (rows, levels, v), (full_rows, full_levels, full_v), keep in zip(win.blocks, full.blocks, kept):
+        assert np.array_equal(rows, full_rows) and v.shape == ((rows.size, rows.size) if keep else (rows.size, 0))
+        if keep:
+            assert np.array_equal(win.eigenvalues[levels], full.eigenvalues[full_levels])
+            assert np.array_equal(v, full_v)
+
+
+SPLIT_GROUND = [
+    # a ground group split across two blocks at 1e-13, then every other block well past it
+    ([[0.0, 2.0, 3.0], [1e-13, 2.5, 4.0], [0.8, 1.0, 5.0], [3.0, 4.0, 5.0]], [True, True, False, False]),
+    # an exactly degenerate ground pair, then the first level past it (0.8) and its group (0.8 + 1e-12)
+    # in two more blocks; a block at 0.9 and one at 3 lie past that group's end
+    ([[0.0, 2.0, 3.0], [0.0, 2.5, 4.0], [0.8, 1.0, 5.0], [0.8 + 1e-12, 6.0, 7.0], [0.9, 1.5, 2.0], [3.0, 4.0, 5.0]],
+     [True, True, True, True, False, False]),
+]
+
+
+@pytest.mark.parametrize("levels,kept", SPLIT_GROUND)
+def test_window_zero_keeps_a_split_ground_group_and_the_group_past_it(monkeypatch, levels, kept):
+    rng = np.random.default_rng(31)
+    # the two ground blocks diagonal, so their ground levels are exact; the rest rotated
+    blocks = [np.diag(v) if b < 2 else rotated(rng, v) for b, v in enumerate(levels)]
+    rows = [np.arange(3 * b, 3 * b + 3) for b in range(len(blocks))]
+    matrix = Sectors(rows, blocks)
+    full = eigh(matrix)
+    seen = counted_syevd(monkeypatch)
+    win = eigh(matrix, window=0.0)
+    assert kept_by_rule(full, 0.0) == kept and len(seen) == sum(kept)
+    assert_kept_blocks_hold_the_full_bits(full, win, kept)
+    # the scale of the tolerances is that of the solved levels (Spectrum)
+    assert gap(win) == gap(full) and win.energy_scale == max(1.0, float(win.eigenvalues[-1]))
+
+
+def ring_cells(size):
+    """(H, window) of every cell of fig2_config("ising", size): each coupling at T = 0 and at the ratio cut."""
+    config = fig2_config("ising", size)
+    for g in config.g_grid:
+        model = build_model("ising", 1.0, g, size)
+        full = eigh(model.H)
+        for ratio in config.temp_grid:
+            yield model.H, full, gibbs_window(beta_from_gap_ratio(ratio, full))
+
+
+@pytest.mark.parametrize("size", [6, 8, 10])
+def test_windowed_ring_keeps_the_blocks_that_reach_the_window_end_with_their_bits(size):
+    left_out = 0
+    for matrix, full, window in ring_cells(size):
+        win = eigh(matrix, window=window, whole_blocks=True)
+        kept = kept_by_rule(full, window)
+        assert_kept_blocks_hold_the_full_bits(full, win, kept)
+        assert win.highest is None and win.matrix is None and win.dim == full.dim
+        assert gap(win) == gap(full) and win.energy_scale == full.energy_scale
+        left_out += kept.count(False)
+    assert left_out > 0
+
+
+@pytest.mark.parametrize("size", [6, 8, 10])
+def test_bounds_and_cholesky_decide_each_ring_block_as_its_lowest_level_does(size):
+    for matrix, full, window in ring_cells(size):
+        tol = linalg.DEGENERACY_RTOL * full.energy_scale
+        end = linalg._window_end(full.eigenvalues, full.eigenvalues[0] + window, tol)
+        for block in matrix.blocks:
+            lowest = np.linalg.eigvalsh(block)[0]
+            for x in (end + tol, lowest - 1e-9, lowest + 1e-9):
+                assert linalg._lies_above(block, x) == (lowest > x)
+
+
+def test_each_route_of_the_decision_matches_the_lowest_level():
+    rng = np.random.default_rng(5)
+    for dim in (1, 2, 7, 30):
+        block = random_symmetric(rng, dim)
+        lowest = np.linalg.eigvalsh(block)[0]
+        below = (block.diagonal() - (np.abs(block).sum(axis=1) - np.abs(block.diagonal()))).min()
+        # the smallest diagonal entry, the Gershgorin bound, and Cholesky on either side of the lowest level
+        for x in (block.diagonal().min(), below - 1e-9, lowest - 1e-9, lowest + 1e-9):
+            assert linalg._lies_above(block, x) == (lowest > x)
+
+
+def test_a_zero_block_gets_no_eigenpair_and_no_root_column():
+    rng = np.random.default_rng(8)
+    rho = random_density(rng, 4)
+    matrix = Sectors([np.arange(4), np.arange(4, 7), np.arange(7, 9)], [rho, None, None])
+    assert np.array_equal(np.asarray(matrix)[4:, :], np.zeros((5, 9)))
+    spec = eigh(matrix)
+    assert [v.shape for _, _, v in spec.blocks] == [(4, 4), (3, 0), (2, 0)] and len(spec.eigenvalues) == 4
+    assert fidelity(matrix, matrix) == pytest.approx(1.0, abs=1e-12)
+    assert fidelity(matrix, np.asarray(matrix)) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("window", [-1.0, math.nan])

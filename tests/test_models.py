@@ -1,12 +1,13 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from critfish import linalg, models, sweep
-from critfish.errors import BeyondCriticality, InvalidDimension, TruncationNotConverged
+from critfish.errors import BeyondCriticality, InvalidDimension, InvalidTemperature, TruncationNotConverged
 from critfish.fisher import qfi_spectral
 from critfish.linalg import eigh
 from critfish.models import TRUNCATION_SIZES, WINDOW_WEIGHT, ModelKind, build_model, toy_converged_truncation
@@ -79,6 +80,45 @@ def test_at_keeps_the_parameter_checks():
         toy.at(0.5)
     with pytest.raises(ValueError):
         build_model("lmg", 1.0, 0.5, 8).at(0.0)
+
+
+@pytest.mark.parametrize("omega,g", [(math.inf, 0.5), (1.0, math.nan), (math.nan, 0.5), (1.0, math.inf)])
+def test_non_finite_parameters_are_rejected_before_any_array_is_formed(omega, g):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no "invalid value" from forming H
+        with pytest.raises(ValueError, match="finite"):
+            build_model("ising", omega, g, 6)
+        with pytest.raises(ValueError, match="finite"):
+            build_model("toy", omega, g, 16)
+
+
+@pytest.mark.parametrize("omega", [math.inf, math.nan, -math.inf])
+def test_at_rejects_a_non_finite_omega(omega):
+    model = build_model("ising", 1.0, 0.5, 6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            model.at(omega)
+
+
+@pytest.mark.parametrize("size", [6, 8])
+def test_at_shares_the_twin_blocks_of_the_coupling(size):
+    model = build_model("ising", 1.0, 0.8, size)
+    moved = model.at(1.0 + 5e-5)
+    assert all(rows is w_rows for rows, w_rows in zip(moved.H.rows, model.coupling_term.rows))
+    twins = [b for b in range(1, len(moved.H.rows)) if model.coupling_term.blocks[b] is model.coupling_term.blocks[b - 1]]
+    assert twins and all(moved.H.blocks[b] is moved.H.blocks[b - 1] for b in twins)
+    for block in moved.H.blocks:
+        assert not block.flags.writeable and np.array_equal(block, block.T)
+
+
+def test_gibbs_window_holds_the_weight_above_window_weight():
+    assert models.gibbs_window(math.inf) == 0.0
+    assert models.gibbs_window(2.0) == math.log(1.0 / WINDOW_WEIGHT) / 2.0
+    assert math.exp(-2.0 * models.gibbs_window(2.0)) == pytest.approx(WINDOW_WEIGHT, rel=1e-12)
+    for beta in (0.0, -1.0, math.nan):
+        with pytest.raises(InvalidTemperature):
+            models.gibbs_window(beta)
 
 
 def test_toy_rejects_critical_coupling():
@@ -196,7 +236,7 @@ def handed_over_rung(g, beta):
     model, spectrum, breakdown = toy_converged_truncation(1.0, g, beta)
     fresh = build_model("toy", 1.0, g, model.size)
     assert np.array_equal(model.H, fresh.H) and np.array_equal(model.dH, fresh.dH)
-    again = eigh(fresh.H, window=math.log(1.0 / WINDOW_WEIGHT) / beta)
+    again = eigh(fresh.H, window=models.gibbs_window(beta))
     assert np.array_equal(spectrum.eigenvalues, again.eigenvalues) and spectrum.highest == again.highest
     assert np.array_equal(dense_eigenvectors(spectrum), dense_eigenvectors(again))
     assert breakdown == qfi_spectral(fresh, gibbs(again, beta))
