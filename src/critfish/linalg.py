@@ -609,9 +609,10 @@ def eigh(matrix, window=None, *, whole_blocks=False):
       max |E| is that of the full spectrum.
 
     ``whole_blocks=True`` solves every chain completely under a window,
-    as the Gibbs states of the finite-difference rungs need (``fisher``),
-    so only dense blocks are left out; the default cuts long chains
-    short, as the oscillator's truncation ladder wants
+    so only dense blocks are left out: the Gibbs states of the
+    finite-difference rungs ask for it (``fisher``), which keeps their
+    chains' states the unwindowed ones bit for bit.  The default cuts
+    long chains short, for the oscillator's truncation ladder
     (``models.toy_converged_truncation``).
     """
     if not isinstance(matrix, Sectors):

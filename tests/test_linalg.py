@@ -728,6 +728,9 @@ SPLIT_GROUND = [
     # in two more blocks; a block at 0.9 and one at 3 lie past that group's end
     ([[0.0, 2.0, 3.0], [0.0, 2.5, 4.0], [0.8, 1.0, 5.0], [0.8 + 1e-12, 6.0, 7.0], [0.9, 1.5, 2.0], [3.0, 4.0, 5.0]],
      [True, True, True, True, False, False]),
+    # the second block, first left out 1.5e-10 past the level 0.5, is kept once the third, visited later
+    # for its larger diagonal, bridges the gap with a level 0.8e-10 past it (tolerance 1e-10)
+    ([[0.0, 0.5, 0.9], [0.5 + 1.5e-10, 0.95, 0.97], [0.5 + 0.8e-10, 0.96, 0.98]], [True, True, True]),
 ]
 
 
