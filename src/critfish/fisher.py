@@ -50,7 +50,7 @@ state, and the centre state of ``cfi_projective`` and
 ``fi_error_propagation``, is solved in its Gibbs window
 (``models.gibbs_window``) with whole blocks: a dense block whose levels
 all lie past the window is left out, every other block is solved
-completely, and a block left out does no work in any sum here.  Its
+completely, and a block left out adds nothing to any sum here.  Its
 levels' weights, below ``models.WINDOW_WEIGHT``, are all the estimates
 lose, so they move only at roundoff.
 
@@ -438,17 +438,6 @@ def _outcome_projectors(observable):
     return spec, _degenerate_groups(spec.eigenvalues, OUTCOME_GROUP_RTOL * scale)
 
 
-def _outcome_probs(state, basis, groups):
-    """tr(rho Pi_k) for each merged outcome k of ``_outcome_projectors``, read off the state block by block.
-
-    A block of the state with no solved level adds nothing.
-    """
-    overlap = np.empty(state.dim)
-    for (_, levels, v), (_, outcomes, u) in zip(state.spectrum.blocks, basis.blocks):
-        overlap[outcomes] = np.square(u.T @ v) @ state.probs[levels] if levels.size else 0.0
-    return np.add.reduceat(overlap, [g.start for g in groups])
-
-
 def cfi_projective(model, beta, observable, delta_omega=None, fd_rtol=FD_RTOL):
     """Classical Fisher information of projectively measuring an observable.
 
@@ -467,7 +456,11 @@ def cfi_projective(model, beta, observable, delta_omega=None, fd_rtol=FD_RTOL):
         return 0.0  # one outcome: the distribution cannot move
 
     def outcome_probs(at_omega):
-        return _outcome_probs(_thermal_state(model, at_omega, beta), basis, groups)
+        state = _thermal_state(model, at_omega, beta)
+        overlap = np.empty(state.dim)
+        for (_, levels, v), (_, outcomes, u) in zip(state.spectrum.blocks, basis.blocks):
+            overlap[outcomes] = np.square(u.T @ v) @ state.probs[levels]
+        return np.add.reduceat(overlap, [g.start for g in groups])
 
     center = outcome_probs(omega)
     keep = center > OUTCOME_PROB_FLOOR

@@ -469,17 +469,12 @@ def _lies_above(block, x):
     """Whether the lowest level of a dense block lies above ``x``.
 
     The smallest diagonal entry lies above the lowest level (it is a
-    Rayleigh quotient) and a Gershgorin bound below it; the two decide
-    many blocks, and the rest take one Cholesky factorization of
-    block - x I, which exists exactly when every level lies above x.
+    Rayleigh quotient), so a block with one at or below x is decided at
+    once; the rest take one Cholesky factorization of block - x I, which
+    exists exactly when every level lies above x.
     """
-    diagonal = block.diagonal()
-    if diagonal.min() <= x:
+    if block.diagonal().min() <= x:
         return False
-    radius = np.abs(block).sum(axis=1)
-    radius -= np.abs(diagonal)
-    if (diagonal - radius).min() > x:
-        return True
     shifted = np.array(block)
     shifted.flat[:: block.shape[0] + 1] -= x
     try:
@@ -588,11 +583,10 @@ def eigh(matrix, window=None, *, whole_blocks=False):
 
     * A dense block whose lowest level lies past the end of that group
       is left out whole and holds no level; every other dense block is
-      solved completely, to the bits of an unwindowed solve.  Most
-      blocks are decided without a solve, from a Gershgorin bound below
-      their lowest level and their smallest diagonal entry above it; the
-      rest by one Cholesky factorization of the block shifted by the
-      group's end.  Blocks are visited in ascending order of their
+      solved completely, to the bits of an unwindowed solve.  Blocks
+      are decided without a solve: a smallest diagonal entry at or below
+      the group's end keeps a block, and otherwise one Cholesky
+      factorization of the block shifted by the group's end tells.  Blocks are visited in ascending order of their
       smallest diagonal entry, so the ground block sets E_0 first, and a
       block left out is decided again if a later solve moves the end up.
     * A chain of at least _STEVD_MIN_ROWS rows solves only its lowest

@@ -22,10 +22,7 @@ from .analytic import (
 from .fisher import (
     FD_ATOL,
     FD_RTOL,
-    OUTCOME_PROB_FLOOR,
     _fd_ladder,
-    _outcome_probs,
-    _outcome_projectors,
     _thermal_state,
     cfi_projective,
     fi_error_propagation,
@@ -33,10 +30,10 @@ from .fisher import (
     qfi_pure,
     qfi_spectral,
 )
-from .linalg import Sectors, Spectrum, eigh, fidelity
+from .linalg import Sectors, Spectrum, eigh
 from .models import build_model, gibbs_window, toy_converged_truncation
 from .sweep import make_config, measurement_observable, rows_from_csv, rows_to_csv, run_sweep
-from .thermal import _checked_observable, beta_from_gap_ratio, density_matrix, gibbs, thermal_expectation
+from .thermal import beta_from_gap_ratio, density_matrix, gibbs
 
 
 def _rel_err(value, reference):
@@ -178,25 +175,6 @@ def _check_chains_vs_dense_blocks():
     return True, "toy 1024 and lmg 40: qfi_spectral identical on both routes"
 
 
-def _ring_fd_estimates(model, beta, state):
-    """qfi_fidelity, cfi_sx2 and fi_errprop at the first two FD steps of fig2, on rung states made by ``state(omega)``."""
-    observable = _checked_observable(measurement_observable("ising", model.size), model.H.rows)
-    basis, groups = _outcome_projectors(observable)
-    center = state(model.omega)
-    probs = _outcome_probs(center, basis, groups)
-    keep = probs > OUTCOME_PROB_FLOOR
-    mean, second = thermal_expectation(center, observable)
-    estimates = []
-    for step in (1e-3, 5e-4):
-        minus, plus = state(model.omega - step / 2.0), state(model.omega + step / 2.0)
-        root = math.sqrt(fidelity(density_matrix(minus), density_matrix(plus)))
-        slopes = (_outcome_probs(plus, basis, groups) - _outcome_probs(minus, basis, groups)) / step
-        slope = (thermal_expectation(plus, observable)[0] - thermal_expectation(minus, observable)[0]) / step
-        estimates += [8.0 * (1.0 - root) / step ** 2, float(np.sum(slopes[keep] ** 2 / probs[keep])),
-                      slope ** 2 / (second - mean ** 2)]
-    return estimates
-
-
 def _check_windowed_vs_full():
     # a cold toy cell near g -> omega, a hot one whose wide window falls
     # back to complete chains, and lmg doublets that span both chains
@@ -208,16 +186,14 @@ def _check_windowed_vs_full():
         full = qfi_spectral(model, gibbs(eigh(model.H), beta)).total
         worst = max(worst, _rel_err(windowed, full))
         solved.append(f"{kind} g={g} beta={beta}: {len(spectrum.eigenvalues)}/{spectrum.dim}")
-    # a cold ising cell, whose FD rung states leave out most of the ring's blocks
+    # a cold ising cell's FD rung state, which leaves out most of the ring's blocks
     model = build_model("ising", 1.0, 1.0, 8)
     beta = beta_from_gap_ratio(180.0, eigh(model.H))
-    windowed = _ring_fd_estimates(model, beta, lambda omega: _thermal_state(model, omega, beta))
-    full = _ring_fd_estimates(model, beta, lambda omega: gibbs(eigh(model.at(omega).H), beta))
-    ring = max(_rel_err(w, f) for w, f in zip(windowed, full))
-    spectrum = _thermal_state(model, model.omega, beta).spectrum
-    solved.append(f"ising N=8 rung state: {len(spectrum.eigenvalues)}/{spectrum.dim}")
-    return worst <= 1e-10 and ring <= 1e-12, (f"qfi_spectral relative error {worst:.2e}, ising FD estimates "
-                                              f"{ring:.2e}; levels solved " + ", ".join(solved))
+    state = _thermal_state(model, model.omega, beta)
+    ring = _rel_err(qfi_spectral(model, state).total, qfi_spectral(model, gibbs(eigh(model.H), beta)).total)
+    solved.append(f"ising N=8 rung state: {len(state.spectrum.eigenvalues)}/{state.dim}")
+    return worst <= 1e-10 and ring <= 1e-12, (f"relative error {worst:.2e}, ising rung state {ring:.2e}; "
+                                              "levels solved " + ", ".join(solved))
 
 
 def _check_table_roundtrip():

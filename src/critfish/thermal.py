@@ -13,7 +13,7 @@ solved levels; the window is chosen so that the rest carry a negligible
 share of Z (``models.WINDOW_WEIGHT``).  The oscillator's truncation
 ladder and the Gibbs states of the finite-difference rungs (``fisher``)
 are solved in that window; a block it left with no solved level holds
-no weight, and costs nothing here.
+no weight, and ``density_matrix`` gives it a zero block.
 """
 
 import math
@@ -123,13 +123,11 @@ def thermal_expectation(state, observable):
 
     With W = A V_b on block b, <n|A|n> = (V_b^T W)_nn and
     <n|A^2|n> = |W e_n|^2, so both moments come from the one product
-    and A^2 is never formed.  A block with no solved level adds nothing.
+    and A^2 is never formed.
     """
     obs = _checked_observable(observable, [rows for rows, _, _ in state.spectrum.blocks])
     mean = second = 0.0
     for (_, levels, v), block in zip(state.spectrum.blocks, obs.blocks):
-        if not levels.size:
-            continue
         w = (_dense(*block) if isinstance(block, tuple) else block) @ v
         mean += float(state.probs[levels] @ np.einsum("in,in->n", v, w))
         second += float(state.probs[levels] @ np.einsum("in,in->n", w, w))
