@@ -518,9 +518,8 @@ def _windowed(matrix, window, whole):
                 tol = DEGENERACY_RTOL * max(1.0, abs(lowest), *map(abs, tops))
                 # every level below the lowest last bisected level is known
                 bound, b = min([(float(vals[-1]), b) for b, (vals, _, _) in chains.items()], default=(math.inf, 0))
-                known = np.sort(np.concatenate([part[0][part[0] <= bound]
-                                                for part in (*chains.values(), *solved.values())]))
-                cut = _window_end(known, lowest + window, tol)
+                known = np.sort(np.concatenate([part[0] for part in (*chains.values(), *solved.values())]))
+                cut = _window_end(known[:np.searchsorted(known, bound, side="right")], lowest + window, tol)
         if cut is None and chains:
             vals, block, most = chains[b][0], matrix.blocks[b], matrix.rows[b].size / _WINDOW_SHARE
             # levels spread about evenly would need (edge - E_0) / mean spacing of them
