@@ -434,9 +434,10 @@ def _solve_chain(diagonal, off):
     return _DSYEVD(_dense(diagonal, off)) if solved is None else solved
 
 
-def _no_level(idx):
-    """(eigenvalues, eigenvectors) of a block that holds no solved level: both empty, read-only."""
-    vals, vecs = np.empty(0), np.empty((idx.size, 0))
+@functools.cache
+def _no_level(rows):
+    """(eigenvalues, eigenvectors) of a block of ``rows`` rows that holds no solved level: both empty, read-only."""
+    vals, vecs = np.empty(0), np.empty((rows, 0))
     vals.flags.writeable = vecs.flags.writeable = False
     return vals, vecs
 
@@ -444,7 +445,7 @@ def _no_level(idx):
 def _solve_block(idx, block):
     """(eigenvalues, eigenvectors) of every level of one block of a Sectors, sign-fixed; none for a zero block."""
     if block is None:
-        return _no_level(idx)
+        return _no_level(idx.size)
     return _sign_fixed(idx, _solve_chain(*block) if isinstance(block, tuple) else _DSYEVD(block))
 
 
@@ -543,9 +544,11 @@ def _windowed(matrix, window, whole):
             above[b] = cut + tol
         else:
             solved[b] = _solve_block(matrix.rows[b], matrix.blocks[b])
-            lows.append(float(solved[b][0][0]))
-            tops.append(float(solved[b][0][-1]))
-            changed = True
+            levels = solved[b][0]
+            # levels that all lie inside a window with no end yet leave it without one
+            changed = cut is not None or not lows or levels[0] < lowest or levels[-1] > lowest + window
+            lows.append(float(levels[0]))
+            tops.append(float(levels[-1]))
     for b in smallest:  # a block solved against an end that later moved down is left out after all
         if b in solved and cut is not None and solved[b][0][0] > cut:
             del solved[b]
@@ -555,7 +558,7 @@ def _windowed(matrix, window, whole):
     results = []
     for b, idx in enumerate(matrix.rows):
         if b not in solved:
-            solved[b] = solved[b - 1] if _twin(matrix, b) else _no_level(idx)
+            solved[b] = solved[b - 1] if _twin(matrix, b) else _no_level(idx.size)
         results.append(solved[b])
     return results, (max(tops) if chains else None)
 
