@@ -706,10 +706,13 @@ def rotated(rng, levels):
 
 
 def kept_by_rule(full, window):
-    """Per block, whether its lowest level in the full spectrum is at most the end of the group past the window."""
+    """Per block, whether its lowest level in the full spectrum is at most the end of the group past the window.
+
+    Every block is kept when the window holds every level (the group has no end).
+    """
     tol = linalg.DEGENERACY_RTOL * full.energy_scale
     end = linalg._window_end(full.eigenvalues, full.eigenvalues[0] + window, tol)
-    return [bool(full.eigenvalues[levels[0]] <= end) for _, levels, _ in full.blocks]
+    return [end is None or bool(full.eigenvalues[levels[0]] <= end) for _, levels, _ in full.blocks]
 
 
 def assert_kept_blocks_hold_the_full_bits(full, win, kept):
@@ -751,12 +754,15 @@ def test_window_zero_keeps_a_split_ground_group_and_the_group_past_it(monkeypatc
 
 
 def ring_cells(size):
-    """(H, window) of every cell of fig2_config("ising", size): each coupling at T = 0 and at the ratio cut."""
+    """(H, full spectrum, window) of every cell of fig2_config("ising", size), T = 0 and the ratio cut, and of a hot cell.
+
+    The hot cell, beta * gap = 10, has a window that holds every level.
+    """
     config = fig2_config("ising", size)
     for g in config.g_grid:
         model = build_model("ising", 1.0, g, size)
         full = eigh(model.H)
-        for ratio in config.temp_grid:
+        for ratio in (*config.temp_grid, 10.0):
             yield model.H, full, gibbs_window(beta_from_gap_ratio(ratio, full))
 
 
@@ -773,6 +779,23 @@ def test_windowed_ring_keeps_the_blocks_that_reach_the_window_end_with_their_bit
     assert left_out > 0
 
 
+@pytest.mark.parametrize("blocks", [
+    # the second block reaches past the window, and the end it gives leaves the third out
+    [np.diag([0.0, 1.0]), np.diag([0.5, 10.0, 11.0]), np.diag([20.0, 30.0])],
+    # the second block lowers the ground level, and with it the window's edge, below the first block's levels
+    [np.array([[0.5, -0.5, 0.0], [-0.5, 0.5, 0.0], [0.0, 0.0, 1.95]]), np.array([[0.6, 1.3], [1.3, 0.6]]),
+     np.diag([1.92, 1.99])],
+])
+def test_a_block_solved_in_a_window_without_an_end_can_give_it_one(blocks):
+    # blocks are visited in this order (ascending smallest diagonal entry), and
+    # the window holds every level of the first
+    ends = np.cumsum([0] + [block.shape[0] for block in blocks])
+    matrix = Sectors([np.arange(start, end) for start, end in zip(ends[:-1], ends[1:])], blocks)
+    full = eigh(matrix)
+    assert kept_by_rule(full, 2.0) == [True, True, False]
+    assert_kept_blocks_hold_the_full_bits(full, eigh(matrix, window=2.0), [True, True, False])
+
+
 @pytest.mark.parametrize("size", [6, 8, 10])
 def test_bounds_and_cholesky_decide_each_ring_block_as_its_lowest_level_does(size):
     for matrix, full, window in ring_cells(size):
@@ -780,7 +803,7 @@ def test_bounds_and_cholesky_decide_each_ring_block_as_its_lowest_level_does(siz
         end = linalg._window_end(full.eigenvalues, full.eigenvalues[0] + window, tol)
         for block in matrix.blocks:
             lowest = np.linalg.eigvalsh(block)[0]
-            for x in (end + tol, lowest - 1e-9, lowest + 1e-9):
+            for x in (lowest - 1e-9, lowest + 1e-9) + (() if end is None else (end + tol,)):
                 assert linalg._lies_above(block, x) == (lowest > x)
 
 
