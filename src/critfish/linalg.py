@@ -585,12 +585,13 @@ def eigh(matrix, window=None, *, whole_blocks=False):
 
     * A dense block whose lowest level lies past the end of that group
       is left out whole and holds no level; every other dense block is
-      solved completely, to the bits of an unwindowed solve.  Blocks
-      are decided without a solve: a smallest diagonal entry at or below
-      the group's end keeps a block, and otherwise one Cholesky
-      factorization of the block shifted by the group's end tells.  Blocks are visited in ascending order of their
-      smallest diagonal entry, so the ground block sets E_0 first, and a
-      block left out is decided again if a later solve moves the end up.
+      solved completely, to the bits of an unwindowed solve.  A block
+      is decided before it is solved: a smallest diagonal entry at or
+      below the group's end keeps it, and otherwise one Cholesky
+      factorization of the block shifted by the group's end tells.
+      Blocks are visited in ascending order of their smallest diagonal
+      entry, so the ground block sets E_0 first, and a block left out is
+      decided again if a later solve moves the end up.
     * A chain of at least _STEVD_MIN_ROWS rows solves only its lowest
       levels: bisection (?stebz) finds them, the count doubling from
       _WINDOW_START until the levels within the window are known, and
