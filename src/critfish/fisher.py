@@ -42,17 +42,22 @@ contributes.  Level indices, degenerate groups and the weighted prefix
 K stay global; a degenerate group that spans two blocks is rotated
 inside each of them, which only relabels its levels.
 
-Every estimator takes the built model.  The finite-difference routes
-move it along omega with ``ModelInstance.at``, which re-forms
-H = omega * dH - g * W from the parts the model already holds, so no
-operator is rebuilt or checked again on a ladder rung.  Each rung's Gibbs
-state, and the centre state of ``cfi_projective`` and
-``fi_error_propagation``, is solved in its Gibbs window
-(``models.gibbs_window``) with whole blocks: a dense block whose levels
-all lie past the window is left out, every other block is solved
-completely, and a block left out adds nothing to any sum here.  Its
-levels' weights, below ``models.WINDOW_WEIGHT``, are all the estimates
-lose, so they move only at roundoff.
+Every thermal estimator takes the built model and its Gibbs state,
+``gibbs(eigh(model.H), beta)`` (``qfi_pure`` takes a spectrum and a
+level); the finite-difference routes hold the state's beta fixed along
+their ladders.  They move the model along
+omega with ``ModelInstance.at``, which re-forms H = omega * dH - g * W
+from the parts the model already holds, so no operator is rebuilt or
+checked again on a ladder rung.  Each rung's Gibbs state, and the
+centre state of ``cfi_projective`` and ``fi_error_propagation``, is
+solved in its Gibbs window (``models.gibbs_window``) with whole blocks:
+a dense block whose levels all lie past the window is left out, every
+other block is solved completely, and a block left out adds nothing to
+any sum here.  Its levels' weights, below ``models.WINDOW_WEIGHT``, are
+all the estimates lose, so they move only at roundoff.  The state at
+the centre bounds each block's lowest level on a rung from below (a
+floor, ``_thermal_state``), so ``eigh`` leaves the blocks past the
+window unsolved, not only out.
 
 The tolerances below are module constants, not parameters: only the
 ladder's relative agreement ``fd_rtol`` and its first step
@@ -77,7 +82,7 @@ from .errors import (
     NoFDConvergence,
     ZeroVariance,
 )
-from .linalg import DEGENERACY_RTOL, _DGTSV, eigh, fidelity
+from .linalg import DEGENERACY_RTOL, _DGTSV, _same_rows, eigh, fidelity
 from .models import gibbs_window
 from .thermal import _checked_observable, density_matrix, gibbs, thermal_expectation
 
@@ -390,12 +395,30 @@ def _fd_ladder(estimate, omega, delta_omega, rtol, atol):
     )
 
 
-def _thermal_state(model, omega, beta):
-    """Gibbs state of the model at another omega, solved in its Gibbs window with whole blocks."""
-    return gibbs(eigh(model.at(omega).H, window=gibbs_window(beta), whole_blocks=True), beta)
+def _checked_state(model, state):
+    """Raise DimMismatch unless the state's blocks are over the rows of the model's H, block for block."""
+    if not _same_rows(model.H, [rows for rows, _, _ in state.spectrum.blocks]):
+        raise DimMismatch("the state's blocks are not over the rows of the model's blocks")
 
 
-def qfi_fidelity_fd(model, beta, delta_omega=None, fd_rtol=FD_RTOL):
+def _thermal_state(model, state, omega):
+    """Gibbs state of the model at another omega and ``state.beta``, solved in its Gibbs window with whole blocks.
+
+    ``state`` is the model's Gibbs state at model.omega.  The floor of
+    each block is its lowest level there, minus the most it can move on
+    the way to ``omega`` (``ModelInstance.generator_bounds``), or -inf
+    where ``state`` holds no level of it; ``eigh`` solves no block whose
+    floor lies past the window's end.
+    """
+    shift = abs(omega - model.omega)
+    energies = state.spectrum.eigenvalues
+    floors = [energies[levels[0]] - shift * bound if levels.size else -math.inf
+              for (_, levels, _), bound in zip(state.spectrum.blocks, model.generator_bounds)]
+    spectrum = eigh(model.at(omega).H, window=gibbs_window(state.beta), whole_blocks=True, floors=floors)
+    return gibbs(spectrum, state.beta)
+
+
+def qfi_fidelity_fd(model, state, delta_omega=None, fd_rtol=FD_RTOL):
     """Quantum Fisher information from the fidelity between neighbours:
 
         8 * (1 - sqrt(F[rho(omega - d/2), rho(omega + d/2)])) / d^2
@@ -405,17 +428,19 @@ def qfi_fidelity_fd(model, beta, delta_omega=None, fd_rtol=FD_RTOL):
     1 - F itself shrinks like QFI * d^2 / 4, so feeding the squared
     fidelity into the /8 form would return twice the Fisher information
     (pure states make this obvious: F = |<psi|psi'>|^2 = 1 - QFI d^2/4).
-    ``beta`` is held fixed across the two evaluations; resolve any
-    gap-ratio parametrization before calling.  Root infidelities below
+    ``state`` is the model's Gibbs state (``gibbs(eigh(model.H), beta)``);
+    its beta is held fixed across the two evaluations, so resolve any
+    gap-ratio parametrization before building it.  Root infidelities below
     the roundoff scale of the fidelity count as exact zero, so identical
     states give 0 instead of amplified noise.  The derivative is taken at
     ``model.omega``.
     """
+    _checked_state(model, state)
     omega = model.omega
 
     def estimate(step):
-        rho = density_matrix(_thermal_state(model, omega - step / 2.0, beta))
-        sigma = density_matrix(_thermal_state(model, omega + step / 2.0, beta))
+        rho = density_matrix(_thermal_state(model, state, omega - step / 2.0))
+        sigma = density_matrix(_thermal_state(model, state, omega + step / 2.0))
         infidelity = 1.0 - math.sqrt(fidelity(rho, sigma))
         floor = 8.0 * rho.shape[0] * np.finfo(float).eps
         if infidelity < floor:
@@ -438,7 +463,7 @@ def _outcome_projectors(observable):
     return spec, _degenerate_groups(spec.eigenvalues, OUTCOME_GROUP_RTOL * scale)
 
 
-def cfi_projective(model, beta, observable, delta_omega=None, fd_rtol=FD_RTOL):
+def cfi_projective(model, state, observable, delta_omega=None, fd_rtol=FD_RTOL):
     """Classical Fisher information of projectively measuring an observable.
 
     Outcome probabilities tr(rho Pi_k) = sum_n p_n |<k|n>|^2 over the
@@ -446,9 +471,10 @@ def cfi_projective(model, beta, observable, delta_omega=None, fd_rtol=FD_RTOL):
     are read off the Gibbs eigenpairs, block by block: the observable is
     taken over the model's sectors, so <k|n> vanishes between blocks.
     Their derivatives come from the same central-difference ladder as
-    qfi_fidelity_fd.  Outcomes with probability below 1e-12 at the centre
-    are skipped.
+    qfi_fidelity_fd, at ``state``'s beta.  Outcomes with probability
+    below 1e-12 at the centre are skipped.
     """
+    _checked_state(model, state)
     obs = _checked_observable(observable, model.H.rows)
     omega = model.omega
     basis, groups = _outcome_projectors(obs)
@@ -456,11 +482,11 @@ def cfi_projective(model, beta, observable, delta_omega=None, fd_rtol=FD_RTOL):
         return 0.0  # one outcome: the distribution cannot move
 
     def outcome_probs(at_omega):
-        state = _thermal_state(model, at_omega, beta)
-        overlap = np.empty(state.dim)
-        for (_, levels, v), (_, outcomes, u) in zip(state.spectrum.blocks, basis.blocks):
+        rung = _thermal_state(model, state, at_omega)
+        overlap = np.empty(rung.dim)
+        for (_, levels, v), (_, outcomes, u) in zip(rung.spectrum.blocks, basis.blocks):
             # a block with no solved level gives zeros; skipping its products saves about 5 us a block
-            overlap[outcomes] = np.square(u.T @ v) @ state.probs[levels] if levels.size else 0.0
+            overlap[outcomes] = np.square(u.T @ v) @ rung.probs[levels] if levels.size else 0.0
         return np.add.reduceat(overlap, [g.start for g in groups])
 
     center = outcome_probs(omega)
@@ -476,17 +502,19 @@ def cfi_projective(model, beta, observable, delta_omega=None, fd_rtol=FD_RTOL):
     return max(value, 0.0)
 
 
-def fi_error_propagation(model, beta, observable, delta_omega=None, fd_rtol=FD_RTOL):
+def fi_error_propagation(model, state, observable, delta_omega=None, fd_rtol=FD_RTOL):
     """Two-moment Fisher information (d<A>/domega)^2 / Var(A).
 
     The weakest of the three estimators but the cheapest experimentally:
     only the mean and variance of one observable enter, both read off
-    the centre state by ``thermal_expectation``.  Raises ZeroVariance
-    when the observable does not fluctuate in the state.
+    the centre state by ``thermal_expectation``; the slope comes from
+    the same ladder as qfi_fidelity_fd, at ``state``'s beta.  Raises
+    ZeroVariance when the observable does not fluctuate in the state.
     """
+    _checked_state(model, state)
     obs = _checked_observable(observable, model.H.rows)
     omega = model.omega
-    center = _thermal_state(model, omega, beta)
+    center = _thermal_state(model, state, omega)
     mean, second = thermal_expectation(center, obs)
     variance = second - mean ** 2
     stored = [a for block in obs.blocks for a in (block if isinstance(block, tuple) else (block,))]
@@ -497,8 +525,8 @@ def fi_error_propagation(model, beta, observable, delta_omega=None, fd_rtol=FD_R
     floor = center.dim * np.finfo(float).eps * abs(mean)
 
     def estimate(step):
-        plus, _ = thermal_expectation(_thermal_state(model, omega + step / 2.0, beta), obs)
-        minus, _ = thermal_expectation(_thermal_state(model, omega - step / 2.0, beta), obs)
+        plus, _ = thermal_expectation(_thermal_state(model, state, omega + step / 2.0), obs)
+        minus, _ = thermal_expectation(_thermal_state(model, state, omega - step / 2.0), obs)
         return 0.0 if abs(plus - minus) <= floor else (plus - minus) / step
 
     slope, _ = _fd_ladder(estimate, omega, delta_omega, fd_rtol, ERRPROP_FD_ATOL)

@@ -51,12 +51,13 @@ library that lacks one still serves the others.
 
 A cold Gibbs state weighs a few dozen of thousands of levels, so
 ``eigh`` takes an energy window.  A dense block whose levels all lie
-past it is left out whole, decided mostly from bounds on its lowest
-level and otherwise by one Cholesky factorization, far cheaper than a
-solve; the rest are solved completely.  A long chain solves only its
-levels within the window of the lowest one, by bisection (``?stebz``)
-and inverse iteration (``?stein``), at O(n) per level, unless the
-caller asks for whole blocks.  The levels a chain leaves out are still
+past it is left out whole; the rest are solved completely.  Given a
+lower bound on each block's lowest level (a floor), dense blocks are
+solved in ascending order of their floors until the next floor lies
+past the window's end, and the blocks from there on are never solved.
+A long chain solves only its levels within the window of the lowest
+one, by bisection (``?stebz``) and inverse iteration (``?stein``), at
+O(n) per level, unless the caller asks for whole blocks.  The levels a chain leaves out are still
 reachable through its resolvent, one tridiagonal solve (``?gtsv``) per
 level (``fisher``).
 """
@@ -466,32 +467,13 @@ def _window_end(values, edge, tol):
     return float(values[first + gaps[0]]) if gaps.size else None
 
 
-def _lies_above(block, x):
-    """Whether the lowest level of a dense block lies above ``x``.
-
-    The smallest diagonal entry lies above the lowest level (it is a
-    Rayleigh quotient), so a block with one at or below x is decided at
-    once; the rest take one Cholesky factorization of block - x I, which
-    exists exactly when every level lies above x.
-    """
-    if block.diagonal().min() <= x:
-        return False
-    shifted = np.array(block)
-    shifted.flat[:: block.shape[0] + 1] -= x
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
-def _windowed(matrix, window, whole):
+def _windowed(matrix, window, whole, floors):
     """eigh's (eigenvalues, eigenvectors) per block within ``window``, and the highest level.
 
     The highest level is None unless a chain was left partly unsolved.  A
     dense block left out whole gets no eigenpair.
     """
-    chains, solved, lows, tops, smallest = {}, {}, [], [], {}
+    chains, solved, lows, tops, dense, waiting = {}, {}, [], [], [], []
     windowable = not whole and all(_hook(name) is not None for name in ("stebz", "stein", "gtsv"))
     for b, (idx, block) in enumerate(zip(matrix.rows, matrix.blocks)):
         if windowable and isinstance(block, tuple) and idx.size >= _WINDOW_START * _WINDOW_SHARE:
@@ -501,19 +483,22 @@ def _windowed(matrix, window, whole):
                 lows.append(float(low[0][0]))
                 tops.append(float(top[0][0]))
                 continue
-        if isinstance(block, tuple):
-            solved[b] = _solve_block(idx, block)
-            lows.append(float(solved[b][0][0]))
-            tops.append(float(solved[b][0][-1]))
-        elif block is not None and not _twin(matrix, b):
-            smallest[b] = float(block.diagonal().min())
-    # dense blocks by their smallest diagonal entry, so the ground block is most likely solved first
-    undecided = sorted(smallest, key=smallest.get)
-    above = {}  # each dense block left out, and the value its lowest level is known to lie above
-    cut, changed = math.inf, True
-    while chains or undecided or above or changed:
-        if changed:  # the levels known so far moved: find the window's end again
-            changed, cut = False, None
+        if block is None or _twin(matrix, b):
+            continue
+        if not isinstance(block, tuple):
+            dense.append(b)
+            if floors is not None:
+                waiting.append(b)  # solved below, in ascending order of its floor, while it may reach the end
+                continue
+        solved[b] = _solve_block(idx, block)
+        lows.append(float(solved[b][0][0]))
+        tops.append(float(solved[b][0][-1]))
+    waiting.sort(key=lambda b: floors[b])
+    cut, stale = None, True
+    while True:
+        # the end lies past the window's edge E_0 + window, so a block whose floor is within it is solved without it
+        if stale and (chains or not waiting or not lows or floors[waiting[0]] > min(lows) + window):
+            stale, cut = False, None
             if lows:
                 lowest = min(lows)
                 tol = DEGENERACY_RTOL * max(1.0, abs(lowest), *map(abs, tops))
@@ -531,25 +516,17 @@ def _windowed(matrix, window, whole):
                 del chains[b]
             else:
                 chains[b] = (*(np.concatenate(pair) for pair in zip(chains[b], more[:2])), more[2])
-            changed = True
+            stale = True
             continue
-        if undecided:
-            b = undecided.pop(0)
-        else:  # a block left out against a lower end, or a narrower tolerance, is decided again
-            b = next((b for b, x in above.items() if cut is None or x < cut + tol), None)
-            if b is None:
-                break
-            del above[b]
-        if cut is not None and _lies_above(matrix.blocks[b], cut + tol):
-            above[b] = cut + tol
-        else:
-            solved[b] = _solve_block(matrix.rows[b], matrix.blocks[b])
-            levels = solved[b][0]
-            # levels that all lie inside a window with no end yet leave it without one
-            changed = cut is not None or not lows or levels[0] < lowest or levels[-1] > lowest + window
-            lows.append(float(levels[0]))
-            tops.append(float(levels[-1]))
-    for b in smallest:  # a block solved against an end that later moved down is left out after all
+        # every block still waiting has its lowest level past the end, and so can move neither it nor E_0
+        if not waiting or (not stale and cut is not None and floors[waiting[0]] > cut + tol):
+            break
+        b = waiting.pop(0)
+        solved[b] = _solve_block(matrix.rows[b], matrix.blocks[b])
+        lows.append(float(solved[b][0][0]))
+        tops.append(float(solved[b][0][-1]))
+        stale = True
+    for b in dense:  # a dense block whose lowest level lies past the end is left out
         if b in solved and cut is not None and solved[b][0][0] > cut:
             del solved[b]
     for b, (vals, iblock, isplit) in chains.items():
@@ -563,7 +540,7 @@ def _windowed(matrix, window, whole):
     return results, (max(tops) if chains else None)
 
 
-def eigh(matrix, window=None, *, whole_blocks=False):
+def eigh(matrix, window=None, *, whole_blocks=False, floors=None):
     """Eigendecomposition of a symmetric matrix, block by block, with fixed signs.
 
     ``matrix`` is a Sectors or a dense array.  Each block of a Sectors
@@ -585,13 +562,19 @@ def eigh(matrix, window=None, *, whole_blocks=False):
 
     * A dense block whose lowest level lies past the end of that group
       is left out whole and holds no level; every other dense block is
-      solved completely, to the bits of an unwindowed solve.  A block
-      is decided before it is solved: a smallest diagonal entry at or
-      below the group's end keeps it, and otherwise one Cholesky
-      factorization of the block shifted by the group's end tells.
-      Blocks are visited in ascending order of their smallest diagonal
-      entry, so the ground block sets E_0 first, and a block left out is
-      decided again if a later solve moves the end up.
+      solved completely, to the bits of an unwindowed solve.  Without
+      ``floors`` every dense block is solved, and those whose lowest
+      level lies past the end are dropped.  ``floors`` holds one value
+      per block of the matrix, at or below that block's lowest level
+      (-inf where none is known; the values of chains and zero blocks
+      are not read), and lets blocks be left out unsolved: dense blocks
+      are solved in ascending order of their floors while the floor is
+      at or below the end known so far plus the degeneracy tolerance, or
+      no end is known yet.  The first block past that stops the visits,
+      as every block not yet solved then has all its levels past the end
+      and can move neither it nor E_0; a solved block whose lowest level
+      lies past the final end is dropped as above.  A floor above its
+      block's lowest level may leave out a block the window holds.
     * A chain of at least _STEVD_MIN_ROWS rows solves only its lowest
       levels: bisection (?stebz) finds them, the count doubling from
       _WINDOW_START until the levels within the window are known, and
@@ -607,9 +590,10 @@ def eigh(matrix, window=None, *, whole_blocks=False):
 
     ``whole_blocks=True`` solves every chain completely under a window,
     so only dense blocks are left out: the Gibbs states of the
-    finite-difference rungs ask for it (``fisher``), which keeps their
-    chains' states the unwindowed ones bit for bit.  The default cuts
-    long chains short, for the oscillator's truncation ladder
+    finite-difference rungs ask for it (``fisher``), with floors from the
+    spectrum at the ladder's centre, which keeps their chains' states the
+    unwindowed ones bit for bit.  The default cuts long chains short, for
+    the oscillator's truncation ladder
     (``models.toy_converged_truncation``).
     """
     if not isinstance(matrix, Sectors):
@@ -621,7 +605,9 @@ def eigh(matrix, window=None, *, whole_blocks=False):
         for b, (idx, block) in enumerate(zip(matrix.rows, matrix.blocks)):
             solved.append(solved[-1] if _twin(matrix, b) else _solve_block(idx, block))
     elif window >= 0:
-        solved, highest = _windowed(matrix, float(window), whole_blocks)
+        if floors is not None and len(floors) != len(matrix.blocks):
+            raise ValueError(f"need one floor per block: {len(floors)} for {len(matrix.blocks)} blocks")
+        solved, highest = _windowed(matrix, float(window), whole_blocks, floors)
     else:
         raise ValueError(f"window must be >= 0, got {window}")
     merged = np.concatenate([vals for vals, _ in solved])
@@ -637,7 +623,8 @@ def eigh(matrix, window=None, *, whole_blocks=False):
 
 def _same_rows(matrix, rows):
     """Whether ``matrix`` is a Sectors over exactly ``rows``, block for block."""
-    return isinstance(matrix, Sectors) and [r.tolist() for r in matrix.rows] == [r.tolist() for r in rows]
+    return isinstance(matrix, Sectors) and len(matrix.rows) == len(rows) and all(
+        r is other or np.array_equal(r, other) for r, other in zip(matrix.rows, rows))
 
 
 def _root_columns(density):

@@ -27,6 +27,7 @@ until the Fisher total moves by less than TRUNCATION_RTOL (1e-8), and
 solves each rung only in the energy window that holds its Gibbs weight.
 """
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -83,33 +84,75 @@ class ModelInstance:
     def at(self, omega):
         """The same model at another omega, with H formed exactly as build_model forms it.
 
-        H takes none of the checks of a new Sectors, which build_model ran
-        on the same parts (``_hamiltonian``).
+        H is formed from the parts of W's blocks that do not depend on
+        omega (``_hamiltonian``), which this model keeps once formed, and
+        takes none of the checks of a new Sectors, which build_model ran
+        on the same parts.
         """
         _check_parameters(self.kind, omega, self.g)
-        return replace(self, omega=float(omega), H=_hamiltonian(omega, self.g, self.dH, self.coupling_term))
+        return replace(self, omega=float(omega), H=_hamiltonian(omega, self._parts, self.coupling_term.rows))
+
+    @functools.cached_property
+    def _parts(self):
+        return _omega_free_parts(self.g, self.dH, self.coupling_term)
+
+    @functools.cached_property
+    def generator_bounds(self):
+        """max |dH| on the rows of each block of H: no level of the block moves faster than that along omega.
+
+        H(omega') - H(omega) = (omega' - omega) dH, so by Weyl's inequality
+        (Weyl, Math. Ann. 71, 441, 1912) each level of a block moves by at
+        most |omega' - omega| times its bound.
+        """
+        return [float(np.abs(self.dH[rows]).max()) for rows in self.H.rows]
 
 
-def _hamiltonian(omega, g, generator, coupling):
-    """H = omega * dH[rows] - g * W, block by block over the checked sectors of W.
+def _omega_free_parts(g, generator, coupling):
+    """Per block of W: (dH on its rows, g W's diagonal, its other entries negated, twin).
 
-    Each block is exactly symmetric because W's is, and a twin of W, the
-    same array as the block before it over rows of equal dH, gives the
-    same H block, so H is a Sectors over W's rows that nothing checks
-    again.  build_model checks the H it forms; ``at`` trusts it for an
-    omega that passed ``_check_parameters``.
+    A chain's other entries are its off-diagonal -g * w, which is H's own;
+    a dense block's are the matrix 0.0 - g W, whose diagonal H overwrites.
+    Both are signed as H = omega dH - g W signs them, with +0.0 where W
+    holds a zero.  A twin is the same array of W as the block before it,
+    over rows of equal dH, and gives H the same array too.
     """
-    blocks, diagonal = [], None
+    parts = []
     for b, (rows, w) in enumerate(zip(coupling.rows, coupling.blocks)):
-        previous, diagonal = diagonal, omega * generator[rows]
-        if b and w is coupling.blocks[b - 1] and np.array_equal(diagonal, previous):
+        dh = generator[rows]
+        twin = bool(b) and w is coupling.blocks[b - 1] and np.array_equal(dh, parts[-1][0])
+        if isinstance(w, tuple):
+            diagonal, rest = g * w[0], -g * w[1]
+        else:
+            gw = g * w
+            diagonal, rest = gw.diagonal().copy(), 0.0 - gw
+        rest.flags.writeable = False
+        parts.append((dh, diagonal, rest, twin))
+    return parts
+
+
+def _hamiltonian(omega, parts, rows):
+    """H = omega * dH[rows] - g * W, block by block from the parts of ``_omega_free_parts`` over W's rows.
+
+    Each block is exactly symmetric because W's is, and a twin takes the
+    block before it, so H is a Sectors over W's checked rows that nothing
+    checks again.  build_model checks the H it forms; ``at`` trusts it
+    for an omega that passed ``_check_parameters``.
+    """
+    blocks = []
+    for dh, gw_diagonal, rest, twin in parts:
+        if twin:
             blocks.append(blocks[-1])
             continue
-        block = (diagonal - g * w[0], -g * w[1]) if isinstance(w, tuple) else np.diag(diagonal) - g * w
-        for array in block if isinstance(block, tuple) else (block,):
-            array.flags.writeable = False
+        diagonal = omega * dh - gw_diagonal
+        diagonal.flags.writeable = False
+        if rest.ndim == 1:  # a chain, whose off-diagonal does not depend on omega
+            blocks.append((diagonal, rest))
+            continue
+        block = rest.copy()
+        block.flat[:: block.shape[0] + 1] = diagonal
+        block.flags.writeable = False
         blocks.append(block)
-    return Sectors._checked(coupling.rows, blocks)
+    return Sectors._checked(rows, blocks)
 
 
 def _scaled(chains, factor):
@@ -145,7 +188,7 @@ def build_model(kind, omega, g, size):
         ops = make_chain_ops(size)
         generator = ops.sz_total
         coupling = ops.xx_pbc
-    H = _hamiltonian(omega, g, generator, coupling)
+    H = _hamiltonian(omega, _omega_free_parts(g, generator, coupling), coupling.rows)
     return ModelInstance(
         kind=kind,
         omega=float(omega),

@@ -57,8 +57,8 @@ def _check_zero_temperature_limits():
     err_closed = _rel_err(fi_errprop_closed(params), ground)
     if err_closed > 1e-12:
         return False, f"error-propagation closed form off by {err_closed:.2e} at T=0"
-    model, _, _ = toy_converged_truncation(1.0, 0.5, math.inf)
-    numeric = qfi_fidelity_fd(model, math.inf, delta_omega=1e-2)
+    model, spectrum, _ = toy_converged_truncation(1.0, 0.5, math.inf)
+    numeric = qfi_fidelity_fd(model, gibbs(spectrum, math.inf), delta_omega=1e-2)
     err_fd = _rel_err(numeric, ground)
     return err_fd <= 1e-4, f"fidelity route off by {err_fd:.2e} from {ground}"
 
@@ -80,8 +80,9 @@ def _check_commuting_case():
 def _check_cross_method():
     model_kind, size, g, beta = "lmg", 8, 0.7, 3.0
     model = build_model(model_kind, 1.0, g, size)
-    spectral = qfi_spectral(model, gibbs(eigh(model.H), beta)).total
-    fd = qfi_fidelity_fd(model, beta, delta_omega=1e-3)
+    state = gibbs(eigh(model.H), beta)
+    spectral = qfi_spectral(model, state).total
+    fd = qfi_fidelity_fd(model, state, delta_omega=1e-3)
     err = _rel_err(fd, spectral)
     return err <= 1e-4, f"spectral vs fidelity relative error {err:.2e}"
 
@@ -90,9 +91,10 @@ def _check_estimator_ordering():
     model_kind, size, g, beta = "lmg", 8, 0.9, 3.0
     model = build_model(model_kind, 1.0, g, size)
     observable = measurement_observable(model_kind, size)
-    qfi = qfi_spectral(model, gibbs(eigh(model.H), beta)).total
-    cfi = cfi_projective(model, beta, observable, delta_omega=1e-3)
-    errprop = fi_error_propagation(model, beta, observable, delta_omega=1e-3)
+    state = gibbs(eigh(model.H), beta)
+    qfi = qfi_spectral(model, state).total
+    cfi = cfi_projective(model, state, observable, delta_omega=1e-3)
+    errprop = fi_error_propagation(model, state, observable, delta_omega=1e-3)
     slack = 1e-6
     ok = errprop <= cfi + slack and cfi <= qfi + slack
     return ok, f"errprop={errprop:.6g}, cfi={cfi:.6g}, qfi={qfi:.6g}"
@@ -143,12 +145,13 @@ def _check_blocked_vs_dense():
     worst = {"qfi_spectral": 0.0, "qfi_fidelity": 0.0}
     for g in (0.5, 1.3):
         model = build_model("ising", 1.0, g, size)
-        blocked = qfi_spectral(model, gibbs(eigh(model.H), beta)).total
+        state = gibbs(eigh(model.H), beta)
+        blocked = qfi_spectral(model, state).total
         # the ring in the computational basis, so the momentum basis is checked too
         H, dh = _pauli_ring(1.0, g, size)
         dense = qfi_spectral(replace(model, H=H, dH=dh), gibbs(_dense_spectrum(H), beta)).total
         worst["qfi_spectral"] = max(worst["qfi_spectral"], _rel_err(blocked, dense))
-        blocked = qfi_fidelity_fd(model, beta, delta_omega=delta_omega)
+        blocked = qfi_fidelity_fd(model, state, delta_omega=delta_omega)
         dense = _dense_qfi_fidelity(g, size, beta, delta_omega)
         worst["qfi_fidelity"] = max(worst["qfi_fidelity"], _rel_err(blocked, dense))
     ok = worst["qfi_spectral"] <= 1e-10 and worst["qfi_fidelity"] <= 1e-6
@@ -188,9 +191,13 @@ def _check_windowed_vs_full():
         solved.append(f"{kind} g={g} beta={beta}: {len(spectrum.eigenvalues)}/{spectrum.dim}")
     # a cold ising cell's FD rung state, which leaves out most of the ring's blocks
     model = build_model("ising", 1.0, 1.0, 8)
-    beta = beta_from_gap_ratio(180.0, eigh(model.H))
-    state = _thermal_state(model, model.omega, beta)
-    ring = _rel_err(qfi_spectral(model, state).total, qfi_spectral(model, gibbs(eigh(model.H), beta)).total)
+    spectrum = eigh(model.H)
+    centre = gibbs(spectrum, beta_from_gap_ratio(180.0, spectrum))
+    # a rung half the default step away: its floors lie below the blocks' lowest levels
+    rung = model.omega + 5e-4
+    state = _thermal_state(model, centre, rung)
+    full = gibbs(eigh(model.at(rung).H), centre.beta)
+    ring = _rel_err(qfi_spectral(model, state).total, qfi_spectral(model, full).total)
     solved.append(f"ising N=8 rung state: {len(state.spectrum.eigenvalues)}/{state.dim}")
     return worst <= 1e-10 and ring <= 1e-12, (f"relative error {worst:.2e}, ising rung state {ring:.2e}; "
                                               "levels solved " + ", ".join(solved))

@@ -273,6 +273,11 @@ def _evaluate_cell(task):
     row.N = model.size
     row.gap = gap_value
     row.beta = beta
+    try:
+        state = gibbs(spectrum, beta)  # every estimator reads the same Gibbs state
+    except CritfishError as exc:  # a gap ratio so small that beta rounds to 0
+        row.status = f"cell:{type(exc).__name__}"
+        return row
 
     fd_kwargs = dict(delta_omega=config.delta_omega, fd_rtol=config.fd_rtol)
     measure_kwargs = dict(delta_omega=config.delta_omega, fd_rtol=MEASUREMENT_FD_RTOL)
@@ -281,7 +286,7 @@ def _evaluate_cell(task):
     if "qfi_spectral" in wanted:
         try:
             if breakdown is None:
-                breakdown = qfi_spectral(model, gibbs(spectrum, beta))
+                breakdown = qfi_spectral(model, state)
             row.qfi_spectral_total = breakdown.total
             row.qfi_classical_part = breakdown.classical_part
             row.qfi_quantum_part = breakdown.quantum_part
@@ -289,19 +294,19 @@ def _evaluate_cell(task):
             failures.append(f"qfi_spectral:{type(exc).__name__}")
     if "qfi_fidelity" in wanted:
         try:
-            row.qfi_fidelity = qfi_fidelity_fd(model, beta, **fd_kwargs)
+            row.qfi_fidelity = qfi_fidelity_fd(model, state, **fd_kwargs)
         except CritfishError as exc:
             failures.append(f"qfi_fidelity:{type(exc).__name__}")
     if "cfi_sx2" in wanted or "fi_errprop" in wanted:
         observable = measurement_observable(config.model, model.size)
         if "cfi_sx2" in wanted:
             try:
-                row.cfi_sx2 = cfi_projective(model, beta, observable, **measure_kwargs)
+                row.cfi_sx2 = cfi_projective(model, state, observable, **measure_kwargs)
             except CritfishError as exc:
                 failures.append(f"cfi_sx2:{type(exc).__name__}")
         if "fi_errprop" in wanted:
             try:
-                row.fi_errprop = fi_error_propagation(model, beta, observable, **measure_kwargs)
+                row.fi_errprop = fi_error_propagation(model, state, observable, **measure_kwargs)
             except CritfishError as exc:
                 failures.append(f"fi_errprop:{type(exc).__name__}")
     if "toy_analytic" in wanted:

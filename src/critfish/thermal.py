@@ -7,7 +7,8 @@ uniformly -- the continuous limit of the finite-beta weights.  A Gibbs
 state keeps the blocks of its spectrum: its density matrix is one dense
 block per sector, and the moments of an observable are summed block by
 block.  An observable is brought onto those blocks in one place,
-``_checked_observable``, for this module and for ``fisher``.  Over a
+``_checked_observable``, for this module and for ``fisher``; a zero
+block of it becomes an explicit block of zeros there.  Over a
 spectrum solved in an energy window the weights are normalized over the
 solved levels; the window is chosen so that the rest carry a negligible
 share of Z (``models.WINDOW_WEIGHT``).  The oscillator's truncation
@@ -60,11 +61,26 @@ def gibbs(spectrum, beta):
 def density_matrix(state):
     """rho = V diag(p) V^T, a dense block (V_b diag(p)) V_b^T per spectrum block: symmetric, PSD, unit trace.
 
-    A block with no solved level is a zero block (None).
+    Each block is made exactly symmetric, as ``Sectors`` stores a dense
+    block.  A block with no solved level is a zero block (None), and a
+    twin, whose spectrum block holds the same vectors as the block before
+    it and equal weights, is the same array as that block.
     """
-    blocks = state.spectrum.blocks
-    return Sectors([rows for rows, _, _ in blocks],
-                   [(v * state.probs[levels]) @ v.T if levels.size else None for _, levels, v in blocks])
+    blocks, previous = [], None
+    for _, levels, v in state.spectrum.blocks:
+        weights = state.probs[levels]
+        if not levels.size:
+            block = None
+        elif previous is not None and v is previous[0] and np.array_equal(weights, previous[1]):
+            block = blocks[-1]
+        else:
+            rho = (v * weights) @ v.T
+            block = rho + rho.T
+            block /= 2.0
+            block.flags.writeable = False
+        previous = v, weights
+        blocks.append(block)
+    return Sectors._checked(tuple(rows for rows, _, _ in state.spectrum.blocks), blocks)
 
 
 def gap(spectrum):
@@ -100,15 +116,20 @@ def beta_from_gap_ratio(ratio, spectrum):
 
 
 def _checked_observable(observable, rows):
-    """The observable as a Sectors over ``rows``, the row sets of the spectra it meets.
+    """The observable as a Sectors over ``rows``, the row sets of the spectra it meets, with no zero block.
 
-    A Sectors over those rows is returned as it is.  Any other matrix (a
-    dense array, or a Sectors over other rows) is cut into its blocks
-    over ``rows``; an entry that couples two of them raises
-    InvalidMatrix, and the wrong size raises DimMismatch.
+    A Sectors over those rows is returned as it is, except that a zero
+    block (None) becomes an explicit block of zeros: it is a part of the
+    observable, whose rows measure 0, not a block with nothing in it.
+    Any other matrix (a dense array, or a Sectors over other rows) is cut
+    into its blocks over ``rows``; an entry that couples two of them
+    raises InvalidMatrix, and the wrong size raises DimMismatch.
     """
     if _same_rows(observable, rows):
-        return observable
+        if all(block is not None for block in observable.blocks):
+            return observable
+        return Sectors(observable.rows, [np.zeros((r.size, r.size)) if block is None else block
+                                         for r, block in zip(observable.rows, observable.blocks)])
     a = np.asarray(observable, dtype=float)
     if a.shape != (sum(r.size for r in rows),) * 2:
         raise DimMismatch(f"observable shape {a.shape} does not match the rows of the spectrum")

@@ -93,8 +93,8 @@ def test_criterion_2_zero_temperature_limits():
     ground = qfi_eigenstate(cold, 0)
     exact_identity = qfi_thermal_quantum(cold) == ground
     errprop_err = relerr(fi_errprop_closed(cold), ground)
-    model, _, _ = toy_converged_truncation(1.0, 0.5, math.inf)
-    fd = qfi_fidelity_fd(model, math.inf, delta_omega=1e-2)
+    model, spectrum, _ = toy_converged_truncation(1.0, 0.5, math.inf)
+    fd = qfi_fidelity_fd(model, gibbs(spectrum, math.inf), delta_omega=1e-2)
     fd_err = relerr(fd, 0.125)
     report(
         2,
@@ -113,8 +113,9 @@ def test_criterion_3_cross_method_agreement():
             model = build_model(kind, 1.0, g, size)
             spectrum = eigh(model.H)
             for beta in CROSS_METHOD_BETA:
-                spectral = qfi_spectral(model, gibbs(spectrum, beta)).total
-                fd = qfi_fidelity_fd(model, beta, delta_omega=1e-3)
+                state = gibbs(spectrum, beta)
+                spectral = qfi_spectral(model, state).total
+                fd = qfi_fidelity_fd(model, state, delta_omega=1e-3)
                 err = relerr(fd, spectral)
                 if err > worst[0]:
                     worst = (err, (kind, size, g, beta))
@@ -160,9 +161,10 @@ def test_criterion_5_estimator_ordering():
             model = build_model(kind, 1.0, g, size)
             spectrum = eigh(model.H)
             for beta in CROSS_METHOD_BETA:
-                qfi = qfi_spectral(model, gibbs(spectrum, beta)).total
-                cfi = cfi_projective(model, beta, observable, delta_omega=1e-3, fd_rtol=1e-6)
-                errprop = fi_error_propagation(model, beta, observable, delta_omega=1e-3, fd_rtol=1e-6)
+                state = gibbs(spectrum, beta)
+                qfi = qfi_spectral(model, state).total
+                cfi = cfi_projective(model, state, observable, delta_omega=1e-3, fd_rtol=1e-6)
+                errprop = fi_error_propagation(model, state, observable, delta_omega=1e-3, fd_rtol=1e-6)
                 worst_pair = max(worst_pair, errprop - cfi)
                 worst_bound = max(worst_bound, cfi - qfi)
     report(

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -29,10 +29,10 @@ from critfish.fisher import (
     qfi_spectral,
     quantum_term_by_offset,
 )
-from critfish.linalg import eigh, symmetrize
-from critfish.models import build_model, gibbs_window, toy_converged_truncation
+from critfish.linalg import Sectors, eigh, symmetrize
+from critfish.models import ModelInstance, build_model, gibbs_window, toy_converged_truncation
 from critfish.sweep import measurement_observable
-from critfish.thermal import ThermalState, beta_from_gap_ratio, gap, gibbs
+from critfish.thermal import ThermalState, beta_from_gap_ratio, gap, gibbs, thermal_expectation
 
 from spectra import dense_eigenvectors
 
@@ -163,8 +163,9 @@ def test_spectral_handles_exact_degeneracies():
     # the periodic ring has exactly degenerate levels; the rotated basis
     # must keep the result consistent with the basis-free fidelity route
     model = build_model("ising", 1.0, 0.6, 4)
-    breakdown = qfi_spectral(model, thermal(model, 2.0))
-    fd = qfi_fidelity_fd(model, 2.0, delta_omega=1e-3)
+    state = thermal(model, 2.0)
+    breakdown = qfi_spectral(model, state)
+    fd = qfi_fidelity_fd(model, state, delta_omega=1e-3)
     assert fd == pytest.approx(breakdown.total, rel=1e-6)
 
 
@@ -310,21 +311,23 @@ def test_pure_state_rejects_degenerate_level():
 
 def test_fidelity_route_matches_spectral():
     model = build_model("lmg", 1.0, 0.5, 8)
-    breakdown = qfi_spectral(model, thermal(model, 5.0))
-    fd = qfi_fidelity_fd(model, 5.0, delta_omega=1e-3)
+    state = thermal(model, 5.0)
+    breakdown = qfi_spectral(model, state)
+    fd = qfi_fidelity_fd(model, state, delta_omega=1e-3)
     assert fd == pytest.approx(breakdown.total, rel=1e-4)
 
 
 def test_fidelity_route_zero_temperature_toy():
-    model, _, _ = toy_converged_truncation(1.0, 0.5, math.inf)
-    fd = qfi_fidelity_fd(model, math.inf, delta_omega=1e-2)
+    model, spectrum, _ = toy_converged_truncation(1.0, 0.5, math.inf)
+    fd = qfi_fidelity_fd(model, gibbs(spectrum, math.inf), delta_omega=1e-2)
     assert fd == pytest.approx(0.125, rel=1e-4)
 
 
 def test_fidelity_route_identical_states_is_zero():
     # with dH = 0, H does not depend on omega: both evaluations see the same state
     model = build_model("lmg", 1.0, 0.4, 6)
-    fd = qfi_fidelity_fd(replace(model, dH=np.zeros_like(model.dH)), 2.0)
+    model = replace(model, dH=np.zeros_like(model.dH))
+    fd = qfi_fidelity_fd(model, thermal(model, 2.0))
     assert fd == 0.0
 
 
@@ -332,16 +335,16 @@ def test_fidelity_route_reports_no_convergence():
     rng = np.random.default_rng(0)
     base = build_model("lmg", 1.0, 0.5, 6)
 
-    class Noisy:
+    class Noisy(ModelInstance):
         # every move along omega lands on a freshly jittered Hamiltonian
-        omega = 1.0
-
         def at(self, w):
-            jitter = rng.normal(scale=1e-4, size=base.H.shape)
-            return replace(base.at(w), H=base.H + (jitter + jitter.T) / 2.0)
+            h = base.at(w).H
+            jittered = [(d + rng.normal(scale=1e-4, size=d.size), off) for d, off in h.blocks]
+            return replace(base.at(w), H=Sectors(h.rows, jittered))
 
+    noisy = Noisy(**{field.name: getattr(base, field.name) for field in fields(base)})
     with pytest.raises(NoFDConvergence) as info:
-        qfi_fidelity_fd(Noisy(), 2.0, delta_omega=1e-4)
+        qfi_fidelity_fd(noisy, thermal(base, 2.0), delta_omega=1e-4)
     assert len(info.value.estimates) == 2
 
 
@@ -349,26 +352,42 @@ def test_fidelity_route_reports_no_convergence():
 
 def test_energy_measurement_extracts_probability_information():
     model = build_model("lmg", 1.0, 0.7, 6)
-    breakdown = qfi_spectral(model, thermal(model, 2.0))
-    got = cfi_projective(model, 2.0, model.H, delta_omega=1e-3)
+    state = thermal(model, 2.0)
+    breakdown = qfi_spectral(model, state)
+    got = cfi_projective(model, state, model.H, delta_omega=1e-3)
     assert got == pytest.approx(breakdown.classical_part, rel=1e-4)
 
 
 def test_measurement_rejects_mismatched_observable():
     observable = measurement_observable("lmg", 6)
+    model = build_model("lmg", 1.0, 0.5, 8)
     with pytest.raises(DimMismatch, match="observable shape"):
-        cfi_projective(build_model("lmg", 1.0, 0.5, 8), 2.0, observable)
+        cfi_projective(model, thermal(model, 2.0), observable)
 
 
 def test_identity_measurement_carries_nothing():
-    got = cfi_projective(build_model("lmg", 1.0, 0.7, 6), 2.0, np.eye(7))
+    model = build_model("lmg", 1.0, 0.7, 6)
+    got = cfi_projective(model, thermal(model, 2.0), np.eye(7))
     assert got == 0.0
 
 
 def test_single_outcome_measurement_still_checks_the_shape():
     # the identity has one outcome; a wrong size must not pass as "carries nothing"
+    model = build_model("lmg", 1.0, 0.7, 6)
     with pytest.raises(DimMismatch, match="observable shape"):
-        cfi_projective(build_model("lmg", 1.0, 0.7, 6), 2.0, np.eye(5))
+        cfi_projective(model, thermal(model, 2.0), np.eye(5))
+
+
+def test_an_observable_with_a_zero_block_measures_as_its_dense_matrix():
+    # the rows of a zero block are an outcome 0 of the measurement, not rows without one
+    model = build_model("lmg", 1.0, 0.8, 6)
+    state = thermal(model, 2.0)
+    square = measurement_observable("lmg", 6)
+    observable = Sectors(square.rows, [square.blocks[0], None])
+    dense = np.asarray(observable)
+    assert thermal_expectation(state, observable) == thermal_expectation(state, dense)
+    assert cfi_projective(model, state, observable) == cfi_projective(model, state, dense)
+    assert fi_error_propagation(model, state, observable) == fi_error_propagation(model, state, dense)
 
 
 def test_squared_spin_outcomes_are_merged():
@@ -385,7 +404,7 @@ def test_error_propagation_matches_closed_form():
     g, beta = 0.6, 2.0
     model, _, _ = toy_converged_truncation(1.0, g, beta)
     obs = measurement_observable("toy", model.size)
-    got = fi_error_propagation(model, beta, obs, delta_omega=1e-3)
+    got = fi_error_propagation(model, thermal(model, beta), obs, delta_omega=1e-3)
     want = fi_errprop_closed(ToyParams(omega=1.0, g=g, beta=beta))
     assert got == pytest.approx(want, rel=1e-5)
 
@@ -394,7 +413,8 @@ def test_error_propagation_free_oscillator():
     # g = 0 limit of the closed form: beta^2 csch^2(beta omega) / 2
     beta, n_max = 1.5, 96
     obs = measurement_observable("toy", n_max)
-    got = fi_error_propagation(build_model("toy", 1.0, 0.0, n_max), beta, obs, delta_omega=1e-3)
+    model = build_model("toy", 1.0, 0.0, n_max)
+    got = fi_error_propagation(model, thermal(model, beta), obs, delta_omega=1e-3)
     want = beta ** 2 / (2.0 * math.sinh(beta) ** 2)
     assert got == pytest.approx(want, rel=1e-5)
 
@@ -403,12 +423,13 @@ def test_error_propagation_is_zero_where_the_mean_does_not_move():
     # at g = 0 the ring's Gibbs states are diagonal, so <(Sx/2)^2> = N/4 for
     # every omega: the differences are roundoff and the slope is exactly 0
     model = build_model("ising", 1.0, 0.0, 6)
-    assert fi_error_propagation(model, 1.74, measurement_observable("ising", 6)) == 0.0
+    assert fi_error_propagation(model, thermal(model, 1.74), measurement_observable("ising", 6)) == 0.0
 
 
 def test_error_propagation_rejects_zero_variance():
+    model = build_model("lmg", 1.0, 0.5, 6)
     with pytest.raises(ZeroVariance):
-        fi_error_propagation(build_model("lmg", 1.0, 0.5, 6), 2.0, np.eye(7))
+        fi_error_propagation(model, thermal(model, 2.0), np.eye(7))
 
 
 @pytest.mark.parametrize("kind,size", [("lmg", 8), ("ising", 4)])
@@ -416,9 +437,10 @@ def test_error_propagation_rejects_zero_variance():
 def test_estimator_ordering(kind, size, g, beta):
     model = build_model(kind, 1.0, g, size)
     obs = measurement_observable(kind, size)
-    qfi = qfi_spectral(model, thermal(model, beta)).total
-    cfi = cfi_projective(model, beta, obs, delta_omega=1e-3, fd_rtol=1e-6)
-    errprop = fi_error_propagation(model, beta, obs, delta_omega=1e-3, fd_rtol=1e-6)
+    state = thermal(model, beta)
+    qfi = qfi_spectral(model, state).total
+    cfi = cfi_projective(model, state, obs, delta_omega=1e-3, fd_rtol=1e-6)
+    errprop = fi_error_propagation(model, state, obs, delta_omega=1e-3, fd_rtol=1e-6)
     slack = 1e-6
     assert errprop <= cfi + slack
     assert cfi <= qfi + slack
@@ -439,9 +461,10 @@ def test_estimator_ordering_property(case, g, beta):
     model = build_model(kind, 1.0, g, size)
     obs = measurement_observable(kind, size)
     try:
-        qfi = qfi_spectral(model, thermal(model, beta)).total
-        cfi = cfi_projective(model, beta, obs, fd_rtol=1e-6)
-        errprop = fi_error_propagation(model, beta, obs, fd_rtol=1e-6)
+        state = thermal(model, beta)
+        qfi = qfi_spectral(model, state).total
+        cfi = cfi_projective(model, state, obs, fd_rtol=1e-6)
+        errprop = fi_error_propagation(model, state, obs, fd_rtol=1e-6)
     except CritfishError as exc:
         # --hypothesis-show-statistics reports how often this happens
         event(f"rejected: {type(exc).__name__}")
@@ -535,12 +558,55 @@ def test_windowed_ladder_accepts_the_rung_of_the_full_route(monkeypatch, g, beta
 def test_rung_states_of_chains_stay_complete(kind, g, size, beta):
     # the rungs solve their chains whole, to the bits of an unwindowed solve
     model = build_model(kind, 1.0, g, size)
+    centre = thermal(model, beta)
     for omega in (1.0 - 5e-5, 1.0, 1.0 + 5e-5):
-        state = fisher._thermal_state(model, omega, beta)
+        state = fisher._thermal_state(model, centre, omega)
         full = eigh(model.at(omega).H)
         assert state.spectrum.complete and state.spectrum.highest is None
         assert np.array_equal(state.spectrum.eigenvalues, full.eigenvalues)
         assert all(np.array_equal(v, w) for (_, _, v), (_, _, w) in zip(state.spectrum.blocks, full.blocks))
+
+
+def ring_rung_cells(size):
+    """(model, its Gibbs state) of every coupling of fig2_config("ising", size) at T = 0, its finite ratio and ratio 10."""
+    config = fig2_config("ising", size)
+    for g in config.g_grid:
+        model = build_model("ising", 1.0, g, size)
+        spectrum = eigh(model.H)
+        for ratio in (*config.temp_grid, 10.0):
+            yield model, gibbs(spectrum, beta_from_gap_ratio(ratio, spectrum))
+
+
+@pytest.mark.parametrize("size", [6, 8, 10])
+def test_rung_states_from_floors_equal_the_rung_states_without_them(size):
+    delta = fig2_config("ising", size).delta_omega
+    for k, (model, centre) in enumerate(ring_rung_cells(size)):
+        window = gibbs_window(centre.beta)
+        # rungs on one side of the centre, the side changing from cell to cell
+        for omega in model.omega + (-1) ** k * np.array([delta / 4, delta / 2, 0.3]):
+            state = fisher._thermal_state(model, centre, omega)
+            want = gibbs(eigh(model.at(omega).H, window, whole_blocks=True), centre.beta)
+            assert np.array_equal(state.spectrum.eigenvalues, want.spectrum.eigenvalues)
+            assert np.array_equal(state.probs, want.probs)
+            for (_, levels, v), (_, want_levels, w) in zip(state.spectrum.blocks, want.spectrum.blocks):
+                assert np.array_equal(levels, want_levels) and np.array_equal(v, w)
+
+
+@pytest.mark.parametrize("size", [6, 8, 10])
+def test_tight_floors_solve_each_kept_block_once(monkeypatch, size):
+    solves = []
+    solve = linalg._DSYEVD
+    monkeypatch.setattr(linalg, "_DSYEVD", lambda a: solves.append(a) or solve(a))
+    left_out = 0
+    for model, centre in ring_rung_cells(size):
+        solves.clear()
+        # at the centre each floor is its block's lowest level
+        blocks = fisher._thermal_state(model, centre, model.omega).spectrum.blocks
+        # a kept twin holds the vectors of the block before it
+        kept = [b for b, (_, levels, v) in enumerate(blocks) if levels.size and not (b and v is blocks[b - 1][2])]
+        assert len(solves) == len(kept)
+        left_out += sum(not levels.size for _, levels, _ in blocks)
+    assert left_out > 0
 
 
 def ring_cold_cells(size):
@@ -568,15 +634,15 @@ def test_windowed_ring_spectrum_gives_the_full_qfi(size):
 @pytest.mark.parametrize("beta_of", [lambda beta: beta, lambda beta: math.inf])
 def test_fd_estimators_on_windowed_ring_rungs_match_full_rungs(monkeypatch, beta_of):
     model, beta = next(ring_cold_cells(8))
-    beta = beta_of(beta)
+    state = thermal(model, beta_of(beta))
     observable = measurement_observable("ising", 8)
     estimators = (
-        lambda: qfi_fidelity_fd(model, beta, delta_omega=1e-3),
-        lambda: cfi_projective(model, beta, observable, delta_omega=1e-3, fd_rtol=1e-5),
-        lambda: fi_error_propagation(model, beta, observable, delta_omega=1e-3, fd_rtol=1e-5),
+        lambda: qfi_fidelity_fd(model, state, delta_omega=1e-3),
+        lambda: cfi_projective(model, state, observable, delta_omega=1e-3, fd_rtol=1e-5),
+        lambda: fi_error_propagation(model, state, observable, delta_omega=1e-3, fd_rtol=1e-5),
     )
     windowed = [estimate() for estimate in estimators]
-    monkeypatch.setattr(fisher, "_thermal_state", lambda m, omega, b: gibbs(eigh(m.at(omega).H), b))
+    monkeypatch.setattr(fisher, "_thermal_state", lambda m, s, omega: gibbs(eigh(m.at(omega).H), s.beta))
     full = [estimate() for estimate in estimators]
     assert windowed == pytest.approx(full, rel=1e-12, abs=0)
 

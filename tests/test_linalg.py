@@ -260,6 +260,11 @@ def test_ising_hamiltonian_splits_into_parity_sectors():
     assert [r.tolist() in found for r in model.H.rows] == [True] * 5 + [False] + [True] * 6
 
 
+def exact_floors(matrix):
+    """The lowest level of each dense block of a Sectors, -inf for any other block: the tightest floors."""
+    return [np.linalg.eigvalsh(block)[0] if isinstance(block, np.ndarray) else -math.inf for block in matrix.blocks]
+
+
 def counted_syevd(monkeypatch):
     """The blocks handed to ?syevd, recorded while it still solves them."""
     seen = []
@@ -293,8 +298,10 @@ def test_a_twin_pair_past_the_window_is_left_out_unsolved(monkeypatch):
     a, low = random_symmetric(rng, 6), random_symmetric(rng, 6)
     high = a + (np.linalg.eigvalsh(low)[-1] - np.linalg.eigvalsh(a)[0] + 1.0) * np.eye(6)  # above every level of low
     alone = eigh(low)
+    matrix = Sectors([np.arange(6), np.arange(6, 12), np.arange(12, 18)], [high, high.copy(), low])
+    floors = exact_floors(matrix)
     seen = counted_syevd(monkeypatch)
-    spec = eigh(Sectors([np.arange(6), np.arange(6, 12), np.arange(12, 18)], [high, high.copy(), low]), 0.5)
+    spec = eigh(matrix, 0.5, floors=floors)
     assert len(seen) == 1 and np.array_equal(seen[0], low)
     assert [levels.size for _, levels, _ in spec.blocks] == [0, 0, 6] and not spec.complete
     assert spec.dim == 18 and spec.highest is None and spec.matrix is None
@@ -731,8 +738,9 @@ SPLIT_GROUND = [
     # in two more blocks; a block at 0.9 and one at 3 lie past that group's end
     ([[0.0, 2.0, 3.0], [0.0, 2.5, 4.0], [0.8, 1.0, 5.0], [0.8 + 1e-12, 6.0, 7.0], [0.9, 1.5, 2.0], [3.0, 4.0, 5.0]],
      [True, True, True, True, False, False]),
-    # the second block, first left out 1.5e-10 past the level 0.5, is kept once the third, visited later
-    # for its larger diagonal, bridges the gap with a level 0.8e-10 past it (tolerance 1e-10)
+    # the second block, 1.5e-10 past the level 0.5 and so past the end of the first block's levels, is kept
+    # because the third, visited before it for its lower floor, bridges the gap with a level 0.8e-10 past
+    # 0.5 (tolerance 1e-10)
     ([[0.0, 0.5, 0.9], [0.5 + 1.5e-10, 0.95, 0.97], [0.5 + 0.8e-10, 0.96, 0.98]], [True, True, True]),
 ]
 
@@ -744,9 +752,9 @@ def test_window_zero_keeps_a_split_ground_group_and_the_group_past_it(monkeypatc
     blocks = [np.diag(v) if b < 2 else rotated(rng, v) for b, v in enumerate(levels)]
     rows = [np.arange(3 * b, 3 * b + 3) for b in range(len(blocks))]
     matrix = Sectors(rows, blocks)
-    full = eigh(matrix)
+    full, floors = eigh(matrix), exact_floors(matrix)
     seen = counted_syevd(monkeypatch)
-    win = eigh(matrix, window=0.0)
+    win = eigh(matrix, window=0.0, floors=floors)
     assert kept_by_rule(full, 0.0) == kept and len(seen) == sum(kept)
     assert_kept_blocks_hold_the_full_bits(full, win, kept)
     # the scale of the tolerances is that of the solved levels (Spectrum)
@@ -794,27 +802,6 @@ def test_a_block_solved_in_a_window_without_an_end_can_give_it_one(blocks):
     full = eigh(matrix)
     assert kept_by_rule(full, 2.0) == [True, True, False]
     assert_kept_blocks_hold_the_full_bits(full, eigh(matrix, window=2.0), [True, True, False])
-
-
-@pytest.mark.parametrize("size", [6, 8, 10])
-def test_bounds_and_cholesky_decide_each_ring_block_as_its_lowest_level_does(size):
-    for matrix, full, window in ring_cells(size):
-        tol = linalg.DEGENERACY_RTOL * full.energy_scale
-        end = linalg._window_end(full.eigenvalues, full.eigenvalues[0] + window, tol)
-        for block in matrix.blocks:
-            lowest = np.linalg.eigvalsh(block)[0]
-            for x in (lowest - 1e-9, lowest + 1e-9) + (() if end is None else (end + tol,)):
-                assert linalg._lies_above(block, x) == (lowest > x)
-
-
-def test_each_route_of_the_decision_matches_the_lowest_level():
-    rng = np.random.default_rng(5)
-    for dim in (1, 2, 7, 30):
-        block = random_symmetric(rng, dim)
-        lowest = np.linalg.eigvalsh(block)[0]
-        # the smallest diagonal entry, and Cholesky on either side of the lowest level
-        for x in (block.diagonal().min(), lowest - 1e-9, lowest + 1e-9):
-            assert linalg._lies_above(block, x) == (lowest > x)
 
 
 def test_a_zero_block_gets_no_eigenpair_and_no_root_column():
