@@ -64,6 +64,7 @@ level (``fisher``).
 
 import ctypes
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -450,9 +451,10 @@ def _solve_block(idx, block):
     return _sign_fixed(idx, _solve_chain(*block) if isinstance(block, tuple) else _DSYEVD(block))
 
 
-def _twin(matrix, b):
-    """Whether block b of a Sectors is the block before it (a dense block stored once for both)."""
-    return b > 0 and matrix.blocks[b] is not None and matrix.blocks[b] is matrix.blocks[b - 1]
+def _twins(matrix):
+    """Per block of a Sectors, whether it is the block before it (a dense block stored once for both)."""
+    blocks = matrix.blocks
+    return [b > 0 and block is not None and block is blocks[b - 1] for b, block in enumerate(blocks)]
 
 
 def _window_end(values, edge, tol):
@@ -475,6 +477,7 @@ def _windowed(matrix, window, whole, floors):
     """
     chains, solved, lows, tops, dense, waiting = {}, {}, [], [], [], []
     windowable = not whole and all(_hook(name) is not None for name in ("stebz", "stein", "gtsv"))
+    twins = _twins(matrix)
     for b, (idx, block) in enumerate(zip(matrix.rows, matrix.blocks)):
         if windowable and isinstance(block, tuple) and idx.size >= _WINDOW_START * _WINDOW_SHARE:
             low, top = _DSTEBZ(*block, 1, _WINDOW_START), _DSTEBZ(*block, idx.size, idx.size)
@@ -483,7 +486,7 @@ def _windowed(matrix, window, whole, floors):
                 lows.append(float(low[0][0]))
                 tops.append(float(top[0][0]))
                 continue
-        if block is None or _twin(matrix, b):
+        if block is None or twins[b]:
             continue
         if not isinstance(block, tuple):
             dense.append(b)
@@ -535,7 +538,7 @@ def _windowed(matrix, window, whole, floors):
     results = []
     for b, idx in enumerate(matrix.rows):
         if b not in solved:
-            solved[b] = solved[b - 1] if _twin(matrix, b) else _no_level(idx.size)
+            solved[b] = solved[b - 1] if twins[b] else _no_level(idx.size)
         results.append(solved[b])
     return results, (max(tops) if chains else None)
 
@@ -602,8 +605,8 @@ def eigh(matrix, window=None, *, whole_blocks=False, floors=None):
         matrix = Sectors([np.arange(dense.shape[0] if dense.ndim else 0)], [dense])
     if window is None:
         solved, highest = [], None
-        for b, (idx, block) in enumerate(zip(matrix.rows, matrix.blocks)):
-            solved.append(solved[-1] if _twin(matrix, b) else _solve_block(idx, block))
+        for idx, block, twin in zip(matrix.rows, matrix.blocks, _twins(matrix)):
+            solved.append(solved[-1] if twin else _solve_block(idx, block))
     elif window >= 0:
         if floors is not None and len(floors) != len(matrix.blocks):
             raise ValueError(f"need one floor per block: {len(floors)} for {len(matrix.blocks)} blocks")
@@ -615,7 +618,7 @@ def eigh(matrix, window=None, *, whole_blocks=False, floors=None):
     level = order.argsort()  # the global level of each entry of merged
     eigenvalues = merged[order]
     eigenvalues.flags.writeable = level.flags.writeable = False
-    ends = np.cumsum([vals.size for vals, _ in solved]).tolist()
+    ends = list(itertools.accumulate(vals.size for vals, _ in solved))
     levels = [level[start:end] for start, end in zip([0, *ends], ends)]  # read-only views
     blocks = tuple(zip(matrix.rows, levels, [vecs for _, vecs in solved]))
     return Spectrum(eigenvalues, blocks, highest, None if highest is None else matrix)
@@ -624,7 +627,7 @@ def eigh(matrix, window=None, *, whole_blocks=False, floors=None):
 def _same_rows(matrix, rows):
     """Whether ``matrix`` is a Sectors over exactly ``rows``, block for block."""
     return isinstance(matrix, Sectors) and len(matrix.rows) == len(rows) and all(
-        r is other or np.array_equal(r, other) for r, other in zip(matrix.rows, rows))
+        r is other or r.tolist() == other.tolist() for r, other in zip(matrix.rows, rows))
 
 
 def _root_columns(density):

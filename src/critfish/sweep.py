@@ -267,17 +267,13 @@ def _evaluate_cell(task):
         else:
             beta = temp
             row.beta_gap_ratio = beta / gap_value
+        state = gibbs(spectrum, beta)  # the one Gibbs state every estimator reads
     except CritfishError as exc:
         row.status = f"cell:{type(exc).__name__}"
         return row
     row.N = model.size
     row.gap = gap_value
     row.beta = beta
-    try:
-        state = gibbs(spectrum, beta)  # every estimator reads the same Gibbs state
-    except CritfishError as exc:  # a gap ratio so small that beta rounds to 0
-        row.status = f"cell:{type(exc).__name__}"
-        return row
 
     fd_kwargs = dict(delta_omega=config.delta_omega, fd_rtol=config.fd_rtol)
     measure_kwargs = dict(delta_omega=config.delta_omega, fd_rtol=MEASUREMENT_FD_RTOL)

@@ -378,6 +378,17 @@ def test_single_outcome_measurement_still_checks_the_shape():
         cfi_projective(model, thermal(model, 2.0), np.eye(5))
 
 
+def test_finite_difference_routes_reject_a_state_over_other_rows():
+    # the rung states take their floors block by block from the state's spectrum
+    model = build_model("lmg", 1.0, 0.7, 6)
+    dense = gibbs(eigh(np.asarray(model.H)), 2.0)
+    observable = measurement_observable("lmg", 6)
+    for estimate in (lambda: qfi_fidelity_fd(model, dense), lambda: cfi_projective(model, dense, observable),
+                     lambda: fi_error_propagation(model, dense, observable)):
+        with pytest.raises(DimMismatch, match="rows"):
+            estimate()
+
+
 def test_an_observable_with_a_zero_block_measures_as_its_dense_matrix():
     # the rows of a zero block are an outcome 0 of the measurement, not rows without one
     model = build_model("lmg", 1.0, 0.8, 6)
