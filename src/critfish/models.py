@@ -94,6 +94,7 @@ class ModelInstance:
 
     @functools.cached_property
     def _parts(self):
+        """The parts of H that do not depend on omega (``_omega_free_parts``), formed at the first ``at``."""
         return _omega_free_parts(self.g, self.dH, self.coupling_term)
 
     @functools.cached_property
