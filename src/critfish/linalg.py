@@ -57,9 +57,9 @@ solved in ascending order of their floors until the next floor lies
 past the window's end, and the blocks from there on are never solved.
 A long chain solves only its levels within the window of the lowest
 one, by bisection (``?stebz``) and inverse iteration (``?stein``), at
-O(n) per level, unless the caller asks for whole blocks.  The levels a chain leaves out are still
-reachable through its resolvent, one tridiagonal solve (``?gtsv``) per
-level (``fisher``).
+O(n) per level, unless the caller asks for whole blocks.  The levels a
+chain leaves out are still reachable through its resolvent, one
+tridiagonal solve (``?gtsv``) per level (``fisher``).
 """
 
 import ctypes
@@ -499,7 +499,7 @@ def _windowed(matrix, window, whole, floors):
     waiting.sort(key=lambda b: floors[b])
     cut, stale = None, True
     while True:
-        # the end lies past the window's edge E_0 + window, so a block whose floor is within it is solved without it
+        # the end lies past the edge E_0 + window: a block whose floor is within the edge is solved without it
         if stale and (chains or not waiting or not lows or floors[waiting[0]] > min(lows) + window):
             stale, cut = False, None
             if lows:
