@@ -26,7 +26,7 @@ from .fisher import (
     qfi_spectral,
     quantum_term_by_offset,
 )
-from .linalg import Sectors, Spectrum, eigh, fidelity, symmetrize
+from .linalg import Sectors, Spectrum, eigh, fidelity
 from .models import ModelInstance, ModelKind, build_model, toy_converged_truncation
 from .operators import make_chain_ops, make_dicke_ops, make_fock_ops
 from .sweep import SweepConfig, SweepRow, make_config, measurement_observable, run_sweep
@@ -70,7 +70,6 @@ __all__ = [
     "quadrature_moments",
     "quantum_term_by_offset",
     "run_sweep",
-    "symmetrize",
     "thermal_expectation",
     "toy_converged_truncation",
 ]

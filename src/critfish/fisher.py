@@ -50,14 +50,14 @@ omega with ``ModelInstance.at``, which re-forms H = omega * dH - g * W
 from the parts the model already holds, so no operator is rebuilt or
 checked again on a ladder rung.  Each rung's Gibbs state, and the
 centre state of ``cfi_projective`` and ``fi_error_propagation``, is
-solved in its Gibbs window (``models.gibbs_window``) with whole blocks:
-a dense block whose levels all lie past the window is left out, every
-other block is solved completely, and a block left out adds nothing to
-any sum here.  Its levels' weights, below ``models.WINDOW_WEIGHT``, are
-all the estimates lose, so they move only at roundoff.  The state at
-the centre bounds each block's lowest level on a rung from below (a
-floor, ``_thermal_state``), so ``eigh`` leaves the blocks past the
-window unsolved, not only out.
+solved in its Gibbs window (``models.gibbs_window``): a dense block
+whose levels all lie past the window is left out, every other block is
+solved completely, and a block left out adds nothing to any sum here.
+Its levels' weights, below ``models.WINDOW_WEIGHT``, are all the
+estimates lose, so they move only at roundoff.  The state at the centre
+bounds each block's lowest level on a rung from below (a floor,
+``_thermal_state``), so ``eigh`` leaves the blocks past the window
+unsolved, not only out, and solves every chain whole.
 
 The tolerances below are module constants, not parameters: only the
 ladder's relative agreement ``fd_rtol`` and its first step
@@ -402,19 +402,19 @@ def _checked_state(model, state):
 
 
 def _thermal_state(model, state, omega):
-    """Gibbs state of the model at another omega and ``state.beta``, solved in its Gibbs window with whole blocks.
+    """Gibbs state of the model at another omega and ``state.beta``, solved in its Gibbs window.
 
     ``state`` is the model's Gibbs state at model.omega.  The floor of
     each block is its lowest level there, minus the most it can move on
     the way to ``omega`` (``ModelInstance.generator_bounds``), or -inf
-    where ``state`` holds no level of it; ``eigh`` solves no block whose
-    floor lies past the window's end.
+    where ``state`` holds no level of it.  Given floors, ``eigh`` solves
+    every chain whole and no block whose floor lies past the window's end.
     """
     shift = abs(omega - model.omega)
     energies = state.spectrum.eigenvalues
     floors = [energies[levels[0]] - shift * bound if levels.size else -math.inf
               for (_, levels, _), bound in zip(state.spectrum.blocks, model.generator_bounds)]
-    spectrum = eigh(model.at(omega).H, window=gibbs_window(state.beta), whole_blocks=True, floors=floors)
+    spectrum = eigh(model.at(omega).H, window=gibbs_window(state.beta), floors=floors)
     return gibbs(spectrum, state.beta)
 
 

@@ -51,15 +51,16 @@ library that lacks one still serves the others.
 
 A cold Gibbs state weighs a few dozen of thousands of levels, so
 ``eigh`` takes an energy window.  A dense block whose levels all lie
-past it is left out whole; the rest are solved completely.  Given a
-lower bound on each block's lowest level (a floor), dense blocks are
-solved in ascending order of their floors until the next floor lies
-past the window's end, and the blocks from there on are never solved.
-A long chain solves only its levels within the window of the lowest
-one, by bisection (``?stebz``) and inverse iteration (``?stein``), at
-O(n) per level, unless the caller asks for whole blocks.  The levels a
-chain leaves out are still reachable through its resolvent, one
-tridiagonal solve (``?gtsv``) per level (``fisher``).
+past it is left out whole; the rest are solved completely.  Dense
+blocks are solved in ascending order of a lower bound on each one's
+lowest level (a floor, -inf unless the caller gives floors) until the
+next floor lies past the window's end, and the blocks from there on are
+never solved.  Without floors a long chain solves only its levels
+within the window of the lowest one, by bisection (``?stebz``) and
+inverse iteration (``?stein``), at O(n) per level; a caller that gives
+floors gets every chain whole.  The levels a chain leaves out are still
+reachable through its resolvent, one tridiagonal solve (``?gtsv``) per
+level (``fisher``).
 """
 
 import ctypes
@@ -255,19 +256,13 @@ def _DGTSV(diagonal, offdiagonal, shift, rhs):
     return x, info.value
 
 
-def symmetrize(entries):
-    """Return the exactly symmetric part (A + A.T) / 2 of a square matrix.
+def _symmetric_part(entries):
+    """The exactly symmetric part (A + A.T) / 2 of a square matrix, under an error state that ignores overflow.
 
     Raises InvalidMatrix for non-square shapes and for entries that are
     non-finite or whose sum overflows.  Every input entry reaches the
     result, so checking the result alone catches non-finite input too.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _symmetric_part(entries)
-
-
-def _symmetric_part(entries):
-    """``symmetrize`` under the caller's floating-point error state, which must ignore overflow."""
     a = np.asarray(entries, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise InvalidMatrix(f"expected a square matrix, got shape {a.shape}")
@@ -347,8 +342,10 @@ class Sectors:
     a zero block, to which ``eigh`` gives no eigenpair (a Gibbs state's
     block with no solved level, ``thermal.density_matrix``).  A dense
     block equal entry for entry to the dense block before it is stored
-    as that same array, which ``eigh`` solves once.  Every array is
-    copied read-only, and non-finite entries raise InvalidMatrix.
+    as that same array, which ``eigh`` solves once.  Every block array
+    is copied read-only, as is every row list but a read-only 1-D intp
+    array that owns its data (another Sectors' rows), which is kept as
+    it is; non-finite entries raise InvalidMatrix.
     ``np.asarray`` gives the dense matrix; ``eigh`` solves the blocks
     without forming it.
     """
@@ -357,7 +354,8 @@ class Sectors:
     blocks: tuple
 
     def __post_init__(self):
-        rows = tuple(np.array(r, dtype=np.intp) for r in self.rows)
+        rows = tuple(r if isinstance(r, np.ndarray) and r.dtype == np.intp and r.ndim == 1 and r.flags.owndata
+                     and not r.flags.writeable else np.array(r, dtype=np.intp) for r in self.rows)
         if (not rows or len(rows) != len(self.blocks) or any(r.ndim != 1 or r.size < 1 for r in rows)
                 or not np.array_equal(np.sort(np.concatenate(rows)), np.arange(sum(r.size for r in rows)))):
             raise InvalidMatrix("need one non-empty row list per block, together covering 0 .. n-1 once")
@@ -469,39 +467,33 @@ def _window_end(values, edge, tol):
     return float(values[first + gaps[0]]) if gaps.size else None
 
 
-def _windowed(matrix, window, whole, floors):
+def _windowed(matrix, window, floors):
     """eigh's (eigenvalues, eigenvectors) per block within ``window``, and the highest level.
 
-    The highest level is None unless a chain was left partly unsolved.  A
-    dense block left out whole gets no eigenpair.
+    Long chains are bisected only without ``floors``, which are then -inf
+    for every block.  The highest level is None unless a chain was left
+    partly unsolved.  A dense block left out whole gets no eigenpair.
     """
-    chains, solved, lows, tops, dense, waiting = {}, {}, [], [], [], []
-    windowable = not whole and all(_hook(name) is not None for name in ("stebz", "stein", "gtsv"))
+    chains, solved, lows, tops, queue = {}, {}, [], [], []
+    windowable = floors is None and all(_hook(name) is not None for name in ("stebz", "stein", "gtsv"))
+    floors = [-math.inf] * len(matrix.blocks) if floors is None else floors
     twins = _twins(matrix)
     for b, (idx, block) in enumerate(zip(matrix.rows, matrix.blocks)):
-        if windowable and isinstance(block, tuple) and idx.size >= _WINDOW_START * _WINDOW_SHARE:
+        chain = isinstance(block, tuple)
+        if windowable and chain and idx.size >= _WINDOW_START * _WINDOW_SHARE:
             low, top = _DSTEBZ(*block, 1, _WINDOW_START), _DSTEBZ(*block, idx.size, idx.size)
             if low is not None and top is not None:
                 chains[b] = low
                 lows.append(float(low[0][0]))
                 tops.append(float(top[0][0]))
                 continue
-        if block is None or twins[b]:
-            continue
-        if not isinstance(block, tuple):
-            dense.append(b)
-            if floors is not None:
-                waiting.append(b)  # solved below, in ascending order of its floor, while it may reach the end
-                continue
-        solved[b] = _solve_block(idx, block)
-        lows.append(float(solved[b][0][0]))
-        tops.append(float(solved[b][0][-1]))
-    waiting.sort(key=lambda b: floors[b])
-    cut, stale = None, True
+        if block is not None and not twins[b]:
+            queue.append((-math.inf if chain else floors[b], b))  # a chain not bisected is solved whole, first
+    queue.sort()
     while True:
         # the end lies past the edge E_0 + window: a block whose floor is within the edge is solved without it
-        if stale and (chains or not waiting or not lows or floors[waiting[0]] > min(lows) + window):
-            stale, cut = False, None
+        if not queue or (lows and queue[0][0] > min(lows) + window):
+            cut = None
             if lows:
                 lowest = min(lows)
                 tol = DEGENERACY_RTOL * max(1.0, abs(lowest), *map(abs, tops))
@@ -509,28 +501,26 @@ def _windowed(matrix, window, whole, floors):
                 bound, b = min([(float(vals[-1]), b) for b, (vals, _, _) in chains.items()], default=(math.inf, 0))
                 known = np.sort(np.concatenate([part[0] for part in (*chains.values(), *solved.values())]))
                 cut = _window_end(known[:np.searchsorted(known, bound, side="right")], lowest + window, tol)
-        if cut is None and chains:
-            vals, block, most = chains[b][0], matrix.blocks[b], matrix.rows[b].size / _WINDOW_SHARE
-            # levels spread about evenly would need (edge - E_0) / mean spacing of them
-            spread = (lowest + window - vals[0]) * vals.size > most * (vals[-1] - vals[0])
-            more = None if spread or 2 * vals.size > most else _DSTEBZ(*block, vals.size + 1, 2 * vals.size)
-            if more is None:  # too large a share of the chain, or a failed bisection
-                solved[b] = _solve_block(matrix.rows[b], block)
-                del chains[b]
-            else:
-                chains[b] = (*(np.concatenate(pair) for pair in zip(chains[b], more[:2])), more[2])
-            stale = True
-            continue
-        # every block still waiting has its lowest level past the end, and so can move neither it nor E_0
-        if not waiting or (not stale and cut is not None and floors[waiting[0]] > cut + tol):
-            break
-        b = waiting.pop(0)
+            if cut is None and chains:
+                vals, block, most = chains[b][0], matrix.blocks[b], matrix.rows[b].size / _WINDOW_SHARE
+                # levels spread about evenly would need (edge - E_0) / mean spacing of them
+                spread = (lowest + window - vals[0]) * vals.size > most * (vals[-1] - vals[0])
+                more = None if spread or 2 * vals.size > most else _DSTEBZ(*block, vals.size + 1, 2 * vals.size)
+                if more is None:  # too large a share of the chain, or a failed bisection
+                    solved[b] = _solve_block(matrix.rows[b], block)
+                    del chains[b]
+                else:
+                    chains[b] = (*(np.concatenate(pair) for pair in zip(chains[b], more[:2])), more[2])
+                continue
+            # every block still queued has its lowest level past the end, and so can move neither it nor E_0
+            if not queue or (cut is not None and queue[0][0] > cut + tol):
+                break
+        b = queue.pop(0)[1]
         solved[b] = _solve_block(matrix.rows[b], matrix.blocks[b])
         lows.append(float(solved[b][0][0]))
         tops.append(float(solved[b][0][-1]))
-        stale = True
-    for b in dense:  # a dense block whose lowest level lies past the end is left out
-        if b in solved and cut is not None and solved[b][0][0] > cut:
+    for b in [b for b in solved if isinstance(matrix.blocks[b], np.ndarray)]:
+        if cut is not None and solved[b][0][0] > cut:  # a dense block whose lowest level lies past the end
             del solved[b]
     for b, (vals, iblock, isplit) in chains.items():
         keep = vals <= cut
@@ -543,7 +533,7 @@ def _windowed(matrix, window, whole, floors):
     return results, (max(tops) if chains else None)
 
 
-def eigh(matrix, window=None, *, whole_blocks=False, floors=None):
+def eigh(matrix, window=None, *, floors=None):
     """Eigendecomposition of a symmetric matrix, block by block, with fixed signs.
 
     ``matrix`` is a Sectors or a dense array.  Each block of a Sectors
@@ -565,21 +555,28 @@ def eigh(matrix, window=None, *, whole_blocks=False, floors=None):
 
     * A dense block whose lowest level lies past the end of that group
       is left out whole and holds no level; every other dense block is
-      solved completely, to the bits of an unwindowed solve.  Without
-      ``floors`` every dense block is solved, and those whose lowest
-      level lies past the end are dropped.  ``floors`` holds one value
-      per block of the matrix, at or below that block's lowest level
-      (-inf where none is known; the values of chains and zero blocks
-      are not read), and lets blocks be left out unsolved: dense blocks
-      are solved in ascending order of their floors while the floor is
-      at or below the end known so far plus the degeneracy tolerance, or
-      no end is known yet.  The first block past that stops the visits,
-      as every block not yet solved then has all its levels past the end
-      and can move neither it nor E_0; a solved block whose lowest level
-      lies past the final end is dropped as above.  A floor above its
-      block's lowest level may leave out a block the window holds.
-    * A chain of at least _STEVD_MIN_ROWS rows solves only its lowest
-      levels: bisection (?stebz) finds them, the count doubling from
+      solved completely, to the bits of an unwindowed solve.  ``floors``
+      holds one value per block of the matrix, at or below that block's
+      lowest level (-inf where none is known; the values of chains and
+      zero blocks are not read), and is -inf for every block when not
+      given.  Dense blocks are solved in ascending order of their floors
+      while the floor lies within the window of the lowest level known,
+      or at or below the end known so far plus the degeneracy
+      tolerance, or no end is known yet.  The first block past that
+      stops the visits, as every block not yet solved then has all its
+      levels past the end and can move neither it nor E_0; a solved
+      block whose lowest level lies past the final end is dropped.  So
+      without floors every dense block is solved and those past the end
+      are dropped.  A floor above its block's lowest level may leave out
+      a block the window holds.
+    * A call with ``floors`` solves every chain completely: the Gibbs
+      states of the finite-difference rungs pass floors from the
+      spectrum at the ladder's centre (``fisher``), and so keep their
+      chains' states the unwindowed ones bit for bit.  Without floors,
+      as on the oscillator's truncation ladder
+      (``models.toy_converged_truncation``), a chain of at least
+      _WINDOW_START * _WINDOW_SHARE rows solves only its lowest levels:
+      bisection (?stebz) finds them, the count doubling from
       _WINDOW_START until the levels within the window are known, and
       inverse iteration (?stein) gives their vectors.  It gives up and
       is solved completely once the window would hold more than
@@ -590,14 +587,6 @@ def eigh(matrix, window=None, *, whole_blocks=False, floors=None):
       reaches the unsolved levels (``fisher``).  Each chain's highest
       level comes from one more bisection, so the tolerance scale
       max |E| is that of the full spectrum.
-
-    ``whole_blocks=True`` solves every chain completely under a window,
-    so only dense blocks are left out: the Gibbs states of the
-    finite-difference rungs ask for it (``fisher``), with floors from the
-    spectrum at the ladder's centre, which keeps their chains' states the
-    unwindowed ones bit for bit.  The default cuts long chains short, for
-    the oscillator's truncation ladder
-    (``models.toy_converged_truncation``).
     """
     if not isinstance(matrix, Sectors):
         dense = np.asarray(matrix, dtype=float)
@@ -610,7 +599,7 @@ def eigh(matrix, window=None, *, whole_blocks=False, floors=None):
     elif window >= 0:
         if floors is not None and len(floors) != len(matrix.blocks):
             raise ValueError(f"need one floor per block: {len(floors)} for {len(matrix.blocks)} blocks")
-        solved, highest = _windowed(matrix, float(window), whole_blocks, floors)
+        solved, highest = _windowed(matrix, float(window), floors)
     else:
         raise ValueError(f"window must be >= 0, got {window}")
     merged = np.concatenate([vals for vals, _ in solved])

@@ -34,7 +34,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import BeyondCriticality, InvalidTemperature, TruncationNotConverged
+from .errors import BeyondCriticality, InvalidMatrix, InvalidTemperature, TruncationNotConverged
 from .linalg import Sectors
 from .operators import make_chain_ops, make_dicke_ops, make_fock_ops
 
@@ -86,8 +86,8 @@ class ModelInstance:
 
         H is formed from the parts of W's blocks that do not depend on
         omega (``_hamiltonian``), which this model keeps once formed, and
-        takes none of the checks of a new Sectors, which build_model ran
-        on the same parts.
+        is not checked again: build_model checked the H it formed from
+        the same parts.
         """
         _check_parameters(self.kind, omega, self.g)
         return replace(self, omega=float(omega), H=_hamiltonian(omega, self._parts, self.coupling_term.rows))
@@ -189,13 +189,18 @@ def build_model(kind, omega, g, size):
         ops = make_chain_ops(size)
         generator = ops.sz_total
         coupling = ops.xx_pbc
-    H = _hamiltonian(omega, _omega_free_parts(g, generator, coupling), coupling.rows)
+    with np.errstate(over="ignore", invalid="ignore"):  # a coupling that overflows H is caught below
+        H = _hamiltonian(omega, _omega_free_parts(g, generator, coupling), coupling.rows)
+    # H is exactly symmetric and over W's rows by construction; only its entries are checked, here, not in ``at``
+    arrays = [array for block in H.blocks for array in (block if isinstance(block, tuple) else (block,))]
+    if not all(np.isfinite(array).all() for array in arrays):
+        raise InvalidMatrix(f"H has non-finite entries at omega={omega}, g={g}")
     return ModelInstance(
         kind=kind,
         omega=float(omega),
         g=float(g),
         size=int(size),
-        H=Sectors(H.rows, H.blocks),  # checked once here, so ``at`` need not
+        H=H,
         dH=generator,
         coupling_term=coupling,
     )

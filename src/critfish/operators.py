@@ -298,7 +298,8 @@ def _ring(N):
     sz_total = N - 2.0 * sum((representative >> n) & 1 for n in range(N))
     for array in (representative, momentum, partner, sine, twin, sz_total):
         array.flags.writeable = False
-    return ChainOps(N=N, sz_total=sz_total, xx_pbc=Sectors(rows, xx), sx2=Sectors(rows, sx2),
+    xx_pbc = Sectors(rows, xx)
+    return ChainOps(N=N, sz_total=sz_total, xx_pbc=xx_pbc, sx2=Sectors(xx_pbc.rows, sx2),
                     representative=representative, momentum=momentum, partner=partner, sine=sine, twin=twin)
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from critfish import linalg
 from critfish.errors import DiagonalizationFailed, DimMismatch, InvalidMatrix, NotPSD
-from critfish.linalg import Sectors, eigh, fidelity, symmetrize
+from critfish.linalg import Sectors, eigh, fidelity
 from critfish.cli import fig2_config
 from critfish.models import build_model, gibbs_window
 from critfish.operators import make_chain_ops, make_dicke_ops, make_fock_ops
@@ -31,21 +31,26 @@ def random_density(rng, dim):
     return rho / np.trace(rho)
 
 
+def symmetrized(entries):
+    """The dense block a Sectors of that one block stores: the same ``_symmetric_part`` eigh runs on a dense array."""
+    return Sectors([np.arange(len(entries))], [entries]).blocks[0]
+
+
 def test_symmetrize_is_exact():
     a = np.array([[1.0, 2.0], [0.0, 3.0]])
-    s = symmetrize(a)
-    assert np.array_equal(s, s.T)
+    s = symmetrized(a)
+    assert np.array_equal(s, s.T) and np.array_equal(s, [[1.0, 1.0], [1.0, 3.0]])
     assert not np.shares_memory(s, a)
-    assert not np.shares_memory(symmetrize(s), s)  # an already symmetric input is copied too
+    assert not np.shares_memory(symmetrized(s), s)  # an already symmetric input is copied too
+    assert np.array_equal(eigh(a).eigenvalues, eigh(s).eigenvalues)
 
 
 def test_symmetrize_rejects_bad_input():
-    with pytest.raises(InvalidMatrix):
-        symmetrize(np.ones((2, 3)))
-    with pytest.raises(InvalidMatrix):
-        symmetrize([[np.nan, 0.0], [0.0, 1.0]])
-    with pytest.raises(InvalidMatrix):
-        symmetrize([[np.inf, 0.0], [0.0, 1.0]])
+    for entries in (np.ones((2, 3)), [[np.nan, 0.0], [0.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]]):
+        with pytest.raises(InvalidMatrix):
+            eigh(entries)
+        with pytest.raises(InvalidMatrix):
+            symmetrized(np.array(entries))
 
 
 @pytest.mark.filterwarnings("error")
@@ -53,12 +58,13 @@ def test_symmetrize_rejects_overflow_without_a_warning():
     # finite entries whose sum overflows, and infinities whose sum is nan
     with pytest.raises(InvalidMatrix):
         eigh(np.full((3, 3), 1.5e308))
-    with pytest.raises(InvalidMatrix):
-        symmetrize([[1.0, 1.5e308], [1.5e308, 1.0]])
-    with pytest.raises(InvalidMatrix):
-        symmetrize([[1.0, np.inf], [-np.inf, 1.0]])
+    for entries in ([[1.0, 1.5e308], [1.5e308, 1.0]], [[1.0, np.inf], [-np.inf, 1.0]]):
+        with pytest.raises(InvalidMatrix):
+            eigh(entries)
+        with pytest.raises(InvalidMatrix):
+            symmetrized(np.array(entries))
     big = np.full((2, 2), 8e307)
-    assert np.array_equal(symmetrize(big), big)
+    assert np.array_equal(symmetrized(big), big)
 
 
 def test_eigh_already_diagonal():
@@ -778,7 +784,7 @@ def ring_cells(size):
 def test_windowed_ring_keeps_the_blocks_that_reach_the_window_end_with_their_bits(size):
     left_out = 0
     for matrix, full, window in ring_cells(size):
-        win = eigh(matrix, window=window, whole_blocks=True)
+        win = eigh(matrix, window=window, floors=[-math.inf] * len(matrix.blocks))
         kept = kept_by_rule(full, window)
         assert_kept_blocks_hold_the_full_bits(full, win, kept)
         assert win.highest is None and win.matrix is None and win.dim == full.dim
@@ -802,6 +808,54 @@ def test_a_block_solved_in_a_window_without_an_end_can_give_it_one(blocks):
     full = eigh(matrix)
     assert kept_by_rule(full, 2.0) == [True, True, False]
     assert_kept_blocks_hold_the_full_bits(full, eigh(matrix, window=2.0), [True, True, False])
+
+
+def assert_same_spectrum(got, want):
+    assert np.array_equal(got.eigenvalues, want.eigenvalues)
+    assert got.highest == want.highest and got.matrix is want.matrix
+    for (rows, levels, v), (want_rows, want_levels, w) in zip(got.blocks, want.blocks):
+        assert rows is want_rows and np.array_equal(levels, want_levels) and np.array_equal(v, w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_floors_change_which_dense_blocks_are_solved_never_which_are_kept(data):
+    # levels in [-1, 1], so the tolerance is DEGENERACY_RTOL whichever blocks are solved; some levels lie
+    # within 1e-10 of a level of another block, some just past it
+    anchors = data.draw(st.lists(st.floats(-0.9, 0.9), min_size=1, max_size=4))
+    near = st.tuples(st.sampled_from(anchors), st.sampled_from([0.0, 3e-11, 8e-11, 1.2e-10])).map(sum)
+    sizes = data.draw(st.lists(st.integers(1, 6), min_size=2, max_size=8))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31)))
+    blocks = [rotated(rng, data.draw(st.lists(st.one_of(st.floats(-0.9, 0.9), near), min_size=n, max_size=n)))
+              for n in sizes]
+    ends = np.cumsum([0, *sizes])
+    matrix = Sectors([np.arange(start, end) for start, end in zip(ends[:-1], ends[1:])], blocks)
+    window = data.draw(st.sampled_from([0.0, 1e-3, 0.3, 5.0]))
+    full = eigh(matrix)
+    floors = [full.eigenvalues[levels[0]] - data.draw(st.floats(0.0, 2.0)) if data.draw(st.booleans()) else -math.inf
+              for _, levels, _ in full.blocks]
+    handed = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_DSYEVD", lambda a, solve=linalg._DSYEVD: handed.append(a) or solve(a))
+        win = eigh(matrix, window, floors=floors)
+    kept = kept_by_rule(full, window)
+    assert_kept_blocks_hold_the_full_bits(full, win, kept)
+    assert_same_spectrum(eigh(matrix, window, floors=[-math.inf] * len(blocks)), eigh(matrix, window))
+    # every block solved has its floor at or below the end plus the tolerance
+    tol = linalg.DEGENERACY_RTOL * full.energy_scale
+    end = linalg._window_end(full.eigenvalues, full.eigenvalues[0] + window, tol)
+    solved = [next(b for b, block in enumerate(matrix.blocks) if block is a) for a in handed]
+    assert end is None or all(floors[b] <= end + tol for b in solved)
+
+
+@pytest.mark.parametrize("kind,g,size", [("toy", 0.999, 1024), ("lmg", 1.3, 1023)])
+@pytest.mark.parametrize("window", [0.0, math.log(1e20) / 50.0])
+def test_floors_keep_long_chains_whole(kind, g, size, window):
+    m = build_model(kind, 1.0, g, size).H
+    assert min(rows.size for rows in m.rows) >= 512  # long enough to be bisected without floors
+    win = eigh(m, window, floors=[-math.inf] * len(m.blocks))
+    assert win.complete
+    assert_same_spectrum(win, eigh(m))
 
 
 def test_a_zero_block_gets_no_eigenpair_and_no_root_column():

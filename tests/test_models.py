@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from critfish import linalg, models, sweep
-from critfish.errors import BeyondCriticality, InvalidDimension, InvalidTemperature, TruncationNotConverged
+from critfish.errors import (
+    BeyondCriticality,
+    InvalidDimension,
+    InvalidMatrix,
+    InvalidTemperature,
+    TruncationNotConverged,
+)
 from critfish.fisher import qfi_spectral
 from critfish.linalg import eigh
 from critfish.models import TRUNCATION_SIZES, WINDOW_WEIGHT, ModelKind, build_model, toy_converged_truncation
@@ -110,6 +116,29 @@ def test_at_shares_the_twin_blocks_of_the_coupling(size):
     assert twins and all(moved.H.blocks[b] is moved.H.blocks[b - 1] for b in twins)
     for block in moved.H.blocks:
         assert not block.flags.writeable and np.array_equal(block, block.T)
+
+
+def test_a_coupling_that_overflows_h_ends_in_a_row_status():
+    # g * W overflows; under pytest's error filter a RuntimeWarning would end the sweep in a traceback
+    config = sweep.make_config({"model": "ising", "size": 4, "g_grid": [1.7e308], "temp_grid": [1.0],
+                                "temp_mode": "beta", "workers": 1})
+    row, = sweep.run_sweep(config)
+    assert row.status == "cell:InvalidMatrix"
+    with pytest.raises(InvalidMatrix):
+        build_model("lmg", 1.0, 1.7e308, 8)
+
+
+@pytest.mark.parametrize("kind,size", [("toy", 16), ("lmg", 8), ("ising", 6)])
+def test_h_keeps_the_rows_of_the_coupling(kind, size):
+    model = build_model(kind, 1.0, 0.5, size)
+    assert model.H.rows is model.coupling_term.rows
+    assert model.at(1.1).H.rows is model.H.rows
+
+
+def test_the_ring_observable_keeps_the_rows_of_the_coupling():
+    model = build_model("ising", 1.0, 0.5, 6)
+    observable = sweep.measurement_observable("ising", 6)
+    assert all(rows is w_rows for rows, w_rows in zip(observable.rows, model.coupling_term.rows))
 
 
 def test_gibbs_window_holds_the_weight_above_window_weight():
