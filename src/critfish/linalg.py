@@ -500,7 +500,10 @@ def _windowed(matrix, window, floors):
                 # every level below the lowest last bisected level is known
                 bound, b = min([(float(vals[-1]), b) for b, (vals, _, _) in chains.items()], default=(math.inf, 0))
                 known = np.sort(np.concatenate([part[0] for part in (*chains.values(), *solved.values())]))
-                cut = _window_end(known[:np.searchsorted(known, bound, side="right")], lowest + window, tol)
+                known = known[:np.searchsorted(known, bound, side="right")]
+                if queue:  # given floors (so no chain bisected), every level not yet seen lies at or above the head's
+                    known = np.append(known[:np.searchsorted(known, queue[0][0])], queue[0][0])
+                cut = _window_end(known, lowest + window, tol)
             if cut is None and chains:
                 vals, block, most = chains[b][0], matrix.blocks[b], matrix.rows[b].size / _WINDOW_SHARE
                 # levels spread about evenly would need (edge - E_0) / mean spacing of them
@@ -562,7 +565,9 @@ def eigh(matrix, window=None, *, floors=None):
       given.  Dense blocks are solved in ascending order of their floors
       while the floor lies within the window of the lowest level known,
       or at or below the end known so far plus the degeneracy
-      tolerance, or no end is known yet.  The first block past that
+      tolerance, or no end is known yet; the end is known once a level
+      seen, or the next floor, lies more than the tolerance past its
+      group.  The first block past that
       stops the visits, as every block not yet solved then has all its
       levels past the end and can move neither it nor E_0; a solved
       block whose lowest level lies past the final end is dropped.  So
