@@ -29,7 +29,7 @@ from .fisher import (
 from .linalg import Sectors, Spectrum, eigh, fidelity
 from .models import ModelInstance, ModelKind, build_model, toy_converged_truncation
 from .operators import make_chain_ops, make_dicke_ops, make_fock_ops
-from .sweep import SweepConfig, SweepRow, make_config, measurement_observable, run_sweep
+from .sweep import SweepConfig, SweepRow, make_config, run_sweep
 from .thermal import ThermalState, beta_from_gap_ratio, density_matrix, gap, gibbs, thermal_expectation
 
 __version__ = "0.1.0"
@@ -60,7 +60,6 @@ __all__ = [
     "make_config",
     "make_dicke_ops",
     "make_fock_ops",
-    "measurement_observable",
     "qfi_eigenstate",
     "qfi_fidelity_fd",
     "qfi_pure",

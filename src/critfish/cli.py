@@ -46,6 +46,8 @@ def _size_value(text):
 
 def fig1_config(model, size, g_count=FIG_G_COUNT, temp_count=FIG_TEMP_COUNT):
     """Coupling-temperature grid with the T = 0 and ratio-180 cuts included."""
+    if temp_count < 0:
+        raise ConfigError(f"must be >= 0, got {temp_count}", field="temp_count")
     ratios = [math.inf, FIG_RATIO_CUT]
     ratios += [float(r) for r in np.logspace(FIG_TEMP_DECADES[1], FIG_TEMP_DECADES[0], temp_count)]
     return make_config(

@@ -17,14 +17,18 @@ the real translation-adapted basis of ``operators.ChainOps`` (sum
 sigma_z is diagonal there too); where k and -k differ that pair is two
 twin blocks, reflection-even rows and their images, with equal
 entries, so H's twin blocks are equal too and ``eigh`` solves one of
-each.  H is formed block by block, and no
-n x n matrix is (``np.asarray(model.H)`` gives it on request, in that
-basis).  Finite differences are reserved for cross-checks and
-for derivatives of the thermal state itself.  Energy offsets are never
-normalized away: Gibbs weights and every Fisher quantity here are
-offset-invariant.  The adaptive oscillator truncation doubles its size
-until the Fisher total moves by less than TRUNCATION_RTOL (1e-8), and
-solves each rung only in the energy window that holds its Gibbs weight.
+each.  H is formed block by block, and no n x n matrix is
+(``np.asarray(model.H)`` gives it on request, in that basis).
+``build_model`` is the one place a model's operators are built: dH, W,
+H's omega-free parts and the measured observable (the squared
+quadrature or the squared collective x spin, over W's row arrays) come
+from one operator build and stay with the model.  Finite differences
+are reserved for cross-checks and for derivatives of the thermal state
+itself.  Energy offsets are never normalized away: Gibbs weights and
+every Fisher quantity here are offset-invariant.  The adaptive
+oscillator truncation doubles its size until the Fisher total moves by
+less than TRUNCATION_RTOL (1e-8), and solves each rung only in the
+energy window that holds its Gibbs weight.
 """
 
 import functools
@@ -64,13 +68,17 @@ class ModelKind(str, Enum):
 
 @dataclass(frozen=True)
 class ModelInstance:
-    """A built Hamiltonian with its parameter-derivative generator.
+    """A built Hamiltonian with its parameter-derivative generator and measured observable.
 
     ``size`` is the truncation n_max for the oscillator and the spin
     count N otherwise.  ``dH`` holds the generator's diagonal and
     ``coupling_term`` the normalized interaction W, so
     np.asarray(H) == np.diag(omega * dH) - g * np.asarray(coupling_term)
-    holds exactly.  H and W are Sectors over the same rows.
+    holds exactly.  H, W and ``observable``, the read-only square each
+    model is measured with ((a + a^dag)^2 for the oscillator, (Sx/2)^2
+    for the spins), are Sectors over the same row arrays.  ``parts``
+    holds H's omega-free parts per block of W (``_omega_free_parts``).
+    All of these come from one build_model; ``at`` passes them on.
     """
 
     kind: ModelKind
@@ -80,22 +88,17 @@ class ModelInstance:
     H: object
     dH: np.ndarray
     coupling_term: object
+    observable: object
+    parts: tuple
 
     def at(self, omega):
         """The same model at another omega, with H formed exactly as build_model forms it.
 
-        H is formed from the parts of W's blocks that do not depend on
-        omega (``_hamiltonian``), which this model keeps once formed, and
-        is not checked again: build_model checked the H it formed from
-        the same parts.
+        H is formed from ``parts`` (``_hamiltonian``) and is not checked
+        again: build_model checked the H it formed from the same parts.
         """
         _check_parameters(self.kind, omega, self.g)
-        return replace(self, omega=float(omega), H=_hamiltonian(omega, self._parts, self.coupling_term.rows))
-
-    @functools.cached_property
-    def _parts(self):
-        """The parts of H that do not depend on omega (``_omega_free_parts``), formed at the first ``at``."""
-        return _omega_free_parts(self.g, self.dH, self.coupling_term)
+        return replace(self, omega=float(omega), H=_hamiltonian(omega, self.parts, self.coupling_term.rows))
 
     @functools.cached_property
     def generator_bounds(self):
@@ -128,7 +131,7 @@ def _omega_free_parts(g, generator, coupling):
             diagonal, rest = gw.diagonal().copy(), 0.0 - gw
         rest.flags.writeable = False
         parts.append((dh, diagonal, rest, twin))
-    return parts
+    return tuple(parts)
 
 
 def _hamiltonian(omega, parts, rows):
@@ -179,18 +182,19 @@ def build_model(kind, omega, g, size):
     _check_parameters(kind, omega, g)
     if kind is ModelKind.TOY:
         ops = make_fock_ops(size)
-        generator = ops.num
+        generator, observable = ops.num, ops.x2
         coupling = _scaled(ops.x2, 4.0)
     elif kind is ModelKind.LMG:
         ops = make_dicke_ops(size)
-        generator = ops.sz
+        generator, observable = ops.sz, ops.sx2
         coupling = _scaled(ops.sx2, float(size))
     else:
         ops = make_chain_ops(size)
-        generator = ops.sz_total
+        generator, observable = ops.sz_total, ops.sx2
         coupling = ops.xx_pbc
     with np.errstate(over="ignore", invalid="ignore"):  # a coupling that overflows H is caught below
-        H = _hamiltonian(omega, _omega_free_parts(g, generator, coupling), coupling.rows)
+        parts = _omega_free_parts(g, generator, coupling)
+        H = _hamiltonian(omega, parts, coupling.rows)
     # H is exactly symmetric and over W's rows by construction; only its entries are checked, here, not in ``at``
     arrays = [array for block in H.blocks for array in (block if isinstance(block, tuple) else (block,))]
     if not all(np.isfinite(array).all() for array in arrays):
@@ -203,6 +207,8 @@ def build_model(kind, omega, g, size):
         H=H,
         dH=generator,
         coupling_term=coupling,
+        observable=observable,
+        parts=parts,
     )
 
 

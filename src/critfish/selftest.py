@@ -32,7 +32,7 @@ from .fisher import (
 )
 from .linalg import Sectors, Spectrum, eigh
 from .models import build_model, gibbs_window, toy_converged_truncation
-from .sweep import make_config, measurement_observable, rows_from_csv, rows_to_csv, run_sweep
+from .sweep import make_config, rows_from_csv, rows_to_csv, run_sweep
 from .thermal import beta_from_gap_ratio, density_matrix, gibbs
 
 
@@ -90,11 +90,10 @@ def _check_cross_method():
 def _check_estimator_ordering():
     model_kind, size, g, beta = "lmg", 8, 0.9, 3.0
     model = build_model(model_kind, 1.0, g, size)
-    observable = measurement_observable(model_kind, size)
     state = gibbs(eigh(model.H), beta)
     qfi = qfi_spectral(model, state).total
-    cfi = cfi_projective(model, state, observable, delta_omega=1e-3)
-    errprop = fi_error_propagation(model, state, observable, delta_omega=1e-3)
+    cfi = cfi_projective(model, state, model.observable, delta_omega=1e-3)
+    errprop = fi_error_propagation(model, state, model.observable, delta_omega=1e-3)
     slack = 1e-6
     ok = errprop <= cfi + slack and cfi <= qfi + slack
     return ok, f"errprop={errprop:.6g}, cfi={cfi:.6g}, qfi={qfi:.6g}"

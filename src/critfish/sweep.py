@@ -19,7 +19,6 @@ tolerances no configuration sets are module constants:
 and ``models.TRUNCATION_RTOL``.
 """
 
-import functools
 import math
 import os
 import sys
@@ -34,7 +33,6 @@ from .errors import ConfigError, CritfishError, WorkerDied
 from .fisher import FD_RTOL, cfi_projective, fi_error_propagation, qfi_fidelity_fd, qfi_spectral
 from .linalg import eigh, limit_blas_threads
 from .models import ModelKind, build_model, toy_converged_truncation
-from .operators import make_chain_ops, make_dicke_ops, make_fock_ops
 from .thermal import beta_from_gap_ratio, gap, gibbs
 
 ESTIMATOR_NAMES = ("qfi_spectral", "qfi_fidelity", "cfi_sx2", "fi_errprop", "toy_analytic")
@@ -227,27 +225,6 @@ def make_config(raw, enforce_critical=True):
     )
 
 
-def measurement_observable(model_kind, size):
-    """The second-moment observable each model is measured with (read-only).
-
-    Oscillator: the squared quadrature (a + a^dag)^2.  Spins: the square
-    of the collective x spin (Pauli sums carry the factor 1/2 per site),
-    for the ring in the momentum basis of its model's rows.
-    It does not depend on the coupling, so the last one built is kept
-    and every cell of a fixed-size sweep shares it.
-    """
-    return _observable(ModelKind(model_kind), size)
-
-
-@functools.lru_cache(maxsize=1)
-def _observable(kind, size):
-    if kind is ModelKind.TOY:
-        return make_fock_ops(size).x2  # Sectors are read-only
-    if kind is ModelKind.LMG:
-        return make_dicke_ops(size).sx2
-    return make_chain_ops(size).sx2
-
-
 def _evaluate_cell(task):
     config, g, temp = task
     row = SweepRow(model=config.model, N=0, omega=config.omega, g=g)
@@ -293,18 +270,16 @@ def _evaluate_cell(task):
             row.qfi_fidelity = qfi_fidelity_fd(model, state, **fd_kwargs)
         except CritfishError as exc:
             failures.append(f"qfi_fidelity:{type(exc).__name__}")
-    if "cfi_sx2" in wanted or "fi_errprop" in wanted:
-        observable = measurement_observable(config.model, model.size)
-        if "cfi_sx2" in wanted:
-            try:
-                row.cfi_sx2 = cfi_projective(model, state, observable, **measure_kwargs)
-            except CritfishError as exc:
-                failures.append(f"cfi_sx2:{type(exc).__name__}")
-        if "fi_errprop" in wanted:
-            try:
-                row.fi_errprop = fi_error_propagation(model, state, observable, **measure_kwargs)
-            except CritfishError as exc:
-                failures.append(f"fi_errprop:{type(exc).__name__}")
+    if "cfi_sx2" in wanted:
+        try:
+            row.cfi_sx2 = cfi_projective(model, state, model.observable, **measure_kwargs)
+        except CritfishError as exc:
+            failures.append(f"cfi_sx2:{type(exc).__name__}")
+    if "fi_errprop" in wanted:
+        try:
+            row.fi_errprop = fi_error_propagation(model, state, model.observable, **measure_kwargs)
+        except CritfishError as exc:
+            failures.append(f"fi_errprop:{type(exc).__name__}")
     if "toy_analytic" in wanted:
         try:
             params = ToyParams(omega=config.omega, g=g, beta=beta, prep=Prep.DIRECT)

@@ -29,7 +29,7 @@ from critfish.fisher import (
 )
 from critfish.linalg import eigh
 from critfish.models import build_model, toy_converged_truncation
-from critfish.sweep import make_config, measurement_observable, rows_from_csv, rows_to_csv, run_sweep
+from critfish.sweep import make_config, rows_from_csv, rows_to_csv, run_sweep
 from critfish.thermal import gibbs
 
 from spectra import dense_eigenvectors
@@ -156,15 +156,14 @@ def test_criterion_5_estimator_ordering():
     worst_pair = -math.inf
     worst_bound = -math.inf
     for kind, size in CROSS_METHOD_MODELS:
-        observable = measurement_observable(kind, size)
         for g in CROSS_METHOD_G:
             model = build_model(kind, 1.0, g, size)
             spectrum = eigh(model.H)
             for beta in CROSS_METHOD_BETA:
                 state = gibbs(spectrum, beta)
                 qfi = qfi_spectral(model, state).total
-                cfi = cfi_projective(model, state, observable, delta_omega=1e-3, fd_rtol=1e-6)
-                errprop = fi_error_propagation(model, state, observable, delta_omega=1e-3, fd_rtol=1e-6)
+                cfi = cfi_projective(model, state, model.observable, delta_omega=1e-3, fd_rtol=1e-6)
+                errprop = fi_error_propagation(model, state, model.observable, delta_omega=1e-3, fd_rtol=1e-6)
                 worst_pair = max(worst_pair, errprop - cfi)
                 worst_bound = max(worst_bound, cfi - qfi)
     report(

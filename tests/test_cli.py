@@ -211,6 +211,16 @@ def test_fig1_writes_csv(tmp_path):
     assert len(rows) == 4 * 5  # g-count x (temp-count + inf + 180)
 
 
+def test_fig1_negative_temp_count_is_one_config_error(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["fig1", "--model", "lmg", "-N", "4", "--out", str(out), "--temp-count", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("configuration error: temp_count: ")
+    assert not out.exists()
+    # no count gives only the T = 0 and ratio-180 cuts
+    assert fig1_config("lmg", 4, temp_count=0).temp_grid == (math.inf, 180.0)
+
+
 def test_fig2_writes_stdout(capsys):
     assert main(["fig2", "--model", "lmg", "-N", "4", "--out", "-",
                  "--g-count", "3"]) == 0

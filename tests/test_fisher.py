@@ -31,7 +31,6 @@ from critfish.fisher import (
 )
 from critfish.linalg import Sectors, eigh
 from critfish.models import ModelInstance, build_model, gibbs_window, toy_converged_truncation
-from critfish.sweep import measurement_observable
 from critfish.thermal import ThermalState, beta_from_gap_ratio, gap, gibbs, thermal_expectation
 
 from spectra import dense_eigenvectors
@@ -324,10 +323,15 @@ def test_fidelity_route_zero_temperature_toy():
 
 
 def test_fidelity_route_identical_states_is_zero():
-    # with dH = 0, H does not depend on omega: both evaluations see the same state
-    model = build_model("lmg", 1.0, 0.4, 6)
-    model = replace(model, dH=np.zeros_like(model.dH))
-    fd = qfi_fidelity_fd(model, thermal(model, 2.0))
+    base = build_model("lmg", 1.0, 0.4, 6)
+
+    class Frozen(ModelInstance):
+        # H does not move with omega: both evaluations see the same state
+        def at(self, w):
+            return replace(self, omega=float(w))
+
+    frozen = Frozen(**{field.name: getattr(base, field.name) for field in fields(base)})
+    fd = qfi_fidelity_fd(frozen, thermal(frozen, 2.0))
     assert fd == 0.0
 
 
@@ -359,7 +363,7 @@ def test_energy_measurement_extracts_probability_information():
 
 
 def test_measurement_rejects_mismatched_observable():
-    observable = measurement_observable("lmg", 6)
+    observable = build_model("lmg", 1.0, 0.5, 6).observable
     model = build_model("lmg", 1.0, 0.5, 8)
     with pytest.raises(DimMismatch, match="observable shape"):
         cfi_projective(model, thermal(model, 2.0), observable)
@@ -382,7 +386,7 @@ def test_finite_difference_routes_reject_a_state_over_other_rows():
     # the rung states take their floors block by block from the state's spectrum
     model = build_model("lmg", 1.0, 0.7, 6)
     dense = gibbs(eigh(np.asarray(model.H)), 2.0)
-    observable = measurement_observable("lmg", 6)
+    observable = model.observable
     for estimate in (lambda: qfi_fidelity_fd(model, dense), lambda: cfi_projective(model, dense, observable),
                      lambda: fi_error_propagation(model, dense, observable)):
         with pytest.raises(DimMismatch, match="rows"):
@@ -393,7 +397,7 @@ def test_an_observable_with_a_zero_block_measures_as_its_dense_matrix():
     # the rows of a zero block are an outcome 0 of the measurement, not rows without one
     model = build_model("lmg", 1.0, 0.8, 6)
     state = thermal(model, 2.0)
-    square = measurement_observable("lmg", 6)
+    square = model.observable
     observable = Sectors(square.rows, [square.blocks[0], None])
     dense = np.asarray(observable)
     assert thermal_expectation(state, observable) == thermal_expectation(state, dense)
@@ -407,15 +411,14 @@ def test_squared_spin_outcomes_are_merged():
     from critfish.fisher import _outcome_projectors
 
     N = 6
-    _, groups = _outcome_projectors(measurement_observable("lmg", N))
+    _, groups = _outcome_projectors(build_model("lmg", 1.0, 0.5, N).observable)
     assert len(groups) == (N + 2) // 2
 
 
 def test_error_propagation_matches_closed_form():
     g, beta = 0.6, 2.0
     model, _, _ = toy_converged_truncation(1.0, g, beta)
-    obs = measurement_observable("toy", model.size)
-    got = fi_error_propagation(model, thermal(model, beta), obs, delta_omega=1e-3)
+    got = fi_error_propagation(model, thermal(model, beta), model.observable, delta_omega=1e-3)
     want = fi_errprop_closed(ToyParams(omega=1.0, g=g, beta=beta))
     assert got == pytest.approx(want, rel=1e-5)
 
@@ -423,9 +426,8 @@ def test_error_propagation_matches_closed_form():
 def test_error_propagation_free_oscillator():
     # g = 0 limit of the closed form: beta^2 csch^2(beta omega) / 2
     beta, n_max = 1.5, 96
-    obs = measurement_observable("toy", n_max)
     model = build_model("toy", 1.0, 0.0, n_max)
-    got = fi_error_propagation(model, thermal(model, beta), obs, delta_omega=1e-3)
+    got = fi_error_propagation(model, thermal(model, beta), model.observable, delta_omega=1e-3)
     want = beta ** 2 / (2.0 * math.sinh(beta) ** 2)
     assert got == pytest.approx(want, rel=1e-5)
 
@@ -434,7 +436,7 @@ def test_error_propagation_is_zero_where_the_mean_does_not_move():
     # at g = 0 the ring's Gibbs states are diagonal, so <(Sx/2)^2> = N/4 for
     # every omega: the differences are roundoff and the slope is exactly 0
     model = build_model("ising", 1.0, 0.0, 6)
-    assert fi_error_propagation(model, thermal(model, 1.74), measurement_observable("ising", 6)) == 0.0
+    assert fi_error_propagation(model, thermal(model, 1.74), model.observable) == 0.0
 
 
 def test_error_propagation_rejects_zero_variance():
@@ -447,7 +449,7 @@ def test_error_propagation_rejects_zero_variance():
 @pytest.mark.parametrize("g,beta", [(0.5, 1.0), (0.9, 3.0), (1.1, 5.0)])
 def test_estimator_ordering(kind, size, g, beta):
     model = build_model(kind, 1.0, g, size)
-    obs = measurement_observable(kind, size)
+    obs = model.observable
     state = thermal(model, beta)
     qfi = qfi_spectral(model, state).total
     cfi = cfi_projective(model, state, obs, delta_omega=1e-3, fd_rtol=1e-6)
@@ -470,7 +472,7 @@ def test_estimator_ordering(kind, size, g, beta):
 def test_estimator_ordering_property(case, g, beta):
     kind, size = case
     model = build_model(kind, 1.0, g, size)
-    obs = measurement_observable(kind, size)
+    obs = model.observable
     try:
         state = thermal(model, beta)
         qfi = qfi_spectral(model, state).total
@@ -647,7 +649,7 @@ def test_windowed_ring_spectrum_gives_the_full_qfi(size):
 def test_fd_estimators_on_windowed_ring_rungs_match_full_rungs(monkeypatch, beta_of):
     model, beta = next(ring_cold_cells(8))
     state = thermal(model, beta_of(beta))
-    observable = measurement_observable("ising", 8)
+    observable = model.observable
     estimators = (
         lambda: qfi_fidelity_fd(model, state, delta_omega=1e-3),
         lambda: cfi_projective(model, state, observable, delta_omega=1e-3, fd_rtol=1e-5),

@@ -13,7 +13,6 @@ from critfish.linalg import Sectors, eigh, fidelity
 from critfish.cli import fig2_config
 from critfish.models import build_model, gibbs_window
 from critfish.operators import make_chain_ops, make_dicke_ops, make_fock_ops
-from critfish.sweep import measurement_observable
 from critfish.thermal import beta_from_gap_ratio, density_matrix, gap, gibbs
 
 from ring import kron_sums, ring_basis, ring_groups
@@ -228,7 +227,7 @@ def in_computational_basis(matrix, size):
 @pytest.mark.parametrize("kind,size,g", SECTOR_CASES)
 def test_declared_sectors_are_the_connected_components(kind, size, g):
     model = build_model(kind, 1.0, g, size)
-    observable = measurement_observable(kind, size)
+    observable = model.observable
     assert declared(model.coupling_term) == declared(model.H)
     if kind == "ising":
         # the ring's blocks are its (parity, j, twin) row groups, which a
@@ -342,7 +341,7 @@ def test_ring_twin_blocks_are_equal_and_solved_once(monkeypatch, size):
     spectrum = eigh(model.H)
     assert len(seen) == len(model.H.rows) - len(twins)
     rho = density_matrix(gibbs(spectrum, 1.5))
-    for matrix in (ops.xx_pbc, ops.sx2, model.H, rho, measurement_observable("ising", size)):
+    for matrix in (ops.xx_pbc, ops.sx2, model.H, rho, model.observable):
         assert all(np.array_equal(matrix.blocks[b], matrix.blocks[b - 1]) for b in twins)
     for b in twins:  # one shared spectrum per twin pair
         assert np.array_equal(spectrum.eigenvalues[spectrum.blocks[b][1]], spectrum.eigenvalues[spectrum.blocks[b - 1][1]])

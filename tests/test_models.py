@@ -57,6 +57,7 @@ def test_at_forms_the_hamiltonian_build_model_forms(kind, size):
     for w in (0.7, 1.0 - 5e-5, 1.0, 2.5):
         moved = model.at(w)
         assert moved.omega == w and moved.g == model.g and moved.size == model.size
+        assert moved.parts is model.parts
         assert np.array_equal(moved.H, build_model(kind, w, 0.4, size).H)
 
 
@@ -135,10 +136,11 @@ def test_h_keeps_the_rows_of_the_coupling(kind, size):
     assert model.at(1.1).H.rows is model.H.rows
 
 
-def test_the_ring_observable_keeps_the_rows_of_the_coupling():
-    model = build_model("ising", 1.0, 0.5, 6)
-    observable = sweep.measurement_observable("ising", 6)
-    assert all(rows is w_rows for rows, w_rows in zip(observable.rows, model.coupling_term.rows))
+@pytest.mark.parametrize("kind,size", [("toy", 16), ("lmg", 8), ("ising", 6)])
+def test_the_observable_keeps_the_rows_of_the_coupling(kind, size):
+    model = build_model(kind, 1.0, 0.5, size)
+    assert len(model.observable.rows) == len(model.coupling_term.rows)
+    assert all(rows is w_rows for rows, w_rows in zip(model.observable.rows, model.coupling_term.rows))
 
 
 def test_gibbs_window_holds_the_weight_above_window_weight():

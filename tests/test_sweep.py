@@ -13,6 +13,7 @@ import pytest
 from critfish import fisher, linalg
 from critfish.cli import FIG_DELTA_OMEGA, fig2_config
 from critfish.errors import ConfigError
+from critfish.models import build_model
 from critfish.operators import make_chain_ops
 from critfish.sweep import (
     COLUMNS,
@@ -343,11 +344,9 @@ def test_adaptive_cell_reuses_the_breakdown_of_the_accepted_rung(monkeypatch):
     assert "qfi_spectral:InvalidTemperature" in cold.status
 
 
-def test_measurement_observable_is_shared_and_read_only():
-    from critfish.sweep import measurement_observable
-
-    first = measurement_observable("ising", 4)
-    assert measurement_observable("ising", 4) is first
+def test_model_observable_is_shared_and_read_only():
+    first = build_model("ising", 1.0, 0.5, 4).observable
+    assert build_model("ising", 1.0, 0.9, 4).observable is first
     states = np.arange(16)
     half_sx = np.zeros((16, 16))
     for site in range(4):
@@ -357,7 +356,7 @@ def test_measurement_observable_is_shared_and_read_only():
     assert np.abs(u @ np.asarray(first) @ u.T - half_sx @ half_sx).max() <= 1e-14
     with pytest.raises(ValueError, match="read-only"):
         first.blocks[0][0, 0] = 1.0
-    assert measurement_observable("lmg", 4).shape == (5, 5)
+    assert build_model("lmg", 1.0, 0.5, 4).observable.shape == (5, 5)
 
 
 def test_pool_is_never_larger_than_the_sweep(monkeypatch):
