@@ -58,9 +58,12 @@ next floor lies past the window's end, and the blocks from there on are
 never solved.  Without floors a long chain solves only its levels
 within the window of the lowest one, by bisection (``?stebz``) and
 inverse iteration (``?stein``), at O(n) per level; a caller that gives
-floors gets every chain whole.  The levels a chain leaves out are still
-reachable through its resolvent, one tridiagonal solve (``?gtsv``) per
-level (``fisher``).
+floors gets every chain whole.  A Sturm count at the window's edge
+(``?larrc``, one O(n) pass) sizes each chain's bisection before it
+starts, and sends a chain whose window holds too many levels to
+``?stevd`` before any level but its lowest and highest is bisected.
+The levels a chain leaves out are still reachable through its
+resolvent, one tridiagonal solve (``?gtsv``) per level (``fisher``).
 """
 
 import ctypes
@@ -81,13 +84,14 @@ PSD_CLAMP_RTOL = 1e-10
 # 0.09-0.10 ms, near 48 rows the two were level, and at 64 rows they took
 # 0.27-0.32 ms against 0.40-0.52 ms
 _STEVD_MIN_ROWS = 64
-# levels a windowed chain bisects first; the count doubles from there
-_WINDOW_START = 16
+# shortest chain a window solves in part; a shorter one is solved whole
+_WINDOW_MIN_ROWS = 256
 # a windowed chain solves at most 1/_WINDOW_SHARE of its levels, measured
 # on toy chains (2 vCPUs): ?stebz and ?stein take about 0.5 us per row and
 # level, ?stevd about 50 ns per row squared (50 ms at 1024 rows), so the
-# two are level near 1/10 of the levels, and a window that gives up after
-# bisecting 1/16 of them costs at most 1.5 full solves
+# two are level near 1/10 of the levels; a chain whose Sturm count at the
+# window's edge asks for more goes to ?stevd before any level past its
+# lowest is bisected
 _WINDOW_SHARE = 16
 # |E_i - E_j| below this * max |E| counts as degenerate
 DEGENERACY_RTOL = 1e-10
@@ -110,6 +114,9 @@ _HOOKS = {
     # N, D, E, M, W, IBLOCK, ISPLIT, Z, LDZ, WORK, IWORK, IFAIL, INFO
     "stein": ("scipy_dstein_64_", [_int_p, _float_p, _float_p, _int_p, _float_p, _int_p, _int_p,
                                    _float_p, _int_p, _float_p, _int_p, _int_p, _int_p]),
+    # JOBT, N, VL, VU, D, E, PIVMIN, EIGCNT, LCNT, RCNT, INFO, len(JOBT)
+    "larrc": ("scipy_dlarrc_64_", [_c_char, _int_p, _float_p, _float_p, _float_p, _float_p, _float_p, _int_p,
+                                   _int_p, _int_p, _int_p, _size]),
     # N, NRHS, DL, D, DU, B, LDB, INFO
     "gtsv": ("scipy_dgtsv_64_", [_int_p, _int_p, _float_p, _float_p, _float_p, _float_p, _int_p, _int_p]),
     "set_threads": ("scipy_openblas_set_num_threads64_", [ctypes.c_int]),
@@ -219,6 +226,23 @@ def _DSTEBZ(diagonal, offdiagonal, first, last):
     if info.value != 0 or found.value != last - first + 1:
         return None
     return vals[:found.value], iblock[:found.value], isplit[:nsplit.value]
+
+
+def _DLARRC(diagonal, offdiagonal, edge):
+    """LAPACK's ?larrc: how many levels of a chain lie at or below ``edge``, by one Sturm count.
+
+    One O(rows) pass of the chain's LDL^T pivots.  Roundoff may count a
+    level within a few ulps of the edge on the wrong side of it.
+    """
+    edge = ctypes.c_double(edge)
+    # the PIVMIN ?stebz takes for a chain no entry splits (JOBT "T" does not read it)
+    pivmin = ctypes.c_double(np.finfo(float).tiny * max(1.0, float(np.max(np.square(offdiagonal)))))
+    inside, below, below_too, info = _c_int(), _c_int(), _c_int(), _c_int()
+    _hook("larrc")(b"T", _ref(diagonal.size), ctypes.byref(edge), ctypes.byref(edge),
+                   _ptr(np.array(diagonal, dtype=np.float64)), _ptr(np.array(offdiagonal, dtype=np.float64)),
+                   ctypes.byref(pivmin), ctypes.byref(inside), ctypes.byref(below), ctypes.byref(below_too),
+                   ctypes.byref(info), 1)
+    return below.value
 
 
 def _DSTEIN(diagonal, offdiagonal, vals, iblock, isplit):
@@ -475,13 +499,13 @@ def _windowed(matrix, window, floors):
     partly unsolved.  A dense block left out whole gets no eigenpair.
     """
     chains, solved, lows, tops, queue = {}, {}, [], [], []
-    windowable = floors is None and all(_hook(name) is not None for name in ("stebz", "stein", "gtsv"))
+    windowable = floors is None and all(_hook(name) is not None for name in ("stebz", "stein", "gtsv", "larrc"))
     floors = [-math.inf] * len(matrix.blocks) if floors is None else floors
     twins = _twins(matrix)
     for b, (idx, block) in enumerate(zip(matrix.rows, matrix.blocks)):
         chain = isinstance(block, tuple)
-        if windowable and chain and idx.size >= _WINDOW_START * _WINDOW_SHARE:
-            low, top = _DSTEBZ(*block, 1, _WINDOW_START), _DSTEBZ(*block, idx.size, idx.size)
+        if windowable and chain and idx.size >= _WINDOW_MIN_ROWS:
+            low, top = _DSTEBZ(*block, 1, 1), _DSTEBZ(*block, idx.size, idx.size)
             if low is not None and top is not None:
                 chains[b] = low
                 lows.append(float(low[0][0]))
@@ -505,10 +529,10 @@ def _windowed(matrix, window, floors):
                     known = np.append(known[:np.searchsorted(known, queue[0][0])], queue[0][0])
                 cut = _window_end(known, lowest + window, tol)
             if cut is None and chains:
-                vals, block, most = chains[b][0], matrix.blocks[b], matrix.rows[b].size / _WINDOW_SHARE
-                # levels spread about evenly would need (edge - E_0) / mean spacing of them
-                spread = (lowest + window - vals[0]) * vals.size > most * (vals[-1] - vals[0])
-                more = None if spread or 2 * vals.size > most else _DSTEBZ(*block, vals.size + 1, 2 * vals.size)
+                bisected, block = chains[b][0].size, matrix.blocks[b]
+                # the count only sizes the request: a miscount costs one more bisection, never a level kept
+                want = max(_DLARRC(*block, lowest + window) + 1, bisected + 1)
+                more = None if want > matrix.rows[b].size / _WINDOW_SHARE else _DSTEBZ(*block, bisected + 1, want)
                 if more is None:  # too large a share of the chain, or a failed bisection
                     solved[b] = _solve_block(matrix.rows[b], block)
                     del chains[b]
@@ -580,18 +604,22 @@ def eigh(matrix, window=None, *, floors=None):
       chains' states the unwindowed ones bit for bit.  Without floors,
       as on the oscillator's truncation ladder
       (``models.toy_converged_truncation``), a chain of at least
-      _WINDOW_START * _WINDOW_SHARE rows solves only its lowest levels:
-      bisection (?stebz) finds them, the count doubling from
-      _WINDOW_START until the levels within the window are known, and
-      inverse iteration (?stein) gives their vectors.  It gives up and
-      is solved completely once the window would hold more than
-      1/_WINDOW_SHARE of its levels, judged from the spacing of the
-      levels bisected so far, or once doubling the bisected count would
-      pass that share.  A shorter chain is solved completely too, as are
-      all chains where the library lacks ?stebz, ?stein or the ?gtsv that
-      reaches the unsolved levels (``fisher``).  Each chain's highest
-      level comes from one more bisection, so the tolerance scale
-      max |E| is that of the full spectrum.
+      _WINDOW_MIN_ROWS rows solves only its lowest levels.  Bisection
+      (?stebz) first finds its lowest and its highest level; the
+      highest makes the tolerance scale max |E| that of the full
+      spectrum.  Once every other block is solved and the end is not
+      yet known, the chain whose last bisected level is lowest counts
+      its levels at or below the window's edge, E_0 + window, by one
+      Sturm count (?larrc), and bisects up to that count plus one, or
+      one level more than it holds where that is more.  A chain whose
+      request would pass 1/_WINDOW_SHARE of its levels, or whose
+      bisection fails, is solved completely by ?stevd instead.  The
+      count only sizes the request: the levels kept are still those the
+      rule above picks from the levels bisected, and inverse iteration
+      (?stein) gives their vectors.  A shorter chain is solved
+      completely too, as are all chains where the library lacks ?stebz,
+      ?stein, ?larrc or the ?gtsv that reaches the unsolved levels
+      (``fisher``).
     """
     if not isinstance(matrix, Sectors):
         dense = np.asarray(matrix, dtype=float)

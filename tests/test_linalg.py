@@ -684,17 +684,61 @@ def test_windowed_eigh_holds_the_lowest_eigenpairs_of_the_full_one(kind, g, size
         assert not v.flags.writeable
 
 
+def bisections(monkeypatch):
+    """The (diagonal, first, last) of every ?stebz call, and the diagonal of every ?stevd one, in call order."""
+    calls = []
+    monkeypatch.setattr(linalg, "_DSTEBZ", lambda d, e, first, last, bisect=linalg._DSTEBZ:
+                        calls.append((d, first, last)) or bisect(d, e, first, last))
+    monkeypatch.setattr(linalg, "_DSTEVD", lambda d, e, solve=linalg._DSTEVD: calls.append((d,)) or solve(d, e))
+    return calls
+
+
+@pytest.mark.parametrize("kind,g,size,window", WINDOW_CASES)
+def test_a_windowed_chain_bisects_at_most_one_level_past_those_it_keeps(monkeypatch, kind, g, size, window):
+    m = build_model(kind, 1.0, g, size).H
+    calls = bisections(monkeypatch)
+    win = eigh(m, window=window)
+    for (rows, _, v), (diagonal, _) in zip(win.blocks, m.blocks):
+        top = (rows.size, rows.size)
+        ranges = [call[1:] for call in calls if call[0] is diagonal]
+        assert ranges.count(top) == 1 and ranges[0] == (1, 1)  # level 1 and the top level first
+        lowest = [r for r in ranges if r != top]
+        # each request starts where the one before it ended, so no level is bisected twice
+        assert [first for first, _ in lowest] == [1] + [last + 1 for _, last in lowest[:-1]]
+        assert lowest[-1][1] <= v.shape[1] + 1
+
+
+@pytest.mark.parametrize("kind,g,size,window", WINDOW_CASES)
+def test_a_count_one_low_costs_a_bisection_not_a_level(monkeypatch, kind, g, size, window):
+    m = build_model(kind, 1.0, g, size).H
+    want = eigh(m, window=window)
+    monkeypatch.setattr(linalg, "_DLARRC", lambda *chain, count=linalg._DLARRC: count(*chain) - 1)
+    got = eigh(m, window=window)
+    # levels bisected in other batches may differ in their last bits
+    assert got.eigenvalues.size == want.eigenvalues.size and got.highest == want.highest and got.matrix is m
+    assert np.abs(got.eigenvalues - want.eigenvalues).max() <= 1e-14 * want.energy_scale
+    for (_, levels, v), (_, want_levels, w) in zip(got.blocks, want.blocks):
+        # the same levels, up to the labels inside a group that spans both chains
+        assert levels.size == want_levels.size and np.abs(v - w).max() <= 1e-10
+        assert np.abs(got.eigenvalues[levels] - want.eigenvalues[want_levels]).max() <= 1e-14 * want.energy_scale
+
+
 def test_window_zero_keeps_the_ground_and_the_next_group():
     m = build_model("toy", 1.0, 0.5, 1024).H
     win = eigh(m, window=0.0)
     assert len(win.eigenvalues) == 2 and [v.shape[1] for _, _, v in win.blocks] == [1, 1]
 
 
-def test_a_wide_window_solves_the_chains_completely():
+def test_a_wide_window_solves_the_chains_completely(monkeypatch):
     # hot: the window needs more levels than a bisection is worth, so each
-    # chain falls back to ?stevd and the spectrum is the full one, bit for bit
+    # chain goes to ?stevd once its count at the window's edge is known,
+    # and the spectrum is the full one, bit for bit
     m = build_model("toy", 1.0, 0.9, 2048).H
-    full, win = eigh(m), eigh(m, window=math.log(1e20) / 0.3)
+    full = eigh(m)
+    calls = bisections(monkeypatch)
+    win = eigh(m, window=gibbs_window(0.3))
+    for rows, (diagonal, _) in zip(m.rows, m.blocks):
+        assert [call[1:] for call in calls if call[0] is diagonal] == [(1, 1), (rows.size, rows.size), ()]
     assert win.complete and win.highest is None and win.matrix is None
     assert np.array_equal(win.eigenvalues, full.eigenvalues)
     assert np.array_equal(dense_eigenvectors(win), dense_eigenvectors(full))
