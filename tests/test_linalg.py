@@ -701,8 +701,8 @@ def test_a_windowed_chain_bisects_at_most_one_level_past_those_it_keeps(monkeypa
     for (rows, _, v), (diagonal, _) in zip(win.blocks, m.blocks):
         top = (rows.size, rows.size)
         ranges = [call[1:] for call in calls if call[0] is diagonal]
-        assert ranges.count(top) == 1 and ranges[0] == (1, 1)  # level 1 and the top level first
-        lowest = [r for r in ranges if r != top]
+        assert ranges[:2] == [(1, 1), top]  # level 1 and the top level first
+        lowest = [ranges[0], *ranges[2:]]
         # each request starts where the one before it ended, so no level is bisected twice
         assert [first for first, _ in lowest] == [1] + [last + 1 for _, last in lowest[:-1]]
         assert lowest[-1][1] <= v.shape[1] + 1
