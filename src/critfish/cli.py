@@ -13,7 +13,6 @@ import sys
 
 import numpy as np
 
-from . import selftest as selftest_module
 from .errors import ConfigError, CritfishError
 from .fisher import FD_RTOL
 from .sweep import (
@@ -230,7 +229,9 @@ def main(argv=None):
             _sweep_to(config, args.out, _resolve_format(args.format, args.out))
             return 0
         if args.command == "selftest":
-            return selftest_module.run(sys.stdout)
+            from . import selftest  # loads only for this command
+
+            return selftest.run(sys.stdout)
     except ConfigError as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return 1

@@ -4,9 +4,11 @@ A sweep is a flat list of independent cells, one per (g, temperature)
 pair.  Every cell is a pure function of the configuration, so the
 worker pool may evaluate them in any order and the assembled table is
 identical for serial and parallel runs (within the limit run_sweep
-states for BLAS threads).  Failed cells carry a status string instead
-of aborting the sweep; numeric columns are either finite (inf allowed
-for the T = 0 rows) or None.
+states for BLAS threads).  The pool stack (``concurrent.futures``,
+``multiprocessing``) loads on the first pooled call, so a serial sweep
+never pays for it.  Failed cells carry a status string and the
+requested temperature instead of aborting the sweep; numeric columns
+are either finite (inf allowed for the T = 0 rows) or None.
 
 ``make_config`` is the one gate into a sweep.  Each configuration value
 passes one rule for its kind: ``_number`` (finite, optionally > 0),
@@ -22,8 +24,6 @@ and ``models.TRUNCATION_RTOL``.
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -228,6 +228,11 @@ def make_config(raw, enforce_critical=True):
 def _evaluate_cell(task):
     config, g, temp = task
     row = SweepRow(model=config.model, N=0, omega=config.omega, g=g)
+    # the requested temperature is known before anything is solved, so a failed cell keeps it
+    if config.temp_mode == "beta":
+        row.beta = temp
+    else:
+        row.beta_gap_ratio = temp
     failures = []
 
     try:
@@ -239,7 +244,6 @@ def _evaluate_cell(task):
             spectrum, breakdown = eigh(model.H), None
         gap_value = gap(spectrum)
         if config.temp_mode == "beta_gap_ratio":
-            row.beta_gap_ratio = temp
             beta = beta_from_gap_ratio(temp, spectrum)
         else:
             beta = temp
@@ -322,13 +326,18 @@ def run_sweep(config):
     contend for the same cores.  Pooled rows equal serial rows at equal
     BLAS thread counts.  A serial call at the default count may differ in
     the last bits: OpenBLAS 0.3.31 rounds 300- and 401-row products
-    differently on one thread and on two.
+    differently on one thread and on two.  One worker evaluates the cells
+    in this process; the pool's modules are imported only past that
+    return, on the first pooled call.
     """
     tasks = [(config, g, temp) for g in config.g_grid for temp in config.temp_grid]
     # a fork pool starts every worker up front, so it is never larger than the sweep
     workers = min(_worker_count(config), len(tasks))
     if workers == 1:
         return [_evaluate_cell(task) for task in tasks]
+    # the pool stack (multiprocessing, socket, logging) loads here, on the first pooled call
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
     blas_threads = max(1, (os.cpu_count() or 1) // workers)
     try:
         with ProcessPoolExecutor(max_workers=workers, initializer=limit_blas_threads,

@@ -1,7 +1,9 @@
 """Gibbs states over a fixed spectrum, gaps, and the gap-ratio temperature axis.
 
-Weights are computed after shifting all energies by E_0, so beta up to
-1e6 and beyond cannot overflow.  beta = math.inf is a first-class value
+Weights are computed after shifting all energies by E_0, so no weight
+exceeds 1; where beta (E_n - E_0) overflows at a huge finite beta, the
+exponent is -inf and the weight the exact exp(-inf) = 0, without a
+warning.  beta = math.inf is a first-class value
 (the exact T = 0 reference), with degenerate ground groups weighted
 uniformly -- the continuous limit of the finite-beta weights.  A Gibbs
 state keeps the blocks of its spectrum: its density matrix is one dense
@@ -54,7 +56,8 @@ def gibbs(spectrum, beta):
         ground = energies <= energies[0] + GROUND_DEGENERACY_RTOL * spectrum.energy_scale
         probs = np.where(ground, 1.0 / int(np.count_nonzero(ground)), 0.0)
         return ThermalState(spectrum=spectrum, beta=beta, probs=probs)
-    weights = np.exp(-beta * (energies - energies[0]))
+    with np.errstate(over="ignore"):  # an overflowing exponent is -inf, whose weight is 0
+        weights = np.exp(-beta * (energies - energies[0]))
     return ThermalState(spectrum=spectrum, beta=float(beta), probs=weights / float(np.sum(weights)))
 
 

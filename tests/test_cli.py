@@ -275,6 +275,25 @@ def test_dead_worker_is_one_clear_error(monkeypatch, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_serial_sweep_never_loads_the_pool_or_the_selftest():
+    # the pool stack and the selftest load on demand, in a pooled call and
+    # in `critfish selftest`; a fresh interpreter shows what a serial run loads
+    code = (
+        "import sys\n"
+        "import critfish.cli\n"
+        "from critfish.sweep import make_config, run_sweep\n"
+        "rows = run_sweep(make_config({'model': 'lmg', 'size': 4, 'g_grid': [0.5, 0.9],\n"
+        "    'temp_grid': [2.0], 'temp_mode': 'beta', 'workers': 1}))\n"
+        "assert [row.status for row in rows] == ['ok', 'ok'], rows\n"
+        "print(sorted(name for name in ('concurrent.futures.process', 'multiprocessing',\n"
+        "    'critfish.selftest') if name in sys.modules))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                          env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_package_never_imports_scipy():
     # numpy and scipy each bundle an OpenBLAS with its own thread pool;
     # the package keeps to numpy's so the two never contend for cores

@@ -187,7 +187,22 @@ def test_failed_truncation_ladder_leaves_the_row_empty(monkeypatch):
     monkeypatch.setattr(sweep, "toy_converged_truncation", no_convergence)
     rows = run_sweep(config(size="adaptive", g_grid=[0.5], temp_grid=[50.0], workers=1))
     assert rows[0].status == "cell:TruncationNotConverged"
-    assert (rows[0].N, rows[0].beta, rows[0].gap, rows[0].beta_gap_ratio) == (0, None, None, None)
+    # only the requested beta, known before the ladder ran, is filled in
+    assert (rows[0].N, rows[0].beta, rows[0].gap, rows[0].beta_gap_ratio) == (0, 50.0, None, None)
+
+
+@pytest.mark.parametrize("temp_mode, filled, empty", [
+    ("beta", "beta", "beta_gap_ratio"),
+    ("beta_gap_ratio", "beta_gap_ratio", "beta"),
+])
+def test_failed_cell_keeps_its_requested_temperature(temp_mode, filled, empty):
+    # one Fock level has no gap, so the cell fails before its Gibbs state
+    row, = run_sweep(config(size=1, g_grid=[0.5], temp_grid=[10.0], temp_mode=temp_mode,
+                            estimators=["qfi_spectral"], workers=1))
+    assert row.status == "cell:InvalidDimension"
+    assert getattr(row, filled) == 10.0
+    assert getattr(row, empty) is None
+    assert (row.N, row.gap) == (0, None)
 
 
 # ------------------------------------------------------------------- running
@@ -245,6 +260,15 @@ def test_gap_ratio_recorded_in_explicit_beta_mode(size):
     row = rows[0]
     assert row.status == "ok"
     assert row.beta_gap_ratio == row.beta / row.gap
+
+
+def test_huge_finite_beta_row_is_ok_without_a_warning():
+    # beta (E_n - E_0) overflows for every excited level; their weights are exactly 0
+    row, = run_sweep(config(model="lmg", size=4, g_grid=[1.0], temp_grid=[1e308], workers=1,
+                            estimators=["qfi_spectral", "qfi_fidelity", "cfi_sx2", "fi_errprop"]))
+    assert row.status == "ok"
+    assert row.qfi_classical_part == 0.0
+    assert row.qfi_fidelity == pytest.approx(row.qfi_spectral_total, rel=1e-4)
 
 
 def test_parallel_matches_serial():
@@ -360,6 +384,8 @@ def test_model_observable_is_shared_and_read_only():
 
 
 def test_pool_is_never_larger_than_the_sweep(monkeypatch):
+    import concurrent.futures.process
+
     from critfish import sweep
 
     pools = []
@@ -378,7 +404,8 @@ def test_pool_is_never_larger_than_the_sweep(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.delenv("CRITFISH_THREADS", raising=False)
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", SerialPool)
+    # run_sweep imports the pool class from its module on each pooled call
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: 4)
     two_cells = dict(temp_grid=[1.0], estimators=["qfi_spectral"])
     rows = run_sweep(config(workers=3, **two_cells))

@@ -62,6 +62,18 @@ def test_extreme_beta_does_not_overflow():
     assert abs(state.probs.sum() - 1.0) <= 1e-12
 
 
+def test_huge_finite_beta_weights_without_a_warning():
+    # beta * 10 overflows to -inf, whose weight is exactly 0; beta * 1e-307 = 10 does not
+    beta = 1e308
+    state = gibbs(spectrum_from_energies([0.0, 1e-307, 10.0]), beta)
+    assert state.probs[2] == 0.0
+    assert state.probs[1] / state.probs[0] == pytest.approx(math.exp(-beta * 1e-307), rel=1e-15)
+    assert state.probs.sum() == pytest.approx(1.0, abs=1e-15)
+    model = build_model("lmg", 1.0, 1.0, 4)
+    spectrum = eigh(model.H)
+    assert np.array_equal(gibbs(spectrum, beta).probs, gibbs(spectrum, math.inf).probs)
+
+
 def test_rejects_bad_temperature():
     spec = spectrum_from_energies([0.0, 1.0])
     with pytest.raises(InvalidTemperature):
