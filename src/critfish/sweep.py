@@ -335,7 +335,7 @@ def run_sweep(config):
     workers = min(_worker_count(config), len(tasks))
     if workers == 1:
         return [_evaluate_cell(task) for task in tasks]
-    # the pool stack (multiprocessing, socket, logging) loads here, on the first pooled call
+    # here, not at module level, so that a serial process never loads multiprocessing
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
     blas_threads = max(1, (os.cpu_count() or 1) // workers)

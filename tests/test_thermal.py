@@ -69,8 +69,8 @@ def test_huge_finite_beta_weights_without_a_warning():
     assert state.probs[2] == 0.0
     assert state.probs[1] / state.probs[0] == pytest.approx(math.exp(-beta * 1e-307), rel=1e-15)
     assert state.probs.sum() == pytest.approx(1.0, abs=1e-15)
-    model = build_model("lmg", 1.0, 1.0, 4)
-    spectrum = eigh(model.H)
+    # every excited level of a model overflows: the weights are the T = 0 state's
+    spectrum = eigh(build_model("lmg", 1.0, 1.0, 4).H)
     assert np.array_equal(gibbs(spectrum, beta).probs, gibbs(spectrum, math.inf).probs)
 
 
