@@ -13,9 +13,9 @@ to the working point:
                the probability contribution loses its g-dependent
                prefactor (literally, g -> 0 there).
 
-The high-temperature forms (valid for temperatures well above the gap
-scale) are available behind ``high_t=True``; the exact forms are always
-the default because the approximations poison low-temperature checks.
+Only exact forms are given; their hot limits are beta -> 0 of the same
+expressions.  Each stays finite up to the largest float beta, where it
+equals its T = 0 value.
 
 The transverse-field ring maps onto free fermions, which gives its
 ground-state Fisher information at any even N (``ising_ground_qfi``),
@@ -94,37 +94,33 @@ def qfi_eigenstate(params, n):
     return 2.0 * params.squeezing_slope ** 2 * (n * n + n + 1)
 
 
-def qfi_thermal_quantum(params, high_t=False):
+def qfi_thermal_quantum(params):
     """Eigenvector (quantum) contribution for the thermal mixture.
 
     Exact form 2 slope^2 tanh(beta f) / tanh(beta f / 2) with f the
     occupation frequency; grows from the ground-state value at T = 0 to
-    twice that in the hot limit, which is what ``high_t=True`` returns.
+    twice that, 4 slope^2, in the hot limit.
     """
     slope = params.squeezing_slope
-    if high_t:
-        return 4.0 * slope ** 2
     if math.isinf(params.beta):
         return 2.0 * slope ** 2
     x = params.beta * params.occupation_frequency
     return 2.0 * slope ** 2 * math.tanh(x) / math.tanh(x / 2.0)
 
 
-def qfi_thermal_classical(params, high_t=False):
+def qfi_thermal_classical(params):
     """Probability contribution for the thermal mixture.
 
     Exact form beta^2 (2 - r)^2 csch^2(beta f / 2) / (16 (1 - r)) with
     r = g/omega (r = 0 for adiabatic preparation) and f the occupation
-    frequency.  Vanishes at T = 0; the high-T form is
-    (2 - r)^2 / (4 omega^2 (1 - r)^2).
+    frequency.  Vanishes at T = 0; its hot limit is
+    (2 - r)^2 / (4 f^2 (1 - r)).
     """
     r = 0.0 if params.prep is Prep.ADIABATIC else params.g / params.omega
-    if high_t:
-        return (2.0 - r) ** 2 / (4.0 * params.omega ** 2 * (1.0 - r) ** 2)
     if math.isinf(params.beta):
         return 0.0
-    x = params.beta * params.occupation_frequency
-    return params.beta ** 2 * (2.0 - r) ** 2 * _csch2(x / 2.0) / (16.0 * (1.0 - r))
+    csch2 = _csch2(params.beta * params.occupation_frequency / 2.0)  # 0 long before beta^2 overflows
+    return params.beta ** 2 * (2.0 - r) ** 2 * csch2 / (16.0 * (1.0 - r)) if csch2 else 0.0
 
 
 def quadrature_moments(params):
@@ -159,8 +155,9 @@ def fi_errprop_closed(params):
     if math.isinf(params.beta):
         return 2.0 * slope ** 2
     x = params.beta * params.effective_frequency
-    # x csch(x) = 2 x e^(-x) / (1 - e^(-2x)), overflow-free for large x
-    x_csch = 2.0 * x * math.exp(-x) / -math.expm1(-2.0 * x)
+    # x csch(x) = 2 x e^(-x) / (1 - e^(-2x)), overflow-free for large x, and 0 once e^(-x) underflows
+    decay = math.exp(-x)
+    x_csch = 2.0 * x * decay / -math.expm1(-2.0 * x) if decay else 0.0
     # slope * (2 omega/g - 1) has the 1/g cancel analytically; multiplying
     # it out keeps tiny couplings from overflowing the bracket
     coupling_free = (2.0 * params.omega - params.g) / (

@@ -14,7 +14,6 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, CritfishError
-from .fisher import FD_RTOL
 from .sweep import (
     ESTIMATOR_NAMES,
     make_config,
@@ -137,7 +136,6 @@ def _build_parser():
     point.add_argument("--estimators", default="qfi_spectral,qfi_fidelity",
                        help="comma list from: " + ",".join(ESTIMATOR_NAMES))
     point.add_argument("--delta-omega", type=float, default=None)
-    point.add_argument("--fd-rtol", type=float, default=FD_RTOL)
 
     swp = sub.add_parser("sweep", help="run a JSON config file")
     swp.add_argument("--config", required=True)
@@ -179,7 +177,6 @@ def _run_point(args):
             "temp_mode": temp_mode,
             "estimators": list(estimators),
             "delta_omega": args.delta_omega,
-            "fd_rtol": args.fd_rtol,
         },
         # physics preconditions (g past criticality) are a numerical
         # failure for a single point, not a config error

@@ -9,7 +9,7 @@ they can cross-check each other:
   from first-order perturbation theory in the analytic generator dH.
 * ``qfi_fidelity_fd``    -- second-order finite difference of the
   Uhlmann fidelity between neighbouring thermal states.
-* ``qfi_pure``           -- Fisher information of a single eigenstate.
+* ``qfi_pure``           -- the same quantum pair sum over one eigenstate.
 * ``cfi_projective``     -- classical Fisher information of one fixed
   projective measurement.
 * ``fi_error_propagation`` -- the two-moment (signal slope over noise)
@@ -59,9 +59,9 @@ bounds each block's lowest level on a rung from below (a floor,
 ``_thermal_state``), so ``eigh`` leaves the blocks past the window
 unsolved, not only out, and solves every chain whole.
 
-The tolerances below are module constants, not parameters: only the
-ladder's relative agreement ``fd_rtol`` and its first step
-``delta_omega`` are arguments of the finite-difference estimators.
+The tolerances below are module constants, not parameters: the
+finite-difference estimators take their first step ``delta_omega``, and
+only the two measurement ones their ladder's agreement ``fd_rtol`` too.
 
 All estimators are pure functions of their arguments; grid points of a
 parameter sweep can run in parallel without coordination.
@@ -344,8 +344,9 @@ def quantum_term_by_offset(model, state):
 def qfi_pure(model, spectrum, level=0):
     """Fisher information of one eigenstate: 4 sum_{m!=n} |<m|dH|n>|^2/(E_n-E_m)^2.
 
-    On a windowed spectrum the unsolved levels of the level's block enter
-    through its resolvent (``_unsolved_mass``).
+    It is the quantum pair sum of ``qfi_spectral`` over the level's weight
+    alone (p_n = 1), so on a windowed spectrum the unsolved levels of its
+    block enter through the same resolvent (``_unsolved_mass``).
     """
     energies = spectrum.eigenvalues
     d = len(energies)
@@ -356,15 +357,10 @@ def qfi_pure(model, spectrum, level=0):
         level < d - 1 and energies[level + 1] - energies[level] <= tol
     ):
         raise DegenerateLevel(f"level {level} is degenerate within tolerance {tol:.3e}")
-    # only the levels of the level's own block couple to it through the diagonal dH
-    b, (rows, levels, v) = next((b, block) for b, block in enumerate(spectrum.blocks) if level in block[1])
-    others = levels != level
-    dh = model.dH[rows]
-    column = v[:, others].T @ (dh * v[:, ~others].ravel())
-    value = 4.0 * float(np.sum(column ** 2 / (energies[level] - energies[levels[others]]) ** 2))
-    if v.shape[1] < rows.size:
-        value += 4.0 * float(_unsolved_mass(spectrum.matrix.blocks[b], dh, v, v[:, ~others], energies[[level]])[0])
-    return value
+    probs = np.zeros(d)
+    probs[level] = 1.0
+    parts, _, gid = _rotated_generator(spectrum, model.dH, tol, probs)
+    return _quantum_pair_sum(energies, probs, gid, parts)
 
 
 def _fd_ladder(estimate, omega, delta_omega, rtol, atol):
@@ -418,13 +414,13 @@ def _thermal_state(model, state, omega):
     return gibbs(spectrum, state.beta)
 
 
-def qfi_fidelity_fd(model, state, delta_omega=None, fd_rtol=FD_RTOL):
+def qfi_fidelity_fd(model, state, delta_omega=None):
     """Quantum Fisher information from the fidelity between neighbours:
 
         8 * (1 - sqrt(F[rho(omega - d/2), rho(omega + d/2)])) / d^2
 
     with the step halved until two consecutive estimates agree to
-    ``fd_rtol`` (plus FD_ATOL absolute).  The square root matters:
+    FD_RTOL (plus FD_ATOL absolute).  The square root matters:
     1 - F itself shrinks like QFI * d^2 / 4, so feeding the squared
     fidelity into the /8 form would return twice the Fisher information
     (pure states make this obvious: F = |<psi|psi'>|^2 = 1 - QFI d^2/4).
@@ -447,7 +443,7 @@ def qfi_fidelity_fd(model, state, delta_omega=None, fd_rtol=FD_RTOL):
             infidelity = 0.0
         return 8.0 * infidelity / step ** 2
 
-    value, _ = _fd_ladder(estimate, omega, delta_omega, fd_rtol, FD_ATOL)
+    value, _ = _fd_ladder(estimate, omega, delta_omega, FD_RTOL, FD_ATOL)
     return max(value, 0.0)
 
 

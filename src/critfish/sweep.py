@@ -8,7 +8,8 @@ states for BLAS threads).  The pool stack (``concurrent.futures``,
 ``multiprocessing``) loads on the first pooled call, so a serial sweep
 never pays for it.  Failed cells carry a status string and the
 requested temperature instead of aborting the sweep; numeric columns
-are either finite (inf allowed for the T = 0 rows) or None.
+are either finite (inf allowed for the T = 0 rows) or None, as is the
+ratio of a finite beta over a zero gap (``beta_gap_ratio:GapTooSmall``).
 
 ``make_config`` is the one gate into a sweep.  Each configuration value
 passes one rule for its kind: ``_number`` (finite, optionally > 0),
@@ -17,8 +18,8 @@ passes one rule for its kind: ``_number`` (finite, optionally > 0),
 read (as the T = 0 row).  A value the cells could not survive, such as a
 step that moves omega to zero, is rejected there with its field.  The
 tolerances no configuration sets are module constants:
-``fisher.FD_RTOL`` (the default of ``fd_rtol``), ``MEASUREMENT_FD_RTOL``
-and ``models.TRUNCATION_RTOL``.
+``fisher.FD_RTOL`` (the fidelity ladder), ``MEASUREMENT_FD_RTOL`` and
+``models.TRUNCATION_RTOL``.
 """
 
 import math
@@ -30,7 +31,7 @@ import numpy as np
 
 from .analytic import Prep, ToyParams, fi_errprop_closed, qfi_thermal_classical, qfi_thermal_quantum
 from .errors import ConfigError, CritfishError, WorkerDied
-from .fisher import FD_RTOL, cfi_projective, fi_error_propagation, qfi_fidelity_fd, qfi_spectral
+from .fisher import cfi_projective, fi_error_propagation, qfi_fidelity_fd, qfi_spectral
 from .linalg import eigh, limit_blas_threads
 from .models import ModelKind, build_model, toy_converged_truncation
 from .thermal import beta_from_gap_ratio, gap, gibbs
@@ -64,7 +65,6 @@ class SweepConfig:
     omega: float = 1.0
     estimators: tuple = ("qfi_spectral", "qfi_fidelity")
     delta_omega: float = None
-    fd_rtol: float = FD_RTOL
     workers: int = None
 
 
@@ -220,7 +220,6 @@ def make_config(raw, enforce_critical=True):
         omega=omega,
         estimators=tuple(estimators),
         delta_omega=delta_omega,
-        fd_rtol=_number(raw.get("fd_rtol", FD_RTOL), "fd_rtol", positive=True),
         workers=None if workers is None else _count(workers, "workers"),
     )
 
@@ -243,11 +242,14 @@ def _evaluate_cell(task):
             model = build_model(config.model, config.omega, g, config.size)
             spectrum, breakdown = eigh(model.H), None
         gap_value = gap(spectrum)
+        # a finite ratio whose beta overflows raises InvalidTemperature; a finite beta with no
+        # finite ratio (a zero gap) leaves the ratio empty, and the T = 0 row keeps inf
         if config.temp_mode == "beta_gap_ratio":
             beta = beta_from_gap_ratio(temp, spectrum)
         else:
             beta = temp
-            row.beta_gap_ratio = beta / gap_value
+            ratio = beta / gap_value if gap_value > 0 else math.inf
+            row.beta_gap_ratio = ratio if math.isfinite(ratio) or math.isinf(beta) else None
         state = gibbs(spectrum, beta)  # the one Gibbs state every estimator reads
     except CritfishError as exc:
         row.status = f"cell:{type(exc).__name__}"
@@ -255,8 +257,9 @@ def _evaluate_cell(task):
     row.N = model.size
     row.gap = gap_value
     row.beta = beta
+    if row.beta_gap_ratio is None:  # the estimators still run
+        failures.append("beta_gap_ratio:GapTooSmall")
 
-    fd_kwargs = dict(delta_omega=config.delta_omega, fd_rtol=config.fd_rtol)
     measure_kwargs = dict(delta_omega=config.delta_omega, fd_rtol=MEASUREMENT_FD_RTOL)
     wanted = set(config.estimators)
 
@@ -271,7 +274,7 @@ def _evaluate_cell(task):
             failures.append(f"qfi_spectral:{type(exc).__name__}")
     if "qfi_fidelity" in wanted:
         try:
-            row.qfi_fidelity = qfi_fidelity_fd(model, state, **fd_kwargs)
+            row.qfi_fidelity = qfi_fidelity_fd(model, state, delta_omega=config.delta_omega)
         except CritfishError as exc:
             failures.append(f"qfi_fidelity:{type(exc).__name__}")
     if "cfi_sx2" in wanted:

@@ -106,7 +106,8 @@ def beta_from_gap_ratio(ratio, spectrum):
     which is precisely where the temperature enhancement lives.
     ratio = math.inf selects the exact T = 0 curve.  Near-degenerate
     ground states raise GapTooSmall rather than guess a temperature from
-    a vanishing scale.
+    a vanishing scale, and a finite ratio whose beta overflows raises
+    InvalidTemperature rather than select that curve.
     """
     if not ratio > 0:
         raise InvalidTemperature(f"beta-gap ratio must be > 0, got {ratio}")
@@ -115,7 +116,10 @@ def beta_from_gap_ratio(ratio, spectrum):
         raise GapTooSmall(f"E_1 - E_0 = {delta:.3e} is too close to degeneracy")
     if math.isinf(ratio):
         return math.inf
-    return float(ratio) * delta
+    beta = float(ratio) * delta
+    if math.isinf(beta):
+        raise InvalidTemperature(f"beta = {ratio!r} * {delta:.3e} overflows")
+    return beta
 
 
 def _checked_observable(observable, rows):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -62,9 +63,9 @@ def test_quantum_term_values_and_limits():
     assert qfi_thermal_quantum(p) == pytest.approx(QUANTUM_AT_HALF_COUPLING_BETA_ONE, rel=1e-14)
     cold = ToyParams(omega=1.0, g=0.5, beta=math.inf)
     assert qfi_thermal_quantum(cold) == qfi_eigenstate(cold, 0)
+    # the hot limit, twice the ground value
     hot = ToyParams(omega=1.0, g=0.5, beta=1e-9)
     assert qfi_thermal_quantum(hot) == pytest.approx(4.0 * 0.25 ** 2, rel=1e-9)
-    assert qfi_thermal_quantum(p, high_t=True) == pytest.approx(4.0 * 0.25 ** 2)
 
 
 def test_quantum_term_monotone_in_temperature():
@@ -81,7 +82,9 @@ def test_quantum_term_monotone_in_temperature():
 def test_classical_term_values_and_limits():
     p = ToyParams(omega=1.0, g=0.5, beta=1.0)
     assert qfi_thermal_classical(p) == pytest.approx(CLASSICAL_AT_HALF_COUPLING_BETA_ONE, rel=1e-14)
-    assert qfi_thermal_classical(p, high_t=True) == pytest.approx(2.25)
+    # the hot limit (2 - r)^2 / (4 omega^2 (1 - r)^2)
+    hot = ToyParams(omega=1.0, g=0.5, beta=1e-6)
+    assert qfi_thermal_classical(hot) == pytest.approx(2.25, rel=1e-9)
     cold = ToyParams(omega=1.0, g=0.5, beta=math.inf)
     assert qfi_thermal_classical(cold) == 0.0
 
@@ -104,7 +107,23 @@ def test_adiabatic_substitutions():
     x = 2.0 * 1.0
     want_q = 2.0 * ramped.squeezing_slope ** 2 * math.tanh(x) / math.tanh(x / 2.0)
     assert qfi_thermal_quantum(ramped) == pytest.approx(want_q, rel=1e-12)
-    assert qfi_thermal_classical(ramped, high_t=True) == pytest.approx(1.0)
+    # the hot limit with r = 0 and the bare frequency: 1 / omega^2
+    hot_ramped = ToyParams(omega=1.0, g=0.7, beta=1e-6, prep=Prep.ADIABATIC)
+    assert qfi_thermal_classical(hot_ramped) == pytest.approx(1.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("beta", [1e154, 1.3e154, 1e308, sys.float_info.max])
+@pytest.mark.parametrize("g", [0.5, 0.999])
+@pytest.mark.parametrize("prep", list(Prep))
+def test_closed_forms_at_a_huge_beta_equal_their_zero_temperature_values(beta, g, prep):
+    # beta^2 and 2 beta f overflow here, while the factors they scale underflow to 0
+    p = ToyParams(omega=1.0, g=g, beta=beta, prep=prep)
+    cold = ToyParams(omega=1.0, g=g, beta=math.inf, prep=prep)
+    assert qfi_thermal_quantum(p) == qfi_thermal_quantum(cold)
+    assert qfi_thermal_classical(p) == 0.0
+    assert quadrature_moments(p) == quadrature_moments(cold)
+    if prep is Prep.DIRECT:
+        assert fi_errprop_closed(p) == fi_errprop_closed(cold)
 
 
 def test_quadrature_moments():

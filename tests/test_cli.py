@@ -83,6 +83,14 @@ def test_unknown_flags_exit_one(capsys):
     assert "usage" in capsys.readouterr().err
 
 
+def test_fd_rtol_is_no_longer_a_flag(capsys):
+    # the fidelity ladder's agreement is fisher.FD_RTOL, 1e-3, everywhere
+    with pytest.raises(SystemExit) as info:
+        main(["point", "--model", "lmg", "-N", "4", "-g", "0.5", "--beta", "1", "--fd-rtol", "1e-3"])
+    assert info.value.code == 1
+    assert "unrecognized arguments: --fd-rtol" in capsys.readouterr().err
+
+
 def test_bad_estimator_is_config_error(capsys):
     code = main(["point", "--model", "lmg", "-N", "4", "-g", "0.5",
                  "--beta", "1", "--estimators", "qfi_magic"])

@@ -306,6 +306,26 @@ def test_pure_state_rejects_degenerate_level():
         qfi_pure(model, spec, 99)
 
 
+@pytest.mark.parametrize("kind,g,size,level,window", [
+    ("toy", 0.999, 2048, 0, gibbs_window(math.inf)),
+    ("ising", 1.0, 8, 0, None),
+    ("lmg", 1.0, 20, 1, None),
+])
+def test_pure_state_matches_a_dense_eigenvector_sum(kind, g, size, level, window):
+    # the reference: 4 sum_m |<m|dH|n>|^2 / (E_n - E_m)^2 over the columns of
+    # the full spectrum's n x n eigenvector matrix, no block or window in sight
+    model = build_model(kind, 1.0, g, size)
+    full = eigh(model.H)
+    v = dense_eigenvectors(full)
+    energies = full.eigenvalues
+    column = v.T @ (model.dH * v[:, level])
+    others = np.arange(len(energies)) != level
+    want = 4.0 * float(np.sum(column[others] ** 2 / (energies[level] - energies[others]) ** 2))
+    spectrum = full if window is None else eigh(model.H, window=window)
+    assert spectrum.complete == (window is None)
+    assert qfi_pure(model, spectrum, level) == pytest.approx(want, rel=1e-12)
+
+
 # ------------------------------------------------------------- fidelity route
 
 def test_fidelity_route_matches_spectral():

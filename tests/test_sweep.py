@@ -55,7 +55,6 @@ def test_config_defaults_and_grids():
     assert cfg.omega == 1.0
     assert cfg.g_grid == (0.3, 0.5)
     assert cfg.temp_grid == (1.0, math.inf)
-    assert cfg.fd_rtol == 1e-3
 
 
 def test_config_grid_from_linear_spec():
@@ -92,10 +91,11 @@ def test_config_grid_log_approach_to_critical():
         ({"estimators": ["toy_analytic"], "model": "lmg", "size": 8}, "estimators"),
         ({"omega": -1.0}, "omega"),
         ({"delta_omega": 0.0}, "delta_omega"),
-        ({"fd_rtol": -1.0}, "fd_rtol"),
+        # the fidelity ladder's agreement is fisher.FD_RTOL, no configuration field
+        ({"fd_rtol": -1.0}, ""),
         ({"workers": 0}, "workers"),
         ({"surprise": 1}, ""),
-        ({"fd_rtol": True}, "fd_rtol"),
+        ({"fd_rtol": True}, ""),
         ({"measurement_fd_rtol": 0.0}, ""),
         ({"truncation_rtol": "tight"}, ""),
         ({"workers": True}, "workers"),
@@ -111,7 +111,7 @@ def test_config_grid_log_approach_to_critical():
         (dict(json.loads('{"g_grid": [Infinity]}'), **LMG8), "g_grid[0]"),
         (json.loads('{"g_grid": {"min": NaN, "max": 0.5, "count": 2}}'), "g_grid"),
         (json.loads('{"omega": Infinity}'), "omega"),
-        (json.loads('{"fd_rtol": Infinity}'), "fd_rtol"),
+        (json.loads('{"fd_rtol": Infinity}'), ""),
         ({"omega": 10 ** 400}, "omega"),
         # the ladder's first rung, omega - delta_omega / 2, must stay above zero
         ({"delta_omega": 2.0}, "delta_omega"),
@@ -269,6 +269,32 @@ def test_huge_finite_beta_row_is_ok_without_a_warning():
     assert row.status == "ok"
     assert row.qfi_classical_part == 0.0
     assert row.qfi_fidelity == pytest.approx(row.qfi_spectral_total, rel=1e-4)
+
+
+def test_zero_gap_in_beta_mode_leaves_the_ratio_empty():
+    # the ordered phase's ground doublet is exactly degenerate in floating point here
+    row, = run_sweep(config(model="lmg", size=400, g_grid=[5.0], temp_grid=[1.0], workers=1,
+                            estimators=["qfi_spectral"]))
+    assert row.gap == 0.0
+    assert (row.beta, row.beta_gap_ratio) == (1.0, None)
+    assert row.status == "beta_gap_ratio:GapTooSmall"
+    assert row.qfi_spectral_total > 0.0  # the estimators still run
+
+
+def test_zero_gap_at_zero_temperature_keeps_the_infinite_ratio():
+    row, = run_sweep(config(model="lmg", size=400, g_grid=[5.0], temp_grid=["inf"], workers=1,
+                            estimators=["qfi_spectral"]))
+    assert row.gap == 0.0
+    assert row.beta == row.beta_gap_ratio == math.inf
+    assert row.status == "qfi_spectral:InvalidTemperature"
+
+
+def test_finite_ratio_whose_beta_overflows_is_an_invalid_temperature():
+    # 1e308 times a gap of about 1.8 is past the float range, not the T = 0 row
+    row, = run_sweep(config(model="ising", size=4, g_grid=[0.1], temp_grid=[1e308],
+                            temp_mode="beta_gap_ratio", workers=1, estimators=["qfi_spectral"]))
+    assert row.status == "cell:InvalidTemperature"
+    assert (row.beta, row.beta_gap_ratio) == (None, 1e308)
 
 
 def test_parallel_matches_serial():
