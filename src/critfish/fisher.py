@@ -168,21 +168,25 @@ def _rotated_generator(spectrum, generator, tol, probs):
 
     A chain of a windowed spectrum lacks its upper levels, whose Gibbs
     weights lie far below the floor.  Their elements with the levels of
-    K are summed per K level by ``_unsolved_mass``.  A block with no
-    solved level holds no level of K and is skipped.
+    K are summed per K level by ``_unsolved_mass``.  A block whose
+    solved levels all weigh exactly 0.0, or that holds none, adds
+    nothing to either sum and is skipped: no element rows and no
+    rotation, and slopes of 0.0, which every sum multiplies by their
+    weight 0.0 (``qfi_pure`` weighs one level, so it reads one block).
 
     Returns (one (levels, rows of the block's elements, unsolved mass per
     K level or None) per block, slope per solved level, group id per
     solved level); levels and group ids are global.
     """
-    groups = _degenerate_groups(spectrum.eigenvalues, tol)
-    gid = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
+    # the group of each level counts the gaps over tol below it
+    gid = np.zeros(len(probs), dtype=np.intp)
+    np.cumsum(np.diff(spectrum.eigenvalues) > tol, out=gid[1:])
     last_heavy = np.flatnonzero(probs >= PAIR_WEIGHT_FLOOR / 2.0)[-1]  # the weights sum to 1
-    weighted = groups[gid[last_heavy]].stop
-    slopes = np.empty(len(probs))
+    weighted = int(gid.searchsorted(gid[last_heavy], side="right"))
+    slopes = np.zeros(len(probs))
     parts = []
     for b, (rows, levels, v) in enumerate(spectrum.blocks):
-        if not levels.size:
+        if not probs[levels].any():
             continue
         dh = generator[rows]
         heavy = int(np.searchsorted(levels, weighted))
@@ -408,7 +412,7 @@ def _thermal_state(model, state, omega):
     """
     shift = abs(omega - model.omega)
     energies = state.spectrum.eigenvalues
-    floors = [energies[levels[0]] - shift * bound if levels.size else -math.inf
+    floors = [float(energies[levels[0]]) - shift * bound if levels.size else -math.inf
               for (_, levels, _), bound in zip(state.spectrum.blocks, model.generator_bounds)]
     spectrum = eigh(model.at(omega).H, window=gibbs_window(state.beta), floors=floors)
     return gibbs(spectrum, state.beta)
@@ -479,10 +483,10 @@ def cfi_projective(model, state, observable, delta_omega=None, fd_rtol=FD_RTOL):
 
     def outcome_probs(at_omega):
         rung = _thermal_state(model, state, at_omega)
-        overlap = np.empty(rung.dim)
+        overlap = np.zeros(rung.dim)
         for (_, levels, v), (_, outcomes, u) in zip(rung.spectrum.blocks, basis.blocks):
-            # a block with no solved level gives zeros; skipping its products saves about 5 us a block
-            overlap[outcomes] = np.square(u.T @ v) @ rung.probs[levels] if levels.size else 0.0
+            if levels.size:  # a block with no solved level adds nothing
+                overlap[outcomes] = np.square(u.T @ v) @ rung.probs[levels]
         return np.add.reduceat(overlap, [g.start for g in groups])
 
     center = outcome_probs(omega)

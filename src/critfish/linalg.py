@@ -66,8 +66,10 @@ The levels a chain leaves out are still reachable through its
 resolvent, one tridiagonal solve (``?gtsv``) per level (``fisher``).
 """
 
+import bisect
 import ctypes
 import functools
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -442,8 +444,8 @@ def _sign_fixed(idx, solved):
     vals, vecs, info = solved
     if info != 0:
         raise DiagonalizationFailed(f"LAPACK failed with info={info} on a block of size {idx.size}")
-    vecs *= np.copysign(1.0, vecs[np.abs(vecs).argmax(axis=0), np.arange(vecs.shape[1])])
-    vecs.flags.writeable = False
+    vecs *= np.copysign(1.0, vecs[abs(vecs).argmax(axis=0), np.arange(vecs.shape[1])])
+    vecs.setflags(write=False)
     return vals, vecs
 
 
@@ -456,6 +458,11 @@ def _solve_chain(diagonal, off):
     """
     solved = _DSTEVD(diagonal, off) if diagonal.size >= _STEVD_MIN_ROWS else None
     return _DSYEVD(_dense(diagonal, off)) if solved is None else solved
+
+
+# the levels of every spectrum block that holds none
+_NO_LEVELS = np.empty(0, dtype=np.intp)
+_NO_LEVELS.setflags(write=False)
 
 
 @functools.cache
@@ -479,16 +486,39 @@ def _twins(matrix):
     return [b > 0 and block is not None and block is blocks[b - 1] for b, block in enumerate(blocks)]
 
 
-def _window_end(values, edge, tol):
-    """Last value of the kept prefix of ascending ``values``, or None when it is not among them.
+def _window_end(levels, edge, tol, bound=math.inf, head=None):
+    """Last level of the kept prefix of the levels seen, or None when it is not among them.
 
-    The prefix runs through the degenerate group (consecutive gaps <= tol)
-    of the first value above ``edge``, and its end needs the next value
-    to be seen.
+    ``levels`` holds ascending arrays (the levels of each solved block or
+    bisected chain).  A level is seen if it lies at or below ``bound`` and
+    below ``head``; ``head``, where given, is seen after them.  The prefix
+    runs through the degenerate group (consecutive gaps <= tol) of the
+    first level seen above ``edge``, and its end needs the next level seen.
+    Only that group and the level after it are read, as Python floats, in
+    one ascending merge of the arrays from their first level past the
+    edge: no array is copied or sorted.
     """
-    first = int(np.searchsorted(values, edge, side="right"))
-    gaps = np.flatnonzero(np.diff(values[first:]) > tol)
-    return float(values[first + gaps[0]]) if gaps.size else None
+    merge = []
+    for source, values in enumerate(levels):
+        start = bisect.bisect_right(values, edge)
+        if start < len(values):
+            merge.append((float(values[start]), source, start))
+    heapq.heapify(merge)
+    previous = None
+    while merge:
+        value, source, at = merge[0]
+        if value > bound or (head is not None and value >= head):
+            break
+        if previous is not None and value - previous > tol:
+            return previous
+        previous, values = value, levels[source]
+        if at + 1 < len(values):
+            heapq.heapreplace(merge, (float(values[at + 1]), source, at + 1))
+        else:
+            heapq.heappop(merge)
+    if head is not None and previous is not None and head - previous > tol:
+        return previous
+    return None
 
 
 def _windowed(matrix, window, floors):
@@ -521,13 +551,11 @@ def _windowed(matrix, window, floors):
             if lows:
                 lowest = min(lows)
                 tol = DEGENERACY_RTOL * max(1.0, abs(lowest), *map(abs, tops))
-                # every level below the lowest last bisected level is known
+                # every level below the lowest last bisected level is known; given floors (so no chain
+                # bisected), every level not yet seen lies at or above the head's
                 bound, b = min([(float(vals[-1]), b) for b, (vals, _, _) in chains.items()], default=(math.inf, 0))
-                known = np.sort(np.concatenate([part[0] for part in (*chains.values(), *solved.values())]))
-                known = known[:np.searchsorted(known, bound, side="right")]
-                if queue:  # given floors (so no chain bisected), every level not yet seen lies at or above the head's
-                    known = np.append(known[:np.searchsorted(known, queue[0][0])], queue[0][0])
-                cut = _window_end(known, lowest + window, tol)
+                cut = _window_end([part[0] for part in (*chains.values(), *solved.values())], lowest + window, tol,
+                                  bound, queue[0][0] if queue else None)
             if cut is None and chains:
                 bisected, block = chains[b][0].size, matrix.blocks[b]
                 # the count only sizes the request: a miscount costs one more bisection, never a level kept
@@ -635,13 +663,16 @@ def eigh(matrix, window=None, *, floors=None):
         solved, highest = _windowed(matrix, float(window), floors)
     else:
         raise ValueError(f"window must be >= 0, got {window}")
-    merged = np.concatenate([vals for vals, _ in solved])
-    order = np.argsort(merged, kind="stable")
-    level = order.argsort()  # the global level of each entry of merged
+    merged = np.concatenate([vals for vals, _ in solved if vals.size] or [np.empty(0)])
+    order = merged.argsort(kind="stable")
+    level = np.empty_like(order)
+    level[order] = np.arange(order.size)  # the global level of each entry of merged
     eigenvalues = merged[order]
-    eigenvalues.flags.writeable = level.flags.writeable = False
-    ends = list(itertools.accumulate(vals.size for vals, _ in solved))
-    levels = [level[start:end] for start, end in zip([0, *ends], ends)]  # read-only views
+    eigenvalues.setflags(write=False)
+    level.setflags(write=False)
+    ends = itertools.accumulate(vals.size for vals, _ in solved)
+    # read-only views, and one shared empty array for every block with no level
+    levels = [level[end - vals.size:end] if vals.size else _NO_LEVELS for (vals, _), end in zip(solved, ends)]
     blocks = tuple(zip(matrix.rows, levels, [vecs for _, vecs in solved]))
     return Spectrum(eigenvalues, blocks, highest, None if highest is None else matrix)
 
@@ -657,7 +688,8 @@ def _root_columns(density):
 
     Eigenvalues in [-PSD_CLAMP_RTOL * ||rho||, 0) are roundoff (Gibbs
     states are PSD analytically) and are clamped to zero; more negative
-    ones raise NotPSD.  A zero block (None) has no root column.
+    ones raise NotPSD.  A zero block (None) has no root column: its
+    (rows, 0) vectors are returned as they are.
     """
     spec = eigh(density)
     vals = spec.eigenvalues
@@ -667,7 +699,8 @@ def _root_columns(density):
     floor = -PSD_CLAMP_RTOL * float(np.max(np.abs(vals)))
     if vals[0] < floor:
         raise NotPSD(f"eigenvalue {vals[0]:.6e} below roundoff floor {floor:.6e}")
-    return [vecs * np.sqrt(np.clip(vals[levels], 0.0, None)) for _, levels, vecs in spec.blocks]
+    roots = np.sqrt(np.clip(vals, 0.0, None))
+    return [vecs * roots[levels] if levels.size else vecs for _, levels, vecs in spec.blocks]
 
 
 def _root_fidelity(a, b):

@@ -147,14 +147,17 @@ def _hamiltonian(omega, parts, rows):
         if twin:
             blocks.append(blocks[-1])
             continue
-        diagonal = omega * dh - gw_diagonal
-        diagonal.flags.writeable = False
         if rest.ndim == 1:  # a chain, whose off-diagonal does not depend on omega
+            diagonal = omega * dh - gw_diagonal
+            diagonal.setflags(write=False)
             blocks.append((diagonal, rest))
             continue
+        # the copy's diagonal is formed in place, through a view of its entries (i, i) at i * (m + 1)
         block = rest.copy()
-        block.flat[:: block.shape[0] + 1] = diagonal
-        block.flags.writeable = False
+        diagonal = block.reshape(-1)[:: block.shape[0] + 1]
+        np.multiply(omega, dh, out=diagonal)
+        diagonal -= gw_diagonal
+        block.setflags(write=False)
         blocks.append(block)
     return Sectors._checked(rows, blocks)
 

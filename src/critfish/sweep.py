@@ -9,7 +9,8 @@ states for BLAS threads).  The pool stack (``concurrent.futures``,
 never pays for it.  Failed cells carry a status string and the
 requested temperature instead of aborting the sweep; numeric columns
 are either finite (inf allowed for the T = 0 rows) or None, as is the
-ratio of a finite beta over a zero gap (``beta_gap_ratio:GapTooSmall``).
+ratio of a finite beta over a gap below the floor the gap-ratio mode
+rejects (``thermal.gap_resolved``; ``beta_gap_ratio:GapTooSmall``).
 
 ``make_config`` is the one gate into a sweep.  Each configuration value
 passes one rule for its kind: ``_number`` (finite, optionally > 0),
@@ -34,7 +35,7 @@ from .errors import ConfigError, CritfishError, WorkerDied
 from .fisher import cfi_projective, fi_error_propagation, qfi_fidelity_fd, qfi_spectral
 from .linalg import eigh, limit_blas_threads
 from .models import ModelKind, build_model, toy_converged_truncation
-from .thermal import beta_from_gap_ratio, gap, gibbs
+from .thermal import beta_from_gap_ratio, gap, gap_resolved, gibbs
 
 ESTIMATOR_NAMES = ("qfi_spectral", "qfi_fidelity", "cfi_sx2", "fi_errprop", "toy_analytic")
 TEMP_MODES = ("beta_gap_ratio", "beta")
@@ -243,12 +244,13 @@ def _evaluate_cell(task):
             spectrum, breakdown = eigh(model.H), None
         gap_value = gap(spectrum)
         # a finite ratio whose beta overflows raises InvalidTemperature; a finite beta with no
-        # finite ratio (a zero gap) leaves the ratio empty, and the T = 0 row keeps inf
+        # finite ratio (a gap below the floor, or a ratio that overflows) leaves the ratio
+        # empty, and the T = 0 row keeps inf
         if config.temp_mode == "beta_gap_ratio":
             beta = beta_from_gap_ratio(temp, spectrum)
         else:
             beta = temp
-            ratio = beta / gap_value if gap_value > 0 else math.inf
+            ratio = beta / gap_value if gap_resolved(gap_value, spectrum) else math.inf
             row.beta_gap_ratio = ratio if math.isfinite(ratio) or math.isinf(beta) else None
         state = gibbs(spectrum, beta)  # the one Gibbs state every estimator reads
     except CritfishError as exc:

@@ -71,16 +71,18 @@ def density_matrix(state):
     """
     blocks, previous = [], None
     for _, levels, v in state.spectrum.blocks:
-        weights = state.probs[levels]
         if not levels.size:
-            block = None
-        elif previous is not None and v is previous[0] and np.array_equal(weights, previous[1]):
+            blocks.append(None)
+            previous = None
+            continue
+        weights = state.probs[levels]
+        if previous is not None and v is previous[0] and np.array_equal(weights, previous[1]):
             block = blocks[-1]
         else:
             rho = (v * weights) @ v.T
             block = rho + rho.T
             block /= 2.0
-            block.flags.writeable = False
+            block.setflags(write=False)
         previous = v, weights
         blocks.append(block)
     return Sectors._checked(tuple(rows for rows, _, _ in state.spectrum.blocks), blocks)
@@ -92,6 +94,15 @@ def gap(spectrum):
         raise InvalidDimension("gap needs at least two levels")
     e = spectrum.eigenvalues
     return float(e[1] - e[0])
+
+
+def gap_resolved(delta, spectrum):
+    """Whether the gap ``delta`` of ``spectrum`` sets a temperature scale: it is at least GAP_FLOOR_RTOL * energy scale.
+
+    Both temperature modes share this floor: below it a gap ratio has no
+    beta (``beta_from_gap_ratio``) and a beta has no gap ratio (the sweep).
+    """
+    return delta >= GAP_FLOOR_RTOL * spectrum.energy_scale
 
 
 def beta_from_gap_ratio(ratio, spectrum):
@@ -112,7 +123,7 @@ def beta_from_gap_ratio(ratio, spectrum):
     if not ratio > 0:
         raise InvalidTemperature(f"beta-gap ratio must be > 0, got {ratio}")
     delta = gap(spectrum)
-    if delta < GAP_FLOOR_RTOL * spectrum.energy_scale:
+    if not gap_resolved(delta, spectrum):
         raise GapTooSmall(f"E_1 - E_0 = {delta:.3e} is too close to degeneracy")
     if math.isinf(ratio):
         return math.inf

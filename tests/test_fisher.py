@@ -326,6 +326,34 @@ def test_pure_state_matches_a_dense_eigenvector_sum(kind, g, size, level, window
     assert qfi_pure(model, spectrum, level) == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("kind,g,size", [("ising", 0.5, 8), ("ising", 1.3, 8), ("lmg", 0.7, 20), ("lmg", 1.3, 20)])
+def test_pure_state_matches_a_dense_diagonalization_level_by_level(kind, g, size):
+    # the reference diagonalizes the dense H as one matrix, no sector in sight, and sums over every other level
+    model = build_model(kind, 1.0, g, size)
+    energies, v = np.linalg.eigh(np.asarray(model.H))
+    spectrum = eigh(model.H)
+    tol = DEGENERACY_RTOL * spectrum.energy_scale
+    lone = [n for n in range(len(energies)) if np.all(np.abs(np.delete(energies, n) - energies[n]) > tol)]
+    assert len(lone) >= 4
+    for level in lone[:3] + lone[-1:]:
+        column = v.T @ (model.dH * v[:, level])
+        others = np.arange(len(energies)) != level
+        want = 4.0 * float(np.sum(column[others] ** 2 / (energies[level] - energies[others]) ** 2))
+        assert qfi_pure(model, spectrum, level) == pytest.approx(want, rel=1e-10)
+
+
+def test_pure_state_reads_only_the_block_of_its_level():
+    # every other block weighs nothing: no element rows, no rotation, slopes 0.0
+    model = build_model("ising", 1.0, 0.5, 8)
+    spectrum = eigh(model.H)
+    probs = np.zeros(len(spectrum.eigenvalues))
+    probs[0] = 1.0
+    parts, slopes, _ = fisher._rotated_generator(spectrum, model.dH, 1e-10, probs)
+    (levels, elements, _), = parts
+    assert 0 in levels.tolist() and elements.shape == (1, levels.size)
+    assert np.count_nonzero(slopes) <= levels.size
+
+
 # ------------------------------------------------------------- fidelity route
 
 def test_fidelity_route_matches_spectral():
@@ -373,6 +401,64 @@ def test_fidelity_route_reports_no_convergence():
 
 
 # ------------------------------------------------- measurement-based estimators
+
+
+def rotated_eigenbasis(model, state):
+    """Per block of the state's spectrum: (levels, eigenvectors, dH in them), each degenerate group rotated to diagonalize dH."""
+    spectrum = state.spectrum
+    tol = DEGENERACY_RTOL * spectrum.energy_scale
+    gid = np.concatenate([[0], np.cumsum(np.diff(spectrum.eigenvalues) > tol)])
+    blocks = []
+    for rows, levels, vectors in spectrum.blocks:
+        v, dh = vectors.copy(), model.dH[rows]
+        for group in np.unique(gid[levels]):
+            share = np.flatnonzero(gid[levels] == group)
+            if share.size > 1:
+                restricted = v[:, share].T @ (dh[:, None] * v[:, share])
+                v[:, share] = v[:, share] @ np.linalg.eigh((restricted + restricted.T) / 2.0)[1]
+        blocks.append((levels, v, v.T @ (dh[:, None] * v), gid[levels]))
+    return blocks
+
+
+def drho_in_the_eigenbasis(model, state):
+    """Per block: (levels, rotated eigenvectors, d rho / d omega in them), from first-order perturbation theory.
+
+    drho_nn = -beta p_n (dH_nn - <dH>), and off a degenerate group
+    drho_nm = (p_n - p_m) dH_nm / (E_n - E_m); inside one it is 0.
+    """
+    energies, probs = state.spectrum.eigenvalues, state.probs
+    blocks = rotated_eigenbasis(model, state)
+    mean = sum(float(probs[levels] @ np.diag(d)) for levels, _, d, _ in blocks)
+    out = []
+    for levels, v, d, group in blocks:
+        e, p = energies[levels], probs[levels]
+        same = group[:, None] == group[None, :]
+        drho = np.where(same, 0.0, (p[:, None] - p[None, :]) * d / np.where(same, 1.0, e[:, None] - e[None, :]))
+        drho[np.diag_indices_from(drho)] = -state.beta * p * (np.diag(d) - mean)
+        out.append((levels, v, drho))
+    return out
+
+
+@pytest.mark.parametrize("kind,g,size", [("toy", 0.5, 64), ("lmg", 1.0, 20), ("ising", 0.5, 6)])
+@pytest.mark.parametrize("ratio", [1.0, 180.0])
+def test_eigenbasis_and_sld_measurements_give_the_spectral_parts(kind, g, size, ratio):
+    # measuring H's eigenbasis, each level its own outcome, gives the classical part; measuring the
+    # symmetric logarithmic derivative L_nm = 2 drho_nm / (p_n + p_m) gives the whole QFI
+    model = build_model(kind, 1.0, g, size)
+    spectrum = eigh(model.H)
+    state = gibbs(spectrum, beta_from_gap_ratio(ratio, spectrum))
+    breakdown = qfi_spectral(model, state)
+    blocks = drho_in_the_eigenbasis(model, state)
+    labels = Sectors(model.H.rows, [(v * levels.astype(float)) @ v.T for levels, v, _ in blocks])
+    sld = []
+    for levels, v, drho in blocks:
+        weight = state.probs[levels][:, None] + state.probs[levels][None, :]
+        sld.append(v @ np.where(weight > 0.0, 2.0 * drho / np.where(weight > 0.0, weight, 1.0), 0.0) @ v.T)
+    sld = Sectors(model.H.rows, sld)
+    classical = cfi_projective(model, state, labels, fd_rtol=1e-6)
+    total = cfi_projective(model, state, sld, fd_rtol=1e-6)
+    assert abs(classical - breakdown.classical_part) <= 1e-8 * breakdown.total
+    assert abs(total - breakdown.total) <= 1e-8 * breakdown.total
 
 def test_energy_measurement_extracts_probability_information():
     model = build_model("lmg", 1.0, 0.7, 6)

@@ -7,7 +7,7 @@ import scipy.linalg
 from scipy.sparse.csgraph import connected_components
 from hypothesis import given, settings, strategies as st
 
-from critfish import linalg
+from critfish import fisher, linalg
 from critfish.errors import DiagonalizationFailed, DimMismatch, InvalidMatrix, NotPSD
 from critfish.linalg import Sectors, eigh, fidelity
 from critfish.cli import fig2_config
@@ -767,7 +767,7 @@ def kept_by_rule(full, window):
     Every block is kept when the window holds every level (the group has no end).
     """
     tol = linalg.DEGENERACY_RTOL * full.energy_scale
-    end = linalg._window_end(full.eigenvalues, full.eigenvalues[0] + window, tol)
+    end = linalg._window_end([full.eigenvalues], full.eigenvalues[0] + window, tol)
     return [end is None or bool(full.eigenvalues[levels[0]] <= end) for _, levels, _ in full.blocks]
 
 
@@ -886,7 +886,7 @@ def test_floors_change_which_dense_blocks_are_solved_never_which_are_kept(data):
     assert_same_spectrum(eigh(matrix, window, floors=[-math.inf] * len(blocks)), eigh(matrix, window))
     # every block solved has its floor at or below the end plus the tolerance
     tol = linalg.DEGENERACY_RTOL * full.energy_scale
-    end = linalg._window_end(full.eigenvalues, full.eigenvalues[0] + window, tol)
+    end = linalg._window_end([full.eigenvalues], full.eigenvalues[0] + window, tol)
     solved = [next(b for b, block in enumerate(matrix.blocks) if block is a) for a in handed]
     assert end is None or all(floors[b] <= end + tol for b in solved)
 
@@ -964,3 +964,78 @@ def test_each_missing_symbol_leaves_the_others_and_the_rows(hide_symbol, name):
     got, = run_sweep(config)
     assert got.status == "ok" and got.N == want.N
     assert got.qfi_spectral_total == pytest.approx(full, rel=1e-10, abs=0)
+
+
+def test_fidelity_of_cold_ring_rung_densities_matches_the_sqrtm_route():
+    # the two rung states of a cold ring cell: most of their blocks hold no solved level
+    model = build_model("ising", 1.0, 0.5, 6)
+    spectrum = eigh(model.H)
+    state = gibbs(spectrum, beta_from_gap_ratio(180.0, spectrum))
+    rho, sigma = (density_matrix(fisher._thermal_state(model, state, 1.0 + step)) for step in (-5e-3, 5e-3))
+    empty = [block is None for block in rho.blocks]
+    assert 0 < sum(empty) < len(empty)
+    # an empty block gets (rows, 0) root columns, and a solved one a column per level
+    assert [c.shape for c in linalg._root_columns(rho)] == [
+        (rows.size, 0 if none else rows.size) for rows, none in zip(rho.rows, empty)]
+    # sqrt F = ||sqrt(rho) sqrt(sigma)||_1 with both roots from scipy's Schur route, on the dense matrices;
+    # the states are singular, so sqrtm warns, and its roots err along the kernel, which the norm does not see
+    with pytest.warns(scipy.linalg.LinAlgWarning, match="singular"):
+        roots = [scipy.linalg.sqrtm(np.asarray(m)) for m in (rho, sigma)]
+    want = float(np.sum(scipy.linalg.svdvals(roots[0] @ roots[1]))) ** 2
+    assert 0.0 < 1.0 - want < 1e-3
+    assert fidelity(rho, sigma) == pytest.approx(want, abs=1e-10)
+
+
+# ------------------------------------------------- the window end, merged lazily
+
+
+def numpy_window_end(levels, edge, tol, bound=math.inf, head=None):
+    """The window end by the numpy rule eigh used before: every level seen, sorted into one array.
+
+    The levels seen are those at or below ``bound`` and below ``head``,
+    then ``head`` itself; the end is the last level of the degenerate
+    group of the first level past ``edge``, once the next level is seen.
+    """
+    known = np.sort(np.concatenate(levels))
+    known = known[:np.searchsorted(known, bound, side="right")]
+    if head is not None:
+        known = np.append(known[:np.searchsorted(known, head)], head)
+    first = int(np.searchsorted(known, edge, side="right"))
+    gaps = np.flatnonzero(np.diff(known[first:]) > tol)
+    return float(known[first + gaps[0]]) if gaps.size else None
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_the_window_end_is_the_numpy_rule_over_the_levels_seen(data):
+    # levels on a grid of 1/64, so that sources share levels exactly, and runs of steps at or below the
+    # tolerance (degenerate runs) next to steps past it; the edge, the bound and the head (the next
+    # floor) fall on levels, between them or outside them
+    tol = 1.0 / 64.0
+    step = st.sampled_from([0.0, 0.0, 1.0 / 128.0, tol, 3.0 / 64.0, 0.25, 1.0])
+    levels = [np.cumsum([data.draw(st.integers(-64, 64)) / 64.0, *data.draw(st.lists(step, max_size=12))])
+              for _ in range(data.draw(st.integers(1, 5)))]
+    seen = np.concatenate(levels)
+    point = st.one_of(st.sampled_from(seen.tolist()), st.floats(-2.0, 8.0))
+    edge = data.draw(point)
+    bound = data.draw(st.one_of(st.just(math.inf), point))
+    head = data.draw(st.one_of(st.none(), point))
+    assert linalg._window_end(levels, edge, tol, bound, head) == numpy_window_end(levels, edge, tol, bound, head)
+
+
+@pytest.mark.parametrize("kind,g,size,window", [
+    ("toy", 0.999, 1024, 0.0),                  # chains bisected a level at a time
+    ("toy", 0.6, 512, math.log(1e20) / 50.0),
+    ("lmg", 1.3, 1023, math.log(1e20) / 50.0),  # parity doublets
+    ("ising", 0.5, 8, 0.0),
+    ("ising", 1.3, 8, 0.3),
+])
+def test_windowed_eigh_picks_the_window_end_of_the_numpy_rule(kind, g, size, window):
+    model = build_model(kind, 1.0, g, size)
+    full = eigh(model.H)
+    floors = [full.eigenvalues[levels[0]] - 1e-3 for _, levels, _ in full.blocks]
+    for given_floors in (None, floors):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linalg, "_window_end", numpy_window_end)
+            want = eigh(model.H, window, floors=given_floors)
+        assert_same_spectrum(eigh(model.H, window, floors=given_floors), want)

@@ -61,6 +61,24 @@ def test_at_forms_the_hamiltonian_build_model_forms(kind, size):
         assert np.array_equal(moved.H, build_model(kind, w, 0.4, size).H)
 
 
+@pytest.mark.parametrize("kind,size", [("toy", 64), ("lmg", 20), ("ising", 8)])
+@pytest.mark.parametrize("g", [0.0, 0.5])
+def test_at_forms_every_block_of_build_model_bit_for_bit(kind, size, g):
+    # block for block, with the sign of every zero: a rung's H is the H build_model forms at its omega
+    model = build_model(kind, 1.0, g, size)
+    for w in (0.7, 1.0 - 5e-5, 1.0 + 5e-5, 3.0):
+        got, want = model.at(w).H, build_model(kind, w, g, size).H
+        assert len(got.blocks) == len(want.blocks)
+        for b, (block, other) in enumerate(zip(got.blocks, want.blocks)):
+            arrays = block if isinstance(block, tuple) else (block,)
+            others = other if isinstance(other, tuple) else (other,)
+            assert len(arrays) == len(others)
+            for a, o in zip(arrays, others):
+                assert np.array_equal(a, o) and np.array_equal(np.signbit(a), np.signbit(o))
+                assert not a.flags.writeable
+            assert (b > 0 and block is got.blocks[b - 1]) == (b > 0 and other is want.blocks[b - 1])
+
+
 def test_toy_band_build_forms_no_dense_matrix():
     # a dense 2048 x 2048 float64 matrix alone is 32 MB
     tracemalloc.start()

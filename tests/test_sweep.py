@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 
 from critfish import fisher, linalg
+from critfish.linalg import eigh
 from critfish.cli import FIG_DELTA_OMEGA, fig2_config
 from critfish.errors import ConfigError
 from critfish.models import build_model
 from critfish.operators import make_chain_ops
+from critfish.thermal import GAP_FLOOR_RTOL
 from critfish.sweep import (
     COLUMNS,
     SweepConfig,
@@ -279,6 +281,21 @@ def test_zero_gap_in_beta_mode_leaves_the_ratio_empty():
     assert (row.beta, row.beta_gap_ratio) == (1.0, None)
     assert row.status == "beta_gap_ratio:GapTooSmall"
     assert row.qfi_spectral_total > 0.0  # the estimators still run
+
+
+def test_gap_below_the_floor_in_beta_mode_leaves_the_ratio_empty():
+    # a gap at roundoff, 2.8e-14, is positive yet below GAP_FLOOR_RTOL times the energy scale:
+    # the gap-ratio mode rejects it, and the beta mode gives it no ratio either
+    row, = run_sweep(config(model="lmg", size=200, g_grid=[3.0], temp_grid=[1.0], workers=1,
+                            estimators=["qfi_spectral"]))
+    assert 0.0 < row.gap < GAP_FLOOR_RTOL * eigh(build_model("lmg", 1.0, 3.0, 200).H).energy_scale
+    assert (row.beta, row.beta_gap_ratio) == (1.0, None)
+    assert row.status == "beta_gap_ratio:GapTooSmall"
+    assert row.qfi_spectral_total > 0.0  # the estimators still run
+    # the same cell in the gap-ratio mode ends where the gap is rejected
+    row, = run_sweep(config(model="lmg", size=200, g_grid=[3.0], temp_grid=[1.0], temp_mode="beta_gap_ratio",
+                            workers=1, estimators=["qfi_spectral"]))
+    assert row.status == "cell:GapTooSmall"
 
 
 def test_zero_gap_at_zero_temperature_keeps_the_infinite_ratio():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from critfish.errors import DimMismatch, GapTooSmall, InvalidDimension, InvalidMatrix, InvalidTemperature
-from critfish.linalg import Sectors, eigh
+from critfish.linalg import Sectors, Spectrum, eigh
 from critfish.models import build_model, toy_converged_truncation
 from critfish.analytic import ToyParams, quadrature_moments
 from critfish.thermal import (
@@ -105,6 +105,26 @@ def test_density_matrix_keeps_the_sectors_of_the_spectrum(kind, size):
     # one sector of all rows from a spectrum of one block
     plain = density_matrix(gibbs(one_block(spec.eigenvalues, v), 0.8))
     assert [r.tolist() for r in plain.rows] == [list(range(len(v)))]
+
+
+def test_density_matrix_shares_a_block_only_with_its_true_twin():
+    # blocks: a twin pair (one vectors array, equal weights), a block with no level, then a block with
+    # the pair's vectors array and weights again, which follows the empty block and is no twin
+    v = np.array([[0.6, 0.8], [-0.8, 0.6]])
+    v.flags.writeable = False
+    rows = [np.arange(2), np.arange(2, 4), np.arange(4, 6), np.arange(6, 8)]
+    levels = [np.array([0, 3]), np.array([1, 4]), np.array([], dtype=np.intp), np.array([2, 5])]
+    blocks = tuple((r, lv, v if lv.size else np.empty((2, 0))) for r, lv in zip(rows, levels))
+    spectrum = Spectrum(eigenvalues=np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0]), blocks=blocks)
+    state = gibbs(spectrum, 0.7)
+    rho = density_matrix(state)
+    assert rho.blocks[1] is rho.blocks[0]
+    assert rho.blocks[2] is None
+    assert rho.blocks[3] is not rho.blocks[0] and np.array_equal(rho.blocks[3], rho.blocks[0])
+    want = np.zeros((8, 8))
+    for r, lv, vectors in blocks:
+        want[np.ix_(r, r)] = (vectors * state.probs[lv]) @ vectors.T
+    assert np.abs(np.asarray(rho) - want).max() <= 1e-16
 
 
 def test_density_matrix_hot_limit_is_maximally_mixed():
