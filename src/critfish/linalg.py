@@ -69,7 +69,6 @@ resolvent, one tridiagonal solve (``?gtsv``) per level (``fisher``).
 import bisect
 import ctypes
 import functools
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -498,24 +497,24 @@ def _window_end(levels, edge, tol, bound=math.inf, head=None):
     one ascending merge of the arrays from their first level past the
     edge: no array is copied or sorted.
     """
-    merge = []
+    ahead = {}  # per array with a level left past the edge: (that level, its index)
     for source, values in enumerate(levels):
         start = bisect.bisect_right(values, edge)
         if start < len(values):
-            merge.append((float(values[start]), source, start))
-    heapq.heapify(merge)
+            ahead[source] = (float(values[start]), start)
     previous = None
-    while merge:
-        value, source, at = merge[0]
+    while ahead:
+        source = min(ahead, key=ahead.get)
+        value, at = ahead[source]
         if value > bound or (head is not None and value >= head):
             break
         if previous is not None and value - previous > tol:
             return previous
         previous, values = value, levels[source]
         if at + 1 < len(values):
-            heapq.heapreplace(merge, (float(values[at + 1]), source, at + 1))
+            ahead[source] = (float(values[at + 1]), at + 1)
         else:
-            heapq.heappop(merge)
+            del ahead[source]
     if head is not None and previous is not None and head - previous > tol:
         return previous
     return None
@@ -665,8 +664,7 @@ def eigh(matrix, window=None, *, floors=None):
         raise ValueError(f"window must be >= 0, got {window}")
     merged = np.concatenate([vals for vals, _ in solved if vals.size] or [np.empty(0)])
     order = merged.argsort(kind="stable")
-    level = np.empty_like(order)
-    level[order] = np.arange(order.size)  # the global level of each entry of merged
+    level = order.argsort()  # the global level of each entry of merged
     eigenvalues = merged[order]
     eigenvalues.setflags(write=False)
     level.setflags(write=False)
@@ -693,13 +691,13 @@ def _root_columns(density):
     """
     spec = eigh(density)
     vals = spec.eigenvalues
-    tr = float(np.sum(vals))
+    tr = float(vals.sum())
     if abs(tr - 1.0) > 1e-9:
         raise InvalidMatrix(f"density matrix trace {tr!r} is not 1")
-    floor = -PSD_CLAMP_RTOL * float(np.max(np.abs(vals)))
+    floor = -PSD_CLAMP_RTOL * float(abs(vals).max())
     if vals[0] < floor:
         raise NotPSD(f"eigenvalue {vals[0]:.6e} below roundoff floor {floor:.6e}")
-    roots = np.sqrt(np.clip(vals, 0.0, None))
+    roots = np.sqrt(vals.clip(0.0, None))
     return [vecs * roots[levels] if levels.size else vecs for _, levels, vecs in spec.blocks]
 
 

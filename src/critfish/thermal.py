@@ -58,7 +58,7 @@ def gibbs(spectrum, beta):
         return ThermalState(spectrum=spectrum, beta=beta, probs=probs)
     with np.errstate(over="ignore"):  # an overflowing exponent is -inf, whose weight is 0
         weights = np.exp(-beta * (energies - energies[0]))
-    return ThermalState(spectrum=spectrum, beta=float(beta), probs=weights / float(np.sum(weights)))
+    return ThermalState(spectrum=spectrum, beta=float(beta), probs=weights / float(weights.sum()))
 
 
 def density_matrix(state):
