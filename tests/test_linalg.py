@@ -986,11 +986,8 @@ def test_fidelity_of_cold_ring_rung_densities_matches_the_sqrtm_route():
     assert fidelity(rho, sigma) == pytest.approx(want, abs=1e-10)
 
 
-# ------------------------------------------------- the window end, merged lazily
-
-
 def numpy_window_end(levels, edge, tol, bound=math.inf, head=None):
-    """The window end by the numpy rule eigh used before: every level seen, sorted into one array.
+    """The window end by one numpy pass over every level seen, sorted into one array: the lazy merge's reference.
 
     The levels seen are those at or below ``bound`` and below ``head``,
     then ``head`` itself; the end is the last level of the degenerate
