@@ -15,7 +15,6 @@ from .analytic import (
     qfi_eigenstate,
     qfi_thermal_classical,
     qfi_thermal_quantum,
-    quadrature_moments,
 )
 from .fisher import (
     FisherBreakdown,
@@ -66,7 +65,6 @@ __all__ = [
     "qfi_spectral",
     "qfi_thermal_classical",
     "qfi_thermal_quantum",
-    "quadrature_moments",
     "quantum_term_by_offset",
     "run_sweep",
     "thermal_expectation",

@@ -14,8 +14,9 @@ to the working point:
                prefactor (literally, g -> 0 there).
 
 Only exact forms are given; their hot limits are beta -> 0 of the same
-expressions.  Each stays finite up to the largest float beta, where it
-equals its T = 0 value.
+expressions.  Each stays finite from the smallest positive float beta,
+where it equals its hot limit, up to the largest, where it equals its
+T = 0 value.
 
 The transverse-field ring maps onto free fermions, which gives its
 ground-state Fisher information at any even N (``ising_ground_qfi``),
@@ -31,6 +32,12 @@ from .errors import (
     InvalidTemperature,
     UndefinedForZeroCoupling,
 )
+
+
+# below this beta times a frequency every closed form equals its hot limit
+# to roundoff, and further down its factors (csch^2, tanh(x / 2), beta^2)
+# under- or overflow, so the forms return the limit itself
+_HOT_X = 1e-150
 
 
 class Prep(str, Enum):
@@ -83,10 +90,6 @@ def _csch2(x):
     return 4.0 * math.exp(-2.0 * x) / math.expm1(-2.0 * x) ** 2
 
 
-def _coth(x):
-    return 1.0 / math.tanh(x)
-
-
 def qfi_eigenstate(params, n):
     """Fisher information of the n-th eigenstate: 2 slope^2 (n^2 + n + 1)."""
     if n < 0:
@@ -105,6 +108,8 @@ def qfi_thermal_quantum(params):
     if math.isinf(params.beta):
         return 2.0 * slope ** 2
     x = params.beta * params.occupation_frequency
+    if x < _HOT_X:
+        return 4.0 * slope ** 2
     return 2.0 * slope ** 2 * math.tanh(x) / math.tanh(x / 2.0)
 
 
@@ -119,23 +124,11 @@ def qfi_thermal_classical(params):
     r = 0.0 if params.prep is Prep.ADIABATIC else params.g / params.omega
     if math.isinf(params.beta):
         return 0.0
-    csch2 = _csch2(params.beta * params.occupation_frequency / 2.0)  # 0 long before beta^2 overflows
+    f = params.occupation_frequency
+    if params.beta * f < _HOT_X:
+        return (2.0 - r) ** 2 / (4.0 * f ** 2 * (1.0 - r))
+    csch2 = _csch2(params.beta * f / 2.0)  # 0 long before beta^2 overflows
     return params.beta ** 2 * (2.0 - r) ** 2 * csch2 / (16.0 * (1.0 - r)) if csch2 else 0.0
-
-
-def quadrature_moments(params):
-    """Mean and variance of the squared quadrature (a + a^dag)^2.
-
-    mean2 = e^(-2 xi) coth(beta f / 2) and var2 = 2 mean2^2 exactly,
-    with f the occupation frequency.
-    """
-    stretch = math.exp(-2.0 * params.squeezing)
-    if math.isinf(params.beta):
-        occupation = 1.0
-    else:
-        occupation = _coth(params.beta * params.occupation_frequency / 2.0)
-    mean2 = stretch * occupation
-    return mean2, 2.0 * mean2 ** 2
 
 
 def fi_errprop_closed(params):
@@ -155,9 +148,12 @@ def fi_errprop_closed(params):
     if math.isinf(params.beta):
         return 2.0 * slope ** 2
     x = params.beta * params.effective_frequency
-    # x csch(x) = 2 x e^(-x) / (1 - e^(-2x)), overflow-free for large x, and 0 once e^(-x) underflows
-    decay = math.exp(-x)
-    x_csch = 2.0 * x * decay / -math.expm1(-2.0 * x) if decay else 0.0
+    if x < _HOT_X:
+        x_csch = 1.0
+    else:
+        # x csch(x) = 2 x e^(-x) / (1 - e^(-2x)), overflow-free for large x, and 0 once e^(-x) underflows
+        decay = math.exp(-x)
+        x_csch = 2.0 * x * decay / -math.expm1(-2.0 * x) if decay else 0.0
     # slope * (2 omega/g - 1) has the 1/g cancel analytically; multiplying
     # it out keeps tiny couplings from overflowing the bracket
     coupling_free = (2.0 * params.omega - params.g) / (

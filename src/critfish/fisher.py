@@ -40,7 +40,10 @@ dH is diagonal, and each block's eigenvectors vanish off its rows, so
 <m|dH|n> is zero between two blocks and no pair across blocks
 contributes.  Level indices, degenerate groups and the weighted prefix
 K stay global; a degenerate group that spans two blocks is rotated
-inside each of them, which only relabels its levels.
+inside each of them, which only relabels its levels.  One pass visits
+each block once (``_spectral_sums``): it rotates the block's groups,
+writes its level slopes and adds its pairs to the quantum sum, and
+keeps none of the block's rows for the next.
 
 Every thermal estimator takes the built model and its Gibbs state,
 ``gibbs(eigh(model.H), beta)`` (``qfi_pure`` takes a spectrum and a
@@ -58,6 +61,13 @@ estimates lose, so they move only at roundoff.  The state at the centre
 bounds each block's lowest level on a rung from below (a floor,
 ``_thermal_state``), so ``eigh`` leaves the blocks past the window
 unsolved, not only out, and solves every chain whole.
+
+The three finite-difference estimators share one ladder
+(``_fd_ladder``) that halves the step until two rungs agree.  An
+estimate under its roundoff floor reads exactly 0.0; the ladder accepts
+it only from a rung that agrees with it, and ends in NoFDConvergence at
+a floored rung below a nonzero one, or at once on a first step that no
+estimate can resolve.
 
 The tolerances below are module constants, not parameters: the
 finite-difference estimators take their first step ``delta_omega``, and
@@ -145,46 +155,57 @@ def _unsolved_mass(chain, dh, solved, columns, energies):
     return np.einsum("in,in->n", x, x)
 
 
-def _rotated_generator(spectrum, generator, tol, probs):
-    """Weighted rows of <n|dH|m> in a degeneracy-adapted eigenbasis, block by block.
+def _clamp_part(value):
+    # parts are sums of squares; tiny negatives would be a bug, not roundoff
+    if value < -1e-12:
+        raise NegativeFisherPart(f"negative Fisher contribution {value}")
+    return max(value, 0.0)
 
-    ``generator`` is dH's diagonal.  dH is diagonal, so it has no element
-    between two blocks of the spectrum, and every element lives inside
-    one block.  Within each group of numerically equal eigenvalues the
-    basis is rotated to diagonalize dH restricted to the group, so the
-    level slopes become the proper Hellmann-Feynman derivatives and
-    intra-group couplings vanish by construction.  A group that spans
-    two blocks is rotated inside each of them.  A block's groups of one
-    size are rotated by one stacked ``eigh`` call.
+
+def _spectral_sums(spectrum, generator, tol, probs, offsets=None):
+    """The quantum pair sum and the level slopes, in one visit to each block of the spectrum.
+
+    The quantum part is
+    2 sum_{n,m} (p_n - p_m)^2/(p_n + p_m) |<n|dH|m>|^2 / (E_m - E_n)^2,
+    with ``generator`` dH's diagonal.  dH is diagonal, so it has no
+    element between two blocks, and each block's pairs are summed in its
+    own visit.  Within each group of numerically equal eigenvalues the
+    basis is first rotated to diagonalize dH restricted to the group, so
+    the level slopes become the proper Hellmann-Feynman derivatives and
+    intra-group couplings vanish by construction; pairs inside one group
+    are skipped, as are pairs whose combined weight is under the floor.
+    A group that spans two blocks is rotated inside each of them, and a
+    block's groups of one size are rotated by one stacked ``eigh`` call.
 
     Only the rows of the weighted levels K are formed: the shortest
     prefix of the spectrum that holds every level with
     p_n >= PAIR_WEIGHT_FLOOR / 2 and ends on a group boundary.  Every
-    pair that passes the pair-weight floor has a level in K, so these
-    rows hold every element the quantum sum reads.  A block's levels
-    ascend, so its share of K is a prefix of its columns.  The classical
-    part needs only the slopes: sum_i dH_i V_in^2 for a lone level, and
-    the eigenvalues of its group's own block of dH for a degenerate one.
+    pair that passes the floor has a level in K, so a block's sum is its
+    K x K part plus twice its K x light part.  A block's levels ascend,
+    so its share of K is a prefix of its columns.  The slopes are
+    sum_i dH_i V_in^2 for a lone level, and the eigenvalues of its
+    group's own block of dH for a degenerate one.
 
-    A chain of a windowed spectrum lacks its upper levels, whose Gibbs
-    weights lie far below the floor.  Their elements with the levels of
-    K are summed per K level by ``_unsolved_mass``.  A block whose
-    solved levels all weigh exactly 0.0, or that holds none, adds
-    nothing to either sum and is skipped: no element rows and no
-    rotation, and slopes of 0.0, which every sum multiplies by their
-    weight 0.0 (``qfi_pure`` weighs one level, so it reads one block).
+    A chain of a windowed spectrum lacks its upper levels, which carry
+    no weight (``gibbs`` normalizes over the solved levels): their pair
+    weight with a level n of K is p_n, and their elements with n are
+    summed by ``_unsolved_mass``.  A block whose solved levels all weigh
+    exactly 0.0, or that holds none, adds nothing and is skipped, with
+    slopes of 0.0 that every sum multiplies by their weight 0.0
+    (``qfi_pure`` weighs one level, so it reads one block).  When
+    ``offsets`` is given, the pair sum is also added into it by the
+    level-index distance |n - m|.
 
-    Returns (one (levels, rows of the block's elements, unsolved mass per
-    K level or None) per block, slope per solved level, group id per
-    solved level); levels and group ids are global.
+    Returns (quantum part, slope per solved level, size of K).
     """
+    energies = spectrum.eigenvalues
     # the group of each level counts the gaps over tol below it
     gid = np.zeros(len(probs), dtype=np.intp)
-    np.cumsum(np.diff(spectrum.eigenvalues) > tol, out=gid[1:])
+    np.cumsum(np.diff(energies) > tol, out=gid[1:])
     last_heavy = np.flatnonzero(probs >= PAIR_WEIGHT_FLOOR / 2.0)[-1]  # the weights sum to 1
     weighted = int(gid.searchsorted(gid[last_heavy], side="right"))
     slopes = np.zeros(len(probs))
-    parts = []
+    total = 0.0
     for b, (rows, levels, v) in enumerate(spectrum.blocks):
         if not probs[levels].any():
             continue
@@ -215,63 +236,28 @@ def _rotated_generator(spectrum, generator, tol, probs):
                 if rotated is not None:
                     rotated[:, sl] = rotated[:, sl] @ u
         m[:, :heavy] = (m[:, :heavy] + m[:, :heavy].T) / 2.0
-        light = None if complete else _unsolved_mass(
-            spectrum.matrix.blocks[b], dh, v, rotated, spectrum.eigenvalues[levels[:heavy]])
-        parts.append((levels, m, light))
-    return parts, slopes, gid
-
-
-def _quantum_pair_sum(energies, probs, gid, parts, offsets=None):
-    """2 sum_{n,m} (p_n - p_m)^2/(p_n + p_m) |<n|dH|m>|^2 / (E_m - E_n)^2.
-
-    Only pairs inside one block of the spectrum couple, so the sum runs
-    block by block over ``parts``, the (levels, elements, unsolved mass)
-    of _rotated_generator.  Ordered pairs inside one degenerate group are
-    skipped (their couplings are zero after the basis rotation anyway),
-    as are pairs whose combined weight is negligible.  A block's elements
-    hold the rows of its weighted levels K; every pair that passes the
-    floor has a level in K, so the block's sum is its K x K part plus
-    twice its K x light part.  An unsolved level has no weight in the
-    state (``gibbs`` normalizes over the solved levels), so its pair
-    weight with n is p_n, and the K x unsolved part is p_n times the
-    level's unsolved mass, summed over K.  When ``offsets`` is given,
-    the mass is also added into it by the level-index distance |n - m|.
-    """
-    total = 0.0
-    for levels, elements, light in parts:
         e, p, group = energies[levels], probs[levels], gid[levels]
-        weighted = len(elements)
-        if light is not None:
-            total += 2.0 * float(p[:weighted] @ light)  # twice, as for every light pair
-        for lo in range(0, weighted, _CHUNK):
-            hi = min(lo + _CHUNK, weighted)
+        if not complete:
+            light = _unsolved_mass(spectrum.matrix.blocks[b], dh, v, rotated, e[:heavy])
+            total += 2.0 * float(p[:heavy] @ light)  # twice, as for every light pair
+        for lo in range(0, heavy, _CHUNK):
+            hi = min(lo + _CHUNK, heavy)
             p_rows = p[lo:hi, None]
             weight_sum = p_rows + p[None, :]
             e_diff = e[None, :] - e[lo:hi, None]
             mask = (weight_sum >= PAIR_WEIGHT_FLOOR) & (group[lo:hi, None] != group[None, :])
             denom = np.where(mask, weight_sum * e_diff * e_diff, 1.0)
-            contrib = np.where(
-                mask,
-                (p_rows - p[None, :]) ** 2 * elements[lo:hi, :] ** 2 / denom,
-                0.0,
-            )
-            contrib[:, weighted:] *= 2.0  # each light pair stands for (n, m) and (m, n)
+            contrib = np.where(mask, (p_rows - p[None, :]) ** 2 * m[lo:hi, :] ** 2 / denom, 0.0)
+            contrib[:, heavy:] *= 2.0  # each light pair stands for (n, m) and (m, n)
             total += float(contrib.sum())
             if offsets is not None:
                 distance = np.abs(levels[lo:hi, None] - levels[None, :])
                 offsets += 2.0 * np.bincount(distance.ravel(), weights=contrib.ravel(), minlength=offsets.size)
-    return 2.0 * total
+    return 2.0 * total, slopes, weighted
 
 
-def _clamp_part(value):
-    # parts are sums of squares; tiny negatives would be a bug, not roundoff
-    if value < -1e-12:
-        raise NegativeFisherPart(f"negative Fisher contribution {value}")
-    return max(value, 0.0)
-
-
-def _spectral_terms(model, state):
-    """Checked inputs of the spectral sums: (energies, probs, tol, parts, slopes, gid)."""
+def _checked_gibbs(model, state):
+    """Raise unless ``state`` is a finite-beta state over the model's dimension."""
     if state.dim != model.H.shape[0]:
         raise DimMismatch(
             f"state dimension {state.dim} does not match model dimension {model.H.shape[0]}"
@@ -280,10 +266,6 @@ def _spectral_terms(model, state):
         raise InvalidTemperature(
             "spectral decomposition needs finite beta; at T = 0 use qfi_pure or qfi_fidelity_fd"
         )
-    energies = state.spectrum.eigenvalues
-    tol = DEGENERACY_RTOL * state.spectrum.energy_scale
-    parts, slopes, gid = _rotated_generator(state.spectrum, model.dH, tol, state.probs)
-    return energies, state.probs, tol, parts, slopes, gid
 
 
 def qfi_spectral(model, state):
@@ -294,14 +276,15 @@ def qfi_spectral(model, state):
     <n|dH|m> / (E_m - E_n).  Requires finite beta (use qfi_pure or
     qfi_fidelity_fd for the T = 0 curve).
     """
-    energies, probs, tol, parts, level_slopes, gid = _spectral_terms(model, state)
+    _checked_gibbs(model, state)
+    probs = state.probs
+    tol = DEGENERACY_RTOL * state.spectrum.energy_scale
+    quantum, level_slopes, weighted = _spectral_sums(state.spectrum, model.dH, tol, probs)
 
     mean_slope = float(np.dot(probs, level_slopes))
     dprobs = -state.beta * probs * (level_slopes - mean_slope)
     keep = probs > PROB_FLOOR
     classical = float(np.sum(dprobs[keep] ** 2 / probs[keep]))
-
-    quantum = _quantum_pair_sum(energies, probs, gid, parts)
 
     classical = _clamp_part(classical)
     quantum = _clamp_part(quantum)
@@ -315,7 +298,7 @@ def qfi_spectral(model, state):
             "pair_weight_floor": PAIR_WEIGHT_FLOOR,
             "prob_floor": PROB_FLOOR,
             "size": model.size,
-            "weighted_levels": sum(len(elements) for _, elements, _ in parts),
+            "weighted_levels": weighted,
         },
     )
 
@@ -339,9 +322,9 @@ def quantum_term_by_offset(model, state):
     """
     if not state.spectrum.complete:
         raise IncompleteSpectrum("the mass by level distance needs every level; diagonalize without a window")
-    energies, probs, _, parts, _, gid = _spectral_terms(model, state)
+    _checked_gibbs(model, state)
     offsets = np.zeros(state.dim)
-    _quantum_pair_sum(energies, probs, gid, parts, offsets)
+    _spectral_sums(state.spectrum, model.dH, DEGENERACY_RTOL * state.spectrum.energy_scale, state.probs, offsets)
     return offsets
 
 
@@ -363,8 +346,7 @@ def qfi_pure(model, spectrum, level=0):
         raise DegenerateLevel(f"level {level} is degenerate within tolerance {tol:.3e}")
     probs = np.zeros(d)
     probs[level] = 1.0
-    parts, _, gid = _rotated_generator(spectrum, model.dH, tol, probs)
-    return _quantum_pair_sum(energies, probs, gid, parts)
+    return _spectral_sums(spectrum, model.dH, tol, probs)[0]
 
 
 def _fd_ladder(estimate, omega, delta_omega, rtol, atol):
@@ -378,19 +360,31 @@ def _fd_ladder(estimate, omega, delta_omega, rtol, atol):
     accepted pair is returned step-doubling extrapolated,
     (4 fine - coarse) / 3, which squares the relative accuracy without
     extra rungs.
+
+    An estimate of exactly 0.0 is one its roundoff floor took.  A ladder
+    floored from its first rung returns 0.0; a floored rung that does
+    not agree with the nonzero estimate before it raises NoFDConvergence
+    with those two, since every smaller step floors too and two floored
+    zeros would agree on nothing.  A first step that is not positive and
+    finite, or whose square underflows to 0.0, raises at once: no
+    estimate can resolve such a step.
     """
-    delta0 = FD_DELTA_FACTOR * omega if delta_omega is None else delta_omega
-    history = [(delta0, estimate(delta0))]
-    delta = delta0 / 2.0
-    while delta >= FD_DELTA_MIN_FACTOR * omega:
+    delta = FD_DELTA_FACTOR * omega if delta_omega is None else delta_omega
+    if not (0.0 < delta < math.inf and delta * delta > 0.0):
+        raise NoFDConvergence(f"no step to start from: delta = {delta!r}", estimates=())
+    history = [(delta, estimate(delta))]
+    delta /= 2.0
+    while delta >= FD_DELTA_MIN_FACTOR * omega and delta > 0.0:
         value = estimate(delta)
         previous = history[-1][1]
         if abs(value - previous) <= rtol * max(abs(value), abs(previous)) + atol:
             return (4.0 * value - previous) / 3.0, delta
         history.append((delta, value))
+        if value == 0.0:
+            break
         delta /= 2.0
     raise NoFDConvergence(
-        f"finite-difference estimates did not settle before delta = {delta * 2.0:.3e}",
+        f"finite-difference estimates did not settle by delta = {history[-1][0]:.3e}",
         estimates=tuple(v for _, v in history[-2:]),
     )
 
@@ -442,10 +436,9 @@ def qfi_fidelity_fd(model, state, delta_omega=None):
         rho = density_matrix(_thermal_state(model, state, omega - step / 2.0))
         sigma = density_matrix(_thermal_state(model, state, omega + step / 2.0))
         infidelity = 1.0 - math.sqrt(fidelity(rho, sigma))
-        floor = 8.0 * rho.shape[0] * np.finfo(float).eps
-        if infidelity < floor:
-            infidelity = 0.0
-        return 8.0 * infidelity / step ** 2
+        if infidelity < 8.0 * rho.shape[0] * np.finfo(float).eps:
+            return 0.0
+        return 8.0 * infidelity / step / step
 
     value, _ = _fd_ladder(estimate, omega, delta_omega, FD_RTOL, FD_ATOL)
     return max(value, 0.0)

@@ -12,7 +12,6 @@ from critfish.analytic import (
     qfi_eigenstate,
     qfi_thermal_classical,
     qfi_thermal_quantum,
-    quadrature_moments,
 )
 from critfish.errors import BeyondCriticality, InvalidTemperature, UndefinedForZeroCoupling
 from critfish.fisher import qfi_pure
@@ -121,25 +120,34 @@ def test_closed_forms_at_a_huge_beta_equal_their_zero_temperature_values(beta, g
     cold = ToyParams(omega=1.0, g=g, beta=math.inf, prep=prep)
     assert qfi_thermal_quantum(p) == qfi_thermal_quantum(cold)
     assert qfi_thermal_classical(p) == 0.0
-    assert quadrature_moments(p) == quadrature_moments(cold)
     if prep is Prep.DIRECT:
         assert fi_errprop_closed(p) == fi_errprop_closed(cold)
 
 
-def test_quadrature_moments():
-    vacuum = ToyParams(omega=1.0, g=0.0, beta=math.inf)
-    assert quadrature_moments(vacuum) == (1.0, 2.0)
-    squeezed = ToyParams(omega=1.0, g=0.5, beta=math.inf)
-    mean2, var2 = quadrature_moments(squeezed)
-    assert mean2 == pytest.approx(2.0 ** 0.5, rel=1e-12)
-    assert var2 == pytest.approx(2.0 * mean2 ** 2, rel=1e-12)
+@pytest.mark.parametrize("beta", [1e-152, 1e-155, 1e-300, 5e-324])
+@pytest.mark.parametrize("g", [0.0, 0.5, 0.9, 0.999, 0.999999])
+def test_closed_forms_at_a_tiny_beta_equal_their_hot_limits(beta, g):
+    # csch^2, tanh(x / 2) and beta^2 underflow here, while the forms have reached their limits
+    p = ToyParams(omega=1.0, g=g, beta=beta)
+    slope, f = p.squeezing_slope, p.occupation_frequency
+    assert qfi_thermal_quantum(p) == 4.0 * slope ** 2
+    assert qfi_thermal_classical(p) == (2.0 - g) ** 2 / (4.0 * f ** 2 * (1.0 - g))
+    assert qfi_thermal_classical(ToyParams(omega=1.0, g=g, beta=beta, prep=Prep.ADIABATIC)) == 1.0
+    if g > 0:
+        coupling_free = (2.0 - g) / (4.0 * (1.0 - g))
+        assert fi_errprop_closed(p) == 2.0 * (coupling_free + slope) ** 2
 
 
-@settings(max_examples=60, deadline=None)
-@given(params=params_strategy)
-def test_quadrature_variance_identity(params):
-    mean2, var2 = quadrature_moments(params)
-    assert var2 == pytest.approx(2.0 * mean2 ** 2, rel=1e-12)
+@pytest.mark.parametrize("g", [0.0, 0.5, 0.9, 0.999, 0.999999])
+def test_closed_forms_meet_their_hot_limits_on_both_sides_of_the_switch(g):
+    # the exact forms just above the switch to the hot limits agree with them to roundoff
+    hot = ToyParams(omega=1.0, g=g, beta=1e-160)
+    for beta in (1e-140, 1e-149):
+        p = ToyParams(omega=1.0, g=g, beta=beta)
+        assert qfi_thermal_quantum(p) == pytest.approx(qfi_thermal_quantum(hot), rel=1e-15)
+        assert qfi_thermal_classical(p) == pytest.approx(qfi_thermal_classical(hot), rel=1e-15)
+        if g > 0:
+            assert fi_errprop_closed(p) == pytest.approx(fi_errprop_closed(hot), rel=1e-15)
 
 
 def test_errprop_closed_zero_temperature_equals_ground():

@@ -76,6 +76,40 @@ def test_point_bad_values_are_one_config_error(flags, capsys):
     assert err.count("\n") == 1 and err.startswith("configuration error: ")
 
 
+def _finite(row):
+    def reject(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+    return json.loads(row, parse_constant=reject)
+
+
+@pytest.mark.parametrize("flags,code,status", [
+    ("--model ising -N 8 -g 0.55 --beta-gap 0.01 --estimators qfi_spectral,qfi_fidelity", 2,
+     "qfi_fidelity:NoFDConvergence"),
+    ("--model lmg -N 20 -g 0.5 --omega 1e300 --beta 1 --estimators qfi_fidelity", 0, "ok"),
+    ("--model lmg -N 20 -g 0.5 --omega 1e-300 --beta 1 --estimators qfi_fidelity", 2,
+     "beta_gap_ratio:GapTooSmall;qfi_fidelity:NoFDConvergence"),
+    ("--model toy -N 64 -g 0.5 --beta 1 --delta-omega 1e-300 --estimators qfi_fidelity", 2,
+     "qfi_fidelity:NoFDConvergence"),
+    ("--model toy -N 64 -g 0.5 --beta 1e-155 --estimators toy_analytic", 0, "ok"),
+    ("--model toy -N 64 -g 0.5 --beta 1e-300 --estimators toy_analytic", 0, "ok"),
+    ("--model toy -N 64 -g 0.9 --beta 5e-324 --estimators toy_analytic", 0, "ok"),
+])
+def test_point_edge_cells_end_in_defined_rows(flags, code, status, capsys):
+    assert main(["point", *flags.split()]) == code
+    assert _finite(capsys.readouterr().out)["status"] == status
+
+
+def test_measurement_ladder_with_no_step_ends_at_once():
+    # at omega = 5e-324 the first step, 1e-4 omega, is 0.0: the ladder once halved it forever
+    proc = subprocess.run(
+        [sys.executable, "-m", "critfish", "point", "--model", "lmg", "-N", "20", "-g", "0.5",
+         "--omega", "5e-324", "--beta", "1", "--estimators", "cfi_sx2"],
+        capture_output=True, text=True, timeout=60, env=CHILD_ENV,
+    )
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    assert _finite(proc.stdout)["status"] == "beta_gap_ratio:GapTooSmall;cfi_sx2:NoFDConvergence"
+
+
 def test_unknown_flags_exit_one(capsys):
     with pytest.raises(SystemExit) as info:
         main(["point", "--model", "lmg", "--frequency", "2"])

@@ -348,10 +348,11 @@ def test_pure_state_reads_only_the_block_of_its_level():
     spectrum = eigh(model.H)
     probs = np.zeros(len(spectrum.eigenvalues))
     probs[0] = 1.0
-    parts, slopes, _ = fisher._rotated_generator(spectrum, model.dH, DEGENERACY_RTOL * spectrum.energy_scale, probs)
-    (levels, elements, _), = parts
-    assert 0 in levels.tolist() and elements.shape == (1, levels.size)
-    assert not np.delete(slopes, levels).any()
+    quantum, slopes, weighted = fisher._spectral_sums(
+        spectrum, model.dH, DEGENERACY_RTOL * spectrum.energy_scale, probs)
+    levels, = [levels for _, levels, _ in spectrum.blocks if 0 in levels.tolist()]
+    assert weighted == 1 and quantum == qfi_pure(model, spectrum, 0)
+    assert slopes[levels].all() and not np.delete(slopes, levels).any()
 
 
 # ------------------------------------------------------------- fidelity route
@@ -398,6 +399,49 @@ def test_fidelity_route_reports_no_convergence():
     with pytest.raises(NoFDConvergence) as info:
         qfi_fidelity_fd(noisy, thermal(base, 2.0), delta_omega=1e-4)
     assert len(info.value.estimates) == 2
+
+
+def test_fidelity_ladder_ends_at_a_floored_rung_below_a_nonzero_one():
+    # beta * gap = 0.01: the first rung's infidelity sits just over the roundoff
+    # floor and the halved rung's under it, where every smaller step stays
+    model = build_model("ising", 1.0, 0.55, 8)
+    spectrum = eigh(model.H)
+    state = gibbs(spectrum, beta_from_gap_ratio(0.01, spectrum))
+    want = qfi_spectral(model, state).total
+    with pytest.raises(NoFDConvergence) as info:
+        qfi_fidelity_fd(model, state)
+    coarse, fine = info.value.estimates
+    assert coarse == pytest.approx(want, rel=1e-3) and fine == 0.0
+    assert qfi_fidelity_fd(model, state, delta_omega=1e-3) == pytest.approx(want, rel=1e-4)
+
+
+@pytest.mark.parametrize("omega,delta_omega", [(1e-300, None), (1.0, 1e-300), (1.0, 0.0)])
+def test_ladders_with_no_step_to_resolve_raise_at_once(monkeypatch, omega, delta_omega):
+    # a first step of 0.0, or one whose square underflows, can resolve no estimate
+    model = build_model("lmg", omega, 0.5, 20)
+    state = thermal(model, 1.0)
+    rung_state = fisher._thermal_state
+    rungs = []
+
+    def counted(model, state, at_omega):
+        rungs.append(at_omega)
+        return rung_state(model, state, at_omega)
+
+    monkeypatch.setattr(fisher, "_thermal_state", counted)
+    with pytest.raises(NoFDConvergence) as info:
+        qfi_fidelity_fd(model, state, delta_omega)
+    assert info.value.estimates == () and rungs == []
+    for estimator in (cfi_projective, fi_error_propagation):
+        with pytest.raises(NoFDConvergence):
+            estimator(model, state, model.observable, delta_omega)
+        assert rungs == [omega]  # the centre state alone
+        rungs.clear()
+
+
+def test_fidelity_ladder_at_a_huge_omega_reads_zero_like_the_spectral_sum():
+    # the step's square overflows, but every rung floors before it is formed
+    model = build_model("lmg", 1e300, 0.5, 20)
+    assert qfi_fidelity_fd(model, thermal(model, 1.0)) == 0.0
 
 
 # ------------------------------------------------- measurement-based estimators

@@ -511,7 +511,7 @@ def test_failed_group_rotation_becomes_an_estimator_status(monkeypatch):
 
     def fail_first_rotation(a):
         # only the degenerate-group rotation in fisher is made to fail
-        if sys._getframe(1).f_code.co_name == "_rotated_generator":
+        if sys._getframe(1).f_code.co_name == "_spectral_sums":
             calls.append(1)
             if len(calls) == 1:
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -547,15 +547,15 @@ def test_failed_fidelity_svd_becomes_an_estimator_status(monkeypatch):
 
 
 def test_negative_fisher_part_becomes_an_estimator_status(monkeypatch):
-    pair_sum = fisher._quantum_pair_sum
+    sums = fisher._spectral_sums
     calls = []
 
     def negative_first(*args, **kwargs):
         calls.append(1)
-        total = pair_sum(*args, **kwargs)
-        return -1.0 if len(calls) == 1 else total
+        quantum, slopes, weighted = sums(*args, **kwargs)
+        return -1.0 if len(calls) == 1 else quantum, slopes, weighted
 
-    monkeypatch.setattr(fisher, "_quantum_pair_sum", negative_first)
+    monkeypatch.setattr(fisher, "_spectral_sums", negative_first)
     rows = run_sweep(config(workers=1))
     first = rows[0]
     assert first.status == "qfi_spectral:NegativeFisherPart"

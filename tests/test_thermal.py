@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from critfish.errors import DimMismatch, GapTooSmall, InvalidDimension, InvalidMatrix, InvalidTemperature
 from critfish.linalg import Sectors, Spectrum, eigh
 from critfish.models import build_model, toy_converged_truncation
-from critfish.analytic import ToyParams, quadrature_moments
+from critfish.analytic import ToyParams
 from critfish.thermal import (
     beta_from_gap_ratio,
     density_matrix,
@@ -222,7 +222,9 @@ def test_toy_second_moment_matches_closed_form(g, beta_eff):
     model, spectrum, _ = toy_converged_truncation(1.0, g, beta)
     state = gibbs(spectrum, beta)
     ops_x2 = np.asarray(model.coupling_term) * 4.0
-    mean2, var2 = quadrature_moments(params)
+    # <(a + a^dag)^2> = e^(-2 xi) coth(beta f / 2), and its variance is 2 <.>^2
+    mean2 = math.exp(-2.0 * params.squeezing) / math.tanh(beta * params.occupation_frequency / 2.0)
+    var2 = 2.0 * mean2 ** 2
     got_mean, got_second = thermal_expectation(state, ops_x2)
     got_var = got_second - got_mean ** 2
     assert got_mean == pytest.approx(mean2, rel=1e-6)
