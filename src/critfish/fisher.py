@@ -244,9 +244,10 @@ def _spectral_sums(spectrum, generator, tol, probs, offsets=None):
             hi = min(lo + _CHUNK, heavy)
             p_rows = p[lo:hi, None]
             weight_sum = p_rows + p[None, :]
-            e_diff = e[None, :] - e[lo:hi, None]
             mask = (weight_sum >= PAIR_WEIGHT_FLOOR) & (group[lo:hi, None] != group[None, :])
-            denom = np.where(mask, weight_sum * e_diff * e_diff, 1.0)
+            with np.errstate(over="ignore"):  # at a huge energy scale a pair's denominator is inf, its term 0
+                e_diff = e[None, :] - e[lo:hi, None]
+                denom = np.where(mask, weight_sum * e_diff * e_diff, 1.0)
             contrib = np.where(mask, (p_rows - p[None, :]) ** 2 * m[lo:hi, :] ** 2 / denom, 0.0)
             contrib[:, heavy:] *= 2.0  # each light pair stands for (n, m) and (m, n)
             total += float(contrib.sum())
@@ -399,17 +400,16 @@ def _thermal_state(model, state, omega):
     """Gibbs state of the model at another omega and ``state.beta``, solved in its Gibbs window.
 
     ``state`` is the model's Gibbs state at model.omega.  The floor of
-    each block is its lowest level there, minus the most it can move on
-    the way to ``omega`` (``ModelInstance.generator_bounds``), or -inf
-    where ``state`` holds no level of it.  Given floors, ``eigh`` solves
-    every chain whole and no block whose floor lies past the window's end.
+    each block is its lowest level there (``Spectrum.lows``, -inf where
+    ``state`` holds no level of it), minus the most it can move on the
+    way to ``omega`` (``ModelInstance.generator_bounds``), in one array
+    operation.  Given floors, ``eigh`` solves every chain whole and no
+    block whose floor lies past the window's end; the rung's H
+    (``ModelInstance.hamiltonian``) forms only the blocks it solves.
     """
-    shift = abs(omega - model.omega)
-    energies = state.spectrum.eigenvalues
-    floors = [float(energies[levels[0]]) - shift * bound if levels.size else -math.inf
-              for (_, levels, _), bound in zip(state.spectrum.blocks, model.generator_bounds)]
-    spectrum = eigh(model.at(omega).H, window=gibbs_window(state.beta), floors=floors)
-    return gibbs(spectrum, state.beta)
+    H = model.hamiltonian(omega)
+    floors = state.spectrum.lows - abs(omega - model.omega) * model.generator_bounds
+    return gibbs(eigh(H, window=gibbs_window(state.beta), floors=floors), state.beta)
 
 
 def qfi_fidelity_fd(model, state, delta_omega=None):
@@ -432,16 +432,32 @@ def qfi_fidelity_fd(model, state, delta_omega=None):
     _checked_state(model, state)
     omega = model.omega
 
+    rungs = []
+
     def estimate(step):
         rho = density_matrix(_thermal_state(model, state, omega - step / 2.0))
         sigma = density_matrix(_thermal_state(model, state, omega + step / 2.0))
         infidelity = 1.0 - math.sqrt(fidelity(rho, sigma))
-        if infidelity < 8.0 * rho.shape[0] * np.finfo(float).eps:
-            return 0.0
-        return 8.0 * infidelity / step / step
+        floor = 8.0 * rho.shape[0] * np.finfo(float).eps
+        rungs.append(step)
+        if infidelity >= floor:
+            return 8.0 * infidelity / step / step
+        # a first rung that floors although the states differ: every smaller step floors too
+        if len(rungs) == 1 and _states_differ(rho, sigma, floor):
+            raise NoFDConvergence(f"the root infidelity floors at the first step {step:.3e}, yet the states differ",
+                                  estimates=(0.0,))
+        return 0.0
 
     value, _ = _fd_ladder(estimate, omega, delta_omega, FD_RTOL, FD_ATOL)
     return max(value, 0.0)
+
+
+def _states_differ(rho, sigma, tol):
+    """Whether two density matrices over the same blocks differ by more than ``tol`` in any entry."""
+    for a, b in zip(rho.blocks, sigma.blocks):
+        if a is not b and float(np.abs(a if b is None else -b if a is None else a - b).max()) > tol:
+            return True
+    return False
 
 
 def _outcome_projectors(observable):

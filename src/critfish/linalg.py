@@ -69,7 +69,6 @@ resolvent, one tridiagonal solve (``?gtsv``) per level (``fisher``).
 import bisect
 import ctypes
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -311,7 +310,10 @@ class Spectrum:
     output.  Each block's levels ascend, and together the blocks cover
     the rows once and the solved levels once.  No n x n eigenvector
     matrix is held.  A block may hold no level at all: a dense block a
-    window left out whole, or a zero block (``Sectors``).
+    window left out whole, or a zero block (``Sectors``).  ``kept``
+    lists the blocks that hold a level, ascending, so that a pass over
+    the solved blocks never visits the others; it is found from
+    ``blocks`` where not given.
 
     A spectrum whose chains a window left partly unsolved also keeps
     ``highest``, the matrix's largest eigenvalue, and ``matrix``, the
@@ -327,6 +329,20 @@ class Spectrum:
     blocks: tuple
     highest: float = None
     matrix: object = None
+    kept: tuple = None
+
+    def __post_init__(self):
+        if self.kept is None:
+            object.__setattr__(self, "kept", tuple(b for b, (_, levels, _) in enumerate(self.blocks) if levels.size))
+
+    @functools.cached_property
+    def lows(self):
+        """The lowest level of each block, -inf for a block that holds none, as one read-only array."""
+        lows = np.full(len(self.blocks), -math.inf)
+        for b in self.kept:
+            lows[b] = self.eigenvalues[self.blocks[b][1][0]]
+        lows.setflags(write=False)
+        return lows
 
     @property
     def dim(self):
@@ -409,6 +425,20 @@ class Sectors:
         object.__setattr__(self, "blocks", tuple(blocks))
 
     @classmethod
+    def _lazy(cls, rows, layout, form):
+        """A Sectors over ``rows`` laid out as ``layout``, whose block b ``form(b)`` forms when it is first read.
+
+        ``eigh`` reads only the blocks it solves, so it forms no twin and
+        no block that a window leaves out.  Nothing else sees an unformed
+        block: ``blocks[b]`` forms block b, iterating ``blocks`` (as
+        ``np.asarray`` does) forms each, and a twin is the array of the
+        block before it.  The blocks must meet the rules of ``_checked``.
+        """
+        matrix = object.__new__(cls)
+        matrix.__dict__.update(rows=rows, blocks=_Formed(layout.kinds, form), layout=layout)
+        return matrix
+
+    @classmethod
     def _checked(cls, rows, blocks):
         """A Sectors of parts that already meet every rule above, taken as they are.
 
@@ -436,6 +466,69 @@ class Sectors:
             if block is not None:
                 dense[np.ix_(r, r)] = _dense(*block) if isinstance(block, tuple) else block
         return dense if dtype is None else dense.astype(dtype, copy=False)
+
+    @functools.cached_property
+    def layout(self):
+        """The ``Layout`` of the blocks, read off them once."""
+        blocks = self.blocks
+        return Layout.of(self.rows, [None if block is None else "twin" if b and block is blocks[b - 1]
+                                     else "chain" if isinstance(block, tuple) else "dense"
+                                     for b, block in enumerate(blocks)])
+
+
+@dataclass(frozen=True, eq=False)
+class Layout:
+    """The kind of each block of a block-diagonal matrix, as ``eigh`` visits them.
+
+    ``kinds[b]`` is "chain", "dense", "twin" (the block before it, stored
+    as the same array) or None (a zero block).  ``chains`` and ``dense``
+    hold the chains and the dense blocks ``eigh`` solves, ascending; a
+    twin is solved with the block it repeats (``twins`` maps that block
+    to the twins after it) and a zero block is never solved.  ``empty``
+    holds, per block, the ``Spectrum`` block of one that holds no level.
+    """
+
+    kinds: tuple
+    chains: tuple
+    dense: np.ndarray
+    twins: dict
+    empty: tuple
+
+    @classmethod
+    def of(cls, rows, kinds):
+        chains, dense, twins, empty, first = [], [], {}, [], None
+        for b, (r, kind) in enumerate(zip(rows, kinds)):
+            empty.append((r, _NO_LEVELS, _no_level(r.size)[1]))
+            if kind == "twin":
+                twins.setdefault(first, []).append(b)
+                continue
+            first = b
+            if kind == "chain":
+                chains.append(b)
+            elif kind == "dense":
+                dense.append(b)
+        return cls(tuple(kinds), tuple(chains), np.array(dense, dtype=np.intp), twins, tuple(empty))
+
+
+class _Formed:
+    """The blocks of a ``Sectors._lazy``, each formed when first read: a twin is the block before it, a zero block None."""
+
+    __slots__ = ("kinds", "form", "formed")
+
+    def __init__(self, kinds, form):
+        self.kinds, self.form, self.formed = kinds, form, {}
+
+    def __len__(self):
+        return len(self.kinds)
+
+    def __getitem__(self, b):
+        if b not in self.formed:
+            kind = self.kinds[b]
+            self.formed[b] = None if kind is None else self[b - 1] if kind == "twin" else self.form(b)
+        return self.formed[b]
+
+    def __iter__(self):
+        return (self[b] for b in range(len(self.kinds)))
 
 
 def _sign_fixed(idx, solved):
@@ -473,16 +566,8 @@ def _no_level(rows):
 
 
 def _solve_block(idx, block):
-    """(eigenvalues, eigenvectors) of every level of one block of a Sectors, sign-fixed; none for a zero block."""
-    if block is None:
-        return _no_level(idx.size)
+    """(eigenvalues, eigenvectors) of every level of one chain or dense block of a Sectors, sign-fixed."""
     return _sign_fixed(idx, _solve_chain(*block) if isinstance(block, tuple) else _DSYEVD(block))
-
-
-def _twins(matrix):
-    """Per block of a Sectors, whether it is the block before it (a dense block stored once for both)."""
-    blocks = matrix.blocks
-    return [b > 0 and block is not None and block is blocks[b - 1] for b, block in enumerate(blocks)]
 
 
 def _window_end(levels, edge, tol, bound=math.inf, head=None):
@@ -520,71 +605,79 @@ def _window_end(levels, edge, tol, bound=math.inf, head=None):
     return None
 
 
-def _windowed(matrix, window, floors):
-    """eigh's (eigenvalues, eigenvectors) per block within ``window``, and the highest level.
+def _windowed(matrix, window, floors, form):
+    """eigh's (eigenvalues, eigenvectors) per solved block within ``window``, by block, and the highest level.
 
-    Long chains are bisected only without ``floors``, which are then -inf
-    for every block.  The highest level is None unless a chain was left
-    partly unsolved.  A dense block left out whole gets no eigenpair.
+    ``form(b)`` gives block b.  Long chains are bisected only without
+    ``floors``, which are then -inf for every block.  The highest level
+    is None unless a chain was left partly unsolved.  Neither twins nor
+    the blocks past the window's end are visited.
     """
-    chains, solved, lows, tops, queue = {}, {}, [], [], []
+    layout, rows = matrix.layout, matrix.rows
     windowable = floors is None and all(_hook(name) is not None for name in ("stebz", "stein", "gtsv", "larrc"))
-    floors = [-math.inf] * len(matrix.blocks) if floors is None else floors
-    twins = _twins(matrix)
-    for b, (idx, block) in enumerate(zip(matrix.rows, matrix.blocks)):
-        chain = isinstance(block, tuple)
-        if windowable and chain and idx.size >= _WINDOW_MIN_ROWS:
-            low, top = _DSTEBZ(*block, 1, 1), _DSTEBZ(*block, idx.size, idx.size)
+    # bisected chains (their levels so far, and the chain), the solved blocks, the dense ones among them
+    chains, solved, dense = {}, {}, []
+    lowest, highest = math.inf, -math.inf  # over the lowest and the highest level of each block solved or bisected
+    for b in layout.chains:
+        block = form(b)
+        if windowable and rows[b].size >= _WINDOW_MIN_ROWS:
+            low, top = _DSTEBZ(*block, 1, 1), _DSTEBZ(*block, rows[b].size, rows[b].size)
             if low is not None and top is not None:
-                chains[b] = low
-                lows.append(float(low[0][0]))
-                tops.append(float(top[0][0]))
+                chains[b] = low, block
+                lowest, highest = min(lowest, float(low[0][0])), max(highest, float(top[0][0]))
                 continue
-        if block is not None and not twins[b]:
-            queue.append((-math.inf if chain else floors[b], b))  # a chain not bisected is solved whole, first
-    queue.sort()
+        solved[b] = vals, _ = _solve_block(rows[b], block)  # a chain not bisected is solved whole, first
+        lowest, highest = min(lowest, float(vals[0])), max(highest, float(vals[-1]))
+    # the dense blocks in ascending order of their floors, the floors as Python floats
+    order, heads = layout.dense, [-math.inf] * layout.dense.size
+    if floors is not None and order.size:
+        keys = np.asarray(floors, dtype=float)[order]
+        rank = keys.argsort(kind="stable")
+        order, heads = order[rank], keys[rank].tolist()
+    heads.append(None)  # past the last block
+    order, cut, visit = order.tolist(), None, 0
     while True:
+        head = heads[visit]
         # the end lies past the edge E_0 + window: a block whose floor is within the edge is solved without it
-        if not queue or (lows and queue[0][0] > min(lows) + window):
+        if head is None or head > lowest + window:
             cut = None
-            if lows:
-                lowest = min(lows)
-                tol = DEGENERACY_RTOL * max(1.0, abs(lowest), *map(abs, tops))
+            if lowest < math.inf:
+                tol = DEGENERACY_RTOL * max(1.0, abs(lowest), abs(highest))
                 # every level below the lowest last bisected level is known; given floors (so no chain
                 # bisected), every level not yet seen lies at or above the head's
-                bound, b = min([(float(vals[-1]), b) for b, (vals, _, _) in chains.items()], default=(math.inf, 0))
-                cut = _window_end([part[0] for part in (*chains.values(), *solved.values())], lowest + window, tol,
-                                  bound, queue[0][0] if queue else None)
+                bound, b = min([(float(part[0][-1]), b) for b, (part, _) in chains.items()], default=(math.inf, 0))
+                cut = _window_end([part[0] for part, _ in chains.values()] + [vals for vals, _ in solved.values()],
+                                  lowest + window, tol, bound, head)
             if cut is None and chains:
-                bisected, block = chains[b][0].size, matrix.blocks[b]
+                (bisected, *_), block = chains[b]
                 # the count only sizes the request: a miscount costs one more bisection, never a level kept
-                want = max(_DLARRC(*block, lowest + window) + 1, bisected + 1)
-                more = None if want > matrix.rows[b].size / _WINDOW_SHARE else _DSTEBZ(*block, bisected + 1, want)
+                want = max(_DLARRC(*block, lowest + window) + 1, bisected.size + 1)
+                more = None if want > rows[b].size / _WINDOW_SHARE else _DSTEBZ(*block, bisected.size + 1, want)
                 if more is None:  # too large a share of the chain, or a failed bisection
-                    solved[b] = _solve_block(matrix.rows[b], block)
+                    solved[b] = _solve_block(rows[b], block)
                     del chains[b]
                 else:
-                    chains[b] = (*(np.concatenate(pair) for pair in zip(chains[b], more[:2])), more[2])
+                    chains[b] = (*(np.concatenate(pair) for pair in zip(chains[b][0], more[:2])), more[2]), block
                 continue
             # every block still queued has its lowest level past the end, and so can move neither it nor E_0
-            if not queue or (cut is not None and queue[0][0] > cut + tol):
+            if head is None or (cut is not None and head > cut + tol):
                 break
-        b = queue.pop(0)[1]
-        solved[b] = _solve_block(matrix.rows[b], matrix.blocks[b])
-        lows.append(float(solved[b][0][0]))
-        tops.append(float(solved[b][0][-1]))
-    for b in [b for b in solved if isinstance(matrix.blocks[b], np.ndarray)]:
-        if cut is not None and solved[b][0][0] > cut:  # a dense block whose lowest level lies past the end
-            del solved[b]
-    for b, (vals, iblock, isplit) in chains.items():
+        b = order[visit]
+        visit += 1
+        solved[b] = vals, _ = _solve_block(rows[b], form(b))
+        dense.append(b)
+        if vals[0] < lowest:
+            lowest = float(vals[0])
+        if vals[-1] > highest:
+            highest = float(vals[-1])
+    if cut is not None:
+        for b in dense:
+            if solved[b][0][0] > cut:  # a dense block whose lowest level lies past the end
+                del solved[b]
+    for b, ((vals, iblock, isplit), block) in chains.items():
         keep = vals <= cut
-        solved[b] = _sign_fixed(matrix.rows[b], _DSTEIN(*matrix.blocks[b], vals[keep], iblock[keep], isplit))
-    results = []
-    for b, idx in enumerate(matrix.rows):
-        if b not in solved:
-            solved[b] = solved[b - 1] if twins[b] else _no_level(idx.size)
-        results.append(solved[b])
-    return results, (max(tops) if chains else None)
+        solved[b] = _sign_fixed(rows[b], _DSTEIN(*block, vals[keep], iblock[keep], isplit))
+    return solved, (highest if chains else None)
 
 
 def eigh(matrix, window=None, *, floors=None):
@@ -652,27 +745,31 @@ def eigh(matrix, window=None, *, floors=None):
         dense = np.asarray(matrix, dtype=float)
         # one block of all rows; Sectors checks and symmetrizes it
         matrix = Sectors([np.arange(dense.shape[0] if dense.ndim else 0)], [dense])
+    form, layout, rows = matrix.blocks.__getitem__, matrix.layout, matrix.rows
     if window is None:
-        solved, highest = [], None
-        for idx, block, twin in zip(matrix.rows, matrix.blocks, _twins(matrix)):
-            solved.append(solved[-1] if twin else _solve_block(idx, block))
+        solved, highest = {b: _solve_block(rows[b], form(b)) for b in (*layout.chains, *layout.dense.tolist())}, None
     elif window >= 0:
-        if floors is not None and len(floors) != len(matrix.blocks):
-            raise ValueError(f"need one floor per block: {len(floors)} for {len(matrix.blocks)} blocks")
-        solved, highest = _windowed(matrix, float(window), floors)
+        if floors is not None and len(floors) != len(rows):
+            raise ValueError(f"need one floor per block: {len(floors)} for {len(rows)} blocks")
+        solved, highest = _windowed(matrix, float(window), floors, form)
     else:
         raise ValueError(f"window must be >= 0, got {window}")
-    merged = np.concatenate([vals for vals, _ in solved if vals.size] or [np.empty(0)])
+    for b in [b for b in solved if b in layout.twins]:
+        solved.update(dict.fromkeys(layout.twins[b], solved[b]))
+    kept = sorted(b for b, (vals, _) in solved.items() if vals.size)
+    merged = np.concatenate([solved[b][0] for b in kept]) if kept else np.empty(0)
     order = merged.argsort(kind="stable")
     level = order.argsort()  # the global level of each entry of merged
     eigenvalues = merged[order]
     eigenvalues.setflags(write=False)
     level.setflags(write=False)
-    ends = itertools.accumulate(vals.size for vals, _ in solved)
-    # read-only views, and one shared empty array for every block with no level
-    levels = [level[end - vals.size:end] if vals.size else _NO_LEVELS for (vals, _), end in zip(solved, ends)]
-    blocks = tuple(zip(matrix.rows, levels, [vecs for _, vecs in solved]))
-    return Spectrum(eigenvalues, blocks, highest, None if highest is None else matrix)
+    # the blocks that hold no level keep their shared empty arrays; the others take read-only views
+    blocks, end = list(layout.empty), 0
+    for b in kept:
+        vals, vecs = solved[b]
+        blocks[b] = rows[b], level[end:end + vals.size], vecs
+        end += vals.size
+    return Spectrum(eigenvalues, tuple(blocks), highest, None if highest is None else matrix, tuple(kept))
 
 
 def _same_rows(matrix, rows):
@@ -682,12 +779,12 @@ def _same_rows(matrix, rows):
 
 
 def _root_columns(density):
-    """R_b = V_b sqrt(lambda_b) per block, with rho = sum_b R_b R_b^T, for a unit-trace PSD rho.
+    """R_b = V_b sqrt(lambda_b) per block that holds a level, with rho = sum_b R_b R_b^T, for a unit-trace PSD rho.
 
     Eigenvalues in [-PSD_CLAMP_RTOL * ||rho||, 0) are roundoff (Gibbs
     states are PSD analytically) and are clamped to zero; more negative
-    ones raise NotPSD.  A zero block (None) has no root column: its
-    (rows, 0) vectors are returned as they are.
+    ones raise NotPSD.  Returns {b: R_b} in ascending b; a zero block
+    (None) has no level, and so no entry.
     """
     spec = eigh(density)
     vals = spec.eigenvalues
@@ -698,16 +795,11 @@ def _root_columns(density):
     if vals[0] < floor:
         raise NotPSD(f"eigenvalue {vals[0]:.6e} below roundoff floor {floor:.6e}")
     roots = np.sqrt(vals.clip(0.0, None))
-    return [vecs * roots[levels] if levels.size else vecs for _, levels, vecs in spec.blocks]
+    return {b: spec.blocks[b][2] * roots[spec.blocks[b][1]] for b in spec.kept}
 
 
 def _root_fidelity(a, b):
-    """sqrt F of the states a a^T and b b^T (a = V sqrt(p) for a Gibbs state): ||a^T b||_1.
-
-    A zero block on either side (no root column) adds nothing.
-    """
-    if not (a.shape[1] and b.shape[1]):
-        return 0.0
+    """sqrt F of the states a a^T and b b^T (a = V sqrt(p) for a Gibbs state): ||a^T b||_1."""
     try:
         singulars = np.linalg.svd(a.T @ b, compute_uv=False)
     except np.linalg.LinAlgError as exc:
@@ -724,13 +816,14 @@ def fidelity(rho, sigma):
     drop out; no matrix root is formed (Uhlmann, Rep. Math. Phys. 9, 273,
     1976; Jozsa, J. Mod. Opt. 41, 2315, 1994).  Two Sectors over the same
     rows go to ``eigh`` as they are: that product is then block diagonal,
-    and its nuclear norm is the sum of its blocks'.  Any other pair is
-    diagonalized as two dense matrices of one block each.  Symmetric in
-    its arguments to ~1e-10.
+    and its nuclear norm is the sum of its blocks', over the blocks where
+    both states hold a level.  Any other pair is diagonalized as two dense
+    matrices of one block each.  Symmetric in its arguments to ~1e-10.
     """
     r, s = (m if isinstance(m, Sectors) else np.asarray(m, dtype=float) for m in (rho, sigma))
     if r.shape != s.shape:
         raise DimMismatch(f"density-matrix shapes differ: {r.shape} vs {s.shape}")
     if not (isinstance(r, Sectors) and _same_rows(s, r.rows)):
         r, s = np.asarray(r), np.asarray(s)
-    return min(sum(_root_fidelity(a, b) for a, b in zip(_root_columns(r), _root_columns(s))) ** 2, 1.0)
+    a, c = _root_columns(r), _root_columns(s)
+    return min(sum(_root_fidelity(a[b], c[b]) for b in a if b in c) ** 2, 1.0)

@@ -92,23 +92,31 @@ class ModelInstance:
     parts: tuple
 
     def at(self, omega):
-        """The same model at another omega, with H formed exactly as build_model forms it.
+        """The same model at another omega, with every block of H formed as ``hamiltonian`` forms it."""
+        H = self.hamiltonian(omega)
+        return replace(self, omega=float(omega), H=Sectors._checked(H.rows, tuple(H.blocks)))
 
-        H is formed from ``parts`` (``_hamiltonian``) and is not checked
-        again: build_model checked the H it formed from the same parts.
+    def hamiltonian(self, omega):
+        """H at another omega, a Sectors whose blocks are formed from ``parts`` when read (``Sectors._lazy``).
+
+        The blocks are those build_model forms at that omega, bit for bit
+        (``_block``), and are not checked again: build_model checked the
+        H it formed from the same parts.  A twin is the block before it.
         """
         _check_parameters(self.kind, omega, self.g)
-        return replace(self, omega=float(omega), H=_hamiltonian(omega, self.parts, self.coupling_term.rows))
+        return Sectors._lazy(self.H.rows, self.H.layout, functools.partial(_block, omega, self.parts))
 
     @functools.cached_property
     def generator_bounds(self):
-        """max |dH| on the rows of each block of H: no level of the block moves faster than that along omega.
+        """max |dH| on the rows of each block of H, as one read-only array: no level of a block moves faster along omega.
 
         H(omega') - H(omega) = (omega' - omega) dH, so by Weyl's inequality
         (Weyl, Math. Ann. 71, 441, 1912) each level of a block moves by at
         most |omega' - omega| times its bound.
         """
-        return [float(np.abs(self.dH[rows]).max()) for rows in self.H.rows]
+        bounds = np.array([np.abs(self.dH[rows]).max() for rows in self.H.rows])
+        bounds.setflags(write=False)
+        return bounds
 
 
 def _omega_free_parts(g, generator, coupling):
@@ -134,32 +142,24 @@ def _omega_free_parts(g, generator, coupling):
     return tuple(parts)
 
 
-def _hamiltonian(omega, parts, rows):
-    """H = omega * dH[rows] - g * W, block by block from the parts of ``_omega_free_parts`` over W's rows.
+def _block(omega, parts, b):
+    """Block b of H = omega * dH - g * W, from the parts of ``_omega_free_parts``, read-only.
 
-    Each block is exactly symmetric because W's is, and a twin takes the
-    block before it, so H is a Sectors over W's checked rows that nothing
-    checks again.  build_model checks the H it forms; ``at`` trusts it
-    for an omega that passed ``_check_parameters``.
+    A dense block is exactly symmetric because W's is; a chain's
+    off-diagonal does not depend on omega and is W's part as it is.
     """
-    blocks = []
-    for dh, gw_diagonal, rest, twin in parts:
-        if twin:
-            blocks.append(blocks[-1])
-            continue
-        if rest.ndim == 1:  # a chain, whose off-diagonal does not depend on omega
-            diagonal = omega * dh - gw_diagonal
-            diagonal.setflags(write=False)
-            blocks.append((diagonal, rest))
-            continue
-        # the copy's diagonal is formed in place, through a view of its entries (i, i) at i * (m + 1)
-        block = rest.copy()
-        diagonal = block.reshape(-1)[:: block.shape[0] + 1]
-        np.multiply(omega, dh, out=diagonal)
-        diagonal -= gw_diagonal
-        block.setflags(write=False)
-        blocks.append(block)
-    return Sectors._checked(rows, blocks)
+    dh, gw_diagonal, rest, _ = parts[b]
+    if rest.ndim == 1:
+        diagonal = omega * dh - gw_diagonal
+        diagonal.setflags(write=False)
+        return diagonal, rest
+    # the copy's diagonal is formed in place, through a view of its entries (i, i) at i * (m + 1)
+    block = rest.copy()
+    diagonal = block.reshape(-1)[:: block.shape[0] + 1]
+    np.multiply(omega, dh, out=diagonal)
+    diagonal -= gw_diagonal
+    block.setflags(write=False)
+    return block
 
 
 def _scaled(chains, factor):
@@ -197,7 +197,10 @@ def build_model(kind, omega, g, size):
         coupling = ops.xx_pbc
     with np.errstate(over="ignore", invalid="ignore"):  # a coupling that overflows H is caught below
         parts = _omega_free_parts(g, generator, coupling)
-        H = _hamiltonian(omega, parts, coupling.rows)
+        blocks = []
+        for b, (*_, twin) in enumerate(parts):
+            blocks.append(blocks[-1] if twin else _block(omega, parts, b))
+        H = Sectors._checked(coupling.rows, blocks)
     # H is exactly symmetric and over W's rows by construction; only its entries are checked, here, not in ``at``
     arrays = [array for block in H.blocks for array in (block if isinstance(block, tuple) else (block,))]
     if not all(np.isfinite(array).all() for array in arrays):

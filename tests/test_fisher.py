@@ -376,8 +376,8 @@ def test_fidelity_route_identical_states_is_zero():
 
     class Frozen(ModelInstance):
         # H does not move with omega: both evaluations see the same state
-        def at(self, w):
-            return replace(self, omega=float(w))
+        def hamiltonian(self, w):
+            return self.H
 
     frozen = Frozen(**{field.name: getattr(base, field.name) for field in fields(base)})
     fd = qfi_fidelity_fd(frozen, thermal(frozen, 2.0))
@@ -390,10 +390,10 @@ def test_fidelity_route_reports_no_convergence():
 
     class Noisy(ModelInstance):
         # every move along omega lands on a freshly jittered Hamiltonian
-        def at(self, w):
+        def hamiltonian(self, w):
             h = base.at(w).H
             jittered = [(d + rng.normal(scale=1e-4, size=d.size), off) for d, off in h.blocks]
-            return replace(base.at(w), H=Sectors(h.rows, jittered))
+            return Sectors(h.rows, jittered)
 
     noisy = Noisy(**{field.name: getattr(base, field.name) for field in fields(base)})
     with pytest.raises(NoFDConvergence) as info:
