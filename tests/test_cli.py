@@ -86,6 +86,9 @@ def _finite(row):
     ("--model ising -N 8 -g 0.55 --beta-gap 0.01 --estimators qfi_spectral,qfi_fidelity", 2,
      "qfi_fidelity:NoFDConvergence"),
     ("--model lmg -N 20 -g 0.5 --omega 1e300 --beta 1 --estimators qfi_fidelity", 0, "ok"),
+    ("--model lmg -N 20 -g 0.5 --omega 1e300 --beta 1 --estimators qfi_spectral", 0, "ok"),
+    ("--model lmg -N 20 -g 0.5 --omega 1e-6 --beta 1 --estimators qfi_spectral,qfi_fidelity", 2,
+     "beta_gap_ratio:GapTooSmall;qfi_fidelity:NoFDConvergence"),
     ("--model lmg -N 20 -g 0.5 --omega 1e-300 --beta 1 --estimators qfi_fidelity", 2,
      "beta_gap_ratio:GapTooSmall;qfi_fidelity:NoFDConvergence"),
     ("--model toy -N 64 -g 0.5 --beta 1 --delta-omega 1e-300 --estimators qfi_fidelity", 2,

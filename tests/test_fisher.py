@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import event, example, given, reject, settings, strategies as st
 
 from critfish.analytic import ToyParams, fi_errprop_closed, qfi_thermal_classical, qfi_thermal_quantum
-from critfish import fisher, linalg
+from critfish import fisher, linalg, models
 from critfish.cli import fig2_config
 from critfish.errors import (
     CritfishError,
@@ -444,6 +445,25 @@ def test_fidelity_ladder_at_a_huge_omega_reads_zero_like_the_spectral_sum():
     assert qfi_fidelity_fd(model, thermal(model, 1.0)) == 0.0
 
 
+def test_fidelity_ladder_floored_from_its_first_rung_on_moving_states_raises():
+    # g >> omega: the first step, 1e-4 omega, moves the state by far less than
+    # the fidelity's roundoff floor can see, yet the two density matrices differ
+    model = build_model("lmg", 1e-6, 0.5, 20)
+    state = thermal(model, 1.0)
+    assert qfi_spectral(model, state).total > 20.0
+    with pytest.raises(NoFDConvergence) as info:
+        qfi_fidelity_fd(model, state)
+    assert info.value.estimates == (0.0,)
+
+
+def test_spectral_sum_at_a_huge_energy_scale_reads_zero_without_a_warning():
+    # the pairs' denominators overflow to inf, and their terms go to 0
+    model = build_model("lmg", 1e300, 0.5, 20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert qfi_spectral(model, thermal(model, 1.0)).total == 0.0
+
+
 # ------------------------------------------------- measurement-based estimators
 
 def rotated_eigenbasis(model, state):
@@ -754,6 +774,39 @@ def test_rung_states_from_floors_equal_the_rung_states_without_them(size):
             assert np.array_equal(state.probs, want.probs)
             for (_, levels, v), (_, want_levels, w) in zip(state.spectrum.blocks, want.spectrum.blocks):
                 assert np.array_equal(levels, want_levels) and np.array_equal(v, w)
+
+
+@pytest.mark.parametrize("size", [6, 8, 10])
+def test_rung_states_formed_block_by_block_equal_those_of_the_formed_rung_h(size):
+    # the rung's H forms its blocks as eigh solves them; the same eigh on the H ``at`` forms whole gives the same bits
+    delta = fig2_config("ising", size).delta_omega
+    for model, centre in ring_rung_cells(size):
+        for omega in model.omega + np.array([-delta / 2, delta / 2]):
+            state = fisher._thermal_state(model, centre, omega)
+            floors = centre.spectrum.lows - abs(omega - model.omega) * model.generator_bounds
+            want = eigh(model.at(omega).H, gibbs_window(centre.beta), floors=floors)
+            assert np.array_equal(state.spectrum.eigenvalues, want.eigenvalues)
+            assert state.spectrum.kept == want.kept
+            for (_, levels, v), (_, want_levels, w) in zip(state.spectrum.blocks, want.blocks):
+                assert np.array_equal(levels, want_levels) and np.array_equal(v, w)
+
+
+def test_cold_rung_forms_only_the_blocks_it_solves(monkeypatch):
+    model = build_model("ising", 1.0, 0.5, 8)
+    spectrum = eigh(model.H)
+    centre = gibbs(spectrum, beta_from_gap_ratio(180.0, spectrum))
+    H = model.at(1.0 + 5e-5).H
+    formed, solved = [], []
+    block, solve = models._block, linalg._DSYEVD
+    monkeypatch.setattr(models, "_block", lambda omega, parts, b: formed.append(b) or block(omega, parts, b))
+    monkeypatch.setattr(linalg, "_DSYEVD", lambda a: solved.append(a) or solve(a))
+    state = fisher._thermal_state(model, centre, 1.0 + 5e-5)
+    blocks = state.spectrum.blocks
+    # each block formed is solved once, and a kept twin is neither formed nor solved again
+    assert len(formed) == len(set(formed)) == len(solved) == 2
+    assert all(np.array_equal(a, H.blocks[b]) for a, b in zip(solved, formed))
+    assert set(formed) == {b for b in state.spectrum.kept if not (b and blocks[b][2] is blocks[b - 1][2])}
+    assert len(model.H.layout.dense) == 10
 
 
 @pytest.mark.parametrize("size", [6, 8, 10])
