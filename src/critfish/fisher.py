@@ -206,10 +206,21 @@ def _spectral_sums(spectrum, generator, tol, probs, offsets=None):
     weighted = int(gid.searchsorted(gid[last_heavy], side="right"))
     slopes = np.zeros(len(probs))
     total = 0.0
+    previous = None  # the block summed last: (its index, vectors, dH, weights, slopes, terms of the sum)
     for b, (rows, levels, v) in enumerate(spectrum.blocks):
-        if not probs[levels].any():
+        p = probs[levels]
+        if not p.any():
             continue
         dh = generator[rows]
+        if (offsets is None and previous is not None and previous[0] == b - 1 and v is previous[1]
+                and np.array_equal(dh, previous[2]) and np.array_equal(p, previous[3])):
+            # a twin of the block before it, with equal dH and weights: the same slopes and terms
+            slopes[levels] = previous[4]
+            for term in previous[5]:
+                total += term
+            previous = (b, *previous[1:])
+            continue
+        terms = []
         heavy = int(np.searchsorted(levels, weighted))
         complete = v.shape[1] == rows.size
         rotated = None if complete else v[:, :heavy].copy()
@@ -236,10 +247,10 @@ def _spectral_sums(spectrum, generator, tol, probs, offsets=None):
                 if rotated is not None:
                     rotated[:, sl] = rotated[:, sl] @ u
         m[:, :heavy] = (m[:, :heavy] + m[:, :heavy].T) / 2.0
-        e, p, group = energies[levels], probs[levels], gid[levels]
+        e, group = energies[levels], gid[levels]
         if not complete:
             light = _unsolved_mass(spectrum.matrix.blocks[b], dh, v, rotated, e[:heavy])
-            total += 2.0 * float(p[:heavy] @ light)  # twice, as for every light pair
+            terms.append(2.0 * float(p[:heavy] @ light))  # twice, as for every light pair
         for lo in range(0, heavy, _CHUNK):
             hi = min(lo + _CHUNK, heavy)
             p_rows = p[lo:hi, None]
@@ -250,10 +261,13 @@ def _spectral_sums(spectrum, generator, tol, probs, offsets=None):
                 denom = np.where(mask, weight_sum * e_diff * e_diff, 1.0)
             contrib = np.where(mask, (p_rows - p[None, :]) ** 2 * m[lo:hi, :] ** 2 / denom, 0.0)
             contrib[:, heavy:] *= 2.0  # each light pair stands for (n, m) and (m, n)
-            total += float(contrib.sum())
+            terms.append(float(contrib.sum()))
             if offsets is not None:
                 distance = np.abs(levels[lo:hi, None] - levels[None, :])
                 offsets += 2.0 * np.bincount(distance.ravel(), weights=contrib.ravel(), minlength=offsets.size)
+        for term in terms:
+            total += term
+        previous = b, v, dh, p, slopes[levels], terms
     return 2.0 * total, slopes, weighted
 
 
@@ -492,10 +506,10 @@ def cfi_projective(model, state, observable, delta_omega=None, fd_rtol=FD_RTOL):
 
     def outcome_probs(at_omega):
         rung = _thermal_state(model, state, at_omega)
-        overlap = np.zeros(rung.dim)
-        for (_, levels, v), (_, outcomes, u) in zip(rung.spectrum.blocks, basis.blocks):
-            if levels.size:  # a block with no solved level adds nothing
-                overlap[outcomes] = np.square(u.T @ v) @ rung.probs[levels]
+        overlap = np.zeros(basis.eigenvalues.size)
+        for b in rung.spectrum.kept:  # a block with no solved level adds nothing
+            (_, levels, v), (_, outcomes, u) = rung.spectrum.blocks[b], basis.blocks[b]
+            overlap[outcomes] = np.square(u.T @ v) @ rung.probs[levels]
         return np.add.reduceat(overlap, [g.start for g in groups])
 
     center = outcome_probs(omega)
