@@ -784,7 +784,8 @@ def _root_columns(density):
     Eigenvalues in [-PSD_CLAMP_RTOL * ||rho||, 0) are roundoff (Gibbs
     states are PSD analytically) and are clamped to zero; more negative
     ones raise NotPSD.  Returns {b: R_b} in ascending b; a zero block
-    (None) has no level, and so no entry.
+    (None) has no level, and so no entry, and a twin, which holds the
+    eigenpairs of the block before it, gets that block's R.
     """
     spec = eigh(density)
     vals = spec.eigenvalues
@@ -795,7 +796,12 @@ def _root_columns(density):
     if vals[0] < floor:
         raise NotPSD(f"eigenvalue {vals[0]:.6e} below roundoff floor {floor:.6e}")
     roots = np.sqrt(vals.clip(0.0, None))
-    return {b: spec.blocks[b][2] * roots[spec.blocks[b][1]] for b in spec.kept}
+    columns = {}
+    for b in spec.kept:
+        _, levels, vecs = spec.blocks[b]
+        twin = b - 1 in columns and vecs is spec.blocks[b - 1][2]
+        columns[b] = columns[b - 1] if twin else vecs * roots[levels]
+    return columns
 
 
 def _root_fidelity(a, b):
@@ -817,7 +823,8 @@ def fidelity(rho, sigma):
     1976; Jozsa, J. Mod. Opt. 41, 2315, 1994).  Two Sectors over the same
     rows go to ``eigh`` as they are: that product is then block diagonal,
     and its nuclear norm is the sum of its blocks', over the blocks where
-    both states hold a level.  Any other pair is diagonalized as two dense
+    both states hold a level; a block that is a twin in both repeats the
+    term of the block before it.  Any other pair is diagonalized as two dense
     matrices of one block each.  Symmetric in its arguments to ~1e-10.
     """
     r, s = (m if isinstance(m, Sectors) else np.asarray(m, dtype=float) for m in (rho, sigma))
@@ -826,4 +833,9 @@ def fidelity(rho, sigma):
     if not (isinstance(r, Sectors) and _same_rows(s, r.rows)):
         r, s = np.asarray(r), np.asarray(s)
     a, c = _root_columns(r), _root_columns(s)
-    return min(sum(_root_fidelity(a[b], c[b]) for b in a if b in c) ** 2, 1.0)
+    terms = {}
+    for b in a:
+        if b in c:  # a twin on both sides repeats the term of the block before it
+            twin = b - 1 in terms and a[b] is a[b - 1] and c[b] is c[b - 1]
+            terms[b] = terms[b - 1] if twin else _root_fidelity(a[b], c[b])
+    return min(sum(terms.values()) ** 2, 1.0)
