@@ -43,15 +43,18 @@ K stay global; a degenerate group that spans two blocks is rotated
 inside each of them, which only relabels its levels.  One pass visits
 each block once (``_spectral_sums``): it rotates the block's groups,
 writes its level slopes and adds its pairs to the quantum sum, and
-keeps none of the block's rows for the next.
+keeps none of the block's rows for the next; a twin block, with the
+vectors, dH and weights of the block before it, takes that block's
+slopes and adds its terms again.
 
 Every thermal estimator takes the built model and its Gibbs state,
 ``gibbs(eigh(model.H), beta)`` (``qfi_pure`` takes a spectrum and a
 level); the finite-difference routes hold the state's beta fixed along
 their ladders.  They move the model along
-omega with ``ModelInstance.at``, which re-forms H = omega * dH - g * W
-from the parts the model already holds, so no operator is rebuilt or
-checked again on a ladder rung.  Each rung's Gibbs state, and the
+omega with ``ModelInstance.hamiltonian``, which forms H = omega * dH - g * W
+from the parts the model already holds, block by block as ``eigh``
+solves it, so no operator is rebuilt or checked again on a ladder rung,
+and no block the rung leaves out is formed.  Each rung's Gibbs state, and the
 centre state of ``cfi_projective`` and ``fi_error_propagation``, is
 solved in its Gibbs window (``models.gibbs_window``): a dense block
 whose levels all lie past the window is left out, every other block is
@@ -67,7 +70,9 @@ The three finite-difference estimators share one ladder
 estimate under its roundoff floor reads exactly 0.0; the ladder accepts
 it only from a rung that agrees with it, and ends in NoFDConvergence at
 a floored rung below a nonzero one, or at once on a first step that no
-estimate can resolve.
+estimate can resolve.  A fidelity ladder whose first rung floors although
+its two density matrices differ by more than that roundoff scale ends in
+NoFDConvergence too: every smaller step floors as well.
 
 The tolerances below are module constants, not parameters: the
 finite-difference estimators take their first step ``delta_omega``, and
@@ -440,12 +445,14 @@ def qfi_fidelity_fd(model, state, delta_omega=None):
     its beta is held fixed across the two evaluations, so resolve any
     gap-ratio parametrization before building it.  Root infidelities below
     the roundoff scale of the fidelity count as exact zero, so identical
-    states give 0 instead of amplified noise.  The derivative is taken at
+    states give 0 instead of amplified noise.  A first rung below that
+    floor whose two density matrices differ anywhere by more than it
+    raises NoFDConvergence: the step resolves no move of a state that
+    moves, nor does any smaller one.  The derivative is taken at
     ``model.omega``.
     """
     _checked_state(model, state)
     omega = model.omega
-
     rungs = []
 
     def estimate(step):

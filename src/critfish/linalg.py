@@ -388,7 +388,9 @@ class Sectors:
     array that owns its data (another Sectors' rows), which is kept as
     it is; non-finite entries raise InvalidMatrix.
     ``np.asarray`` gives the dense matrix; ``eigh`` solves the blocks
-    without forming it.
+    without forming it.  ``layout`` records the kind of each block once
+    (``Layout``), and ``_lazy`` makes a Sectors whose blocks are formed
+    only when read.
     """
 
     rows: tuple
@@ -689,10 +691,15 @@ def eigh(matrix, window=None, *, floors=None):
     sign-fixed; a dense block stored as the same array as the block
     before it (a twin) takes that block's eigenpairs, and a zero block
     (None) gets none.  A dense array is symmetrized and solved as one
-    block.  The blocks' eigenvalues are merged by a stable sort into the
-    global levels, and each block keeps its own rows, levels and vectors
-    in ``Spectrum.blocks``.  Raises InvalidMatrix for non-finite entries
-    and DiagonalizationFailed when the solver does not converge.
+    block.  The blocks are visited as the Sectors' ``layout`` lists them,
+    and a block is read only when it is solved, so a Sectors whose blocks
+    are formed when read (``Sectors._lazy``, a rung's H) forms no twin
+    and no block a window leaves out.  The solved blocks' eigenvalues are
+    merged by a stable sort into the global levels, and each block keeps
+    its own rows, levels and vectors in ``Spectrum.blocks``; a block with
+    no level shares the layout's empty arrays, and ``Spectrum.kept``
+    lists the others.  Raises InvalidMatrix for non-finite entries and
+    DiagonalizationFailed when the solver does not converge.
 
     With a ``window`` >= 0 the spectrum keeps every level up to the end
     of the degenerate group (DEGENERACY_RTOL * max |E|) of the first

@@ -18,7 +18,9 @@ sigma_z is diagonal there too); where k and -k differ that pair is two
 twin blocks, reflection-even rows and their images, with equal
 entries, so H's twin blocks are equal too and ``eigh`` solves one of
 each.  H is formed block by block, and no n x n matrix is
-(``np.asarray(model.H)`` gives it on request, in that basis).
+(``np.asarray(model.H)`` gives it on request, in that basis); the H of a
+finite-difference rung (``ModelInstance.hamiltonian``) forms a block
+only when ``eigh`` solves it.
 ``build_model`` is the one place a model's operators are built: dH, W,
 H's omega-free parts and the measured observable (the squared
 quadrature or the squared collective x spin, over W's row arrays) come
@@ -78,7 +80,8 @@ class ModelInstance:
     model is measured with ((a + a^dag)^2 for the oscillator, (Sx/2)^2
     for the spins), are Sectors over the same row arrays.  ``parts``
     holds H's omega-free parts per block of W (``_omega_free_parts``).
-    All of these come from one build_model; ``at`` passes them on.
+    All of these come from one build_model; ``at`` passes them on, and
+    ``hamiltonian`` forms H at another omega from ``parts`` alone.
     """
 
     kind: ModelKind
@@ -92,16 +95,25 @@ class ModelInstance:
     parts: tuple
 
     def at(self, omega):
-        """The same model at another omega, with every block of H formed as ``hamiltonian`` forms it."""
+        """The same model at another omega, with every block of H formed now, as ``hamiltonian`` forms it.
+
+        A copy of the whole model: the finite-difference rungs call
+        ``hamiltonian`` instead, and form only the blocks they solve.
+        """
         H = self.hamiltonian(omega)
         return replace(self, omega=float(omega), H=Sectors._checked(H.rows, tuple(H.blocks)))
 
     def hamiltonian(self, omega):
         """H at another omega, a Sectors whose blocks are formed from ``parts`` when read (``Sectors._lazy``).
 
-        The blocks are those build_model forms at that omega, bit for bit
-        (``_block``), and are not checked again: build_model checked the
-        H it formed from the same parts.  A twin is the block before it.
+        It has H's rows and layout, and each block is the one build_model
+        forms at that omega, bit for bit (``_block``), not checked again:
+        build_model checked the H it formed from the same parts.  A twin
+        is the block before it.  ``eigh`` reads only the blocks it
+        solves, so a cold rung forms two of the N = 8 ring's ten distinct
+        blocks; reading every block (``np.asarray``, iterating ``blocks``)
+        forms them all.  The finite-difference estimators move the model
+        along omega through this method alone (``fisher._thermal_state``).
         """
         _check_parameters(self.kind, omega, self.g)
         return Sectors._lazy(self.H.rows, self.H.layout, functools.partial(_block, omega, self.parts))
