@@ -513,7 +513,10 @@ class Layout:
 
 
 class _Formed:
-    """The blocks of a ``Sectors._lazy``, each formed when first read: a twin is the block before it, a zero block None."""
+    """The blocks of a ``Sectors._lazy``, each formed when first read: a twin is the block before it, a zero block None.
+
+    Iterating goes through ``__getitem__`` up to the IndexError past the last block, and so forms every block.
+    """
 
     __slots__ = ("kinds", "form", "formed")
 
@@ -528,9 +531,6 @@ class _Formed:
             kind = self.kinds[b]
             self.formed[b] = None if kind is None else self[b - 1] if kind == "twin" else self.form(b)
         return self.formed[b]
-
-    def __iter__(self):
-        return (self[b] for b in range(len(self.kinds)))
 
 
 def _sign_fixed(idx, solved):
