@@ -75,13 +75,14 @@ def density_matrix(state):
         _, levels, v = spectrum.blocks[b]
         weights = state.probs[levels]
         if previous[0] == b - 1 and v is previous[1] and np.array_equal(weights, previous[2]):
-            blocks[b] = blocks[b - 1]
+            block = blocks[b - 1]
         else:
             rho = (v * weights) @ v.T
-            blocks[b] = rho + rho.T
-            blocks[b] /= 2.0
-            blocks[b].setflags(write=False)
+            block = rho + rho.T
+            block /= 2.0
+            block.setflags(write=False)
         previous = b, v, weights
+        blocks[b] = block
     return Sectors._checked(tuple(rows for rows, _, _ in spectrum.blocks), blocks)
 
 
