@@ -515,7 +515,8 @@ class Layout:
 class _Formed:
     """The blocks of a ``Sectors._lazy``, each formed when first read: a twin is the block before it, a zero block None.
 
-    Iterating goes through ``__getitem__`` up to the IndexError past the last block, and so forms every block.
+    Iterating goes through ``__getitem__`` up to the IndexError past the last block, and so forms every block;
+    a negative index reads the same array as its positive one.
     """
 
     __slots__ = ("kinds", "form", "formed")
@@ -527,6 +528,7 @@ class _Formed:
         return len(self.kinds)
 
     def __getitem__(self, b):
+        b = range(len(self.kinds))[b]
         if b not in self.formed:
             kind = self.kinds[b]
             self.formed[b] = None if kind is None else self[b - 1] if kind == "twin" else self.form(b)

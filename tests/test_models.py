@@ -77,6 +77,15 @@ def test_at_forms_every_block_of_build_model_bit_for_bit(kind, size, g):
                 assert np.array_equal(a, o) and np.array_equal(np.signbit(a), np.signbit(o))
                 assert not a.flags.writeable
             assert (b > 0 and block is got.blocks[b - 1]) == (b > 0 and other is want.blocks[b - 1])
+        # the rung's H forms the same blocks in any order it is read, a twin as the array of the block before it
+        lazy = model.hamiltonian(w).blocks
+        for b in range(-1, -len(want.blocks) - 1, -1):
+            block, other = lazy[b], want.blocks[b]
+            arrays = block if isinstance(block, tuple) else (block,)
+            assert all(np.array_equal(a, o) for a, o in zip(arrays, other if isinstance(other, tuple) else (other,)))
+        assert all(lazy[b - len(lazy)] is block for b, block in enumerate(lazy))
+        assert [b > 0 and block is lazy[b - 1] for b, block in enumerate(lazy)] == [
+            b > 0 and block is want.blocks[b - 1] for b, block in enumerate(want.blocks)]
 
 
 def test_toy_band_build_forms_no_dense_matrix():
