@@ -609,15 +609,15 @@ def _window_end(levels, edge, tol, bound=math.inf, head=None):
     return None
 
 
-def _windowed(matrix, window, floors, form):
+def _windowed(matrix, window, floors):
     """eigh's (eigenvalues, eigenvectors) per solved block within ``window``, by block, and the highest level.
 
-    ``form(b)`` gives block b.  Long chains are bisected only without
-    ``floors``, which are then -inf for every block.  The highest level
-    is None unless a chain was left partly unsolved.  Neither twins nor
-    the blocks past the window's end are visited.
+    Long chains are bisected only without ``floors``, which are then -inf
+    for every block.  The highest level is None unless a chain was left
+    partly unsolved.  Neither twins nor the blocks past the window's end
+    are read.
     """
-    layout, rows = matrix.layout, matrix.rows
+    form, layout, rows = matrix.blocks.__getitem__, matrix.layout, matrix.rows
     windowable = floors is None and all(_hook(name) is not None for name in ("stebz", "stein", "gtsv", "larrc"))
     # bisected chains (their levels so far, and the chain), the solved blocks, the dense ones among them
     chains, solved, dense = {}, {}, []
@@ -760,7 +760,7 @@ def eigh(matrix, window=None, *, floors=None):
     elif window >= 0:
         if floors is not None and len(floors) != len(rows):
             raise ValueError(f"need one floor per block: {len(floors)} for {len(rows)} blocks")
-        solved, highest = _windowed(matrix, float(window), floors, form)
+        solved, highest = _windowed(matrix, float(window), floors)
     else:
         raise ValueError(f"window must be >= 0, got {window}")
     for b in [b for b in solved if b in layout.twins]:
