@@ -56,11 +56,14 @@ from the parts the model already holds, block by block as ``eigh``
 solves it, so no operator is rebuilt or checked again on a ladder rung,
 and no block the rung leaves out is formed.  Each rung's Gibbs state, and the
 centre state of ``cfi_projective`` and ``fi_error_propagation``, is
-solved in its Gibbs window (``models.gibbs_window``): a dense block
-whose levels all lie past the window is left out, every other block is
-solved completely, and a block left out adds nothing to any sum here.
-Its levels' weights, below ``models.WINDOW_WEIGHT``, are all the
-estimates lose, so they move only at roundoff.  The state at the centre
+solved in its Gibbs window (``models.gibbs_window``), which ends with
+the degenerate group that straddles its edge, not at the first level
+past it: a dense block whose levels all lie past that group is left
+out, every other block is solved completely, and a block left out adds
+nothing to any sum here.  So a cold rung keeps its ground block alone
+where E_1 lies in another block.  Its levels' weights, below
+``models.WINDOW_WEIGHT``, are all the estimates lose, so they move
+only at roundoff.  The state at the centre
 bounds each block's lowest level on a rung from below (a floor,
 ``_thermal_state``), so ``eigh`` leaves the blocks past the window
 unsolved, not only out, and solves every chain whole.
@@ -70,9 +73,10 @@ The three finite-difference estimators share one ladder
 estimate under its roundoff floor reads exactly 0.0; the ladder accepts
 it only from a rung that agrees with it, and ends in NoFDConvergence at
 a floored rung below a nonzero one, or at once on a first step that no
-estimate can resolve.  A fidelity ladder whose first rung floors although
-its two density matrices differ by more than that roundoff scale ends in
-NoFDConvergence too: every smaller step floors as well.
+estimate can resolve.  A fidelity ladder whose first rung floors ends in
+NoFDConvergence too where its two density matrices differ in any entry,
+or where its step moves no entry of H: every smaller step floors as
+well.  It reads 0.0 only where H moves and the state does not.
 
 The tolerances below are module constants, not parameters: the
 finite-difference estimators take their first step ``delta_omega``, and
@@ -423,7 +427,8 @@ def _thermal_state(model, state, omega):
     ``state`` holds no level of it), minus the most it can move on the
     way to ``omega`` (``ModelInstance.generator_bounds``), in one array
     operation.  Given floors, ``eigh`` solves every chain whole and no
-    block whose floor lies past the window's end; the rung's H
+    block whose floor lies past the window's end, the degenerate group
+    that straddles its edge (a cold rung's ground group); the rung's H
     (``ModelInstance.hamiltonian``) forms only the blocks it solves.
     """
     H = model.hamiltonian(omega)
@@ -446,10 +451,10 @@ def qfi_fidelity_fd(model, state, delta_omega=None):
     gap-ratio parametrization before building it.  Root infidelities below
     the roundoff scale of the fidelity count as exact zero, so identical
     states give 0 instead of amplified noise.  A first rung below that
-    floor whose two density matrices differ anywhere by more than it
-    raises NoFDConvergence: the step resolves no move of a state that
-    moves, nor does any smaller one.  The derivative is taken at
-    ``model.omega``.
+    floor raises NoFDConvergence where its two density matrices differ in
+    any entry, or where its two Hamiltonians (``ModelInstance.hamiltonian``)
+    are equal: the step resolves no move of a state that moves, nor does
+    any smaller one.  The derivative is taken at ``model.omega``.
     """
     _checked_state(model, state)
     omega = model.omega
@@ -459,25 +464,29 @@ def qfi_fidelity_fd(model, state, delta_omega=None):
         rho = density_matrix(_thermal_state(model, state, omega - step / 2.0))
         sigma = density_matrix(_thermal_state(model, state, omega + step / 2.0))
         infidelity = 1.0 - math.sqrt(fidelity(rho, sigma))
-        floor = 8.0 * rho.shape[0] * np.finfo(float).eps
         rungs.append(step)
-        if infidelity >= floor:
+        if infidelity >= 8.0 * rho.shape[0] * np.finfo(float).eps:
             return 8.0 * infidelity / step / step
-        # a first rung that floors although the states differ: every smaller step floors too
-        if len(rungs) == 1 and _states_differ(rho, sigma, floor):
-            raise NoFDConvergence(f"the root infidelity floors at the first step {step:.3e}, yet the states differ",
-                                  estimates=(0.0,))
+        # a first rung that floors on states that differ, or on a step that moves no entry of H: every
+        # smaller step floors too
+        if len(rungs) == 1 and (_differ(rho, sigma) or not _differ(*(model.hamiltonian(omega + side * step / 2.0)
+                                                                      for side in (-1.0, 1.0)))):
+            raise NoFDConvergence(f"the root infidelity floors at the first step {step:.3e}, which resolves no move "
+                                  "of the state", estimates=(0.0,))
         return 0.0
 
     value, _ = _fd_ladder(estimate, omega, delta_omega, FD_RTOL, FD_ATOL)
     return max(value, 0.0)
 
 
-def _states_differ(rho, sigma, tol):
-    """Whether two density matrices over the same blocks differ by more than ``tol`` in any entry."""
-    for a, b in zip(rho.blocks, sigma.blocks):
-        if a is not b and float(np.abs(a if b is None else -b if a is None else a - b).max()) > tol:
-            return True
+def _differ(a, b):
+    """Whether two Sectors over the same rows and layout differ in any entry, a zero block (None) reading as zeros."""
+    for x, y in zip(a.blocks, b.blocks):
+        if x is not y:
+            x, y = (np.zeros(0) if z is None else np.concatenate(z) if isinstance(z, tuple) else z.ravel()
+                    for z in (x, y))
+            if not np.array_equal(x, y) if x.size == y.size else np.any(x if x.size else y):
+                return True
     return False
 
 

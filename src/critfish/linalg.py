@@ -55,10 +55,12 @@ past it is left out whole; the rest are solved completely.  Dense
 blocks are solved in ascending order of a lower bound on each one's
 lowest level (a floor, -inf unless the caller gives floors) until the
 next floor lies past the window's end, and the blocks from there on are
-never solved.  Without floors a long chain solves only its levels
-within the window of the lowest one, by bisection (``?stebz``) and
-inverse iteration (``?stein``), at O(n) per level; a caller that gives
-floors gets every chain whole.  A Sturm count at the window's edge
+never solved.  Without floors the end closes the degenerate group past
+the window; with them, the group that straddles its edge.  Without
+floors a long chain solves only its levels within the window of the
+lowest one, by bisection (``?stebz``) and inverse iteration
+(``?stein``), at O(n) per level; a caller that gives floors gets every
+chain whole.  A Sturm count at the window's edge
 (``?larrc``, one O(n) pass) sizes each chain's bisection before it
 starts, and sends a chain whose window holds too many levels to
 ``?stevd`` before any level but its lowest and highest is bisected.
@@ -320,9 +322,12 @@ class Spectrum:
     Sectors it was solved from, so that the unsolved levels of a chain
     can still be reached through its resolvent.  Both are None when
     every chain is solved completely, even where dense blocks were left
-    out: every level of such a block lies past the window, so no
-    resolvent is needed for it, and ``energy_scale`` is then that of the
-    solved levels.
+    out: every level of such a block lies past the window and past the
+    degenerate group that ends it (``eigh``), so no resolvent is needed
+    for it, and ``energy_scale`` is then that of the solved levels.  A
+    call with floors ends at the group that straddles the window's edge,
+    so its spectrum may hold no level past the window, and neither E_1
+    nor the gap where E_1 lies in a block left out.
     """
 
     eigenvalues: np.ndarray
@@ -574,24 +579,30 @@ def _solve_block(idx, block):
     return _sign_fixed(idx, _solve_chain(*block) if isinstance(block, tuple) else _DSYEVD(block))
 
 
-def _window_end(levels, edge, tol, bound=math.inf, head=None):
+def _window_end(levels, edge, tol, bound=math.inf, head=None, straddle=False):
     """Last level of the kept prefix of the levels seen, or None when it is not among them.
 
     ``levels`` holds ascending arrays (the levels of each solved block or
     bisected chain).  A level is seen if it lies at or below ``bound`` and
     below ``head``; ``head``, where given, is seen after them.  The prefix
     runs through the degenerate group (consecutive gaps <= tol) of the
-    first level seen above ``edge``, and its end needs the next level seen.
-    Only that group and the level after it are read, as Python floats, in
-    one ascending merge of the arrays from their first level past the
-    edge: no array is copied or sorted.
+    first level seen above ``edge``, or with ``straddle`` of the highest
+    level seen at or below it (the group that straddles the edge), and
+    its end needs the next level seen.  Only that group and the level
+    after it are read, as Python floats, in one ascending merge of the
+    arrays from their first level past the edge: no array is copied or
+    sorted.
     """
-    ahead = {}  # per array with a level left past the edge: (that level, its index)
+    if head is not None and head <= edge:
+        return None  # the head is the last level seen and lies within the edge
+    ahead, previous = {}, None  # per array with a level left past the edge: (that level, its index)
     for source, values in enumerate(levels):
         start = bisect.bisect_right(values, edge)
         if start < len(values):
             ahead[source] = (float(values[start]), start)
-    previous = None
+        below = bisect.bisect_right(values, bound, hi=start) if straddle else 0
+        if below and (previous is None or values[below - 1] > previous):
+            previous = float(values[below - 1])
     while ahead:
         source = min(ahead, key=ahead.get)
         value, at = ahead[source]
@@ -613,9 +624,11 @@ def _windowed(matrix, window, floors):
     """eigh's (eigenvalues, eigenvectors) per solved block within ``window``, by block, and the highest level.
 
     Long chains are bisected only without ``floors``, which are then -inf
-    for every block.  The highest level is None unless a chain was left
-    partly unsolved.  Neither twins nor the blocks past the window's end
-    are read.
+    for every block.  With ``floors`` the end closes the group that
+    straddles the window's edge, so the next floor past that group
+    closes it with no solve; without them, the group past the edge.  The
+    highest level is None unless a chain was left partly unsolved.
+    Neither twins nor the blocks past the window's end are read.
     """
     form, layout, rows = matrix.blocks.__getitem__, matrix.layout, matrix.rows
     windowable = floors is None and all(_hook(name) is not None for name in ("stebz", "stein", "gtsv", "larrc"))
@@ -642,7 +655,7 @@ def _windowed(matrix, window, floors):
     order, cut, visit = order.tolist(), None, 0
     while True:
         head = heads[visit]
-        # the end lies past the edge E_0 + window: a block whose floor is within the edge is solved without it
+        # a block whose floor is within the edge E_0 + window may hold a level within it, and is solved first
         if head is None or head > lowest + window:
             cut = None
             if lowest < math.inf:
@@ -651,7 +664,7 @@ def _windowed(matrix, window, floors):
                 # bisected), every level not yet seen lies at or above the head's
                 bound, b = min([(float(part[0][-1]), b) for b, (part, _) in chains.items()], default=(math.inf, 0))
                 cut = _window_end([part[0] for part, _ in chains.values()] + [vals for vals, _ in solved.values()],
-                                  lowest + window, tol, bound, head)
+                                  lowest + window, tol, bound, head, straddle=floors is not None)
             if cut is None and chains:
                 (bisected, *_), block = chains[b]
                 # the count only sizes the request: a miscount costs one more bisection, never a level kept
@@ -703,11 +716,17 @@ def eigh(matrix, window=None, *, floors=None):
     lists the others.  Raises InvalidMatrix for non-finite entries and
     DiagonalizationFailed when the solver does not converge.
 
-    With a ``window`` >= 0 the spectrum keeps every level up to the end
-    of the degenerate group (DEGENERACY_RTOL * max |E|) of the first
-    level more than ``window`` above the matrix's lowest level, so it
-    ends on a group boundary and holds at least one level past the
-    window.  Blocks beyond that are left out or cut short:
+    With a ``window`` >= 0 the spectrum keeps every level up to an end
+    that closes a degenerate group (consecutive gaps within
+    DEGENERACY_RTOL * max |E|).  Without ``floors`` that group is the one
+    of the first level more than ``window`` above the matrix's lowest
+    level, so the spectrum holds at least one level past the window: the
+    oscillator's truncation ladder hands its spectrum on as the cell's,
+    whose ``thermal.gap`` reads E_1.  With ``floors`` (the Gibbs states
+    of the finite-difference rungs) it is the group of the highest level
+    within the window, the one that straddles the window's edge, as a
+    level past the window holds no Gibbs weight the window keeps.
+    Blocks beyond the end are left out or cut short:
 
     * A dense block whose lowest level lies past the end of that group
       is left out whole and holds no level; every other dense block is

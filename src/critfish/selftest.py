@@ -30,7 +30,7 @@ from .fisher import (
     qfi_pure,
     qfi_spectral,
 )
-from .linalg import Sectors, Spectrum, eigh
+from .linalg import DEGENERACY_RTOL, Sectors, Spectrum, eigh
 from .models import build_model, gibbs_window, toy_converged_truncation
 from .sweep import make_config, rows_from_csv, rows_to_csv, run_sweep
 from .thermal import beta_from_gap_ratio, density_matrix, gibbs
@@ -202,6 +202,54 @@ def _check_windowed_vs_full():
                                               "levels solved " + ", ".join(solved))
 
 
+def _measured_parts(model, state):
+    """(the classical part, the QFI) as cfi_projective reads them off two measurements built from the state.
+
+    In each block's eigenbasis, every degenerate group rotated to
+    diagonalize dH, first-order perturbation theory gives
+    drho_nn = -beta p_n (dH_nn - <dH>) and, across groups,
+    drho_nm = (p_n - p_m) dH_nm / (E_n - E_m).  Measuring that basis with
+    each level its own outcome gives the classical part; measuring the
+    symmetric logarithmic derivative L_nm = 2 drho_nm / (p_n + p_m) gives
+    the QFI (Braunstein & Caves, PRL 72, 3439, 1994).
+    """
+    spectrum, probs = state.spectrum, state.probs
+    energies = spectrum.eigenvalues
+    group = np.concatenate([[0], np.cumsum(np.diff(energies) > DEGENERACY_RTOL * spectrum.energy_scale)])
+    rotated = []
+    for rows, levels, vectors in spectrum.blocks:
+        v, dh = vectors.copy(), model.dH[rows]
+        for g in np.unique(group[levels]):
+            share = np.flatnonzero(group[levels] == g)
+            restricted = v[:, share].T @ (dh[:, None] * v[:, share])
+            v[:, share] = v[:, share] @ np.linalg.eigh((restricted + restricted.T) / 2.0)[1]
+        rotated.append((levels, v, v.T @ (dh[:, None] * v)))
+    mean = sum(float(probs[levels] @ np.diag(d)) for levels, _, d in rotated)
+    labels, sld = [], []
+    for levels, v, d in rotated:
+        e, p, same = energies[levels], probs[levels], group[levels][:, None] == group[levels][None, :]
+        drho = np.where(same, 0.0, (p[:, None] - p[None, :]) * d / np.where(same, 1.0, e[:, None] - e[None, :]))
+        drho[np.diag_indices_from(drho)] = -state.beta * p * (np.diag(d) - mean)
+        weight = p[:, None] + p[None, :]
+        labels.append((v * levels.astype(float)) @ v.T)
+        sld.append(v @ np.where(weight > 0.0, 2.0 * drho / np.where(weight > 0.0, weight, 1.0), 0.0) @ v.T)
+    return tuple(cfi_projective(model, state, Sectors(model.H.rows, blocks), fd_rtol=1e-6) for blocks in (labels, sld))
+
+
+def _check_measurement_identities():
+    worst = 0.0
+    for kind, g, size in (("lmg", 1.0, 20), ("ising", 0.5, 6)):
+        model = build_model(kind, 1.0, g, size)
+        spectrum = eigh(model.H)
+        for ratio in (1.0, 180.0):
+            state = gibbs(spectrum, beta_from_gap_ratio(ratio, spectrum))
+            breakdown = qfi_spectral(model, state)
+            classical, total = _measured_parts(model, state)
+            worst = max(worst, abs(classical - breakdown.classical_part) / breakdown.total,
+                        abs(total - breakdown.total) / breakdown.total)
+    return worst <= 1e-8, f"lmg N=20 and ising N=6, largest difference {worst:.2e} x QFI"
+
+
 def _check_table_roundtrip():
     config = make_config(
         {
@@ -238,6 +286,7 @@ CHECKS = (
     ("table round-trip and parallel determinism", _check_table_roundtrip),
     ("tridiagonal chains vs dense blocks", _check_chains_vs_dense_blocks),
     ("windowed vs full spectrum", _check_windowed_vs_full),
+    ("eigenbasis and SLD measurements vs spectral parts", _check_measurement_identities),
 )
 
 

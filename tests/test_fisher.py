@@ -373,16 +373,26 @@ def test_fidelity_route_zero_temperature_toy():
 
 
 def test_fidelity_route_identical_states_is_zero():
+    # g = 0 at T = 0: H moves with omega, but its ground state, an eigenstate of dH, does not, and
+    # both evaluations see the same state
+    for kind, size in (("lmg", 6), ("lmg", 20), ("ising", 6)):
+        model = build_model(kind, 1.0, 0.0, size)
+        fd = qfi_fidelity_fd(model, thermal(model, math.inf))
+        assert fd == 0.0
+
+
+def test_fidelity_ladder_on_a_step_that_moves_no_entry_of_h_raises():
     base = build_model("lmg", 1.0, 0.4, 6)
 
     class Frozen(ModelInstance):
-        # H does not move with omega: both evaluations see the same state
+        # H does not move with omega: both evaluations see the same state, and no step resolves a move
         def hamiltonian(self, w):
             return self.H
 
     frozen = Frozen(**{field.name: getattr(base, field.name) for field in fields(base)})
-    fd = qfi_fidelity_fd(frozen, thermal(frozen, 2.0))
-    assert fd == 0.0
+    with pytest.raises(NoFDConvergence) as info:
+        qfi_fidelity_fd(frozen, thermal(frozen, 2.0))
+    assert info.value.estimates == (0.0,)
 
 
 def test_fidelity_route_reports_no_convergence():
@@ -449,6 +459,18 @@ def test_fidelity_ladder_floored_from_its_first_rung_on_moving_states_raises():
     # g >> omega: the first step, 1e-4 omega, moves the state by far less than
     # the fidelity's roundoff floor can see, yet the two density matrices differ
     model = build_model("lmg", 1e-6, 0.5, 20)
+    state = thermal(model, 1.0)
+    assert qfi_spectral(model, state).total > 20.0
+    with pytest.raises(NoFDConvergence) as info:
+        qfi_fidelity_fd(model, state)
+    assert info.value.estimates == (0.0,)
+
+
+@pytest.mark.parametrize("omega", [1e-9, 1e-10, 1e-11, 1e-12, 1e-14, 1e-20])
+def test_fidelity_ladder_floored_from_its_first_rung_below_roundoff_raises(omega):
+    # the first step, 1e-4 omega, moves the density matrices by no more than their roundoff (down to
+    # 1e-14), or moves no entry of H at all (1e-20): no step of the ladder resolves the move
+    model = build_model("lmg", omega, 0.5, 20)
     state = thermal(model, 1.0)
     assert qfi_spectral(model, state).total > 20.0
     with pytest.raises(NoFDConvergence) as info:
@@ -802,11 +824,52 @@ def test_cold_rung_forms_only_the_blocks_it_solves(monkeypatch):
     monkeypatch.setattr(linalg, "_DSYEVD", lambda a: solved.append(a) or solve(a))
     state = fisher._thermal_state(model, centre, 1.0 + 5e-5)
     blocks = state.spectrum.blocks
-    # each block formed is solved once, and a kept twin is neither formed nor solved again
-    assert len(formed) == len(set(formed)) == len(solved) == 2
+    # each block formed is solved once, and a kept twin is neither formed nor solved again; the ground block
+    # alone holds Gibbs weight, and the floor of the block of E_1 closes the ground group unsolved
+    assert len(formed) == len(set(formed)) == len(solved) == 1
     assert all(np.array_equal(a, H.blocks[b]) for a, b in zip(solved, formed))
     assert set(formed) == {b for b in state.spectrum.kept if not (b and blocks[b][2] is blocks[b - 1][2])}
     assert len(model.H.layout.dense) == 10
+
+
+@pytest.mark.parametrize("size", [6, 8, 10])
+def test_rung_states_keep_the_unwindowed_bits_and_drop_only_levels_without_weight(size):
+    delta = fig2_config("ising", size).delta_omega
+    left_out = 0
+    for model, centre in ring_rung_cells(size):
+        if centre.beta < beta_from_gap_ratio(180.0, centre.spectrum):
+            continue  # T = 0 and beta * gap 180 only
+        for omega in model.omega + np.array([-delta / 2, delta / 2]):
+            state = fisher._thermal_state(model, centre, omega)
+            full = gibbs(eigh(model.at(omega).H), centre.beta)
+            for b, ((_, levels, v), (_, full_levels, w)) in enumerate(zip(state.spectrum.blocks, full.spectrum.blocks)):
+                if levels.size:
+                    # a kept block holds the unwindowed levels, vectors and Gibbs weights, bit for bit
+                    assert np.array_equal(state.spectrum.eigenvalues[levels], full.spectrum.eigenvalues[full_levels])
+                    assert np.array_equal(v, w) and np.array_equal(state.probs[levels], full.probs[full_levels])
+                else:
+                    # a block left out weighs below the window's weight on every level
+                    assert (full.probs[full_levels] < models.WINDOW_WEIGHT).all()
+                    left_out += 1
+    assert left_out > 0
+
+
+@pytest.mark.parametrize("size,g,kept", [
+    # the ordered phase's ground doublet 0.024 (N = 10) and 0.013 (N = 12) apart, far past the degeneracy
+    # tolerance of about 2e-9: at T = 0 its upper level holds no weight, and its block is left out
+    (10, 1.3, 1), (12, 1.3, 1),
+    # deep in the ordered phase the doublet's splitting, 3.7e-10 and 9.2e-10, lies within the tolerance
+    # (1e-8 and 7e-9): the ground group spans two blocks and keeps both
+    (10, 10.0, 2), (12, 6.0, 2),
+])
+def test_a_cold_rung_keeps_both_blocks_of_a_degenerate_ground_doublet(size, g, kept):
+    model = build_model("ising", 1.0, g, size)
+    centre = thermal(model, math.inf)
+    doublet = [b for b, (_, levels, _) in enumerate(centre.spectrum.blocks) if levels.size and levels[0] < 2]
+    assert len(doublet) == 2  # E_0 and E_1 lie in two blocks
+    for omega in (1.0 - 5e-4, 1.0, 1.0 + 5e-4):
+        rung = fisher._thermal_state(model, centre, omega).spectrum
+        assert rung.kept == tuple(doublet[:kept])
 
 
 @pytest.mark.parametrize("size", [6, 8, 10])

@@ -761,14 +761,21 @@ def rotated(rng, levels):
     return (q * np.asarray(levels, dtype=float)) @ q.T
 
 
-def kept_by_rule(full, window):
-    """Per block, whether its lowest level in the full spectrum is at most the end of the group past the window.
+def kept_by_rule(full, window, straddle=False):
+    """Per block, whether its lowest level in the full spectrum is at most the end of the window's group.
 
-    Every block is kept when the window holds every level (the group has no end).
+    That group is the one past the window, or with ``straddle`` (a call
+    with floors) the one that straddles the window's edge.  Every block is
+    kept when the window holds every level (the group has no end).
     """
-    tol = linalg.DEGENERACY_RTOL * full.energy_scale
-    end = linalg._window_end([full.eigenvalues], full.eigenvalues[0] + window, tol)
+    end = window_end(full, window, straddle)
     return [end is None or bool(full.eigenvalues[levels[0]] <= end) for _, levels, _ in full.blocks]
+
+
+def window_end(full, window, straddle=False):
+    """The end of the window's group over the full spectrum (``kept_by_rule``), None where the window holds every level."""
+    tol = linalg.DEGENERACY_RTOL * full.energy_scale
+    return linalg._window_end([full.eigenvalues], full.eigenvalues[0] + window, tol, straddle=straddle)
 
 
 def assert_kept_blocks_hold_the_full_bits(full, win, kept):
@@ -783,19 +790,22 @@ def assert_kept_blocks_hold_the_full_bits(full, win, kept):
 SPLIT_GROUND = [
     # a ground group split across two blocks at 1e-13, then every other block well past it
     ([[0.0, 2.0, 3.0], [1e-13, 2.5, 4.0], [0.8, 1.0, 5.0], [3.0, 4.0, 5.0]], [True, True, False, False]),
-    # an exactly degenerate ground pair, then the first level past it (0.8) and its group (0.8 + 1e-12)
-    # in two more blocks; a block at 0.9 and one at 3 lie past that group's end
+    # an exactly degenerate ground pair; the first level past it (0.8), its group (0.8 + 1e-12) and the
+    # blocks at 0.9 and 3 hold no Gibbs weight at T = 0, and their floors close the group unsolved
     ([[0.0, 2.0, 3.0], [0.0, 2.5, 4.0], [0.8, 1.0, 5.0], [0.8 + 1e-12, 6.0, 7.0], [0.9, 1.5, 2.0], [3.0, 4.0, 5.0]],
-     [True, True, True, True, False, False]),
-    # the second block, 1.5e-10 past the level 0.5 and so past the end of the first block's levels, is kept
-    # because the third, visited before it for its lower floor, bridges the gap with a level 0.8e-10 past
-    # 0.5 (tolerance 1e-10)
-    ([[0.0, 0.5, 0.9], [0.5 + 1.5e-10, 0.95, 0.97], [0.5 + 0.8e-10, 0.96, 0.98]], [True, True, True]),
+     [True, True, False, False, False, False]),
+    # the second block, 1.5e-10 past the ground level and so past the end of the first block's levels, is
+    # kept because the third, visited before it for its lower floor, bridges the gap with a level 0.8e-10
+    # past the ground (tolerance 1e-10)
+    ([[0.0, 0.5, 0.9], [1.5e-10, 0.95, 0.97], [0.8e-10, 0.96, 0.98]], [True, True, True]),
+    # the same blocks 0.5 up: levels 0.5 + 0.8e-10 and 0.5 + 1.5e-10 lie within 1e-10 of no level at or
+    # below the edge (the ground level 0), so no group straddles it and neither block is solved
+    ([[0.0, 0.5, 0.9], [0.5 + 1.5e-10, 0.95, 0.97], [0.5 + 0.8e-10, 0.96, 0.98]], [True, False, False]),
 ]
 
 
 @pytest.mark.parametrize("levels,kept", SPLIT_GROUND)
-def test_window_zero_keeps_a_split_ground_group_and_the_group_past_it(monkeypatch, levels, kept):
+def test_window_zero_keeps_a_split_ground_group_and_no_group_past_it(monkeypatch, levels, kept):
     rng = np.random.default_rng(31)
     # the two ground blocks diagonal, so their ground levels are exact; the rest rotated
     blocks = [np.diag(v) if b < 2 else rotated(rng, v) for b, v in enumerate(levels)]
@@ -804,7 +814,7 @@ def test_window_zero_keeps_a_split_ground_group_and_the_group_past_it(monkeypatc
     full, floors = eigh(matrix), exact_floors(matrix)
     seen = counted_syevd(monkeypatch)
     win = eigh(matrix, window=0.0, floors=floors)
-    assert kept_by_rule(full, 0.0) == kept and len(seen) == sum(kept)
+    assert kept_by_rule(full, 0.0, straddle=True) == kept and len(seen) == sum(kept)
     assert_kept_blocks_hold_the_full_bits(full, win, kept)
     # the scale of the tolerances is that of the solved levels (Spectrum)
     assert gap(win) == gap(full) and win.energy_scale == max(1.0, float(win.eigenvalues[-1]))
@@ -828,10 +838,15 @@ def test_windowed_ring_keeps_the_blocks_that_reach_the_window_end_with_their_bit
     left_out = 0
     for matrix, full, window in ring_cells(size):
         win = eigh(matrix, window=window, floors=[-math.inf] * len(matrix.blocks))
-        kept = kept_by_rule(full, window)
+        kept = kept_by_rule(full, window, straddle=True)
         assert_kept_blocks_hold_the_full_bits(full, win, kept)
         assert win.highest is None and win.matrix is None and win.dim == full.dim
-        assert gap(win) == gap(full) and win.energy_scale == full.energy_scale
+        # every level up to the end is the full spectrum's, and so is E_1, and the gap, where it lies there
+        end = window_end(full, window, straddle=True)
+        within = full.eigenvalues.size if end is None else int(np.searchsorted(full.eigenvalues, end, side="right"))
+        assert np.array_equal(win.eigenvalues[:within], full.eigenvalues[:within])
+        assert within < 2 or gap(win) == gap(full)
+        assert win.energy_scale == full.energy_scale
         left_out += kept.count(False)
     assert left_out > 0
 
@@ -881,14 +896,16 @@ def test_floors_change_which_dense_blocks_are_solved_never_which_are_kept(data):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(linalg, "_DSYEVD", lambda a, solve=linalg._DSYEVD: handed.append(a) or solve(a))
         win = eigh(matrix, window, floors=floors)
-    kept = kept_by_rule(full, window)
-    assert_kept_blocks_hold_the_full_bits(full, win, kept)
-    assert_same_spectrum(eigh(matrix, window, floors=[-math.inf] * len(blocks)), eigh(matrix, window))
-    # every block solved has its floor at or below the end plus the tolerance
+    # with floors the window ends at the group that straddles its edge, without them at the group past it
+    assert_kept_blocks_hold_the_full_bits(full, win, kept_by_rule(full, window, straddle=True))
+    assert_same_spectrum(eigh(matrix, window, floors=[-math.inf] * len(blocks)), win)
+    assert_kept_blocks_hold_the_full_bits(full, eigh(matrix, window), kept_by_rule(full, window))
+    # every block solved has its floor within the window's edge, which the end may lie below, or at or below
+    # the end plus the tolerance
     tol = linalg.DEGENERACY_RTOL * full.energy_scale
-    end = linalg._window_end([full.eigenvalues], full.eigenvalues[0] + window, tol)
+    end = window_end(full, window, straddle=True)
     solved = [next(b for b, block in enumerate(matrix.blocks) if block is a) for a in handed]
-    assert end is None or all(floors[b] <= end + tol for b in solved)
+    assert end is None or all(floors[b] <= max(full.eigenvalues[0] + window, end + tol) for b in solved)
 
 
 @pytest.mark.parametrize("kind,g,size", [("toy", 0.999, 1024), ("lmg", 1.3, 1023)])
@@ -986,18 +1003,22 @@ def test_fidelity_of_cold_ring_rung_densities_matches_the_sqrtm_route():
     assert fidelity(rho, sigma) == pytest.approx(want, abs=1e-10)
 
 
-def numpy_window_end(levels, edge, tol, bound=math.inf, head=None):
+def numpy_window_end(levels, edge, tol, bound=math.inf, head=None, straddle=False):
     """The window end by one numpy pass over every level seen, sorted into one array: the lazy merge's reference.
 
     The levels seen are those at or below ``bound`` and below ``head``,
     then ``head`` itself; the end is the last level of the degenerate
-    group of the first level past ``edge``, once the next level is seen.
+    group of the first level past ``edge``, or with ``straddle`` of the
+    last level at or below it where one is seen, once the next level is
+    seen.
     """
     known = np.sort(np.concatenate(levels))
     known = known[:np.searchsorted(known, bound, side="right")]
     if head is not None:
         known = np.append(known[:np.searchsorted(known, head)], head)
     first = int(np.searchsorted(known, edge, side="right"))
+    if straddle and first:
+        first -= 1
     gaps = np.flatnonzero(np.diff(known[first:]) > tol)
     return float(known[first + gaps[0]]) if gaps.size else None
 
@@ -1017,7 +1038,9 @@ def test_the_window_end_is_the_numpy_rule_over_the_levels_seen(data):
     edge = data.draw(point)
     bound = data.draw(st.one_of(st.just(math.inf), point))
     head = data.draw(st.one_of(st.none(), point))
-    assert linalg._window_end(levels, edge, tol, bound, head) == numpy_window_end(levels, edge, tol, bound, head)
+    straddle = data.draw(st.booleans())
+    assert (linalg._window_end(levels, edge, tol, bound, head, straddle)
+            == numpy_window_end(levels, edge, tol, bound, head, straddle))
 
 
 @pytest.mark.parametrize("kind,g,size,window", [
