@@ -221,8 +221,9 @@ def _measured_parts(model, state):
         v, dh = vectors.copy(), model.dH[rows]
         for g in np.unique(group[levels]):
             share = np.flatnonzero(group[levels] == g)
-            restricted = v[:, share].T @ (dh[:, None] * v[:, share])
-            v[:, share] = v[:, share] @ np.linalg.eigh((restricted + restricted.T) / 2.0)[1]
+            if share.size > 1:
+                restricted = v[:, share].T @ (dh[:, None] * v[:, share])
+                v[:, share] = v[:, share] @ np.linalg.eigh((restricted + restricted.T) / 2.0)[1]
         rotated.append((levels, v, v.T @ (dh[:, None] * v)))
     mean = sum(float(probs[levels] @ np.diag(d)) for levels, _, d in rotated)
     labels, sld = [], []

@@ -21,7 +21,7 @@ def test_selftest_green(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
-    assert out.count("PASS") == 10
+    assert out.count("PASS") == 11
 
 
 def test_bad_thread_env_var_exits_one(monkeypatch, tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import event, example, given, reject, settings, strategies as st
 
 from critfish.analytic import ToyParams, fi_errprop_closed, qfi_thermal_classical, qfi_thermal_quantum
-from critfish import fisher, linalg, models
+from critfish import fisher, linalg, models, selftest
 from critfish.cli import fig2_config
 from critfish.errors import (
     CritfishError,
@@ -488,42 +488,6 @@ def test_spectral_sum_at_a_huge_energy_scale_reads_zero_without_a_warning():
 
 # ------------------------------------------------- measurement-based estimators
 
-def rotated_eigenbasis(model, state):
-    """Per block of the state's spectrum: (levels, eigenvectors, dH in them), each degenerate group rotated to diagonalize dH."""
-    spectrum = state.spectrum
-    tol = DEGENERACY_RTOL * spectrum.energy_scale
-    gid = np.concatenate([[0], np.cumsum(np.diff(spectrum.eigenvalues) > tol)])
-    blocks = []
-    for rows, levels, vectors in spectrum.blocks:
-        v, dh = vectors.copy(), model.dH[rows]
-        for group in np.unique(gid[levels]):
-            share = np.flatnonzero(gid[levels] == group)
-            if share.size > 1:
-                restricted = v[:, share].T @ (dh[:, None] * v[:, share])
-                v[:, share] = v[:, share] @ np.linalg.eigh((restricted + restricted.T) / 2.0)[1]
-        blocks.append((levels, v, v.T @ (dh[:, None] * v), gid[levels]))
-    return blocks
-
-
-def drho_in_the_eigenbasis(model, state):
-    """Per block: (levels, rotated eigenvectors, d rho / d omega in them), from first-order perturbation theory.
-
-    drho_nn = -beta p_n (dH_nn - <dH>), and off a degenerate group
-    drho_nm = (p_n - p_m) dH_nm / (E_n - E_m); inside one it is 0.
-    """
-    energies, probs = state.spectrum.eigenvalues, state.probs
-    blocks = rotated_eigenbasis(model, state)
-    mean = sum(float(probs[levels] @ np.diag(d)) for levels, _, d, _ in blocks)
-    out = []
-    for levels, v, d, group in blocks:
-        e, p = energies[levels], probs[levels]
-        same = group[:, None] == group[None, :]
-        drho = np.where(same, 0.0, (p[:, None] - p[None, :]) * d / np.where(same, 1.0, e[:, None] - e[None, :]))
-        drho[np.diag_indices_from(drho)] = -state.beta * p * (np.diag(d) - mean)
-        out.append((levels, v, drho))
-    return out
-
-
 @pytest.mark.parametrize("kind,g,size", [("toy", 0.5, 64), ("lmg", 1.0, 20), ("ising", 0.5, 6)])
 @pytest.mark.parametrize("ratio", [1.0, 180.0])
 def test_eigenbasis_and_sld_measurements_give_the_spectral_parts(kind, g, size, ratio):
@@ -533,15 +497,7 @@ def test_eigenbasis_and_sld_measurements_give_the_spectral_parts(kind, g, size, 
     spectrum = eigh(model.H)
     state = gibbs(spectrum, beta_from_gap_ratio(ratio, spectrum))
     breakdown = qfi_spectral(model, state)
-    blocks = drho_in_the_eigenbasis(model, state)
-    labels = Sectors(model.H.rows, [(v * levels.astype(float)) @ v.T for levels, v, _ in blocks])
-    sld = []
-    for levels, v, drho in blocks:
-        weight = state.probs[levels][:, None] + state.probs[levels][None, :]
-        sld.append(v @ np.where(weight > 0.0, 2.0 * drho / np.where(weight > 0.0, weight, 1.0), 0.0) @ v.T)
-    sld = Sectors(model.H.rows, sld)
-    classical = cfi_projective(model, state, labels, fd_rtol=1e-6)
-    total = cfi_projective(model, state, sld, fd_rtol=1e-6)
+    classical, total = selftest._measured_parts(model, state)
     assert abs(classical - breakdown.classical_part) <= 1e-8 * breakdown.total
     assert abs(total - breakdown.total) <= 1e-8 * breakdown.total
 
