@@ -43,9 +43,9 @@ K stay global; a degenerate group that spans two blocks is rotated
 inside each of them, which only relabels its levels.  One pass visits
 each block once (``_spectral_sums``): it rotates the block's groups,
 writes its level slopes and adds its pairs to the quantum sum, and
-keeps none of the block's rows for the next; a twin block, with the
-vectors, dH and weights of the block before it, takes that block's
-slopes and adds its terms again.
+keeps none of the block's rows for the next; a twin of the spectrum
+(``Spectrum.twins``) with the dH and weights of the block before it
+takes that block's slopes and adds its terms again.
 
 Every thermal estimator takes the built model and its Gibbs state,
 ``gibbs(eigh(model.H), beta)`` (``qfi_pure`` takes a spectrum and a
@@ -214,21 +214,21 @@ def _spectral_sums(spectrum, generator, tol, probs, offsets=None):
     last_heavy = np.flatnonzero(probs >= PAIR_WEIGHT_FLOOR / 2.0)[-1]  # the weights sum to 1
     weighted = int(gid.searchsorted(gid[last_heavy], side="right"))
     slopes = np.zeros(len(probs))
-    total = 0.0
-    previous = None  # the block summed last: (its index, vectors, dH, weights, slopes, terms of the sum)
+    total, terms = 0.0, []  # the terms of the sum of the block summed last
     for b, (rows, levels, v) in enumerate(spectrum.blocks):
         p = probs[levels]
         if not p.any():
             continue
         dh = generator[rows]
-        if (offsets is None and previous is not None and previous[0] == b - 1 and v is previous[1]
-                and np.array_equal(dh, previous[2]) and np.array_equal(p, previous[3])):
-            # a twin of the block before it, with equal dH and weights: the same slopes and terms
-            slopes[levels] = previous[4]
-            for term in previous[5]:
-                total += term
-            previous = (b, *previous[1:])
-            continue
+        # a twin (``Spectrum.twins``) with the dH and weights of the block before it, summed last, takes that
+        # block's slopes and terms; both are compared, as dH is the model's and a ThermalState takes any probs
+        if offsets is None and b in spectrum.twins:
+            before_rows, before_levels, _ = spectrum.blocks[b - 1]
+            if np.array_equal(dh, generator[before_rows]) and np.array_equal(p, probs[before_levels]):
+                slopes[levels] = slopes[before_levels]
+                for term in terms:
+                    total += term
+                continue
         terms = []
         heavy = int(np.searchsorted(levels, weighted))
         complete = v.shape[1] == rows.size
@@ -276,7 +276,6 @@ def _spectral_sums(spectrum, generator, tol, probs, offsets=None):
                 offsets += 2.0 * np.bincount(distance.ravel(), weights=contrib.ravel(), minlength=offsets.size)
         for term in terms:
             total += term
-        previous = b, v, dh, p, slopes[levels], terms
     return 2.0 * total, slopes, weighted
 
 

@@ -22,10 +22,12 @@ entry to the block before it (a twin) is stored as that same array
 (``Sectors``), and ``eigh`` hands it the eigenpairs it found for that
 array, the bits a second ?syevd of it would give; so the ring's H, its
 Gibbs states and the measured square each solve one block of every
-twin pair.  A plain ndarray is one block: it gets one ?syevd.  The
-eigenpairs stay in their blocks (``Spectrum.blocks``), so no n x n
-eigenvector matrix, half of it zeros, is formed either, and every
-consumer works block by block.
+twin pair.  Two maps hold that fact, and every consumer reads them:
+``Sectors.layout`` for a matrix and ``Spectrum.twins`` for a spectrum.
+A plain ndarray is one block: it gets one ?syevd.  The eigenpairs stay
+in their blocks (``Spectrum.blocks``), so no n x n eigenvector matrix,
+half of it zeros, is formed either, and every consumer works block by
+block.
 
 The oscillator and collective-spin blocks are unreduced symmetric
 tridiagonal chains, held as their two diagonals.  A chain with at least
@@ -341,6 +343,18 @@ class Spectrum:
             object.__setattr__(self, "kept", tuple(b for b, (_, levels, _) in enumerate(self.blocks) if levels.size))
 
     @functools.cached_property
+    def twins(self):
+        """The kept blocks whose ``vectors`` is the same array as the block before it's, as a frozenset.
+
+        ``eigh`` hands a twin of its matrix's ``layout`` the eigenpairs of
+        the block it repeats, so the layout's kept twins are these; a
+        spectrum built with copies has none, and its blocks are each
+        summed on their own.
+        """
+        blocks = self.blocks
+        return frozenset(b for b in self.kept if b and blocks[b][2] is blocks[b - 1][2])
+
+    @functools.cached_property
     def lows(self):
         """The lowest level of each block, -inf for a block that holds none, as one read-only array."""
         lows = np.full(len(self.blocks), -math.inf)
@@ -490,31 +504,21 @@ class Layout:
     ``kinds[b]`` is "chain", "dense", "twin" (the block before it, stored
     as the same array) or None (a zero block).  ``chains`` and ``dense``
     hold the chains and the dense blocks ``eigh`` solves, ascending; a
-    twin is solved with the block it repeats (``twins`` maps that block
-    to the twins after it) and a zero block is never solved.  ``empty``
-    holds, per block, the ``Spectrum`` block of one that holds no level.
+    twin is solved with the block it repeats, and a zero block is never
+    solved.  ``empty`` holds, per block, the ``Spectrum`` block of one
+    that holds no level.
     """
 
     kinds: tuple
     chains: tuple
     dense: np.ndarray
-    twins: dict
     empty: tuple
 
     @classmethod
     def of(cls, rows, kinds):
-        chains, dense, twins, empty, first = [], [], {}, [], None
-        for b, (r, kind) in enumerate(zip(rows, kinds)):
-            empty.append((r, _NO_LEVELS, _no_level(r.size)[1]))
-            if kind == "twin":
-                twins.setdefault(first, []).append(b)
-                continue
-            first = b
-            if kind == "chain":
-                chains.append(b)
-            elif kind == "dense":
-                dense.append(b)
-        return cls(tuple(kinds), tuple(chains), np.array(dense, dtype=np.intp), twins, tuple(empty))
+        chains = tuple(b for b, kind in enumerate(kinds) if kind == "chain")
+        dense = np.array([b for b, kind in enumerate(kinds) if kind == "dense"], dtype=np.intp)
+        return cls(tuple(kinds), chains, dense, tuple((r, _NO_LEVELS, _no_level(r.size)[1]) for r in rows))
 
 
 class _Formed:
@@ -700,74 +704,53 @@ def _windowed(matrix, window, floors):
 def eigh(matrix, window=None, *, floors=None):
     """Eigendecomposition of a symmetric matrix, block by block, with fixed signs.
 
-    ``matrix`` is a Sectors or a dense array.  Each block of a Sectors
-    is solved on its own (a chain by ?stevd once large enough, a dense
-    block by ?syevd; see the module docstring) and its vectors are
-    sign-fixed; a dense block stored as the same array as the block
-    before it (a twin) takes that block's eigenpairs, and a zero block
-    (None) gets none.  A dense array is symmetrized and solved as one
-    block.  The blocks are visited as the Sectors' ``layout`` lists them,
-    and a block is read only when it is solved, so a Sectors whose blocks
-    are formed when read (``Sectors._lazy``, a rung's H) forms no twin
-    and no block a window leaves out.  The solved blocks' eigenvalues are
-    merged by a stable sort into the global levels, and each block keeps
-    its own rows, levels and vectors in ``Spectrum.blocks``; a block with
-    no level shares the layout's empty arrays, and ``Spectrum.kept``
-    lists the others.  Raises InvalidMatrix for non-finite entries and
+    ``matrix`` is a Sectors, or a dense array, symmetrized and solved as
+    one block.  The blocks are visited as the Sectors' ``layout`` lists
+    them, and each is read only when it is solved, so a ``Sectors._lazy``
+    forms no other: a chain goes to ?stevd once long enough and a dense
+    block to ?syevd (module docstring), a twin takes the eigenpairs of the
+    block it repeats, the same arrays (``Spectrum.twins``), and a zero
+    block gets none.  The vectors are sign-fixed, the levels merged by a
+    stable sort, and each block keeps its rows, levels and vectors
+    (``Spectrum``).  Raises InvalidMatrix for non-finite entries and
     DiagonalizationFailed when the solver does not converge.
 
     With a ``window`` >= 0 the spectrum keeps every level up to an end
-    that closes a degenerate group (consecutive gaps within
-    DEGENERACY_RTOL * max |E|).  Without ``floors`` that group is the one
-    of the first level more than ``window`` above the matrix's lowest
-    level, so the spectrum holds at least one level past the window: the
-    oscillator's truncation ladder hands its spectrum on as the cell's,
-    whose ``thermal.gap`` reads E_1.  With ``floors`` (the Gibbs states
-    of the finite-difference rungs) it is the group of the highest level
-    within the window, the one that straddles the window's edge, as a
-    level past the window holds no Gibbs weight the window keeps.
-    Blocks beyond the end are left out or cut short:
+    that closes a degenerate group (gaps within DEGENERACY_RTOL * max |E|):
+    without ``floors`` the group of the first level past E_0 + window, so
+    that E_1 is kept (the oscillator's truncation ladder hands its spectrum
+    on as the cell's); with them the group that straddles E_0 + window, as
+    a level past it holds no Gibbs weight the window keeps (the
+    finite-difference rungs).  A dense block whose lowest level lies past
+    the end holds no level, and every other block holds all its levels, to
+    the bits of an unwindowed solve.  ``floors`` bounds each block's lowest
+    level from below (-inf where none is known; only dense blocks' are
+    read): dense blocks are solved in ascending order of their floors, and
+    none whose floor lies past the end is solved, so a floor above its
+    block's lowest level may leave out a block the window holds.  Given
+    floors, every chain is solved whole.  Without them a chain of at least
+    _WINDOW_MIN_ROWS rows solves only its levels up to the end, where the
+    library has the routines for it (module docstring), and the spectrum
+    keeps the matrix's ``highest`` level.
 
-    * A dense block whose lowest level lies past the end of that group
-      is left out whole and holds no level; every other dense block is
-      solved completely, to the bits of an unwindowed solve.  ``floors``
-      holds one value per block of the matrix, at or below that block's
-      lowest level (-inf where none is known; the values of chains and
-      zero blocks are not read), and is -inf for every block when not
-      given.  Dense blocks are solved in ascending order of their floors
-      while the floor lies within the window of the lowest level known,
-      or at or below the end known so far plus the degeneracy
-      tolerance, or no end is known yet; the end is known once a level
-      seen, or the next floor, lies more than the tolerance past its
-      group.  The first block past that
-      stops the visits, as every block not yet solved then has all its
-      levels past the end and can move neither it nor E_0; a solved
-      block whose lowest level lies past the final end is dropped.  So
-      without floors every dense block is solved and those past the end
-      are dropped.  A floor above its block's lowest level may leave out
-      a block the window holds.
-    * A call with ``floors`` solves every chain completely: the Gibbs
-      states of the finite-difference rungs pass floors from the
-      spectrum at the ladder's centre (``fisher``), and so keep their
-      chains' states the unwindowed ones bit for bit.  Without floors,
-      as on the oscillator's truncation ladder
-      (``models.toy_converged_truncation``), a chain of at least
-      _WINDOW_MIN_ROWS rows solves only its lowest levels.  Bisection
-      (?stebz) first finds its lowest and its highest level; the
-      highest makes the tolerance scale max |E| that of the full
-      spectrum.  Once every other block is solved and the end is not
-      yet known, the chain whose last bisected level is lowest counts
-      its levels at or below the window's edge, E_0 + window, by one
-      Sturm count (?larrc), and bisects up to that count plus one, or
-      one level more than it holds where that is more.  A chain whose
-      request would pass 1/_WINDOW_SHARE of its levels, or whose
-      bisection fails, is solved completely by ?stevd instead.  The
-      count only sizes the request: the levels kept are still those the
-      rule above picks from the levels bisected, and inverse iteration
-      (?stein) gives their vectors.  A shorter chain is solved
-      completely too, as are all chains where the library lacks ?stebz,
-      ?stein, ?larrc or the ?gtsv that reaches the unsolved levels
-      (``fisher``).
+    The tests that pin each case, in ``tests/test_linalg.py`` unless named:
+
+    * twins: ``test_an_equal_dense_block_reuses_the_eigenpairs_before_it``,
+      ``test_a_twin_pair_past_the_window_is_left_out_unsolved`` and
+      ``test_spectrum_twins_are_the_kept_twins_of_the_layout``;
+    * the end: ``test_the_window_end_is_the_numpy_rule_over_the_levels_seen``,
+      ``test_windowed_eigh_picks_the_window_end_of_the_numpy_rule`` and
+      ``test_window_zero_keeps_a_split_ground_group_and_no_group_past_it``;
+    * dense blocks: ``test_dense_blocks_and_short_chains_ignore_the_window``
+      and ``test_windowed_ring_keeps_the_blocks_that_reach_the_window_end_with_their_bits``;
+    * floors: ``test_floors_change_which_dense_blocks_are_solved_never_which_are_kept``,
+      ``test_floors_keep_long_chains_whole``, and in ``tests/test_fisher.py``
+      ``test_tight_floors_solve_each_kept_block_once`` and
+      ``test_a_cold_rung_keeps_both_blocks_of_a_degenerate_ground_doublet``;
+    * bisected chains: ``test_a_windowed_chain_bisects_at_most_one_level_past_those_it_keeps``,
+      ``test_a_count_one_low_costs_a_bisection_not_a_level``,
+      ``test_a_wide_window_solves_the_chains_completely`` and
+      ``test_each_missing_symbol_leaves_the_others_and_the_rows``.
     """
     if not isinstance(matrix, Sectors):
         dense = np.asarray(matrix, dtype=float)
@@ -782,8 +765,9 @@ def eigh(matrix, window=None, *, floors=None):
         solved, highest = _windowed(matrix, float(window), floors)
     else:
         raise ValueError(f"window must be >= 0, got {window}")
-    for b in [b for b in solved if b in layout.twins]:
-        solved.update(dict.fromkeys(layout.twins[b], solved[b]))
+    for b, kind in enumerate(layout.kinds):
+        if kind == "twin" and b - 1 in solved:
+            solved[b] = solved[b - 1]
     kept = sorted(b for b, (vals, _) in solved.items() if vals.size)
     merged = np.concatenate([solved[b][0] for b in kept]) if kept else np.empty(0)
     order = merged.argsort(kind="stable")
@@ -811,9 +795,10 @@ def _root_columns(density):
 
     Eigenvalues in [-PSD_CLAMP_RTOL * ||rho||, 0) are roundoff (Gibbs
     states are PSD analytically) and are clamped to zero; more negative
-    ones raise NotPSD.  Returns {b: R_b} in ascending b; a zero block
-    (None) has no level, and so no entry, and a twin, which holds the
-    eigenpairs of the block before it, gets that block's R.
+    ones raise NotPSD.  Returns ({b: R_b} in ascending b, the spectrum's
+    ``twins``); a zero block (None) has no level, and so no entry, and a
+    twin, which holds the eigenpairs of the block before it, gets that
+    block's R.
     """
     spec = eigh(density)
     vals = spec.eigenvalues
@@ -827,9 +812,8 @@ def _root_columns(density):
     columns = {}
     for b in spec.kept:
         _, levels, vecs = spec.blocks[b]
-        twin = b - 1 in columns and vecs is spec.blocks[b - 1][2]
-        columns[b] = columns[b - 1] if twin else vecs * roots[levels]
-    return columns
+        columns[b] = columns[b - 1] if b in spec.twins else vecs * roots[levels]
+    return columns, spec.twins
 
 
 def _root_fidelity(a, b):
@@ -851,8 +835,8 @@ def fidelity(rho, sigma):
     1976; Jozsa, J. Mod. Opt. 41, 2315, 1994).  Two Sectors over the same
     rows go to ``eigh`` as they are: that product is then block diagonal,
     and its nuclear norm is the sum of its blocks', over the blocks where
-    both states hold a level; a block that is a twin in both repeats the
-    term of the block before it.  Any other pair is diagonalized as two dense
+    both states hold a level; a block that is a twin in both spectra
+    (``Spectrum.twins``) repeats the term of the block before it.  Any other pair is diagonalized as two dense
     matrices of one block each.  Symmetric in its arguments to ~1e-10.
     """
     r, s = (m if isinstance(m, Sectors) else np.asarray(m, dtype=float) for m in (rho, sigma))
@@ -860,10 +844,9 @@ def fidelity(rho, sigma):
         raise DimMismatch(f"density-matrix shapes differ: {r.shape} vs {s.shape}")
     if not (isinstance(r, Sectors) and _same_rows(s, r.rows)):
         r, s = np.asarray(r), np.asarray(s)
-    a, c = _root_columns(r), _root_columns(s)
+    (a, a_twins), (c, c_twins) = _root_columns(r), _root_columns(s)
     terms = {}
     for b in a:
         if b in c:  # a twin on both sides repeats the term of the block before it
-            twin = b - 1 in terms and a[b] is a[b - 1] and c[b] is c[b - 1]
-            terms[b] = terms[b - 1] if twin else _root_fidelity(a[b], c[b])
+            terms[b] = terms[b - 1] if b in a_twins and b in c_twins else _root_fidelity(a[b], c[b])
     return min(sum(terms.values()) ** 2, 1.0)

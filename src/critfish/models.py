@@ -35,7 +35,7 @@ energy window that holds its Gibbs weight.
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -80,8 +80,8 @@ class ModelInstance:
     model is measured with ((a + a^dag)^2 for the oscillator, (Sx/2)^2
     for the spins), are Sectors over the same row arrays.  ``parts``
     holds H's omega-free parts per block of W (``_omega_free_parts``).
-    All of these come from one build_model; ``at`` passes them on, and
-    ``hamiltonian`` forms H at another omega from ``parts`` alone.
+    All of these come from one build_model, and ``hamiltonian`` forms H
+    at another omega from ``parts`` alone.
     """
 
     kind: ModelKind
@@ -93,15 +93,6 @@ class ModelInstance:
     coupling_term: object
     observable: object
     parts: tuple
-
-    def at(self, omega):
-        """The same model at another omega, with every block of H formed now, as ``hamiltonian`` forms it.
-
-        A copy of the whole model: the finite-difference rungs call
-        ``hamiltonian`` instead, and form only the blocks they solve.
-        """
-        H = self.hamiltonian(omega)
-        return replace(self, omega=float(omega), H=Sectors._checked(H.rows, tuple(H.blocks)))
 
     def hamiltonian(self, omega):
         """H at another omega, a Sectors whose blocks are formed from ``parts`` when read (``Sectors._lazy``).
@@ -137,13 +128,14 @@ def _omega_free_parts(g, generator, coupling):
     A chain's other entries are its off-diagonal -g * w, which is H's own;
     a dense block's are the matrix 0.0 - g W, whose diagonal H overwrites.
     Both are signed as H = omega dH - g W signs them, with +0.0 where W
-    holds a zero.  A twin is the same array of W as the block before it,
-    over rows of equal dH, and gives H the same array too.
+    holds a zero.  A twin of W's layout over rows of equal dH gives H the
+    same array as the block before it; dH is compared, as it is the
+    model's and not W's.
     """
     parts = []
-    for b, (rows, w) in enumerate(zip(coupling.rows, coupling.blocks)):
+    for b, (rows, w, kind) in enumerate(zip(coupling.rows, coupling.blocks, coupling.layout.kinds)):
         dh = generator[rows]
-        twin = bool(b) and w is coupling.blocks[b - 1] and np.array_equal(dh, parts[-1][0])
+        twin = kind == "twin" and np.array_equal(dh, parts[-1][0])
         if isinstance(w, tuple):
             diagonal, rest = g * w[0], -g * w[1]
         else:
@@ -213,7 +205,8 @@ def build_model(kind, omega, g, size):
         for b, (*_, twin) in enumerate(parts):
             blocks.append(blocks[-1] if twin else _block(omega, parts, b))
         H = Sectors._checked(coupling.rows, blocks)
-    # H is exactly symmetric and over W's rows by construction; only its entries are checked, here, not in ``at``
+    # H is exactly symmetric and over W's rows by construction; only its entries are checked, here, not in
+    # ``hamiltonian``
     arrays = [array for block in H.blocks for array in (block if isinstance(block, tuple) else (block,))]
     if not all(np.isfinite(array).all() for array in arrays):
         raise InvalidMatrix(f"H has non-finite entries at omega={omega}, g={g}")

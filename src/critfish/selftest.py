@@ -195,7 +195,7 @@ def _check_windowed_vs_full():
     # a rung half the default step away: its floors lie below the blocks' lowest levels
     rung = model.omega + 5e-4
     state = _thermal_state(model, centre, rung)
-    full = gibbs(eigh(model.at(rung).H), centre.beta)
+    full = gibbs(eigh(build_model("ising", rung, 1.0, 8).H), centre.beta)
     ring = _rel_err(qfi_spectral(model, state).total, qfi_spectral(model, full).total)
     solved.append(f"ising N=8 rung state: {len(state.spectrum.eigenvalues)}/{state.dim}")
     return worst <= 1e-10 and ring <= 1e-12, (f"relative error {worst:.2e}, ising rung state {ring:.2e}; "

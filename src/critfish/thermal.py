@@ -53,7 +53,10 @@ def gibbs(spectrum, beta):
         raise InvalidTemperature(f"beta must be > 0, got {beta}")
     energies = spectrum.eigenvalues
     if math.isinf(beta):
-        ground = energies <= energies[0] + GROUND_DEGENERACY_RTOL * spectrum.energy_scale
+        # scaled by the spectrum's own largest |E|, not by energy_scale, whose floor of 1 would make one ground
+        # group of distinct levels at tiny omega
+        top = energies[-1] if spectrum.highest is None else spectrum.highest
+        ground = energies <= energies[0] + GROUND_DEGENERACY_RTOL * max(abs(float(energies[0])), abs(float(top)))
         probs = np.where(ground, 1.0 / int(np.count_nonzero(ground)), 0.0)
         return ThermalState(spectrum=spectrum, beta=beta, probs=probs)
     with np.errstate(over="ignore"):  # an overflowing exponent is -inf, whose weight is 0
@@ -66,22 +69,22 @@ def density_matrix(state):
 
     Each block is made exactly symmetric, as ``Sectors`` stores a dense
     block.  A block with no solved level is a zero block (None), and a
-    twin, whose spectrum block holds the same vectors as the block before
-    it and equal weights, is the same array as that block.
+    twin of the spectrum (``Spectrum.twins``) with the weights of the
+    block before it is the same array as that block.
     """
     spectrum = state.spectrum
-    blocks, previous = [None] * len(spectrum.blocks), (None, None, None)
+    blocks = [None] * len(spectrum.blocks)
     for b in spectrum.kept:
         _, levels, v = spectrum.blocks[b]
         weights = state.probs[levels]
-        if previous[0] == b - 1 and v is previous[1] and np.array_equal(weights, previous[2]):
-            block = blocks[b - 1]
-        else:
-            rho = (v * weights) @ v.T
-            block = rho + rho.T
-            block /= 2.0
-            block.setflags(write=False)
-        previous = b, v, weights
+        # the weights are compared, not assumed equal: a ThermalState takes any probs
+        if b in spectrum.twins and np.array_equal(weights, state.probs[spectrum.blocks[b - 1][1]]):
+            blocks[b] = blocks[b - 1]
+            continue
+        rho = (v * weights) @ v.T
+        block = rho + rho.T
+        block /= 2.0
+        block.setflags(write=False)
         blocks[b] = block
     return Sectors._checked(tuple(rows for rows, _, _ in spectrum.blocks), blocks)
 

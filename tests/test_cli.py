@@ -95,7 +95,12 @@ def _finite(row):
      "beta_gap_ratio:GapTooSmall;qfi_fidelity:NoFDConvergence"),
     ("--model lmg -N 20 -g 0.5 --omega 1e-20 --beta 1 --estimators qfi_spectral,qfi_fidelity", 2,
      "beta_gap_ratio:GapTooSmall;qfi_fidelity:NoFDConvergence"),
-    ("--model lmg -N 20 -g 0 --beta inf --estimators qfi_fidelity", 0, "ok"),
+    # a ground state that does not move, also where its levels lie omega 1e-12 and 1e-13 apart
+    ("--model lmg -N 20 -g 0 --beta inf --estimators qfi_fidelity", 0, {"status": "ok", "qfi_fidelity": 0.0}),
+    ("--model lmg -N 20 -g 0 --omega 1e-12 --beta inf --estimators qfi_fidelity", 0,
+     {"status": "ok", "qfi_fidelity": 0.0}),
+    ("--model lmg -N 20 -g 0 --omega 1e-13 --beta inf --estimators qfi_fidelity", 0,
+     {"status": "ok", "qfi_fidelity": 0.0}),
     ("--model lmg -N 20 -g 0.5 --omega 1e-300 --beta 1 --estimators qfi_fidelity", 2,
      "beta_gap_ratio:GapTooSmall;qfi_fidelity:NoFDConvergence"),
     ("--model toy -N 64 -g 0.5 --beta 1 --delta-omega 1e-300 --estimators qfi_fidelity", 2,
@@ -105,8 +110,11 @@ def _finite(row):
     ("--model toy -N 64 -g 0.9 --beta 5e-324 --estimators toy_analytic", 0, "ok"),
 ])
 def test_point_edge_cells_end_in_defined_rows(flags, code, status, capsys):
+    # ``status`` is the row's status, or the fields the row must hold
+    want = {"status": status} if isinstance(status, str) else status
     assert main(["point", *flags.split()]) == code
-    assert _finite(capsys.readouterr().out)["status"] == status
+    row = _finite(capsys.readouterr().out)
+    assert {field: row[field] for field in want} == want
 
 
 def test_measurement_ladder_with_no_step_ends_at_once():

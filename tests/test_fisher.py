@@ -402,7 +402,7 @@ def test_fidelity_route_reports_no_convergence():
     class Noisy(ModelInstance):
         # every move along omega lands on a freshly jittered Hamiltonian
         def hamiltonian(self, w):
-            h = base.at(w).H
+            h = build_model("lmg", w, 0.5, 6).H
             jittered = [(d + rng.normal(scale=1e-4, size=d.size), off) for d, off in h.blocks]
             return Sectors(h.rows, jittered)
 
@@ -722,7 +722,7 @@ def test_rung_states_of_chains_stay_complete(kind, g, size, beta):
     centre = thermal(model, beta)
     for omega in (1.0 - 5e-5, 1.0, 1.0 + 5e-5):
         state = fisher._thermal_state(model, centre, omega)
-        full = eigh(model.at(omega).H)
+        full = eigh(build_model(kind, omega, g, size).H)
         assert state.spectrum.complete and state.spectrum.highest is None
         assert np.array_equal(state.spectrum.eigenvalues, full.eigenvalues)
         assert all(np.array_equal(v, w) for (_, _, v), (_, _, w) in zip(state.spectrum.blocks, full.blocks))
@@ -746,7 +746,7 @@ def test_rung_states_from_floors_equal_the_rung_states_without_them(size):
         # rungs on one side of the centre, the side changing from cell to cell
         for omega in model.omega + (-1) ** k * np.array([delta / 4, delta / 2, 0.3]):
             state = fisher._thermal_state(model, centre, omega)
-            H = model.at(omega).H
+            H = build_model("ising", omega, model.g, size).H
             want = gibbs(eigh(H, window, floors=[-math.inf] * len(H.blocks)), centre.beta)
             assert np.array_equal(state.spectrum.eigenvalues, want.spectrum.eigenvalues)
             assert np.array_equal(state.probs, want.probs)
@@ -756,13 +756,14 @@ def test_rung_states_from_floors_equal_the_rung_states_without_them(size):
 
 @pytest.mark.parametrize("size", [6, 8, 10])
 def test_rung_states_formed_block_by_block_equal_those_of_the_formed_rung_h(size):
-    # the rung's H forms its blocks as eigh solves them; the same eigh on the H ``at`` forms whole gives the same bits
+    # the rung's H forms its blocks as eigh solves them; the same eigh on the H build_model forms whole gives the
+    # same bits
     delta = fig2_config("ising", size).delta_omega
     for model, centre in ring_rung_cells(size):
         for omega in model.omega + np.array([-delta / 2, delta / 2]):
             state = fisher._thermal_state(model, centre, omega)
             floors = centre.spectrum.lows - abs(omega - model.omega) * model.generator_bounds
-            want = eigh(model.at(omega).H, gibbs_window(centre.beta), floors=floors)
+            want = eigh(build_model("ising", omega, model.g, size).H, gibbs_window(centre.beta), floors=floors)
             assert np.array_equal(state.spectrum.eigenvalues, want.eigenvalues)
             assert state.spectrum.kept == want.kept
             for (_, levels, v), (_, want_levels, w) in zip(state.spectrum.blocks, want.blocks):
@@ -773,18 +774,17 @@ def test_cold_rung_forms_only_the_blocks_it_solves(monkeypatch):
     model = build_model("ising", 1.0, 0.5, 8)
     spectrum = eigh(model.H)
     centre = gibbs(spectrum, beta_from_gap_ratio(180.0, spectrum))
-    H = model.at(1.0 + 5e-5).H
+    H = build_model("ising", 1.0 + 5e-5, 0.5, 8).H
     formed, solved = [], []
     block, solve = models._block, linalg._DSYEVD
     monkeypatch.setattr(models, "_block", lambda omega, parts, b: formed.append(b) or block(omega, parts, b))
     monkeypatch.setattr(linalg, "_DSYEVD", lambda a: solved.append(a) or solve(a))
     state = fisher._thermal_state(model, centre, 1.0 + 5e-5)
-    blocks = state.spectrum.blocks
     # each block formed is solved once, and a kept twin is neither formed nor solved again; the ground block
     # alone holds Gibbs weight, and the floor of the block of E_1 closes the ground group unsolved
     assert len(formed) == len(set(formed)) == len(solved) == 1
     assert all(np.array_equal(a, H.blocks[b]) for a, b in zip(solved, formed))
-    assert set(formed) == {b for b in state.spectrum.kept if not (b and blocks[b][2] is blocks[b - 1][2])}
+    assert set(formed) == set(state.spectrum.kept) - state.spectrum.twins
     assert len(model.H.layout.dense) == 10
 
 
@@ -797,7 +797,7 @@ def test_rung_states_keep_the_unwindowed_bits_and_drop_only_levels_without_weigh
             continue  # T = 0 and beta * gap 180 only
         for omega in model.omega + np.array([-delta / 2, delta / 2]):
             state = fisher._thermal_state(model, centre, omega)
-            full = gibbs(eigh(model.at(omega).H), centre.beta)
+            full = gibbs(eigh(build_model("ising", omega, model.g, size).H), centre.beta)
             for b, ((_, levels, v), (_, full_levels, w)) in enumerate(zip(state.spectrum.blocks, full.spectrum.blocks)):
                 if levels.size:
                     # a kept block holds the unwindowed levels, vectors and Gibbs weights, bit for bit
@@ -837,11 +837,10 @@ def test_tight_floors_solve_each_kept_block_once(monkeypatch, size):
     for model, centre in ring_rung_cells(size):
         solves.clear()
         # at the centre each floor is its block's lowest level
-        blocks = fisher._thermal_state(model, centre, model.omega).spectrum.blocks
-        # a kept twin holds the vectors of the block before it
-        kept = [b for b, (_, levels, v) in enumerate(blocks) if levels.size and not (b and v is blocks[b - 1][2])]
-        assert len(solves) == len(kept)
-        left_out += sum(not levels.size for _, levels, _ in blocks)
+        spectrum = fisher._thermal_state(model, centre, model.omega).spectrum
+        # a kept twin holds the vectors of the block before it, solved once
+        assert len(solves) == len(spectrum.kept) - len(spectrum.twins)
+        left_out += len(spectrum.blocks) - len(spectrum.kept)
     assert left_out > 0
 
 
@@ -878,7 +877,8 @@ def test_fd_estimators_on_windowed_ring_rungs_match_full_rungs(monkeypatch, beta
         lambda: fi_error_propagation(model, state, observable, delta_omega=1e-3, fd_rtol=1e-5),
     )
     windowed = [estimate() for estimate in estimators]
-    monkeypatch.setattr(fisher, "_thermal_state", lambda m, s, omega: gibbs(eigh(m.at(omega).H), s.beta))
+    monkeypatch.setattr(fisher, "_thermal_state",
+                        lambda m, s, omega: gibbs(eigh(build_model(m.kind, omega, m.g, m.size).H), s.beta))
     full = [estimate() for estimate in estimators]
     assert windowed == pytest.approx(full, rel=1e-12, abs=0)
 

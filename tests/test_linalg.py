@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from critfish import fisher, linalg
 from critfish.errors import DiagonalizationFailed, DimMismatch, InvalidMatrix, NotPSD
-from critfish.linalg import Sectors, eigh, fidelity
+from critfish.linalg import Sectors, Spectrum, eigh, fidelity
 from critfish.cli import fig2_config
 from critfish.models import build_model, gibbs_window
 from critfish.operators import make_chain_ops, make_dicke_ops, make_fock_ops
@@ -343,9 +343,41 @@ def test_ring_twin_blocks_are_equal_and_solved_once(monkeypatch, size):
     rho = density_matrix(gibbs(spectrum, 1.5))
     for matrix in (ops.xx_pbc, ops.sx2, model.H, rho, model.observable):
         assert all(np.array_equal(matrix.blocks[b], matrix.blocks[b - 1]) for b in twins)
-    for b in twins:  # one shared spectrum per twin pair
+    assert spectrum.twins == set(twins)  # one shared spectrum per twin pair
+    for b in twins:
         assert np.array_equal(spectrum.eigenvalues[spectrum.blocks[b][1]], spectrum.eigenvalues[spectrum.blocks[b - 1][1]])
-        assert spectrum.blocks[b][2] is spectrum.blocks[b - 1][2]
+
+
+@pytest.mark.parametrize("size", [6, 8])
+def test_spectrum_twins_are_the_kept_twins_of_the_layout(size):
+    model = build_model("ising", 1.0, 0.5, size)
+    layout_twins = {b for b, kind in enumerate(model.H.layout.kinds) if kind == "twin"}
+    full = eigh(model.H)
+    assert full.twins == layout_twins
+    # rung states solved in their window: at beta * gap 20 some twin pairs are kept and others left out, and
+    # at 180 the ground block alone is kept
+    kept_twins = []
+    for ratio in (20.0, 180.0):
+        rung = fisher._thermal_state(model, gibbs(full, beta_from_gap_ratio(ratio, full)), 1.0 + 5e-5).spectrum
+        assert len(rung.kept) < len(rung.blocks)
+        assert rung.twins == layout_twins & set(rung.kept)
+        kept_twins.append(len(rung.twins))
+    assert 0 < kept_twins[0] < len(layout_twins) and kept_twins[1] == 0
+
+
+def test_spectrum_twins_is_empty_where_the_twin_vectors_are_copies():
+    model = build_model("ising", 1.0, 0.8, 6)
+    spectrum = eigh(model.H)
+    copied = Spectrum(spectrum.eigenvalues, tuple((rows, levels, v.copy()) for rows, levels, v in spectrum.blocks))
+    assert spectrum.twins and not copied.twins
+    # every consumer then takes each block on its own, to the same values
+    state, copied_state = gibbs(spectrum, 1.5), gibbs(copied, 1.5)
+    rho, copied_rho = density_matrix(state), density_matrix(copied_state)
+    assert "twin" in rho.layout.kinds and "twin" not in copied_rho.layout.kinds
+    assert np.array_equal(np.asarray(rho), np.asarray(copied_rho))
+    assert fidelity(rho, copied_rho) == pytest.approx(1.0, abs=1e-12)
+    want = fisher.qfi_spectral(model, state)
+    assert fisher.qfi_spectral(model, copied_state).total == pytest.approx(want.total, rel=1e-14, abs=0)
 
 
 def test_eigh_wraps_solver_failure(monkeypatch):
@@ -585,7 +617,7 @@ def test_fidelity_of_sectors_matches_the_matrix_root_route():
     # block; a Sectors against a dense matrix is compared as two dense ones
     model = build_model("lmg", 1.0, 0.7, 8)
     rho = density_matrix(gibbs(eigh(model.H), 2.0))
-    sigma = density_matrix(gibbs(eigh(model.at(1.1).H), 2.0))
+    sigma = density_matrix(gibbs(eigh(build_model("lmg", 1.1, 0.7, 8).H), 2.0))
     assert fidelity(rho, sigma) == pytest.approx(dense_root_fidelity(np.asarray(rho), np.asarray(sigma)), abs=1e-12)
     other = random_density(np.random.default_rng(4), 9)
     want = dense_root_fidelity(np.asarray(rho), other)
@@ -992,8 +1024,12 @@ def test_fidelity_of_cold_ring_rung_densities_matches_the_sqrtm_route():
     empty = [block is None for block in rho.blocks]
     assert 0 < sum(empty) < len(empty)
     # an empty block gets no root columns, and a solved one a column per level
-    assert {b: c.shape for b, c in linalg._root_columns(rho).items()} == {
+    columns, twins = linalg._root_columns(rho)
+    assert {b: c.shape for b, c in columns.items()} == {
         b: (rows.size, rows.size) for b, (rows, none) in enumerate(zip(rho.rows, empty)) if not none}
+    # a twin of the state's spectrum takes the columns of the block before it
+    assert twins == {b for b, kind in enumerate(rho.layout.kinds) if kind == "twin"} & set(columns)
+    assert all(columns[b] is columns[b - 1] for b in twins)
     # sqrt F = ||sqrt(rho) sqrt(sigma)||_1 with both roots from scipy's Schur route, on the dense matrices;
     # the states are singular, so sqrtm warns, and its roots err along the kernel, which the norm does not see
     with pytest.warns(scipy.linalg.LinAlgWarning, match="singular"):

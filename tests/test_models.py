@@ -52,40 +52,41 @@ def test_linear_structure_exact():
 
 
 @pytest.mark.parametrize("kind,size", [("toy", 16), ("lmg", 8), ("ising", 4)])
-def test_at_forms_the_hamiltonian_build_model_forms(kind, size):
+def test_hamiltonian_forms_the_h_build_model_forms(kind, size):
     model = build_model(kind, 1.0, 0.4, size)
     for w in (0.7, 1.0 - 5e-5, 1.0, 2.5):
-        moved = model.at(w)
-        assert moved.omega == w and moved.g == model.g and moved.size == model.size
-        assert moved.parts is model.parts
-        assert np.array_equal(moved.H, build_model(kind, w, 0.4, size).H)
+        assert np.array_equal(model.hamiltonian(w), build_model(kind, w, 0.4, size).H)
+
+
+def formed_layout(matrix):
+    """The layout read off a Sectors' blocks, each formed now: a twin is the same array as the block before it."""
+    return linalg.Sectors._checked(matrix.rows, tuple(matrix.blocks)).layout
 
 
 @pytest.mark.parametrize("kind,size", [("toy", 64), ("lmg", 20), ("ising", 8)])
 @pytest.mark.parametrize("g", [0.0, 0.5])
-def test_at_forms_every_block_of_build_model_bit_for_bit(kind, size, g):
+def test_hamiltonian_forms_every_block_of_build_model_bit_for_bit(kind, size, g):
     # block for block, with the sign of every zero: a rung's H is the H build_model forms at its omega
     model = build_model(kind, 1.0, g, size)
     for w in (0.7, 1.0 - 5e-5, 1.0 + 5e-5, 3.0):
-        got, want = model.at(w).H, build_model(kind, w, g, size).H
+        got, want = model.hamiltonian(w), build_model(kind, w, g, size).H
         assert len(got.blocks) == len(want.blocks)
-        for b, (block, other) in enumerate(zip(got.blocks, want.blocks)):
+        for block, other in zip(got.blocks, want.blocks):
             arrays = block if isinstance(block, tuple) else (block,)
             others = other if isinstance(other, tuple) else (other,)
             assert len(arrays) == len(others)
             for a, o in zip(arrays, others):
                 assert np.array_equal(a, o) and np.array_equal(np.signbit(a), np.signbit(o))
                 assert not a.flags.writeable
-            assert (b > 0 and block is got.blocks[b - 1]) == (b > 0 and other is want.blocks[b - 1])
+        assert formed_layout(got).kinds == want.layout.kinds
         # the rung's H forms the same blocks in any order it is read, a twin as the array of the block before it
-        lazy = model.hamiltonian(w).blocks
+        lazy = model.hamiltonian(w)
         for b in range(-1, -len(want.blocks) - 1, -1):
-            block, other = lazy[b], want.blocks[b]
+            block, other = lazy.blocks[b], want.blocks[b]
             arrays = block if isinstance(block, tuple) else (block,)
             assert all(np.array_equal(a, o) for a, o in zip(arrays, other if isinstance(other, tuple) else (other,)))
-        assert all(lazy[b - len(lazy)] is block for b, block in enumerate(lazy))
-        assert [b > 0 and block is lazy[b - 1] for b, block in enumerate(lazy)] == [
-            b > 0 and block is want.blocks[b - 1] for b, block in enumerate(want.blocks)]
+        assert all(lazy.blocks[b - len(lazy.blocks)] is block for b, block in enumerate(lazy.blocks))
+        assert formed_layout(lazy).kinds == want.layout.kinds
 
 
 def test_toy_band_build_forms_no_dense_matrix():
@@ -95,25 +96,26 @@ def test_toy_band_build_forms_no_dense_matrix():
         model = build_model("toy", 1.0, 0.5, 2048)
         _, built = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        moved = model.at(1.001)
+        moved = model.hamiltonian(1.001)
+        formed = tuple(moved.blocks)
         _, moved_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert built < 2 ** 20 and moved_peak < 2 ** 20
-    assert isinstance(model.H, linalg.Sectors) and isinstance(moved.H, linalg.Sectors)
+    assert isinstance(model.H, linalg.Sectors) and isinstance(moved, linalg.Sectors) and len(formed) == 2
     assert isinstance(model.coupling_term, linalg.Sectors)
     assert isinstance(build_model("lmg", 1.0, 0.5, 8).H, linalg.Sectors)
     assert isinstance(build_model("ising", 1.0, 0.5, 3).H, linalg.Sectors)
 
 
-def test_at_keeps_the_parameter_checks():
+def test_hamiltonian_keeps_the_parameter_checks():
     toy = build_model("toy", 1.0, 0.9, 16)
     with pytest.raises(BeyondCriticality):
-        toy.at(0.9)
+        toy.hamiltonian(0.9)
     with pytest.raises(BeyondCriticality):
-        toy.at(0.5)
+        toy.hamiltonian(0.5)
     with pytest.raises(ValueError):
-        build_model("lmg", 1.0, 0.5, 8).at(0.0)
+        build_model("lmg", 1.0, 0.5, 8).hamiltonian(0.0)
 
 
 @pytest.mark.parametrize("omega,g", [(math.inf, 0.5), (1.0, math.nan), (math.nan, 0.5), (1.0, math.inf)])
@@ -127,22 +129,22 @@ def test_non_finite_parameters_are_rejected_before_any_array_is_formed(omega, g)
 
 
 @pytest.mark.parametrize("omega", [math.inf, math.nan, -math.inf])
-def test_at_rejects_a_non_finite_omega(omega):
+def test_hamiltonian_rejects_a_non_finite_omega(omega):
     model = build_model("ising", 1.0, 0.5, 6)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError):
-            model.at(omega)
+            model.hamiltonian(omega)
 
 
 @pytest.mark.parametrize("size", [6, 8])
-def test_at_shares_the_twin_blocks_of_the_coupling(size):
+def test_hamiltonian_shares_the_twin_blocks_of_the_coupling(size):
     model = build_model("ising", 1.0, 0.8, size)
-    moved = model.at(1.0 + 5e-5)
-    assert all(rows is w_rows for rows, w_rows in zip(moved.H.rows, model.coupling_term.rows))
-    twins = [b for b in range(1, len(moved.H.rows)) if model.coupling_term.blocks[b] is model.coupling_term.blocks[b - 1]]
-    assert twins and all(moved.H.blocks[b] is moved.H.blocks[b - 1] for b in twins)
-    for block in moved.H.blocks:
+    moved = model.hamiltonian(1.0 + 5e-5)
+    assert all(rows is w_rows for rows, w_rows in zip(moved.rows, model.coupling_term.rows))
+    assert "twin" in model.coupling_term.layout.kinds
+    assert formed_layout(moved).kinds == model.H.layout.kinds == model.coupling_term.layout.kinds
+    for block in moved.blocks:
         assert not block.flags.writeable and np.array_equal(block, block.T)
 
 
@@ -160,7 +162,7 @@ def test_a_coupling_that_overflows_h_ends_in_a_row_status():
 def test_h_keeps_the_rows_of_the_coupling(kind, size):
     model = build_model(kind, 1.0, 0.5, size)
     assert model.H.rows is model.coupling_term.rows
-    assert model.at(1.1).H.rows is model.H.rows
+    assert model.hamiltonian(1.1).rows is model.H.rows
 
 
 @pytest.mark.parametrize("kind,size", [("toy", 16), ("lmg", 8), ("ising", 6)])

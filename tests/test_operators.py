@@ -155,7 +155,7 @@ def test_chain_twin_blocks_are_stored_once(N):
     for matrix in (ops.xx_pbc, ops.sx2):
         twins = [b for b in range(1, len(matrix.rows)) if ops.twin[matrix.rows[b][0]]]
         assert len(twins) == 2 * ((N - 1) // 2)
-        assert all(matrix.blocks[b] is matrix.blocks[b - 1] for b in twins)
+        assert [b for b, kind in enumerate(matrix.layout.kinds) if kind == "twin"] == twins
 
 
 def test_chain_records_the_reflected_orbit():

@@ -29,9 +29,12 @@ def test_two_level_weights():
     assert np.allclose(state.probs, [0.75, 0.25], atol=1e-15)
 
 
-def test_zero_temperature_unique_ground():
-    state = gibbs(spectrum_from_energies([0.0, 1.0, 2.0]), math.inf)
-    assert np.array_equal(state.probs, [1.0, 0.0, 0.0])
+@pytest.mark.parametrize("omega", [1.0, 1e-12, 1e-13])
+def test_zero_temperature_unique_ground(omega):
+    # the g = 0 lmg N = 20 levels, omega apart: a tolerance of GROUND_DEGENERACY_RTOL times a scale floored at 1
+    # took the next levels into the ground group at omega 1e-12 and 1e-13
+    state = gibbs(spectrum_from_energies(omega * np.arange(-10.0, 11.0)), math.inf)
+    assert state.probs[0] == 1.0 and not state.probs[1:].any()
 
 
 def test_zero_temperature_degenerate_ground_group():
